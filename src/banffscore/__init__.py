@@ -28,9 +28,7 @@ from .geometry import (
     assign_detections,
     build_index,
     contains_points,
-    merge_assignment_tables,
     point_in_polygon,
-    polygon_area,
 )
 from .model import (
     ARTERY,

@@ -58,6 +58,16 @@ def _write_all(outputs: List[Output]) -> None:
         _write_atomic(path, data)
 
 
+def _file_name(section_id: str) -> str:
+    """The section id, checked to be usable as a file name inside --out-dir."""
+    if section_id in ("", ".", "..") or any(c in section_id for c in "/\\\0"):
+        raise BanffScoreError(
+            f"section_id {section_id!r} cannot name an output file "
+            "(it is empty, '.' or '..', or contains '/', '\\' or NUL)"
+        )
+    return section_id
+
+
 def _require_file(path: Path) -> Path:
     if not path.is_file():
         raise BanffScoreError(f"file not found: {path}")
@@ -94,11 +104,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
     structures_path = _require_file(Path(args.structures))
     detections_path = _require_file(Path(args.detections))
     gt_path = _require_file(Path(args.gt)) if args.gt else None
+    section_id = _file_name(
+        structures_path.stem if config.section_id is None else config.section_id
+    )
     instances = parse_structures(structures_path.read_bytes(), config.structure_aliases)
     detections = parse_detections(
         detections_path.read_bytes(), min_confidence=0.0, classes=None, aliases=config.cell_aliases
     )
-    section_id = config.section_id or structures_path.stem
     scene = SectionScene(section_id=section_id, instances=instances, detections=detections)
     report = score_section(scene, config.scoring_config())
     report = with_config_snapshot(report, _provenance(config))
@@ -162,6 +174,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     spec = SceneSpec.from_dict(load_json_bytes(_require_file(Path(args.spec)).read_bytes()))
     if config.seed is not None:
         spec = SceneSpec.from_dict({**spec.to_dict(), "seed": config.seed})
+    stem = _file_name(spec.section_id)
     scene, gt = generate_scene(spec)
     scene.metadata["config"] = _provenance(config)
     gt_doc = {
@@ -176,8 +189,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     _write_all(
         [
-            (out_dir / f"{spec.section_id}.scene.json", write_scene(scene)),
-            (out_dir / f"{spec.section_id}.gt.geojson", canonical_json_bytes(gt_doc)),
+            (out_dir / f"{stem}.scene.json", write_scene(scene)),
+            (out_dir / f"{stem}.gt.geojson", canonical_json_bytes(gt_doc)),
         ]
     )
     return 0
@@ -186,12 +199,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     scene = read_scene(_require_file(Path(args.scene)).read_bytes())
+    stem = _file_name(scene.section_id)
     pspec = PerturbationSpec.from_dict(load_json_bytes(_require_file(Path(args.perturb)).read_bytes()))
     if config.seed is not None:
         pspec = PerturbationSpec.from_dict({**pspec.to_dict(), "seed": config.seed})
-    report = sensitivity_run(
-        scene, pspec, trials=args.trials, config=config.scoring_config(), workers=args.workers
-    )
+    report = sensitivity_run(scene, pspec, trials=args.trials, config=config.scoring_config())
     provenance = _provenance(config)
     doc = {
         "schema": "banffscore.sensitivity/1",
@@ -204,8 +216,8 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     _write_all(
         [
-            (out_dir / f"{scene.section_id}.sensitivity.json", canonical_json_bytes(doc)),
-            (out_dir / f"{scene.section_id}.sensitivity.csv", report.to_csv(comment)),
+            (out_dir / f"{stem}.sensitivity.json", canonical_json_bytes(doc)),
+            (out_dir / f"{stem}.sensitivity.csv", report.to_csv(comment)),
         ]
     )
     return 0
@@ -265,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     sensitivity.add_argument("--scene", required=True, help="scene JSON (from synth or export)")
     sensitivity.add_argument("--perturb", required=True, help="perturbation spec JSON")
     sensitivity.add_argument("--trials", type=int, default=1000, help="number of trials")
-    sensitivity.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     sensitivity.add_argument("--seed", type=int, default=None, help="override the spec seed")
     _add_config_flags(sensitivity)
     sensitivity.set_defaults(func=_cmd_sensitivity)
@@ -295,3 +306,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def entrypoint() -> None:  # console-script shim
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

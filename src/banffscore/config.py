@@ -11,6 +11,7 @@ Recognized keys: ``min_confidence``, ``cell_classes`` (comma-separated),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
@@ -111,17 +112,26 @@ def parse_config_text(text: str) -> dict:
     return overrides
 
 
+def _check_value(name: str, key: str, value) -> None:
+    if key == "min_confidence" and not (math.isfinite(value) and 0.0 <= value <= 1.0):
+        raise ConfigError(f"{name}={value!r} outside [0, 1]")
+    if key == "dedup_radius" and not (math.isfinite(value) and value >= 0.0):
+        raise ConfigError(f"{name}={value!r} is not a finite number >= 0")
+
+
 def merge_config(file_overrides: Optional[dict] = None, flag_overrides: Optional[dict] = None) -> RunConfig:
     """Apply precedence: defaults < file < flags.  Alias overrides extend the
-    defaults instead of replacing them."""
+    defaults instead of replacing them.  Values from both sources are
+    range-checked here, so a bad one raises ConfigError whichever wins."""
     config = RunConfig()
     valid = {f.name for f in fields(RunConfig)}
-    for overrides in (file_overrides or {}, flag_overrides or {}):
-        for key, value in overrides.items():
+    for is_file, overrides in ((True, file_overrides), (False, flag_overrides)):
+        for key, value in (overrides or {}).items():
             if value is None:
                 continue
             if key not in valid:
                 raise ConfigError(f"unknown config key {key!r}")
+            _check_value(f"config file {key}" if is_file else "--" + key.replace("_", "-"), key, value)
             if key == "structure_aliases":
                 config.structure_aliases.update(value)
             elif key == "cell_aliases":

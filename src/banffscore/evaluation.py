@@ -10,7 +10,7 @@ fabricate agreement on inadequate tissue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,8 +46,8 @@ class ConfusionMatrix:
 def accumulate(pairs: Iterable[Tuple[GradeLike, GradeLike]], indicator: str) -> ConfusionMatrix:
     """Fold (predicted, expert) pairs into a confusion matrix.
 
-    Commutative: any partition of the pairs merged afterwards gives the
-    same matrix.
+    Commutative: summing the cells of the matrices of any partition of the
+    pairs gives the same matrix.
     """
     cells = [[0] * N_GRADES for _ in range(N_GRADES)]
     excluded = 0
@@ -61,25 +61,6 @@ def accumulate(pairs: Iterable[Tuple[GradeLike, GradeLike]], indicator: str) -> 
     return ConfusionMatrix(
         indicator=indicator,
         cells=tuple(tuple(row) for row in cells),
-        excluded=excluded,
-    )
-
-
-def merge_matrices(matrices: Sequence[ConfusionMatrix]) -> ConfusionMatrix:
-    """Cellwise sum of matrices for the same indicator."""
-    if not matrices:
-        raise ValueError("no matrices to merge")
-    indicator = matrices[0].indicator
-    if any(m.indicator != indicator for m in matrices):
-        raise ValueError("matrices cover different indicators")
-    total = np.zeros((N_GRADES, N_GRADES), dtype=np.int64)
-    excluded = 0
-    for m in matrices:
-        total += np.asarray(m.cells, dtype=np.int64)
-        excluded += m.excluded
-    return ConfusionMatrix(
-        indicator=indicator,
-        cells=tuple(tuple(int(v) for v in row) for row in total),
         excluded=excluded,
     )
 

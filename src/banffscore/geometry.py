@@ -1,17 +1,21 @@
 """Planar geometry: polygons with holes, containment tests, and a grid index.
 
 Containment is ray casting with a boundary-inclusive amendment: a point that
-lies exactly on any ring segment (exterior or hole) counts as inside.  Every
-containment path in this package decides each edge with the predicate
+lies exactly on any ring segment (exterior or hole) counts as inside.  It is
+decided in one place, :func:`_ring_hits`, which evaluates the edge predicate
 
     d = (x2 - x1) * (py - y1) - (px - x1) * (y2 - y1)
 
-evaluated in exactly this operation order, so the scalar and the vectorized
-implementations agree bit-for-bit on identical inputs.  For an edge that
-straddles the horizontal line through the point (half-open rule
-``(y1 <= py) != (y2 <= py)``), the ray to +x crosses it iff ``d > 0`` for an
-upward edge or ``d < 0`` for a downward edge; ``d == 0`` with the point inside
-the edge's bounding box means the point sits on the segment itself.
+for every edge of a ring against a block of points at once, in exactly this
+operation order (the test oracles repeat it, so agreement is bit-exact).
+For an edge that straddles the horizontal line through the point (half-open
+rule ``(y1 <= py) != (y2 <= py)``), the ray to +x crosses it iff ``d > 0``
+for an upward edge or ``d < 0`` for a downward edge; an odd crossing count
+means inside.  ``d == 0`` with the point inside the edge's bounding box
+means the point sits on the segment itself.  :func:`contains_points` combines
+the exterior with the holes, and :func:`point_in_polygon` is its one-point
+call.  See Hormann & Agathos, "The point in polygon problem for arbitrary
+polygons", Comput. Geom. 20(3), 2001.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,77 +112,36 @@ class Polygon:
         return tuple(np.asarray(h, dtype=np.float64) for h in self.holes)
 
 
-def polygon_area(poly: Polygon) -> float:
-    """Exterior shoelace area minus the area of every hole, in pixels squared."""
-    return poly.area
-
-
-def _ring_hits_scalar(ring: Sequence[Point], px: float, py: float) -> Tuple[bool, bool]:
-    """(odd crossing parity, point on a ring segment) for one ring."""
-    inside = False
-    on_edge = False
-    n = len(ring)
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        d = (x2 - x1) * (py - y1) - (px - x1) * (y2 - y1)
-        if (
-            d == 0.0
-            and min(x1, x2) <= px <= max(x1, x2)
-            and min(y1, y2) <= py <= max(y1, y2)
-        ):
-            on_edge = True
-        if (y1 <= py) != (y2 <= py):
-            if y2 > y1:
-                if d > 0.0:
-                    inside = not inside
-            elif d < 0.0:
-                inside = not inside
-    return inside, on_edge
-
-
-def point_in_polygon(point: Point, poly: Polygon) -> bool:
-    """True iff the point is inside the polygon; ring boundaries count as inside."""
-    poly.area  # raises DegenerateGeometry on invalid rings
-    px, py = float(point[0]), float(point[1])
-    inside, on_edge = _ring_hits_scalar(poly.exterior, px, py)
-    if on_edge:
-        return True
-    if not inside:
-        return False
-    for hole in poly.holes:
-        h_in, h_on = _ring_hits_scalar(hole, px, py)
-        if h_on:
-            return True
-        if h_in:
-            return False
-    return True
+# Edge x point pairs evaluated at once by _ring_hits; bounds its temporaries
+# so peak memory stays flat however many vertices a ring has.
+_BLOCK_PAIRS = 1 << 16
 
 
 def _ring_hits(ring: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized counterpart of :func:`_ring_hits_scalar` over point arrays."""
-    inside = np.zeros(xs.shape, dtype=bool)
-    on_edge = np.zeros(xs.shape, dtype=bool)
-    n = ring.shape[0]
-    for i in range(n):
-        x1, y1 = ring[i, 0], ring[i, 1]
-        j = i + 1 if i + 1 < n else 0
-        x2, y2 = ring[j, 0], ring[j, 1]
-        d = (x2 - x1) * (ys - y1) - (xs - x1) * (y2 - y1)
-        lo_x, hi_x = (x1, x2) if x1 <= x2 else (x2, x1)
-        lo_y, hi_y = (y1, y2) if y1 <= y2 else (y2, y1)
-        on_edge |= (d == 0.0) & (xs >= lo_x) & (xs <= hi_x) & (ys >= lo_y) & (ys <= hi_y)
-        straddles = (y1 <= ys) != (y2 <= ys)
-        if y2 > y1:
-            inside ^= straddles & (d > 0.0)
-        elif y2 < y1:
-            inside ^= straddles & (d < 0.0)
+    """(odd crossing parity, point on a ring segment) for each point, one ring."""
+    nxt = np.roll(ring, -1, axis=0)
+    x1, y1 = ring[:, 0:1], ring[:, 1:2]
+    x2, y2 = nxt[:, 0:1], nxt[:, 1:2]
+    lo_x, hi_x = np.minimum(x1, x2), np.maximum(x1, x2)
+    lo_y, hi_y = np.minimum(y1, y2), np.maximum(y1, y2)
+    dx, dy = x2 - x1, y2 - y1
+    up, down = y2 > y1, y2 < y1
+    inside = np.empty(xs.shape, dtype=bool)
+    on_edge = np.empty(xs.shape, dtype=bool)
+    step = max(1, _BLOCK_PAIRS // ring.shape[0])
+    for lo in range(0, xs.size, step):
+        px, py = xs[lo : lo + step], ys[lo : lo + step]
+        d = dx * (py - y1) - (px - x1) * dy
+        on = (d == 0.0) & (px >= lo_x) & (px <= hi_x) & (py >= lo_y) & (py <= hi_y)
+        crosses = ((y1 <= py) != (y2 <= py)) & ((up & (d > 0.0)) | (down & (d < 0.0)))
+        inside[lo : lo + step] = np.count_nonzero(crosses, axis=0) % 2 == 1
+        on_edge[lo : lo + step] = on.any(axis=0)
     return inside, on_edge
 
 
 def contains_points(poly: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized boundary-inclusive containment of many points in one polygon."""
-    poly.area  # validity gate
+    """Boundary-inclusive containment of many points in one polygon."""
+    poly.area  # validity gate: raises DegenerateGeometry on invalid rings
     inside, boundary = _ring_hits(poly._exterior_arr, xs, ys)
     keep = inside.copy()
     for hole in poly._hole_arrs:
@@ -188,24 +151,25 @@ def contains_points(poly: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     return keep | boundary
 
 
-class SpatialIndex:
-    """Uniform grid over instance bounding boxes, immutable after construction.
+def point_in_polygon(point: Point, poly: Polygon) -> bool:
+    """True iff the point is inside the polygon; ring boundaries count as inside."""
+    xs = np.array([point[0]], dtype=np.float64)
+    ys = np.array([point[1]], dtype=np.float64)
+    return bool(contains_points(poly, xs, ys)[0])
 
-    A candidate query returns every instance whose bounding box contains the
-    point; equivalence with an exhaustive bounding-box scan is the
-    correctness contract, the grid only narrows the scan.
+
+class SpatialIndex:
+    """Uniform grid over the bounds of a set of instances, immutable after
+    construction.
+
+    Points are bucketed by grid cell; :meth:`candidate_positions` returns
+    every point whose cell overlaps a bounding box's cell range.  Being a
+    superset of the points inside the box is the correctness contract, the
+    grid only narrows the scan.
     """
 
-    def __init__(
-        self,
-        ids: Sequence[str],
-        bboxes: Sequence[BoundingBox],
-        bounds: Optional[BoundingBox],
-        nx: int,
-        ny: int,
-    ):
+    def __init__(self, ids: Sequence[str], bounds: Optional[BoundingBox], nx: int, ny: int):
         self._ids: Tuple[str, ...] = tuple(ids)
-        self._bboxes: Tuple[BoundingBox, ...] = tuple(bboxes)
         self._bounds = bounds
         self._nx = nx
         self._ny = ny
@@ -214,14 +178,6 @@ class SpatialIndex:
             self._cell_h = max(bounds.height / ny, 1e-12)
         else:
             self._cell_w = self._cell_h = 1.0
-        cells: List[List[int]] = [[] for _ in range(nx * ny)]
-        for k, bbox in enumerate(self._bboxes):
-            ix0, iy0, ix1, iy1 = self._cell_range(bbox)
-            for iy in range(iy0, iy1 + 1):
-                base = iy * nx
-                for ix in range(ix0, ix1 + 1):
-                    cells[base + ix].append(k)
-        self._cells: Tuple[Tuple[int, ...], ...] = tuple(tuple(c) for c in cells)
 
     @property
     def ids(self) -> Tuple[str, ...]:
@@ -237,20 +193,6 @@ class SpatialIndex:
         ix0, iy0 = self._cell_coords(bbox.min_x, bbox.min_y)
         ix1, iy1 = self._cell_coords(bbox.max_x, bbox.max_y)
         return ix0, iy0, ix1, iy1
-
-    def query(self, point: Point) -> Tuple[str, ...]:
-        """Ids of instances whose bounding box contains the point."""
-        if self._bounds is None:
-            return ()
-        x, y = float(point[0]), float(point[1])
-        if not self._bounds.contains(x, y):
-            return ()
-        ix, iy = self._cell_coords(x, y)
-        out = []
-        for k in self._cells[iy * self._nx + ix]:
-            if self._bboxes[k].contains(x, y):
-                out.append(self._ids[k])
-        return tuple(out)
 
     def point_cells(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Grid cell code per point, -1 for points outside the index bounds."""
@@ -286,18 +228,18 @@ class SpatialIndex:
 
 def build_index(instances: Sequence) -> SpatialIndex:
     """Grid index over the bounding boxes of ``instances`` (objects with
-    ``.id`` and ``.polygon``).  An empty list yields an index whose every
-    query returns the empty set."""
+    ``.id`` and ``.polygon``).  An empty list yields an index that returns
+    no candidates."""
     ids = [inst.id for inst in instances]
     bboxes = [inst.polygon.bounds for inst in instances]
     if not instances:
-        return SpatialIndex(ids, bboxes, None, 1, 1)
+        return SpatialIndex(ids, None, 1, 1)
     min_x = min(b.min_x for b in bboxes)
     min_y = min(b.min_y for b in bboxes)
     max_x = max(b.max_x for b in bboxes)
     max_y = max(b.max_y for b in bboxes)
     side = max(1, min(128, 2 * math.isqrt(len(instances))))
-    return SpatialIndex(ids, bboxes, BoundingBox(min_x, min_y, max_x, max_y), side, side)
+    return SpatialIndex(ids, BoundingBox(min_x, min_y, max_x, max_y), side, side)
 
 
 @dataclass(frozen=True)
@@ -310,9 +252,6 @@ class AssignmentTable:
     counts: Dict[str, int]
     members: Dict[str, Tuple[str, ...]]
     unassigned: Tuple[str, ...]
-
-    def total_multiplicity(self) -> int:
-        return sum(self.counts.values())
 
 
 def assign_detections(detections: Sequence, instances: Sequence, index: SpatialIndex) -> AssignmentTable:
@@ -358,30 +297,3 @@ def assign_detections(detections: Sequence, instances: Sequence, index: SpatialI
                 assigned[sel] = True
     unassigned = tuple(sorted(det_ids[j] for j in np.nonzero(~assigned)[0]))
     return AssignmentTable(counts=counts, members=members, unassigned=unassigned)
-
-
-def merge_assignment_tables(tables: Sequence[AssignmentTable]) -> AssignmentTable:
-    """Combine tables computed over disjoint detection batches of one scene.
-
-    Counts add per instance, member lists merge, and the result is identical
-    to a single-batch assignment regardless of how detections were split.
-    """
-    if not tables:
-        raise ValueError("no tables to merge")
-    key_set = set(tables[0].counts)
-    counts: Dict[str, int] = {i: 0 for i in tables[0].counts}
-    members: Dict[str, List[str]] = {i: [] for i in tables[0].counts}
-    unassigned: List[str] = []
-    for t in tables:
-        if set(t.counts) != key_set:
-            raise IndexMismatch("tables cover different instance sets")
-        for i, c in t.counts.items():
-            counts[i] += c
-        for i, ids in t.members.items():
-            members[i].extend(ids)
-        unassigned.extend(t.unassigned)
-    return AssignmentTable(
-        counts=counts,
-        members={i: tuple(sorted(v)) for i, v in members.items()},
-        unassigned=tuple(sorted(unassigned)),
-    )

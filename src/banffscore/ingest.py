@@ -23,7 +23,8 @@ across features applies.
 
 Scene interchange: one JSON document ``{"section_id", "instances",
 "detections", "metadata"}`` serialized with sorted keys and 2-space
-indentation; ``read_scene(write_scene(s))`` is identity.
+indentation; ``read_scene(write_scene(s))`` is identity.  Scene rings pass
+the same validation as GeoJSON rings.
 """
 
 from __future__ import annotations
@@ -407,19 +408,15 @@ def scene_from_dict(doc: dict) -> SectionScene:
     seen: Set[str] = set()
     for entry in doc["instances"]:
         try:
-            poly = Polygon(
-                exterior=tuple((p[0], p[1]) for p in entry["polygon"]["exterior"]),
-                holes=tuple(
-                    tuple((p[0], p[1]) for p in hole) for hole in entry["polygon"].get("holes", [])
-                ),
-            )
+            iid = str(entry["id"])
+            rings = [entry["polygon"]["exterior"], *entry["polygon"].get("holes", [])]
             inst = Instance(
-                id=str(entry["id"]),
+                id=iid,
                 cls=StructureClass.from_string(entry["class"]),
-                polygon=poly,
+                polygon=_polygon_from_coords(rings, f"instance {iid}"),
                 properties=dict(entry.get("properties", {})),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
             raise MalformedDocument(f"bad instance entry: {exc}") from exc
         if inst.id in seen:
             raise MalformedDocument(f"duplicate instance id {inst.id!r}")

@@ -143,18 +143,6 @@ class SectionScene:
     def instances_of(self, kind: str) -> List[Instance]:
         return [i for i in self.instances if i.cls.kind == kind]
 
-    @property
-    def n_glomeruli(self) -> int:
-        return len(self.instances_of(GLOMERULUS))
-
-    @property
-    def n_peritubular_capillaries(self) -> int:
-        return len(self.instances_of(PERITUBULAR_CAPILLARY))
-
-    @property
-    def n_arteries(self) -> int:
-        return len(self.instances_of(ARTERY))
-
 
 def scene_canvas(scene: SectionScene) -> Tuple[float, float, float, float]:
     """(min_x, min_y, max_x, max_y) working area of a scene.

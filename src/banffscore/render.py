@@ -8,11 +8,14 @@ Palette (fixed):
 
 Output bytes are a pure function of (scene, report): coordinates use fixed
 two-decimal formatting, elements follow document order, and there are no
-timestamps or generated ids.
+timestamps or generated ids.  Ids are the only free text written: they are
+XML-escaped, characters XML cannot carry become U+FFFD, and ``--`` is split
+inside the header comment, so the SVG is well-formed for any id.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Optional
 
 from . import __version__
@@ -33,6 +36,20 @@ CELL_COLORS: Dict[str, str] = {
 }
 
 _POINT_RADIUS = 3.0
+
+_NOT_XML_CHAR = re.compile("[^\t\n\r\u0020-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _xml_chars(value: str) -> str:
+    return _NOT_XML_CHAR.sub("\ufffd", value)
+
+
+def _xml_text(value: str) -> str:
+    return _xml_chars(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _comment_safe(value: str) -> str:
+    return re.sub("-(?=-)", "- ", _xml_chars(value))
 
 
 def _fmt(value: float) -> str:
@@ -67,7 +84,7 @@ def render_svg(scene: SectionScene, report: Optional[ScoreReport] = None) -> byt
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(width)} {_fmt(height)}">',
-        f"<!-- banffscore {__version__} section={scene.section_id} -->",
+        f"<!-- banffscore {__version__} section={_comment_safe(scene.section_id)} -->",
         f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(width)}" height="{_fmt(height)}" '
         'fill="#ffffff" stroke="#cccccc" stroke-width="1"/>',
     ]
@@ -76,7 +93,7 @@ def render_svg(scene: SectionScene, report: Optional[ScoreReport] = None) -> byt
         color = STRUCTURE_COLORS.get(inst.cls.kind, STRUCTURE_COLORS["other"])
         lines.append(
             f'<path d="{_polygon_path(inst.polygon)}" fill="{color}" fill-opacity="0.25" '
-            f'stroke="{color}" stroke-width="2" fill-rule="evenodd"><title>{inst.id}</title></path>'
+            f'stroke="{color}" stroke-width="2" fill-rule="evenodd"><title>{_xml_text(inst.id)}</title></path>'
         )
     lines.append("</g>")
     lines.append('<g id="detections">')

@@ -20,7 +20,6 @@ instance; there is deliberately no clamping.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -324,15 +323,6 @@ class PerturbationSpec:
         if self.jitter_sigma < 0:
             raise ConfigError("jitter_sigma must be >= 0")
 
-    def is_identity(self) -> bool:
-        return (
-            all(p == 0 for p in self.omit_instance_prob.values())
-            and all(h.count == 0 for h in self.hallucinate_instances.values())
-            and self.detection_fn_prob == 0
-            and self.detection_fp_count == 0
-            and self.jitter_sigma == 0
-        )
-
     def to_dict(self) -> dict:
         return {
             "omit_instance_prob": dict(self.omit_instance_prob),
@@ -514,11 +504,10 @@ def sensitivity_run(
     pspec: PerturbationSpec,
     trials: int,
     config: Optional[ScoringConfig] = None,
-    workers: int = 1,
 ) -> SensitivityReport:
     """Perturb + rescore ``trials`` times; trial i uses the child seed
-    ``derive_seed(pspec.seed, f"trial:{i}")``.  Results are identical for
-    any ``workers`` value because every trial owns an independent stream."""
+    ``derive_seed(pspec.seed, f"trial:{i}")``.  Every trial owns an
+    independent stream, so row i does not depend on the other trials."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     baseline = _trial_grades(score_section(scene, config))
@@ -527,11 +516,7 @@ def sensitivity_run(
         tspec = replace(pspec, seed=derive_seed(pspec.seed, f"trial:{i}"))
         return _trial_grades(score_section(perturb_scene(scene, tspec), config))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(run_trial, range(trials)))
-    else:
-        rows = tuple(run_trial(i) for i in range(trials))
+    rows = tuple(run_trial(i) for i in range(trials))
 
     per_indicator: Dict[str, IndicatorSensitivity] = {}
     for pos, name in enumerate(("g", "ptc", "v")):

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import banffscore
 from banffscore.cli import main
 
 
@@ -190,6 +194,37 @@ class TestScoreCommand:
         doc = json.loads((out2 / "sec1.score.json").read_text())
         assert doc["config"]["min_confidence"] == 0.1
 
+    @pytest.mark.parametrize("section_id", ["../../pwn", "a/b", "a\\b", "..", ".", ""])
+    def test_section_id_that_leaves_out_dir_exits_2(self, section_id, section_files, tmp_path, capsys):
+        structures, detections = section_files
+        out = tmp_path / "out" / "a" / "b"
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        assert main(argv + ["--section-id", section_id, "--out-dir", str(out)]) == 2
+        assert "section_id" in capsys.readouterr().err
+        assert not list((tmp_path / "out").rglob("*.json"))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dedup_radius", "-1"), ("dedup_radius", "inf"), ("min_confidence", "nan"),
+         ("min_confidence", "7"), ("min_confidence", "-0.5")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_bad_config_value_exits_2(self, key, value, source, section_files, tmp_path, capsys):
+        structures, detections = section_files
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert key.replace("_", "-") in err or key in err
+        assert not out.exists()
+
 
 def make_report_and_gt(tmp_path, name, grade, unscorable=False):
     """Score a one-glomerulus section shaped to hit the wanted g grade, then
@@ -311,6 +346,27 @@ class TestSynthAndSensitivityCommands:
         assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "o")]) == 2
         assert "bogus_knob" in capsys.readouterr().err
 
+    def test_spec_section_id_that_leaves_out_dir_exits_2(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {**SCENE_SPEC, "section_id": "../escaped"})
+        out = tmp_path / "o" / "inner"
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 2
+        assert "section_id" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("escaped*"))
+
+    def test_scene_section_id_that_leaves_out_dir_exits_2(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        scene_path = tmp_path / "synth-x.scene.json"
+        doc = json.loads(scene_path.read_text())
+        doc["section_id"] = "../escaped"
+        write_json(scene_path, doc)
+        pspec = write_json(tmp_path / "p.json", {"seed": 3})
+        out = tmp_path / "o" / "inner"
+        argv = ["sensitivity", "--scene", str(scene_path), "--perturb", str(pspec), "--trials", "2"]
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert "section_id" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("escaped*"))
+
     def test_sensitivity_outputs(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
         assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
@@ -339,13 +395,13 @@ class TestSynthAndSensitivityCommands:
         assert csv_lines[1] == "trial,g,ptc,v"
         assert len(csv_lines) == 27  # comment + header + 25 trials
 
-    def test_sensitivity_workers_do_not_change_bytes(self, tmp_path):
+    def test_sensitivity_rows_do_not_depend_on_trial_count(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
         assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
         pspec = write_json(tmp_path / "p.json", {"detection_fn_prob": 0.5, "seed": 3})
-        outs = []
-        for workers, sub in (("1", "w1"), ("4", "w4")):
-            out = tmp_path / sub
+        rows = {}
+        for trials in ("10", "30"):
+            out = tmp_path / f"t{trials}"
             assert (
                 main(
                     [
@@ -355,17 +411,16 @@ class TestSynthAndSensitivityCommands:
                         "--perturb",
                         str(pspec),
                         "--trials",
-                        "30",
-                        "--workers",
-                        workers,
+                        trials,
                         "--out-dir",
                         str(out),
                     ]
                 )
                 == 0
             )
-            outs.append((out / "synth-x.sensitivity.json").read_bytes())
-        assert outs[0] == outs[1]
+            rows[trials] = (out / "synth-x.sensitivity.csv").read_text().splitlines()[2:]
+        assert len(rows["30"]) == 30
+        assert rows["10"] == rows["30"][:10]
 
 
 class TestRenderCommand:
@@ -385,3 +440,18 @@ class TestRenderCommand:
         bad = tmp_path / "scene.json"
         bad.write_text("{broken")
         assert main(["render", "--scene", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("module", ["banffscore", "banffscore.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(banffscore.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", module, "--version"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"banffscore {banffscore.__version__}"

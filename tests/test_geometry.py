@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banffscore import geometry
 from banffscore.errors import DegenerateGeometry, IndexMismatch
 from banffscore.geometry import (
+    AssignmentTable,
+    BoundingBox,
     Polygon,
     assign_detections,
     build_index,
     contains_points,
-    merge_assignment_tables,
     point_in_polygon,
-    polygon_area,
 )
 from banffscore.model import GLOMERULUS
 
@@ -40,37 +41,37 @@ CENTERED_HOLE = ((0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75))
 
 class TestPolygonArea:
     def test_unit_square(self):
-        assert polygon_area(Polygon(exterior=UNIT_SQUARE)) == 1.0
+        assert Polygon(exterior=UNIT_SQUARE).area == 1.0
 
     def test_unit_square_with_centered_hole(self):
         poly = Polygon(exterior=UNIT_SQUARE, holes=(CENTERED_HOLE,))
-        assert polygon_area(poly) == 0.75
+        assert poly.area == 0.75
 
     def test_random_20_gons_match_independent_area(self, rng):
         for _ in range(50):
             ring = star_ring(rng, rng.uniform(-50, 50), rng.uniform(-50, 50), 5.0, 40.0, 20)
             poly = Polygon(exterior=ring)
             expected = trapezoid_polygon_area(ring)
-            assert polygon_area(poly) == pytest.approx(expected, rel=1e-9)
+            assert poly.area == pytest.approx(expected, rel=1e-9)
 
     def test_random_polygon_with_holes_matches_independent_area(self, rng):
         for _ in range(20):
             poly = random_polygon(rng, 0.0, 0.0, 20.0, 60.0)
             expected = trapezoid_polygon_area(poly.exterior, poly.holes)
-            assert polygon_area(poly) == pytest.approx(expected, rel=1e-9)
+            assert poly.area == pytest.approx(expected, rel=1e-9)
 
     def test_two_vertex_ring_rejected(self):
         with pytest.raises(DegenerateGeometry):
-            polygon_area(Polygon(exterior=((0.0, 0.0), (1.0, 0.0))))
+            Polygon(exterior=((0.0, 0.0), (1.0, 0.0))).area
 
     def test_zero_area_ring_rejected(self):
         with pytest.raises(DegenerateGeometry):
-            polygon_area(Polygon(exterior=((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))))
+            Polygon(exterior=((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))).area
 
     def test_zero_area_hole_rejected(self):
         poly = Polygon(exterior=UNIT_SQUARE, holes=(((0.2, 0.2), (0.4, 0.4), (0.6, 0.6)),))
         with pytest.raises(DegenerateGeometry):
-            polygon_area(poly)
+            poly.area
 
 
 class TestPointInPolygon:
@@ -121,13 +122,21 @@ class TestPointInPolygon:
             )
             assert np.array_equal(got, expected)
 
-    def test_scalar_and_vector_paths_agree(self, rng):
-        for _ in range(10):
-            poly = random_polygon(rng, 0.0, 0.0, 15.0, 50.0)
-            pts = rng.uniform(-60.0, 60.0, size=(500, 2))
-            vec = contains_points(poly, pts[:, 0].copy(), pts[:, 1].copy())
-            scalar = np.array([point_in_polygon((x, y), poly) for x, y in pts])
-            assert np.array_equal(vec, scalar)
+    def test_large_ring_with_hole_matches_naive_oracle_across_blocks(self, rng):
+        exterior = star_ring(rng, 0.0, 0.0, 400.0, 500.0, 1200)
+        hole = star_ring(rng, 0.0, 0.0, 100.0, 250.0, 200)
+        poly = Polygon(exterior=exterior, holes=(hole,))
+        block = geometry._BLOCK_PAIRS // len(exterior)
+        random_pts = rng.uniform(-520.0, 520.0, size=(500, 2))
+        # every seventh vertex of both rings: boundary points must count as inside
+        pts = np.concatenate([random_pts, np.array(exterior[::7]), np.array(hole[::7])])
+        assert len(pts) > block and len(pts) % block != 0
+        expected = np.array([naive_point_in_polygon(p, exterior, (hole,)) for p in pts])
+        got = contains_points(poly, pts[:, 0].copy(), pts[:, 1].copy())
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.array([point_in_polygon(p, poly) for p in pts]), expected)
+        assert expected[len(random_pts) :].all()
+        assert 0 < expected[: len(random_pts)].sum() < len(random_pts)
 
 
 @st.composite
@@ -171,28 +180,38 @@ class TestBoundaryInclusionProperty:
             assert point_in_polygon(((x1 + x2) / 2.0, (y1 + y2) / 2.0), poly)
 
 
+def candidates_by_bbox(index, bboxes, xs, ys):
+    codes = index.point_cells(xs, ys)
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    return [set(index.candidate_positions(b, sorted_codes, order).tolist()) for b in bboxes]
+
+
 class TestSpatialIndex:
     def test_empty_index_returns_nothing(self):
         index = build_index([])
-        assert index.query((0.0, 0.0)) == ()
+        xs, ys = np.array([0.0, 5.0]), np.array([0.0, -3.0])
+        assert (index.point_cells(xs, ys) == -1).all()
+        assert candidates_by_bbox(index, [BoundingBox(-10.0, -10.0, 10.0, 10.0)], xs, ys) == [set()]
 
     def test_single_instance_bbox_hit(self):
         inst = mk_instance("a", GLOMERULUS, UNIT_SQUARE)
         index = build_index([inst])
-        assert index.query((0.5, 0.5)) == ("a",)
-        assert index.query((2.0, 2.0)) == ()
+        xs, ys = np.array([0.5, 2.0]), np.array([0.5, 2.0])
+        assert candidates_by_bbox(index, [inst.polygon.bounds], xs, ys) == [{0}]
 
     def test_candidates_superset_of_bbox_scan(self):
         instances, detections = random_assignment_scene(seed=404, n_instances=1000, n_detections=0)
         index = build_index(instances)
         rng = np.random.default_rng(405)
         points = rng.uniform(0.0, 4096.0, size=(10_000, 2))
-        for x, y in points[:2000]:
-            candidates = set(index.query((x, y)))
-            assert candidates >= brute_bbox_hits(instances, x, y)
-        # the remaining points exercise the grid without the oracle, as a smoke pass
-        for x, y in points[2000:]:
-            index.query((x, y))
+        candidates = candidates_by_bbox(
+            index, [inst.polygon.bounds for inst in instances], points[:, 0], points[:, 1]
+        )
+        position = {inst.id: k for k, inst in enumerate(instances)}
+        for j, (x, y) in enumerate(points[:2000]):
+            for iid in brute_bbox_hits(instances, x, y):
+                assert j in candidates[position[iid]]
 
 
 class TestAssignDetections:
@@ -222,7 +241,7 @@ class TestAssignDetections:
         assert table.counts == {"a": 1, "b": 1}
         assert table.unassigned == ()
         # conservation: multiplicity exceeds detection count exactly by the overlap
-        assert table.total_multiplicity() + len(table.unassigned) == 2
+        assert sum(table.counts.values()) + len(table.unassigned) == 2
 
     def test_count_conservation_without_overlap(self):
         instances = [
@@ -231,7 +250,7 @@ class TestAssignDetections:
         ]
         detections = [mk_detection("d0", 0.0, 0.0), mk_detection("d1", 50.0, 50.0)]
         table = assign_detections(detections, instances, build_index(instances))
-        assert table.total_multiplicity() + len(table.unassigned) == len(detections)
+        assert sum(table.counts.values()) + len(table.unassigned) == len(detections)
 
     def test_index_mismatch_rejected(self):
         instances = [mk_instance("a", GLOMERULUS, UNIT_SQUARE)]
@@ -252,7 +271,7 @@ class TestAssignDetections:
         table = assign_detections(detections, instances, build_index(instances))
         oracle = brute_assign_table(detections, instances)
         assert table == oracle
-        assert table.total_multiplicity() + len(table.unassigned) >= len(detections)
+        assert sum(table.counts.values()) + len(table.unassigned) >= len(detections)
 
     def test_permutation_invariance(self):
         instances, detections = random_assignment_scene(seed=51, n_instances=30, n_detections=1500)
@@ -296,8 +315,13 @@ class TestAssignDetections:
         whole = assign_detections(detections, instances, index)
         for cut1, cut2 in ((300, 600), (1, 899), (450, 451)):
             parts = [detections[:cut1], detections[cut1:cut2], detections[cut2:]]
-            merged = merge_assignment_tables(
-                [assign_detections(batch, instances, index) for batch in parts]
+            tables = [assign_detections(batch, instances, index) for batch in parts]
+            merged = AssignmentTable(
+                counts={i: sum(t.counts[i] for t in tables) for i in whole.counts},
+                members={
+                    i: tuple(sorted(m for t in tables for m in t.members[i])) for i in whole.members
+                },
+                unassigned=tuple(sorted(u for t in tables for u in t.unassigned)),
             )
             assert merged == whole
 

@@ -34,7 +34,7 @@ from banffscore.model import (
 )
 from banffscore.synth import SceneSpec, generate_scene
 
-from conftest import mk_detection
+from conftest import mk_detection, mk_instance, square
 from oracles import greedy_dedup_quadratic
 
 
@@ -374,3 +374,13 @@ class TestSceneRoundTrip:
         doc = write_scene(scene).replace(b'"d1"', b'"d0"')
         with pytest.raises(MalformedDocument):
             read_scene(doc)
+
+    def test_self_intersecting_ring_rejected(self):
+        scene = SectionScene(
+            section_id="bow",
+            instances=[mk_instance("bow-tie", GLOMERULUS, square(5.0, 5.0, 5.0))],
+        )
+        doc = json.loads(write_scene(scene))
+        doc["instances"][0]["polygon"]["exterior"] = [[0, 0], [10, 10], [10, 0], [0, 14]]
+        with pytest.raises(DegenerateGeometry, match="bow-tie: self-intersecting"):
+            read_scene(json.dumps(doc).encode())

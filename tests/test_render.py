@@ -71,3 +71,22 @@ def test_holes_rendered_as_evenodd_subpaths():
     assert svg.count("<path") == 1
     assert 'fill-rule="evenodd"' in svg
     assert svg.count("Z") == 2  # exterior + hole subpath
+
+
+def test_hostile_ids_give_well_formed_svg():
+    from xml.dom import minidom
+
+    ids = ["a<b&c", 'q"uote>', "ctl\x01char"]
+    scene = SectionScene(
+        section_id="sec--id-",
+        instances=[
+            mk_instance(iid, GLOMERULUS, square(50.0 + 60.0 * k, 50.0, 20.0))
+            for k, iid in enumerate(ids)
+        ],
+        detections=[mk_detection("d0", 50.0, 50.0)],
+    )
+    doc = minidom.parseString(render_svg(scene, score_section(scene)))
+    titles = [t.firstChild.data for t in doc.getElementsByTagName("title")]
+    assert titles == ["a<b&c", 'q"uote>', "ctl\ufffdchar"]
+    (comment,) = [n for n in doc.documentElement.childNodes if n.nodeType == n.COMMENT_NODE]
+    assert "--" not in comment.data and "sec" in comment.data

@@ -50,9 +50,9 @@ class TestGenerateScene:
         )
         scene, gt = generate_scene(spec)
         assert (gt.g, gt.ptc, gt.v) == (0, 0, 0)
-        assert scene.n_glomeruli == 5
-        assert scene.n_peritubular_capillaries == 3
-        assert scene.n_arteries == 2
+        assert len(scene.instances_of(GLOMERULUS)) == 5
+        assert len(scene.instances_of(PERITUBULAR_CAPILLARY)) == 3
+        assert len(scene.instances_of(ARTERY)) == 2
         assert len(scene.detections) == 100
 
     def test_planted_counts_drive_ground_truth(self):
@@ -149,7 +149,12 @@ class TestPerturbScene:
     def test_all_zero_spec_is_identity(self):
         scene = base_scene()
         assert perturb_scene(scene, PerturbationSpec(seed=5)) == scene
-        assert PerturbationSpec(seed=5).is_identity()
+        explicit_zeros = PerturbationSpec(
+            omit_instance_prob={GLOMERULUS: 0.0},
+            hallucinate_instances={ARTERY: HallucinationSpec(count=0, cells_per_instance=3)},
+            seed=5,
+        )
+        assert perturb_scene(scene, explicit_zeros) == scene
 
     def test_deterministic_per_seed(self):
         scene = base_scene()
@@ -319,15 +324,21 @@ class TestSensitivityRun:
         sigma = math.sqrt((31 / 32) * (1 / 32) / trials)
         assert abs(flip - 31 / 32) < 4 * sigma
 
-    def test_parallel_equals_sequential(self):
+    def test_trial_rows_do_not_depend_on_other_trials(self):
         scene = base_scene()
         pspec = PerturbationSpec(
             detection_fn_prob=0.4, detection_fp_count=3, jitter_sigma=1.0, seed=55
         )
-        seq = sensitivity_run(scene, pspec, trials=40, workers=1)
-        par = sensitivity_run(scene, pspec, trials=40, workers=4)
-        assert seq.rows == par.rows
-        assert seq.per_indicator == par.per_indicator
+        long = sensitivity_run(scene, pspec, trials=40)
+        short = sensitivity_run(scene, pspec, trials=15)
+        assert short.rows == long.rows[:15]
+        for i in (39, 17, 0):
+            tspec = replace(pspec, seed=derive_seed(pspec.seed, f"trial:{i}"))
+            alone = score_section(perturb_scene(scene, tspec))
+            assert long.rows[i] == tuple(
+                "unscorable" if isinstance(g, Unscorable) else str(g)
+                for g in (alone.grade(name) for name in ("g", "ptc", "v"))
+            )
 
     def test_flip_rate_counts_unscorable_transitions(self):
         scene = base_scene()
