@@ -9,6 +9,7 @@ under injected segmentation/detection errors.
 
 __version__ = "0.1.0"
 
+from .config import RunConfig
 from .errors import (
     BanffScoreError,
     ConfigError,
@@ -56,7 +57,6 @@ from .scoring import (
     GScoreDetail,
     MaxCountDetail,
     ScoreReport,
-    ScoringConfig,
     Unscorable,
     grade_from_inflamed_fraction,
     grade_from_max_count,

@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 import traceback
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -32,7 +33,7 @@ from .ingest import (
 )
 from .model import SectionScene
 from .render import render_svg
-from .scoring import report_from_dict, report_to_json, score_section, with_config_snapshot
+from .scoring import report_from_dict, report_to_json, score_section
 from .synth import PerturbationSpec, SceneSpec, generate_scene, sensitivity_run
 
 Output = Tuple[Path, bytes]
@@ -60,10 +61,10 @@ def _write_all(outputs: List[Output]) -> None:
 
 def _file_name(section_id: str) -> str:
     """The section id, checked to be usable as a file name inside --out-dir."""
-    if section_id in ("", ".", "..") or any(c in section_id for c in "/\\\0"):
+    if section_id in ("", ".", "..") or any(c in "/\\" or c < " " for c in section_id):
         raise BanffScoreError(
             f"section_id {section_id!r} cannot name an output file "
-            "(it is empty, '.' or '..', or contains '/', '\\' or NUL)"
+            "(it is empty, '.' or '..', or contains '/', '\\' or a control character)"
         )
     return section_id
 
@@ -80,20 +81,12 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         file_overrides = parse_config_text(_require_file(Path(args.config)).read_text("utf-8"))
     flag_overrides = {
         "min_confidence": args.min_confidence,
-        "cell_classes": tuple(
-            c.strip() for c in args.classes.split(",") if c.strip()
-        )
-        if getattr(args, "classes", None)
-        else None,
+        "cell_classes": tuple(args.classes.split(",")) if args.classes else None,
         "dedup_radius": args.dedup_radius,
         "seed": getattr(args, "seed", None),
         "section_id": getattr(args, "section_id", None),
     }
     return merge_config(file_overrides, flag_overrides)
-
-
-def _provenance(config: RunConfig) -> dict:
-    return {"tool_version": __version__, **config.snapshot()}
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +105,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         detections_path.read_bytes(), min_confidence=0.0, classes=None, aliases=config.cell_aliases
     )
     scene = SectionScene(section_id=section_id, instances=instances, detections=detections)
-    report = score_section(scene, config.scoring_config())
-    report = with_config_snapshot(report, _provenance(config))
-    doc = report_to_json(report)
+    doc = report_to_json(score_section(scene, config))
     if gt_path is not None:
         gt = parse_ground_truth(gt_path.read_bytes())
         merged = load_json_bytes(doc)
@@ -151,11 +142,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         gt = parse_ground_truth(_require_file(gt_path).read_bytes())
         for name in ("g", "ptc", "v"):
             pairs[name].append((report.grade(name), getattr(gt, name)))
-    provenance = _provenance(config)
     comment = f"banffscore {__version__} rows=expert columns=predicted"
     outputs: List[Output] = []
     out_dir = Path(args.out_dir)
-    summary_doc: dict = {"schema": "banffscore.evaluation/1", "config": provenance, "indicators": {}}
+    summary_doc: dict = {
+        "schema": "banffscore.evaluation/1", "config": config.snapshot(), "indicators": {}
+    }
     for name in ("g", "ptc", "v"):
         matrix = accumulate(pairs[name], name)
         try:
@@ -173,10 +165,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     spec = SceneSpec.from_dict(load_json_bytes(_require_file(Path(args.spec)).read_bytes()))
     if config.seed is not None:
-        spec = SceneSpec.from_dict({**spec.to_dict(), "seed": config.seed})
+        spec = replace(spec, seed=config.seed)
     stem = _file_name(spec.section_id)
     scene, gt = generate_scene(spec)
-    scene.metadata["config"] = _provenance(config)
+    scene.metadata["config"] = config.snapshot()
     gt_doc = {
         "type": "FeatureCollection",
         "features": [],
@@ -202,12 +194,11 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     stem = _file_name(scene.section_id)
     pspec = PerturbationSpec.from_dict(load_json_bytes(_require_file(Path(args.perturb)).read_bytes()))
     if config.seed is not None:
-        pspec = PerturbationSpec.from_dict({**pspec.to_dict(), "seed": config.seed})
-    report = sensitivity_run(scene, pspec, trials=args.trials, config=config.scoring_config())
-    provenance = _provenance(config)
+        pspec = replace(pspec, seed=config.seed)
+    report = sensitivity_run(scene, pspec, trials=args.trials, config=config)
     doc = {
         "schema": "banffscore.sensitivity/1",
-        "config": provenance,
+        "config": config.snapshot(),
         "section_id": scene.section_id,
         "perturbation": pspec.to_dict(),
         **report.to_dict(),
@@ -284,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     render = subs.add_parser("render", help="SVG overlay of a scene (and optional report)")
     render.add_argument("--scene", required=True, help="scene JSON")
     render.add_argument("--report", default=None, help="score report JSON for count labels")
-    _add_config_flags(render)
+    render.add_argument("--out-dir", default=".", help="output directory (default: .)")
     render.set_defaults(func=_cmd_render)
     return parser
 

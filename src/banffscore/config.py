@@ -1,7 +1,8 @@
 """Run configuration: defaults, config-file parsing, precedence merging.
 
-Precedence is built-in defaults < config file < command-line flags, and the
-merged result is echoed verbatim into every output for provenance.
+Precedence is built-in defaults < config file < command-line flags.  A
+:class:`RunConfig` checks its own values when it is built, and its snapshot
+is echoed verbatim into every output for provenance.
 
 Config files are plain ``key = value`` lines (``#`` starts a comment).
 Recognized keys: ``min_confidence``, ``cell_classes`` (comma-separated),
@@ -12,9 +13,10 @@ Recognized keys: ``min_confidence``, ``cell_classes`` (comma-separated),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
+from . import __version__
 from .errors import ConfigError
 from .model import (
     DEFAULT_CELL_ALIASES,
@@ -24,11 +26,16 @@ from .model import (
     SCORABLE_STRUCTURE_KINDS,
     normalize_label,
 )
-from .scoring import ScoringConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """The operating point of one run.  The scoring defaults (min confidence
+    0.5, lymphocytes + monocytes, dedup off) are conventional operating
+    points, not measured constants.  Construction normalizes ``cell_classes``
+    and rejects out-of-range values with ConfigError, so every instance is
+    a valid config."""
+
     min_confidence: float = 0.5
     cell_classes: Tuple[str, ...] = KNOWN_CELL_KINDS
     dedup_radius: Optional[float] = None
@@ -39,15 +46,22 @@ class RunConfig:
     )
     cell_aliases: Dict[str, str] = field(default_factory=lambda: dict(DEFAULT_CELL_ALIASES))
 
-    def scoring_config(self) -> ScoringConfig:
-        return ScoringConfig(
-            min_confidence=self.min_confidence,
-            cell_classes=self.cell_classes,
-            dedup_radius=self.dedup_radius,
-        )
+    def __post_init__(self):
+        if not (math.isfinite(self.min_confidence) and 0.0 <= self.min_confidence <= 1.0):
+            raise ConfigError(f"min_confidence={self.min_confidence!r} outside [0, 1]")
+        radius = self.dedup_radius
+        if radius is not None and not (math.isfinite(radius) and radius >= 0.0):
+            raise ConfigError(f"dedup_radius={radius!r} is not a finite number >= 0")
+        kinds = tuple(filter(None, (normalize_label(c).replace(" ", "_") for c in self.cell_classes)))
+        for kind in kinds:
+            if kind not in KNOWN_CELL_KINDS and kind != OTHER:
+                raise ConfigError(f"cell_classes: unknown cell kind {kind!r}")
+        object.__setattr__(self, "cell_classes", kinds)
 
     def snapshot(self) -> dict:
+        """The provenance block embedded in every output."""
         return {
+            "tool_version": __version__,
             "min_confidence": self.min_confidence,
             "cell_classes": list(self.cell_classes),
             "dedup_radius": self.dedup_radius,
@@ -79,11 +93,7 @@ def parse_config_text(text: str) -> dict:
         if key == "min_confidence":
             overrides["min_confidence"] = _parse_float(value, key)
         elif key == "cell_classes":
-            kinds = tuple(normalize_label(v).replace(" ", "_") for v in value.split(",") if v.strip())
-            for kind in kinds:
-                if kind not in KNOWN_CELL_KINDS and kind != OTHER:
-                    raise ConfigError(f"cell_classes: unknown cell kind {kind!r}")
-            overrides["cell_classes"] = kinds
+            overrides["cell_classes"] = tuple(value.split(","))
         elif key == "dedup_radius":
             overrides["dedup_radius"] = None if value.lower() == "none" else _parse_float(value, key)
         elif key == "seed":
@@ -112,17 +122,14 @@ def parse_config_text(text: str) -> dict:
     return overrides
 
 
-def _check_value(name: str, key: str, value) -> None:
-    if key == "min_confidence" and not (math.isfinite(value) and 0.0 <= value <= 1.0):
-        raise ConfigError(f"{name}={value!r} outside [0, 1]")
-    if key == "dedup_radius" and not (math.isfinite(value) and value >= 0.0):
-        raise ConfigError(f"{name}={value!r} is not a finite number >= 0")
+_FLAG_NAMES = {"cell_classes": "--classes"}
 
 
 def merge_config(file_overrides: Optional[dict] = None, flag_overrides: Optional[dict] = None) -> RunConfig:
     """Apply precedence: defaults < file < flags.  Alias overrides extend the
-    defaults instead of replacing them.  Values from both sources are
-    range-checked here, so a bad one raises ConfigError whichever wins."""
+    defaults instead of replacing them.  Each value is checked as it is
+    applied, so a bad one raises ConfigError naming its source whichever
+    wins."""
     config = RunConfig()
     valid = {f.name for f in fields(RunConfig)}
     for is_file, overrides in ((True, file_overrides), (False, flag_overrides)):
@@ -131,11 +138,11 @@ def merge_config(file_overrides: Optional[dict] = None, flag_overrides: Optional
                 continue
             if key not in valid:
                 raise ConfigError(f"unknown config key {key!r}")
-            _check_value(f"config file {key}" if is_file else "--" + key.replace("_", "-"), key, value)
-            if key == "structure_aliases":
-                config.structure_aliases.update(value)
-            elif key == "cell_aliases":
-                config.cell_aliases.update(value)
-            else:
-                setattr(config, key, value)
+            if key in ("structure_aliases", "cell_aliases"):
+                value = {**getattr(config, key), **value}
+            try:
+                config = replace(config, **{key: value})
+            except ConfigError as exc:
+                source = "config file" if is_file else _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+                raise ConfigError(f"{source}: {exc}") from None
     return config

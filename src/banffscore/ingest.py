@@ -48,16 +48,12 @@ from .model import (
 GRADE_KEYS = {"g": "banff_g", "ptc": "banff_ptc", "v": "banff_v"}
 
 
-def _load_json(data: bytes):
+def load_json_bytes(data: bytes):
+    """JSON loader with the package's MalformedDocument error contract."""
     try:
         return json.loads(data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
-
-
-def load_json_bytes(data: bytes):
-    """Public JSON loader with the package's MalformedDocument error contract."""
-    return _load_json(data)
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -172,7 +168,7 @@ def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> L
     Every feature becomes at least one instance or is named in the raised
     error; nothing is silently dropped.
     """
-    doc = _load_json(data)
+    doc = load_json_bytes(data)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise MalformedDocument("expected a GeoJSON FeatureCollection")
     features = doc.get("features")
@@ -231,7 +227,7 @@ def parse_detections(
     """Parse detector output, keeping points with class in ``classes`` and
     confidence >= ``min_confidence``.  ``classes=None`` keeps every class.
     Ids are ``d<i>`` over the document order, stable under filtering."""
-    doc = _load_json(data)
+    doc = load_json_bytes(data)
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise MalformedDocument('expected an object with a "points" array')
     allowed = None
@@ -289,7 +285,7 @@ def parse_ground_truth(data: bytes) -> GroundTruthGrades:
     Collection-level properties win; otherwise the per-indicator maximum
     over feature properties applies.  Absent keys yield absent grades.
     """
-    doc = _load_json(data)
+    doc = load_json_bytes(data)
     if not isinstance(doc, dict):
         raise MalformedDocument("expected a JSON object")
     feature_props: List[dict] = []
@@ -450,4 +446,4 @@ def scene_from_dict(doc: dict) -> SectionScene:
 
 
 def read_scene(data: bytes) -> SectionScene:
-    return scene_from_dict(_load_json(data))
+    return scene_from_dict(load_json_bytes(data))

@@ -19,18 +19,18 @@ conflated with "no lesion".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 from . import __version__
+from .config import RunConfig
 from .errors import MalformedDocument
 from .geometry import assign_detections, build_index
 from .ingest import canonical_json_bytes, dedup_detections
 from .model import (
     ARTERY,
     GLOMERULUS,
-    KNOWN_CELL_KINDS,
     PERITUBULAR_CAPILLARY,
     SCORABLE_STRUCTURE_KINDS,
     SectionScene,
@@ -131,24 +131,6 @@ def score_v(counts: Mapping[str, int]) -> Union[MaxCountDetail, Unscorable]:
 
 
 @dataclass(frozen=True)
-class ScoringConfig:
-    """Detection filter applied before assignment.  The defaults (min
-    confidence 0.5, lymphocytes + monocytes, dedup off) are conventional
-    operating points, not measured constants."""
-
-    min_confidence: float = 0.5
-    cell_classes: Tuple[str, ...] = KNOWN_CELL_KINDS
-    dedup_radius: Optional[float] = None
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "min_confidence": self.min_confidence,
-            "cell_classes": list(self.cell_classes),
-            "dedup_radius": self.dedup_radius,
-        }
-
-
-@dataclass(frozen=True)
 class ScoreReport:
     """Grades plus full intermediates for one section."""
 
@@ -163,19 +145,18 @@ class ScoreReport:
         return detail if isinstance(detail, Unscorable) else detail.grade
 
 
-def score_section(scene: SectionScene, config: Optional[ScoringConfig] = None) -> ScoreReport:
+def score_section(scene: SectionScene, config: RunConfig = RunConfig()) -> ScoreReport:
     """Filter detections per config, assign them to structures, and grade.
 
     Deterministic: identical (scene, config) always produce an identical
     report, and the report embeds the config snapshot it was computed with.
     """
-    cfg = config if config is not None else ScoringConfig()
-    wanted = set(cfg.cell_classes)
+    wanted = set(config.cell_classes)
     detections = [
-        d for d in scene.detections if d.cls.kind in wanted and d.confidence >= cfg.min_confidence
+        d for d in scene.detections if d.cls.kind in wanted and d.confidence >= config.min_confidence
     ]
-    if cfg.dedup_radius is not None:
-        detections = dedup_detections(detections, cfg.dedup_radius)
+    if config.dedup_radius is not None:
+        detections = dedup_detections(detections, config.dedup_radius)
     scorable = [inst for inst in scene.instances if inst.cls.kind in SCORABLE_STRUCTURE_KINDS]
     table = assign_detections(detections, scorable, build_index(scorable))
     by_kind: Dict[str, Dict[str, int]] = {kind: {} for kind in SCORABLE_STRUCTURE_KINDS}
@@ -186,15 +167,8 @@ def score_section(scene: SectionScene, config: Optional[ScoringConfig] = None) -
         g=score_g(by_kind[GLOMERULUS]),
         ptc=score_ptc(by_kind[PERITUBULAR_CAPILLARY]),
         v=score_v(by_kind[ARTERY]),
-        config=cfg.snapshot(),
+        config=config.snapshot(),
     )
-
-
-def with_config_snapshot(report: ScoreReport, extra: Mapping[str, object]) -> ScoreReport:
-    """Report with additional provenance keys merged into its config snapshot."""
-    merged = dict(report.config)
-    merged.update(extra)
-    return replace(report, config=merged)
 
 
 # ---------------------------------------------------------------------------

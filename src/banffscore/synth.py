@@ -26,6 +26,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError, PlacementFailure
 from .geometry import Polygon, point_in_polygon
 from .model import (
@@ -46,7 +47,6 @@ from .model import (
 from .scoring import (
     GLOMERULUS_CELL_THRESHOLD,
     ScoreReport,
-    ScoringConfig,
     Unscorable,
     grade_from_inflamed_fraction,
     grade_from_max_count,
@@ -91,20 +91,6 @@ class SceneSpec:
             raise ConfigError("planted cell counts must be >= 0")
         if self.background_cells < 0:
             raise ConfigError("background_cells must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "section_id": self.section_id,
-            "canvas": list(self.canvas),
-            "glomerulus_cells": list(self.glomerulus_cells),
-            "ptc_cells": list(self.ptc_cells),
-            "artery_cells": list(self.artery_cells),
-            "background_cells": self.background_cells,
-            "glomerulus_radius": list(self.glomerulus_radius),
-            "ptc_radius": list(self.ptc_radius),
-            "artery_radius": list(self.artery_radius),
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SceneSpec":
@@ -503,7 +489,7 @@ def sensitivity_run(
     scene: SectionScene,
     pspec: PerturbationSpec,
     trials: int,
-    config: Optional[ScoringConfig] = None,
+    config: RunConfig = RunConfig(),
 ) -> SensitivityReport:
     """Perturb + rescore ``trials`` times; trial i uses the child seed
     ``derive_seed(pspec.seed, f"trial:{i}")``.  Every trial owns an

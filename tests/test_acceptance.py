@@ -14,11 +14,11 @@ from fractions import Fraction
 import numpy as np
 
 from banffscore.cli import main
+from banffscore.config import RunConfig
 from banffscore.evaluation import accumulate, summarize
 from banffscore.geometry import assign_detections, build_index
 from banffscore.model import ARTERY, GLOMERULUS, PERITUBULAR_CAPILLARY, SectionScene
 from banffscore.scoring import (
-    ScoringConfig,
     Unscorable,
     report_to_json,
     score_g,
@@ -376,7 +376,7 @@ def test_11_invariance_suite():
 
 def test_12_monotonicity_suite():
     rng = np.random.default_rng(1212)
-    config = ScoringConfig(min_confidence=0.0)
+    config = RunConfig(min_confidence=0.0)
 
     addition_cases = 0
     removal_cases = 0

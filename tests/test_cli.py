@@ -194,7 +194,7 @@ class TestScoreCommand:
         doc = json.loads((out2 / "sec1.score.json").read_text())
         assert doc["config"]["min_confidence"] == 0.1
 
-    @pytest.mark.parametrize("section_id", ["../../pwn", "a/b", "a\\b", "..", ".", ""])
+    @pytest.mark.parametrize("section_id", ["../../pwn", "a/b", "a\\b", "..", ".", "", "a\nb"])
     def test_section_id_that_leaves_out_dir_exits_2(self, section_id, section_files, tmp_path, capsys):
         structures, detections = section_files
         out = tmp_path / "out" / "a" / "b"
@@ -206,14 +206,14 @@ class TestScoreCommand:
     @pytest.mark.parametrize(
         "key, value",
         [("dedup_radius", "-1"), ("dedup_radius", "inf"), ("min_confidence", "nan"),
-         ("min_confidence", "7"), ("min_confidence", "-0.5")],
+         ("min_confidence", "7"), ("min_confidence", "-0.5"), ("cell_classes", "lymphocytes")],
     )
     @pytest.mark.parametrize("source", ["flag", "config file"])
     def test_bad_config_value_exits_2(self, key, value, source, section_files, tmp_path, capsys):
         structures, detections = section_files
         argv = ["score", "--structures", str(structures), "--detections", str(detections)]
         if source == "flag":
-            argv += ["--" + key.replace("_", "-"), value]
+            argv += [{"cell_classes": "--classes"}.get(key, "--" + key.replace("_", "-")), value]
         else:
             config = tmp_path / "run.cfg"
             config.write_text(f"{key} = {value}\n")
@@ -224,6 +224,18 @@ class TestScoreCommand:
         assert err.startswith("error:") and "Traceback" not in err
         assert key.replace("_", "-") in err or key in err
         assert not out.exists()
+
+    def test_classes_flag_is_normalized_like_the_file_key(self, section_files, tmp_path):
+        structures, detections = section_files
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        docs = []
+        for spelling in ("lymphocyte", "Lymphocyte"):
+            out = tmp_path / spelling
+            assert main(argv + ["--classes", spelling, "--out-dir", str(out)]) == 0
+            docs.append(json.loads((out / "sec1.score.json").read_text()))
+        assert docs[0]["g"]["per_instance"][0]["count"] == 5
+        assert docs[1]["config"]["cell_classes"] == docs[0]["config"]["cell_classes"] == ["lymphocyte"]
+        assert [docs[1][k] for k in ("g", "ptc", "v")] == [docs[0][k] for k in ("g", "ptc", "v")]
 
 
 def make_report_and_gt(tmp_path, name, grade, unscorable=False):
@@ -347,25 +359,26 @@ class TestSynthAndSensitivityCommands:
         assert "bogus_knob" in capsys.readouterr().err
 
     def test_spec_section_id_that_leaves_out_dir_exits_2(self, tmp_path, capsys):
-        spec = write_json(tmp_path / "spec.json", {**SCENE_SPEC, "section_id": "../escaped"})
-        out = tmp_path / "o" / "inner"
-        assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 2
-        assert "section_id" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("escaped*"))
+        for section_id in ("../escaped", "escaped\nid"):
+            spec = write_json(tmp_path / "spec.json", {**SCENE_SPEC, "section_id": section_id})
+            out = tmp_path / "o" / "inner"
+            assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 2
+            assert "section_id" in capsys.readouterr().err
+            assert not list(tmp_path.rglob("escaped*"))
 
     def test_scene_section_id_that_leaves_out_dir_exits_2(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
         assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
         scene_path = tmp_path / "synth-x.scene.json"
         doc = json.loads(scene_path.read_text())
-        doc["section_id"] = "../escaped"
-        write_json(scene_path, doc)
         pspec = write_json(tmp_path / "p.json", {"seed": 3})
         out = tmp_path / "o" / "inner"
         argv = ["sensitivity", "--scene", str(scene_path), "--perturb", str(pspec), "--trials", "2"]
-        assert main(argv + ["--out-dir", str(out)]) == 2
-        assert "section_id" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("escaped*"))
+        for section_id in ("../escaped", "escaped\nid"):
+            write_json(scene_path, {**doc, "section_id": section_id})
+            assert main(argv + ["--out-dir", str(out)]) == 2
+            assert "section_id" in capsys.readouterr().err
+            assert not list(tmp_path.rglob("escaped*"))
 
     def test_sensitivity_outputs(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
@@ -436,10 +449,93 @@ class TestRenderCommand:
         assert main(["render", "--scene", str(scene_path), "--out-dir", str(out)]) == 0
         assert (out / "synth-x.scene.svg").read_bytes() == svg
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--config", "run.cfg"), ("--min-confidence", "7"), ("--classes", "lymphocyte"),
+         ("--dedup-radius", "8")],
+    )
+    def test_render_rejects_config_flags(self, flag, value, tmp_path, capsys):
+        argv = ["render", "--scene", str(tmp_path / "s.scene.json"), flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_render_parse_failure_exits_2(self, tmp_path):
         bad = tmp_path / "scene.json"
         bad.write_text("{broken")
         assert main(["render", "--scene", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+
+def config_block(doc: dict) -> str:
+    """The provenance block of an output, as canonical JSON text."""
+    return json.dumps(doc["config"], sort_keys=True, separators=(",", ":"))
+
+
+class TestProvenanceGolden:
+    """The exact ``config`` block each subcommand writes.  The expected text
+    is pinned, so any change to a key, a value or its JSON type shows."""
+
+    DEFAULT_BLOCK = (
+        '{"cell_aliases":{"lymphocyte":"lymphocyte","monocyte":"monocyte"},'
+        '"cell_classes":["lymphocyte","monocyte"],"dedup_radius":null,'
+        '"min_confidence":0.5,"seed":null,"structure_aliases":{"arterial":"artery","artery":"artery",'
+        '"glomerular tuft":"glomerulus","glomerulus":"glomerulus","peritubular capillary":'
+        '"peritubular_capillary","ptc":"peritubular_capillary"},"tool_version":"0.1.0"}'
+    )
+
+    def test_score_default(self, section_files, tmp_path):
+        structures, detections = section_files
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "sec1.score.json").read_text())
+        assert config_block(doc) == self.DEFAULT_BLOCK
+
+    def test_score_config_file_and_flag(self, section_files, tmp_path):
+        structures, detections = section_files
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "min_confidence = 0.95\ncell_classes = monocyte, lymphocyte\ndedup_radius = 3\n"
+            "seed = 4\nalias.tuft = glomerulus\ncell_alias.lymph = lymphocyte\n"
+        )
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        argv += ["--config", str(config), "--min-confidence", "0.25", "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / "o" / "sec1.score.json").read_text())
+        assert config_block(doc) == (
+            '{"cell_aliases":{"lymph":"lymphocyte","lymphocyte":"lymphocyte","monocyte":"monocyte"},'
+            '"cell_classes":["monocyte","lymphocyte"],'
+            '"dedup_radius":3.0,"min_confidence":0.25,"seed":4,"structure_aliases":{"arterial":"artery",'
+            '"artery":"artery","glomerular tuft":"glomerulus","glomerulus":"glomerulus",'
+            '"peritubular capillary":"peritubular_capillary","ptc":"peritubular_capillary",'
+            '"tuft":"glomerulus"},"tool_version":"0.1.0"}'
+        )
+
+    def test_evaluate_summary(self, tmp_path):
+        report, gt = make_report_and_gt(tmp_path, "s0", grade=0)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"report,ground_truth\n{report},{gt}\n")
+        out = tmp_path / "eval"
+        argv = ["evaluate", "--manifest", str(manifest), "--dedup-radius", "1.5", "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert config_block(json.loads((out / "summary.json").read_text())) == (
+            self.DEFAULT_BLOCK.replace('"dedup_radius":null', '"dedup_radius":1.5')
+        )
+
+    def test_synth_scene_metadata_and_sensitivity(self, tmp_path):
+        spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+        assert main(["synth", "--spec", str(spec), "--seed", "11", "--out-dir", str(tmp_path)]) == 0
+        scene = json.loads((tmp_path / "synth-x.scene.json").read_text())
+        assert config_block(scene["metadata"]) == self.DEFAULT_BLOCK.replace('"seed":null', '"seed":11')
+        pspec = write_json(tmp_path / "p.json", {"detection_fn_prob": 0.5, "seed": 3})
+        argv = ["sensitivity", "--scene", str(tmp_path / "synth-x.scene.json"), "--perturb", str(pspec)]
+        argv += ["--trials", "3", "--classes", "monocyte", "--min-confidence", "1"]
+        assert main(argv + ["--out-dir", str(tmp_path / "sens")]) == 0
+        doc = json.loads((tmp_path / "sens" / "synth-x.sensitivity.json").read_text())
+        assert config_block(doc) == (
+            self.DEFAULT_BLOCK.replace('["lymphocyte","monocyte"]', '["monocyte"]')
+            .replace('"min_confidence":0.5', '"min_confidence":1.0')
+        )
 
 
 @pytest.mark.parametrize("module", ["banffscore", "banffscore.cli"])

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banffscore import ConfigError, RunConfig, __version__
 from banffscore.model import (
     ARTERY,
+    DEFAULT_CELL_ALIASES,
+    DEFAULT_STRUCTURE_ALIASES,
     GLOMERULUS,
     MONOCYTE,
     PERITUBULAR_CAPILLARY,
@@ -17,7 +20,6 @@ from banffscore.model import (
 )
 from banffscore.scoring import (
     GScoreDetail,
-    ScoringConfig,
     Unscorable,
     grade_from_inflamed_fraction,
     grade_from_max_count,
@@ -247,9 +249,9 @@ class TestScoreSection:
         scene = SectionScene(section_id="f", instances=instances, detections=detections)
         default = score_section(scene)
         assert dict((i, c) for i, c, _ in default.g.per_instance) == {"g0": 2}
-        lax = score_section(scene, ScoringConfig(min_confidence=0.0))
+        lax = score_section(scene, RunConfig(min_confidence=0.0))
         assert lax.g.per_instance[0][1] == 3
-        lymph_only = score_section(scene, ScoringConfig(cell_classes=("lymphocyte",)))
+        lymph_only = score_section(scene, RunConfig(cell_classes=("lymphocyte",)))
         assert lymph_only.g.per_instance[0][1] == 1
 
     def test_dedup_wired_through_config(self):
@@ -260,7 +262,7 @@ class TestScoreSection:
         ]
         scene = SectionScene(section_id="dd", instances=instances, detections=detections)
         assert score_section(scene).g.per_instance[0][1] == 2
-        deduped = score_section(scene, ScoringConfig(dedup_radius=0.0))
+        deduped = score_section(scene, RunConfig(dedup_radius=0.0))
         assert deduped.g.per_instance[0][1] == 1
 
     def test_purity_repeated_invocations_bit_identical(self):
@@ -269,13 +271,32 @@ class TestScoreSection:
         assert all(report_to_json(score_section(scene)) == first for _ in range(3))
 
     def test_config_snapshot_embedded(self):
-        cfg = ScoringConfig(min_confidence=0.7, cell_classes=("monocyte",), dedup_radius=2.0)
+        cfg = RunConfig(min_confidence=0.7, cell_classes=("monocyte",), dedup_radius=2.0)
         report = score_section(workflow_demo_scene(), cfg)
         assert report.config == {
+            "tool_version": __version__,
             "min_confidence": 0.7,
             "cell_classes": ["monocyte"],
             "dedup_radius": 2.0,
+            "seed": None,
+            "structure_aliases": DEFAULT_STRUCTURE_ALIASES,
+            "cell_aliases": DEFAULT_CELL_ALIASES,
         }
+
+    def test_config_normalizes_and_checks_its_values(self):
+        assert RunConfig(cell_classes=(" Lymphocyte", "", "MONOCYTE ")).cell_classes == (
+            "lymphocyte",
+            "monocyte",
+        )
+        for bad in (
+            {"min_confidence": 1.5},
+            {"min_confidence": float("nan")},
+            {"dedup_radius": -1.0},
+            {"dedup_radius": float("inf")},
+            {"cell_classes": ("lymphocytes",)},
+        ):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                RunConfig(**bad)
 
 
 class TestReportSerialization:

@@ -128,10 +128,6 @@ class TestGenerateScene:
         with pytest.raises(ConfigError):
             SceneSpec.from_dict({"glomerulus_cells": [1], "bogus": 3})
 
-    def test_spec_round_trip(self):
-        spec = SceneSpec(glomerulus_cells=(1, 2), ptc_cells=(3,), seed=9)
-        assert SceneSpec.from_dict(spec.to_dict()) == spec
-
 
 def base_scene() -> SectionScene:
     spec = SceneSpec(
