@@ -61,10 +61,14 @@ def _write_all(outputs: List[Output]) -> None:
 
 def _file_name(section_id: str) -> str:
     """The section id, checked to be usable as a file name inside --out-dir."""
-    if section_id in ("", ".", "..") or any(c in "/\\" or c < " " for c in section_id):
+    if (
+        section_id in ("", ".", "..")
+        or any(c in "/\\" or c < " " for c in section_id)
+        or section_id.splitlines() != [section_id]
+    ):
         raise BanffScoreError(
-            f"section_id {section_id!r} cannot name an output file "
-            "(it is empty, '.' or '..', or contains '/', '\\' or a control character)"
+            f"section_id {section_id!r} cannot name an output file (it is empty, '.' or '..', "
+            "or contains '/', '\\', a control character or a line break)"
         )
     return section_id
 

@@ -12,6 +12,14 @@ are holes.  Degenerate rings (fewer than 3 distinct vertices, zero area,
 self-intersecting) are rejected, never repaired: silent repair would hide
 the upstream segmentation defects this tool exists to expose.
 
+Each ring gets its cheap checks (shape, finite numbers, 3 distinct vertices,
+non-zero area) as it is read.  Self-intersection is decided once per
+document, by one batched sweep over the edges of every ring read so far
+(:func:`_first_self_intersecting_ring`); two edges whose closed bounding
+boxes are disjoint never count as meeting.  The sweep also runs before any
+later error of the document propagates, so the first defect in document
+order is the one reported, as if each ring were checked as it was read.
+
 Detections: ``{"points": [{"name": str, "point": [x, y],
 "probability": float}, ...]}``; ``probability`` is optional and defaults
 to 1.0.
@@ -31,10 +39,20 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import DegenerateGeometry, GradeOutOfRange, MalformedDocument, SchemaViolation
-from .geometry import Point, Polygon, point_in_polygon, ring_area
+import numpy as np
+
+from .errors import (
+    BanffScoreError,
+    DegenerateGeometry,
+    GradeOutOfRange,
+    MalformedDocument,
+    SchemaViolation,
+)
+from .geometry import _BLOCK_PAIRS, Point, Polygon, contains_points, point_in_polygon, ring_area
 from .model import (
     KNOWN_CELL_KINDS,
     CellClass,
@@ -65,58 +83,121 @@ def canonical_json_bytes(obj) -> bytes:
 # ---------------------------------------------------------------------------
 # structures (GeoJSON)
 
-def _orient(ax, ay, bx, by, cx, cy) -> float:
+# (cleaned ring, owner) pairs of one document, in document order
+_CleanedRings = List[Tuple[Tuple[Point, ...], str]]
+
+
+def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _collinear_within(ax, ay, bx, by, px, py) -> bool:
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+def _within(lo_x, hi_x, lo_y, hi_y, px, py):
+    return (lo_x <= px) & (px <= hi_x) & (lo_y <= py) & (py <= hi_y)
 
 
-def _segments_cross(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
-    """Closed-segment intersection, proper or touching."""
-    d1 = _orient(*p3, *p4, *p1)
-    d2 = _orient(*p3, *p4, *p2)
-    d3 = _orient(*p1, *p2, *p3)
-    d4 = _orient(*p1, *p2, *p4)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _collinear_within(*p3, *p4, *p1):
-        return True
-    if d2 == 0 and _collinear_within(*p3, *p4, *p2):
-        return True
-    if d3 == 0 and _collinear_within(*p1, *p2, *p3):
-        return True
-    if d4 == 0 and _collinear_within(*p1, *p2, *p4):
-        return True
-    return False
+def _first_self_intersecting_ring(rings: Sequence[Sequence[Point]]) -> int:
+    """Index of the first ring that touches or crosses itself, or -1.
+
+    Every ring must already be clean (at least 3 vertices, no repeated
+    consecutive vertex, implicitly closed).  All rings go into one edge
+    table, edge ``e`` running from vertex ``e`` to the next vertex of its
+    ring.  Adjacent edges share a vertex and are rejected only for a
+    zero-width spike through it (collinear and pointing back).  Any other
+    pair of edges is rejected when the closed segments meet, decided by
+    :func:`_orient` on the lower-numbered edge first; pairs whose closed
+    bounding boxes are disjoint never meet, and only the others are tested.
+    They are found by a sweep over the edges sorted by ring, then by
+    ``lo_x``: an edge's candidates are the later edges of its ring whose
+    ``lo_x`` is at most its ``hi_x``, generated ``_BLOCK_PAIRS`` at a time.
+    """
+    if not rings:
+        return -1
+    sizes = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
+    nv = int(sizes.sum())
+    xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), dtype=np.float64, count=2 * nv)
+    x, y = xy[0::2], xy[1::2]
+    ring = np.repeat(np.arange(len(rings)), sizes)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    last = start + np.repeat(sizes, sizes) - 1
+    vertex = np.arange(nv)
+    nxt = np.where(vertex == last, start, vertex + 1)
+    # The spike at vertex 0 is tested as (v1, v0, v[n-1]), every other one
+    # as (v[k-1], v[k], v[k+1]).
+    prev = np.where(vertex == start, start + 1, vertex - 1)
+    after = np.where(vertex == start, last, nxt)
+    px, py, ax, ay = x[prev], y[prev], x[after], y[after]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spike = (_orient(px, py, x, y, ax, ay) == 0.0) & (
+            (px - x) * (ax - x) + (py - y) * (ay - y) > 0
+        )
+    first = int(ring[spike][0]) if spike.any() else len(rings)
+
+    x2, y2 = x[nxt], y[nxt]
+    lo_x, hi_x = np.minimum(x, x2), np.maximum(x, x2)
+    lo_y, hi_y = np.minimum(y, y2), np.maximum(y, y2)
+    order = np.lexsort((lo_x, ring))
+    # Candidates of the edge at sorted position p are positions p+1 .. end-1,
+    # where end is found on keys that order (ring, x rank) as one integer.
+    _, rank = np.unique(np.concatenate((lo_x, hi_x)), return_inverse=True)
+    base = ring * (int(rank.max()) + 1)
+    keys_lo = (base + rank[:nv])[order]
+    ends = np.searchsorted(keys_lo, (base + rank[nv:])[order], side="right")
+    counts = ends - np.arange(1, nv + 1)
+    cum = np.cumsum(counts)
+    total = int(cum[-1])
+    for t0 in range(0, total, _BLOCK_PAIRS):
+        t = np.arange(t0, min(t0 + _BLOCK_PAIRS, total))
+        p = np.searchsorted(cum, t, side="right")
+        e, f = order[p], order[p + 1 + t - (cum[p] - counts[p])]
+        if ring[e[0]] >= first:
+            break
+        keep = (lo_y[e] <= hi_y[f]) & (lo_y[f] <= hi_y[e])
+        i, j = np.minimum(e[keep], f[keep]), np.maximum(e[keep], f[keep])
+        keep = (j - i != 1) & ((i != start[i]) | (j != last[i]))
+        i, j = i[keep], j[keep]
+        if not i.size:
+            continue
+        a1x, a1y, a2x, a2y = x[i], y[i], x2[i], y2[i]
+        b1x, b1y, b2x, b2y = x[j], y[j], x2[j], y2[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1 = _orient(b1x, b1y, b2x, b2y, a1x, a1y)
+            d2 = _orient(b1x, b1y, b2x, b2y, a2x, a2y)
+            d3 = _orient(a1x, a1y, a2x, a2y, b1x, b1y)
+            d4 = _orient(a1x, a1y, a2x, a2y, b2x, b2y)
+        hit = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
+            ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
+        )
+        hit |= (d1 == 0) & _within(lo_x[j], hi_x[j], lo_y[j], hi_y[j], a1x, a1y)
+        hit |= (d2 == 0) & _within(lo_x[j], hi_x[j], lo_y[j], hi_y[j], a2x, a2y)
+        hit |= (d3 == 0) & _within(lo_x[i], hi_x[i], lo_y[i], hi_y[i], b1x, b1y)
+        hit |= (d4 == 0) & _within(lo_x[i], hi_x[i], lo_y[i], hi_y[i], b2x, b2y)
+        if hit.any():
+            first = min(first, int(ring[i[hit]].min()))
+    return first if first < len(rings) else -1
 
 
-def _ring_self_intersects(pts: Sequence[Point]) -> bool:
-    n = len(pts)
-    for i in range(n):
-        a1, a2 = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            b1, b2 = pts[j], pts[(j + 1) % n]
-            if j == i + 1 or (i == 0 and j == n - 1):
-                # Adjacent edges share one endpoint; reject only collinear
-                # back-tracking (a zero-width spike through the shared vertex).
-                if j == i + 1:
-                    prev_pt, shared, next_pt = a1, a2, b2
-                else:
-                    prev_pt, shared, next_pt = pts[1], pts[0], pts[n - 1]
-                if _orient(*prev_pt, *shared, *next_pt) == 0.0:
-                    dot = (prev_pt[0] - shared[0]) * (next_pt[0] - shared[0]) + (
-                        prev_pt[1] - shared[1]
-                    ) * (next_pt[1] - shared[1])
-                    if dot > 0:
-                        return True
-                continue
-            if _segments_cross(a1, a2, b1, b2):
-                return True
-    return False
+def _reject_self_intersecting(cleaned: _CleanedRings) -> None:
+    bad = _first_self_intersecting_ring([ring for ring, _ in cleaned])
+    if bad >= 0:
+        raise DegenerateGeometry(f"{cleaned[bad][1]}: self-intersecting ring")
+
+
+@contextmanager
+def _self_intersection_sweep() -> Iterator[_CleanedRings]:
+    """Yield a list for the (ring, owner) pairs cleaned in one document and
+    reject its first self-intersecting ring when the block ends.
+
+    If the block raises a package error, the rings cleaned before it are
+    checked first: a self-intersection earlier in document order wins, as
+    it would if each ring were checked as soon as it was cleaned.
+    """
+    cleaned: _CleanedRings = []
+    try:
+        yield cleaned
+    except BanffScoreError:
+        _reject_self_intersecting(cleaned)
+        raise
+    _reject_self_intersecting(cleaned)
 
 
 def _clean_ring(coords, owner: str) -> Tuple[Point, ...]:
@@ -141,20 +222,24 @@ def _clean_ring(coords, owner: str) -> Tuple[Point, ...]:
         raise DegenerateGeometry(f"{owner}: ring has fewer than 3 distinct vertices")
     if ring_area(pts) == 0.0:
         raise DegenerateGeometry(f"{owner}: ring has zero area")
-    if _ring_self_intersects(pts):
-        raise DegenerateGeometry(f"{owner}: self-intersecting ring")
     return tuple(pts)
 
 
-def _polygon_from_coords(coords, owner: str) -> Polygon:
+def _polygon_from_coords(coords, owner: str, cleaned: _CleanedRings) -> Polygon:
+    """Polygon from GeoJSON-style rings; each cleaned ring is appended to
+    ``cleaned`` for the document's self-intersection sweep."""
     if not isinstance(coords, (list, tuple)) or not coords:
         raise MalformedDocument(f"{owner}: polygon has no rings")
-    rings = [_clean_ring(ring, owner) for ring in coords]
+    rings = []
+    for ring in coords:
+        rings.append(_clean_ring(ring, owner))
+        cleaned.append((rings[-1], owner))
     exterior, holes = rings[0], rings[1:]
     poly = Polygon(exterior=exterior, holes=tuple(holes))
-    shell = Polygon(exterior=exterior)
+    shell = Polygon(exterior=exterior) if holes else poly
     for h, hole in enumerate(holes):
-        if not all(point_in_polygon(p, shell) for p in hole):
+        xs, ys = np.asarray(hole, dtype=np.float64).T
+        if not contains_points(shell, xs, ys).all():
             raise DegenerateGeometry(f"{owner}: hole {h} is not inside the exterior ring")
         for other in range(len(holes)):
             if other != h and point_in_polygon(hole[0], Polygon(exterior=holes[other])):
@@ -176,42 +261,43 @@ def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> L
         raise MalformedDocument("FeatureCollection has no features array")
     out: List[Instance] = []
     seen: Set[str] = set()
-    for i, feature in enumerate(features):
-        if not isinstance(feature, dict):
-            raise MalformedDocument(f"features[{i}] is not an object")
-        props = feature.get("properties")
-        props = props if isinstance(props, dict) else {}
-        fid = feature.get("id", props.get("id"))
-        fid = str(fid) if fid is not None else f"f{i + 1}"
-        label = None
-        classification = props.get("classification")
-        if isinstance(classification, dict) and classification.get("name") is not None:
-            label = classification["name"]
-        elif props.get("class") is not None:
-            label = props["class"]
-        cls = StructureClass.from_label(label, aliases)
-        geom = feature.get("geometry")
-        if not isinstance(geom, dict):
-            raise MalformedDocument(f"feature {fid}: missing geometry")
-        gtype = geom.get("type")
-        coords = geom.get("coordinates")
-        if gtype == "Polygon":
-            member_coords = [coords]
-            multi = False
-        elif gtype == "MultiPolygon":
-            if not isinstance(coords, (list, tuple)) or not coords:
-                raise MalformedDocument(f"feature {fid}: empty MultiPolygon")
-            member_coords = list(coords)
-            multi = True
-        else:
-            raise MalformedDocument(f"feature {fid}: unsupported geometry type {gtype!r}")
-        for j, pcoords in enumerate(member_coords):
-            iid = f"{fid}#{j}" if multi else fid
-            polygon = _polygon_from_coords(pcoords, f"feature {iid}")
-            if iid in seen:
-                raise MalformedDocument(f"duplicate instance id {iid!r}")
-            seen.add(iid)
-            out.append(Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props)))
+    with _self_intersection_sweep() as cleaned:
+        for i, feature in enumerate(features):
+            if not isinstance(feature, dict):
+                raise MalformedDocument(f"features[{i}] is not an object")
+            props = feature.get("properties")
+            props = props if isinstance(props, dict) else {}
+            fid = feature.get("id", props.get("id"))
+            fid = str(fid) if fid is not None else f"f{i + 1}"
+            label = None
+            classification = props.get("classification")
+            if isinstance(classification, dict) and classification.get("name") is not None:
+                label = classification["name"]
+            elif props.get("class") is not None:
+                label = props["class"]
+            cls = StructureClass.from_label(label, aliases)
+            geom = feature.get("geometry")
+            if not isinstance(geom, dict):
+                raise MalformedDocument(f"feature {fid}: missing geometry")
+            gtype = geom.get("type")
+            coords = geom.get("coordinates")
+            if gtype == "Polygon":
+                member_coords = [coords]
+                multi = False
+            elif gtype == "MultiPolygon":
+                if not isinstance(coords, (list, tuple)) or not coords:
+                    raise MalformedDocument(f"feature {fid}: empty MultiPolygon")
+                member_coords = list(coords)
+                multi = True
+            else:
+                raise MalformedDocument(f"feature {fid}: unsupported geometry type {gtype!r}")
+            for j, pcoords in enumerate(member_coords):
+                iid = f"{fid}#{j}" if multi else fid
+                polygon = _polygon_from_coords(pcoords, f"feature {iid}", cleaned)
+                if iid in seen:
+                    raise MalformedDocument(f"duplicate instance id {iid!r}")
+                seen.add(iid)
+                out.append(Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props)))
     return out
 
 
@@ -402,22 +488,23 @@ def scene_from_dict(doc: dict) -> SectionScene:
         raise MalformedDocument("scene instances/detections must be arrays")
     instances: List[Instance] = []
     seen: Set[str] = set()
-    for entry in doc["instances"]:
-        try:
-            iid = str(entry["id"])
-            rings = [entry["polygon"]["exterior"], *entry["polygon"].get("holes", [])]
-            inst = Instance(
-                id=iid,
-                cls=StructureClass.from_string(entry["class"]),
-                polygon=_polygon_from_coords(rings, f"instance {iid}"),
-                properties=dict(entry.get("properties", {})),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
-            raise MalformedDocument(f"bad instance entry: {exc}") from exc
-        if inst.id in seen:
-            raise MalformedDocument(f"duplicate instance id {inst.id!r}")
-        seen.add(inst.id)
-        instances.append(inst)
+    with _self_intersection_sweep() as cleaned:
+        for entry in doc["instances"]:
+            try:
+                iid = str(entry["id"])
+                rings = [entry["polygon"]["exterior"], *entry["polygon"].get("holes", [])]
+                inst = Instance(
+                    id=iid,
+                    cls=StructureClass.from_string(entry["class"]),
+                    polygon=_polygon_from_coords(rings, f"instance {iid}", cleaned),
+                    properties=dict(entry.get("properties", {})),
+                )
+            except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+                raise MalformedDocument(f"bad instance entry: {exc}") from exc
+            if inst.id in seen:
+                raise MalformedDocument(f"duplicate instance id {inst.id!r}")
+            seen.add(inst.id)
+            instances.append(inst)
     detections: List[Detection] = []
     seen_d: Set[str] = set()
     for entry in doc["detections"]:

@@ -3,11 +3,14 @@
 These are deliberately written from the definitions, not from the package
 code: scalar loops instead of the indexed/vectorized production paths,
 different control flow, and in the kappa case a different algebraic
-formulation.  One thing is intentionally shared: the boundary-inclusive
-edge predicate ``d = (x2-x1)*(py-y1) - (px-x1)*(y2-y1)`` is evaluated with
-the same operation order as the package documents, because the suite
-asserts bit-exact agreement on arbitrary float scenes and only an identical
-IEEE evaluation sequence makes that meaningful.
+formulation.  Two things are intentionally shared: the boundary-inclusive
+edge predicate ``d = (x2-x1)*(py-y1) - (px-x1)*(y2-y1)`` and the ring
+orientation predicate ``(bx-ax)*(cy-ay) - (by-ay)*(cx-ax)`` are evaluated
+with the same operation order as the package, because the suite asserts
+bit-exact agreement on arbitrary float input and only an identical IEEE
+evaluation sequence makes that meaningful.  The ring self-intersection
+oracle tests every pair of edges one at a time, as the reference for the
+package's batched sweep.
 """
 
 from __future__ import annotations
@@ -178,6 +181,78 @@ def max_count_band(count: int) -> int:
     if 5 <= count <= 10:
         return 2
     return 3
+
+
+# ---------------------------------------------------------------------------
+# ring self-intersection: all pairs of edges, one pair at a time
+
+def _orient(ax, ay, bx, by, cx, cy) -> float:
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _collinear_within(ax, ay, bx, by, px, py) -> bool:
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+
+
+def _segments_cross(p1, p2, p3, p4) -> bool:
+    """Closed-segment intersection, proper or touching."""
+    d1 = _orient(*p3, *p4, *p1)
+    d2 = _orient(*p3, *p4, *p2)
+    d3 = _orient(*p1, *p2, *p3)
+    d4 = _orient(*p1, *p2, *p4)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    if d1 == 0 and _collinear_within(*p3, *p4, *p1):
+        return True
+    if d2 == 0 and _collinear_within(*p3, *p4, *p2):
+        return True
+    if d3 == 0 and _collinear_within(*p1, *p2, *p3):
+        return True
+    if d4 == 0 and _collinear_within(*p1, *p2, *p4):
+        return True
+    return False
+
+
+def _boxes_disjoint(a1, a2, b1, b2) -> bool:
+    return (
+        max(a1[0], a2[0]) < min(b1[0], b2[0])
+        or max(b1[0], b2[0]) < min(a1[0], a2[0])
+        or max(a1[1], a2[1]) < min(b1[1], b2[1])
+        or max(b1[1], b2[1]) < min(a1[1], a2[1])
+    )
+
+
+def naive_ring_self_intersects(pts) -> bool:
+    """True iff a clean ring touches or crosses itself.  Closed segments
+    whose bounding boxes are disjoint never meet, so those pairs are
+    skipped before the float predicate can call a near-collinear pair a
+    proper crossing."""
+    n = len(pts)
+    for i in range(n):
+        a1, a2 = pts[i], pts[(i + 1) % n]
+        for j in range(i + 1, n):
+            b1, b2 = pts[j], pts[(j + 1) % n]
+            if j == i + 1 or (i == 0 and j == n - 1):
+                # Adjacent edges share one endpoint; reject only collinear
+                # back-tracking (a zero-width spike through the shared vertex).
+                if j == i + 1:
+                    prev_pt, shared, next_pt = a1, a2, b2
+                else:
+                    prev_pt, shared, next_pt = pts[1], pts[0], pts[n - 1]
+                if _orient(*prev_pt, *shared, *next_pt) == 0.0:
+                    dot = (prev_pt[0] - shared[0]) * (next_pt[0] - shared[0]) + (
+                        prev_pt[1] - shared[1]
+                    ) * (next_pt[1] - shared[1])
+                    if dot > 0:
+                        return True
+                continue
+            if _boxes_disjoint(a1, a2, b1, b2):
+                continue
+            if _segments_cross(a1, a2, b1, b2):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

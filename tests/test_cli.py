@@ -194,7 +194,9 @@ class TestScoreCommand:
         doc = json.loads((out2 / "sec1.score.json").read_text())
         assert doc["config"]["min_confidence"] == 0.1
 
-    @pytest.mark.parametrize("section_id", ["../../pwn", "a/b", "a\\b", "..", ".", "", "a\nb"])
+    @pytest.mark.parametrize(
+        "section_id", ["../../pwn", "a/b", "a\\b", "..", ".", "", "a\nb", "a\x85b", "a\u2028b", "a\u2029b"]
+    )
     def test_section_id_that_leaves_out_dir_exits_2(self, section_id, section_files, tmp_path, capsys):
         structures, detections = section_files
         out = tmp_path / "out" / "a" / "b"
@@ -359,7 +361,7 @@ class TestSynthAndSensitivityCommands:
         assert "bogus_knob" in capsys.readouterr().err
 
     def test_spec_section_id_that_leaves_out_dir_exits_2(self, tmp_path, capsys):
-        for section_id in ("../escaped", "escaped\nid"):
+        for section_id in ("../escaped", "escaped\nid", "escaped\u2028id"):
             spec = write_json(tmp_path / "spec.json", {**SCENE_SPEC, "section_id": section_id})
             out = tmp_path / "o" / "inner"
             assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 2
@@ -374,7 +376,7 @@ class TestSynthAndSensitivityCommands:
         pspec = write_json(tmp_path / "p.json", {"seed": 3})
         out = tmp_path / "o" / "inner"
         argv = ["sensitivity", "--scene", str(scene_path), "--perturb", str(pspec), "--trials", "2"]
-        for section_id in ("../escaped", "escaped\nid"):
+        for section_id in ("../escaped", "escaped\nid", "escaped\u2028id"):
             write_json(scene_path, {**doc, "section_id": section_id})
             assert main(argv + ["--out-dir", str(out)]) == 2
             assert "section_id" in capsys.readouterr().err

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from banffscore.errors import (
@@ -15,7 +16,10 @@ from banffscore.errors import (
     MalformedDocument,
     SchemaViolation,
 )
+from banffscore import geometry
 from banffscore.ingest import (
+    _clean_ring,
+    _first_self_intersecting_ring,
     dedup_detections,
     parse_detections,
     parse_ground_truth,
@@ -35,7 +39,7 @@ from banffscore.model import (
 from banffscore.synth import SceneSpec, generate_scene
 
 from conftest import mk_detection, mk_instance, square
-from oracles import greedy_dedup_quadratic
+from oracles import greedy_dedup_quadratic, naive_ring_self_intersects
 
 
 def feature_collection(*features, properties=None):
@@ -384,3 +388,194 @@ class TestSceneRoundTrip:
         doc["instances"][0]["polygon"]["exterior"] = [[0, 0], [10, 10], [10, 0], [0, 14]]
         with pytest.raises(DegenerateGeometry, match="bow-tie: self-intersecting"):
             read_scene(json.dumps(doc).encode())
+
+
+# ---------------------------------------------------------------------------
+# ring validation: the batched sweep against the all-pairs oracle
+
+# Simple, area 3226.74, first four vertices on one nearly straight side.  The
+# float predicate calls its edges 0 and 2 a proper crossing although their
+# closed bounding boxes are disjoint.
+NEAR_COLLINEAR_RING = [
+    [185.3072604315056, 5.79868618632535],
+    [219.1222130306665, 27.37753233601408],
+    [222.75880525430526, 29.698205827214018],
+    [253.02687057001216, 49.01362325330783],
+    [262.3820025677414, -40.31345541868998],
+]
+
+
+def expected_first_bad(rings):
+    flags = [naive_ring_self_intersects(r) for r in rings]
+    return flags.index(True) if True in flags else -1
+
+
+def star_ring(n, seed):
+    """Simple ring: one vertex per equal angular sector, at jittered angle and radius."""
+    rng = np.random.default_rng(seed)
+    angles = (np.arange(n) + rng.uniform(0.05, 0.95, n)) * (2 * math.pi / n)
+    radii = rng.uniform(10.0, 50.0, n)
+    return tuple(
+        (float(100.0 + r * math.cos(a)), float(100.0 + r * math.sin(a))) for a, r in zip(angles, radii)
+    )
+
+
+def comb_ring(teeth, crossing_tooth=None):
+    """Zig-zag between x = 1 and x = 100, so every edge overlaps every other
+    in x; moving one tooth tip below the previous one makes the ring cross."""
+    pts = [(0.0, 0.0)]
+    for k in range(teeth):
+        tip_y = 2.0 * k + 1 if k != crossing_tooth else 2.0 * k - 2.5
+        pts += [(100.0, 2.0 * k), (1.0, tip_y)]
+    pts += [(100.0, 2.0 * teeth), (0.0, 2.0 * teeth)]
+    return tuple(pts)
+
+
+def clean_or_none(coords):
+    try:
+        return _clean_ring(coords, "r")
+    except DegenerateGeometry:
+        return None
+
+
+grid_coords = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=12)
+batch_rings = st.lists(
+    st.one_of(
+        grid_coords.map(clean_or_none),
+        st.builds(star_ring, st.integers(3, 40), st.integers(0, 2**32 - 1)),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda rings: [r for r in rings if r is not None])
+
+
+class TestRingValidation:
+    @pytest.mark.parametrize(
+        "coords, bad",
+        [
+            ([(0, 0), (4, 0), (4, 4), (0, 4)], False),
+            ([(0, 0), (10, 10), (10, 0), (0, 14)], True),  # bow-tie
+            ([(0, 0), (6, 0), (6, 3), (5, 0), (2, 0), (2, -3)], True),  # collinear overlap
+            ([(0, 0), (6, 0), (6, 6), (4, 6), (3, 0), (2, 6), (0, 6)], True),  # vertex on an edge
+            ([(0, 0), (4, 0), (4, 4), (2, 0)], True),  # spike at vertex 0
+            ([(0, 0), (4, 0), (4, 4), (0, 4), (0, 6)], True),  # spike at vertex n-1
+            ([(0, 0), (4, 0), (4, 4), (4, 2), (0, 4)], True),  # spike mid-ring
+            ([(0, 0), (0, 0), (4, 0), (4, 4), (4, 4), (0, 4), (0, 0)], False),  # repeats cleaned
+            ([(0, 0), (2, 2), (4, 0), (4, 4), (2, 2), (0, 4)], True),  # repeated vertex
+            ([(0, 0), (3, 0), (3, 1), (0, 1), (0, 2), (3, 2), (3, 3), (0, 3)], True),  # 0/n-1 wrap
+            (NEAR_COLLINEAR_RING, False),
+        ],
+    )
+    def test_fixed_rings_match_oracle(self, coords, bad):
+        ring = _clean_ring(coords, "r")
+        assert naive_ring_self_intersects(ring) is bad
+        assert _first_self_intersecting_ring([ring]) == (0 if bad else -1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 17, 200, 2000])
+    def test_simple_star_rings_accepted(self, n):
+        ring = star_ring(n, seed=n)
+        assert not naive_ring_self_intersects(ring)
+        assert _first_self_intersecting_ring([ring]) == -1
+
+    def test_comb_ring_spans_several_pair_blocks(self):
+        good = comb_ring(400)
+        lo_x = np.minimum([p[0] for p in good], [p[0] for p in good[1:] + good[:1]])
+        hi_x = np.maximum([p[0] for p in good], [p[0] for p in good[1:] + good[:1]])
+        overlapping = (lo_x[:, None] <= hi_x[None, :]) & (lo_x[None, :] <= hi_x[:, None])
+        assert np.count_nonzero(np.triu(overlapping, 1)) > 3 * geometry._BLOCK_PAIRS
+        bad = comb_ring(400, crossing_tooth=399)
+        assert not naive_ring_self_intersects(good)
+        assert naive_ring_self_intersects(bad)
+        assert _first_self_intersecting_ring([good]) == -1
+        assert _first_self_intersecting_ring([good, bad, good]) == 1
+        assert _first_self_intersecting_ring([good, good, bad, bad]) == 2
+
+    @given(grid_coords.map(clean_or_none))
+    @settings(max_examples=400, deadline=None)
+    def test_grid_rings_match_oracle(self, ring):
+        assume(ring is not None)
+        assert _first_self_intersecting_ring([ring]) == expected_first_bad([ring])
+
+    @given(batch_rings)
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_batches_report_first_bad_ring(self, rings):
+        assert _first_self_intersecting_ring(rings) == expected_first_bad(rings)
+
+    def test_near_collinear_ring_accepted_by_both_parsers(self):
+        data = feature_collection(polygon_feature("thin", "ptc", [NEAR_COLLINEAR_RING]))
+        (inst,) = parse_structures(data)
+        assert inst.polygon.area == pytest.approx(3226.74, abs=0.01)
+        scene = SectionScene(section_id="s", instances=[inst])
+        assert read_scene(write_scene(scene)) == scene
+
+
+# ---------------------------------------------------------------------------
+# error precedence: the first defect in document order is the one raised
+
+BOWTIE = [[0, 0], [10, 10], [10, 0], [0, 14]]
+HOLE_OUTSIDE = [SQUARE_RING, FAR_SQUARE_RING]
+
+# name -> (entries as (id, rings), error type, message; {kind} is "feature" or "instance")
+DEFECTS = {
+    "non-numeric vertex": (
+        [("nn", [[[0, 0], ["a", 1], [1, 1]]])],
+        MalformedDocument,
+        "{kind} nn: non-numeric ring vertex ['a', 1]",
+    ),
+    "duplicate id": (
+        [("dup", [SQUARE_RING]), ("dup", [FAR_SQUARE_RING])],
+        MalformedDocument,
+        "duplicate instance id 'dup'",
+    ),
+    "hole outside": ([("holey", HOLE_OUTSIDE)], DegenerateGeometry, "{kind} holey: hole 0 is not inside the exterior ring"),
+}
+SELF_INTERSECTION = (DegenerateGeometry, "{kind} bow: self-intersecting ring")
+
+
+def structures_doc(entries):
+    return feature_collection(*(polygon_feature(iid, "glomerulus", rings) for iid, rings in entries))
+
+
+def scene_doc(entries):
+    instances = [
+        {"id": iid, "class": "glomerulus", "polygon": {"exterior": rings[0], "holes": rings[1:]}}
+        for iid, rings in entries
+    ]
+    return json.dumps({"section_id": "s", "instances": instances, "detections": []}).encode()
+
+
+PARSERS = {
+    "parse_structures": (parse_structures, structures_doc, "feature"),
+    "read_scene": (read_scene, scene_doc, "instance"),
+}
+
+
+class TestErrorPrecedence:
+    @pytest.mark.parametrize("parser", sorted(PARSERS))
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    @pytest.mark.parametrize("bowtie_first", [True, False])
+    def test_earlier_defect_wins(self, parser, defect, bowtie_first):
+        parse, build, kind = PARSERS[parser]
+        entries, error, message = DEFECTS[defect]
+        bow = [("bow", [BOWTIE])]
+        doc = build(bow + entries if bowtie_first else entries + bow)
+        error, message = SELF_INTERSECTION if bowtie_first else (error, message)
+        with pytest.raises(error) as info:
+            parse(doc)
+        assert type(info.value) is error
+        assert str(info.value) == message.format(kind=kind)
+
+    @pytest.mark.parametrize("parser", sorted(PARSERS))
+    @pytest.mark.parametrize(
+        "entries, owner",
+        [
+            ([("bow", [BOWTIE, FAR_SQUARE_RING])], "bow"),  # bow-tie exterior, hole outside it
+            ([("bow", [SQUARE_RING]), ("bow", [BOWTIE])], "bow"),  # the duplicate is the bow-tie
+            ([("ok", [SQUARE_RING, BOWTIE]), ("bow", [BOWTIE])], "ok"),  # bow-tie hole comes first
+        ],
+    )
+    def test_self_intersection_found_before_later_check_on_same_instance(self, parser, entries, owner):
+        parse, build, kind = PARSERS[parser]
+        with pytest.raises(DegenerateGeometry) as info:
+            parse(build(entries))
+        assert str(info.value) == f"{kind} {owner}: self-intersecting ring"
