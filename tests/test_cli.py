@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -538,6 +539,52 @@ class TestProvenanceGolden:
             self.DEFAULT_BLOCK.replace('["lymphocyte","monocyte"]', '["monocyte"]')
             .replace('"min_confidence":0.5', '"min_confidence":1.0')
         )
+
+
+class TestSynthGoldenBytes:
+    """sha256 of every byte ``synth`` and ``sensitivity`` write for one fixed
+    spec.  The scene generator's draw order and each perturbation stage's
+    stream are part of the determinism contract, so these must not move.
+
+    The spec uses all five perturbation stages, and about 40 of its 300
+    background draws land inside an instance and are redrawn."""
+
+    SCENE_SPEC = {
+        "section_id": "golden",
+        "canvas": [0, 0, 1200, 1200],
+        "glomerulus_cells": [5, 0, 7],
+        "ptc_cells": [3, 1, 0, 2, 4, 0, 1, 2],
+        "artery_cells": [2, 0],
+        "background_cells": 300,
+        "seed": 17,
+    }
+    PERTURBATION = {
+        "omit_instance_prob": {"glomerulus": 0.3, "peritubular_capillary": 0.2, "artery": 0.5},
+        "hallucinate_instances": {
+            "artery": {"count": 1, "cells_per_instance": 2},
+            "peritubular_capillary": {"count": 2, "cells_per_instance": 3, "radius": [10, 20]},
+        },
+        "detection_fn_prob": 0.2,
+        "detection_fp_count": 15,
+        "jitter_sigma": 3.0,
+        "seed": 5,
+    }
+    SHA256 = {
+        "golden.scene.json": "03a7ecd4bac704220b7542ef69b3cefba25c2941cc1a1c8e57417541a0cc0989",
+        "golden.gt.geojson": "3b1e6910f16e3e5922973478695115283e5a079209dc8a58a006350c8fd0f19c",
+        "golden.sensitivity.json": "c7545584d0707937e40bab5ffe3c4ce7ed3589335851926de77bc6c43d649c2f",
+        "golden.sensitivity.csv": "b505d53778136e8f33a74e85d1e0c6ef96613e9fd2cfadc98a41357aa071fc50",
+    }
+
+    def test_output_bytes(self, tmp_path):
+        spec = write_json(tmp_path / "spec.json", self.SCENE_SPEC)
+        pspec = write_json(tmp_path / "p.json", self.PERTURBATION)
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 0
+        argv = ["sensitivity", "--scene", str(out / "golden.scene.json"), "--perturb", str(pspec)]
+        assert main(argv + ["--trials", "12", "--out-dir", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.SHA256}
+        assert digests == self.SHA256
 
 
 @pytest.mark.parametrize("module", ["banffscore", "banffscore.cli"])
