@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,13 +163,22 @@ class SpatialIndex:
     construction.
 
     Points are bucketed by grid cell; :meth:`candidate_positions` returns
-    every point whose cell overlaps a bounding box's cell range.  Being a
-    superset of the points inside the box is the correctness contract, the
-    grid only narrows the scan.
+    every point whose cell overlaps a bounding box's cell range, and
+    :meth:`instances_at` every instance whose bbox cell range covers a
+    point's cell.  Being a superset of the exact bbox hits is the
+    correctness contract, the grid only narrows the scan.
     """
 
-    def __init__(self, ids: Sequence[str], bounds: Optional[BoundingBox], nx: int, ny: int):
+    def __init__(
+        self,
+        ids: Sequence[str],
+        bboxes: Sequence[BoundingBox],
+        bounds: Optional[BoundingBox],
+        nx: int,
+        ny: int,
+    ):
         self._ids: Tuple[str, ...] = tuple(ids)
+        self._bboxes: Tuple[BoundingBox, ...] = tuple(bboxes)
         self._bounds = bounds
         self._nx = nx
         self._ny = ny
@@ -206,6 +215,26 @@ class SpatialIndex:
         codes[ok] = (iy * self._nx + ix)[ok]
         return codes
 
+    @cached_property
+    def _cell_members(self) -> Tuple[Tuple[int, ...], ...]:
+        cells: List[List[int]] = [[] for _ in range(self._nx * self._ny)]
+        for pos, bbox in enumerate(self._bboxes):
+            ix0, iy0, ix1, iy1 = self._cell_range(bbox)
+            for iy in range(iy0, iy1 + 1):
+                for ix in range(ix0, ix1 + 1):
+                    cells[iy * self._nx + ix].append(pos)
+        return tuple(tuple(c) for c in cells)
+
+    def instances_at(self, x: float, y: float) -> Tuple[int, ...]:
+        """Positions (into the indexed instances, ascending) of the instances
+        whose bbox cell range covers the point's grid cell.  Superset of the
+        instances whose bbox contains the point."""
+        b = self._bounds
+        if b is None or not b.contains(x, y):
+            return ()
+        ix, iy = self._cell_coords(x, y)
+        return self._cell_members[iy * self._nx + ix]
+
     def candidate_positions(
         self, bbox: BoundingBox, sorted_codes: np.ndarray, order: np.ndarray
     ) -> np.ndarray:
@@ -233,13 +262,13 @@ def build_index(instances: Sequence) -> SpatialIndex:
     ids = [inst.id for inst in instances]
     bboxes = [inst.polygon.bounds for inst in instances]
     if not instances:
-        return SpatialIndex(ids, None, 1, 1)
+        return SpatialIndex(ids, bboxes, None, 1, 1)
     min_x = min(b.min_x for b in bboxes)
     min_y = min(b.min_y for b in bboxes)
     max_x = max(b.max_x for b in bboxes)
     max_y = max(b.max_y for b in bboxes)
     side = max(1, min(128, 2 * math.isqrt(len(instances))))
-    return SpatialIndex(ids, BoundingBox(min_x, min_y, max_x, max_y), side, side)
+    return SpatialIndex(ids, bboxes, BoundingBox(min_x, min_y, max_x, max_y), side, side)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ instance; there is deliberately no clamping.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -28,12 +29,14 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError, PlacementFailure
-from .geometry import Polygon, point_in_polygon
+from .geometry import Point, Polygon, build_index, point_in_polygon
 from .model import (
     ARTERY,
     GLOMERULUS,
+    KNOWN_CELL_KINDS,
     LYMPHOCYTE,
     MONOCYTE,
+    OTHER,
     PERITUBULAR_CAPILLARY,
     SCORABLE_STRUCTURE_KINDS,
     CellClass,
@@ -63,6 +66,45 @@ DEFAULT_RADIUS_RANGES: Dict[str, Tuple[float, float]] = {
 _PLACEMENT_ATTEMPTS = 500
 _PLACEMENT_MARGIN = 4.0
 
+# Spec values arrive from JSON.  They are checked on construction, so a bad
+# value is a ConfigError naming its field, never a traceback, a silent
+# truncation (1.7 cells) or a stage that does nothing (an unknown FP class).
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _count(name: str, value) -> int:
+    if not (_is_int(value) and value >= 0):
+        raise ConfigError(f"{name}: expected an integer >= 0, got {value!r}")
+    return int(value)
+
+
+def _check_seed(value) -> None:
+    if not _is_int(value):
+        raise ConfigError(f"seed: expected an integer, got {value!r}")
+
+
+def _radius_range(name: str, value) -> Tuple[float, float]:
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(_is_finite(v) for v in value)
+        and 0 < value[0] <= value[1]
+    ):
+        raise ConfigError(f"{name}: expected [min, max] with 0 < min <= max, got {value!r}")
+    return (float(value[0]), float(value[1]))
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -81,27 +123,40 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "canvas", tuple(float(v) for v in self.canvas))
+        if not isinstance(self.section_id, str):
+            raise ConfigError(f"section_id: expected a string, got {self.section_id!r}")
+        canvas = self.canvas
+        if not (
+            isinstance(canvas, (list, tuple))
+            and len(canvas) == 4
+            and all(_is_finite(v) for v in canvas)
+            and canvas[0] < canvas[2]
+            and canvas[1] < canvas[3]
+        ):
+            raise ConfigError(
+                f"canvas: expected [x0, y0, x1, y1] with x0 < x1 and y0 < y1, got {canvas!r}"
+            )
+        object.__setattr__(self, "canvas", tuple(float(v) for v in canvas))
         for name in ("glomerulus_cells", "ptc_cells", "artery_cells"):
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
+            counts = getattr(self, name)
+            if not isinstance(counts, (list, tuple)):
+                raise ConfigError(f"{name}: expected a list of integers >= 0, got {counts!r}")
+            object.__setattr__(
+                self, name, tuple(_count(f"{name}[{i}]", c) for i, c in enumerate(counts))
+            )
         for name in ("glomerulus_radius", "ptc_radius", "artery_radius"):
-            lo, hi = getattr(self, name)
-            object.__setattr__(self, name, (float(lo), float(hi)))
-        if any(c < 0 for c in self.glomerulus_cells + self.ptc_cells + self.artery_cells):
-            raise ConfigError("planted cell counts must be >= 0")
-        if self.background_cells < 0:
-            raise ConfigError("background_cells must be >= 0")
+            object.__setattr__(self, name, _radius_range(name, getattr(self, name)))
+        object.__setattr__(self, "background_cells", _count("background_cells", self.background_cells))
+        _check_seed(self.seed)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SceneSpec":
-        try:
-            kwargs = {k: doc[k] for k in doc if k in cls.__dataclass_fields__}
-            unknown = set(doc) - set(cls.__dataclass_fields__)
-            if unknown:
-                raise ConfigError(f"unknown scene spec keys: {sorted(unknown)}")
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad scene spec: {exc}") from exc
+        if not isinstance(doc, Mapping):
+            raise ConfigError("scene spec: expected a JSON object")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown scene spec keys: {sorted(unknown)}")
+        return cls(**doc)
 
 
 def planted_grades(spec: SceneSpec) -> GroundTruthGrades:
@@ -159,8 +214,11 @@ def _place_polygon(
     raise PlacementFailure(f"{what}: no non-overlapping placement in {_PLACEMENT_ATTEMPTS} attempts")
 
 
-def _point_inside(rng: np.random.Generator, poly: Polygon) -> Tuple[float, float]:
-    """Uniform point inside a convex polygon via fan triangulation."""
+_Fan = Tuple[List[Tuple[Point, Point, Point]], np.ndarray]
+
+
+def _fan(poly: Polygon) -> _Fan:
+    """Fan triangulation of a convex polygon and each triangle's area share."""
     verts = poly.exterior
     tris = [(verts[0], verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)]
     areas = np.array(
@@ -169,7 +227,12 @@ def _point_inside(rng: np.random.Generator, poly: Polygon) -> Tuple[float, float
             for a, b, c in tris
         ]
     )
-    weights = areas / areas.sum()
+    return tris, areas / areas.sum()
+
+
+def _point_inside(rng: np.random.Generator, poly: Polygon, fan: _Fan) -> Point:
+    """Uniform point inside a convex polygon, given its :func:`_fan`."""
+    tris, weights = fan
     for _ in range(100):
         a, b, c = tris[int(rng.choice(len(tris), p=weights))]
         u = math.sqrt(rng.random())
@@ -220,23 +283,26 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
     detections: List[Detection] = []
     cell_counter = 0
     for inst, want in zip(instances, [c for _, _, counts, _ in plan for c in counts]):
+        fan = _fan(inst.polygon)
         for _ in range(want):
             cell_counter += 1
             detections.append(
                 Detection(
                     id=f"cell-{cell_counter}",
-                    point=_point_inside(rng, inst.polygon),
+                    point=_point_inside(rng, inst.polygon, fan),
                     cls=_cell_class(rng),
                     confidence=round(rng.uniform(0.6, 1.0), 4),
                 )
             )
+    index = build_index(instances)
     for j in range(spec.background_cells):
         for _ in range(_PLACEMENT_ATTEMPTS):
             x = rng.uniform(x0, x1)
             y = rng.uniform(y0, y1)
             if not any(
-                inst.polygon.bounds.contains(x, y) and point_in_polygon((x, y), inst.polygon)
-                for inst in instances
+                instances[k].polygon.bounds.contains(x, y)
+                and point_in_polygon((x, y), instances[k].polygon)
+                for k in index.instances_at(x, y)
             ):
                 break
         else:
@@ -270,11 +336,27 @@ class HallucinationSpec:
     cells_per_instance: int = 0
     radius: Optional[Tuple[float, float]] = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "count", _count("count", self.count))
+        object.__setattr__(
+            self, "cells_per_instance", _count("cells_per_instance", self.cells_per_instance)
+        )
+        if self.radius is not None:
+            object.__setattr__(self, "radius", _radius_range("radius", self.radius))
+
     def to_dict(self) -> dict:
         out: dict = {"count": self.count, "cells_per_instance": self.cells_per_instance}
         if self.radius is not None:
             out["radius"] = list(self.radius)
         return out
+
+
+_FP_CELL_CLASSES = KNOWN_CELL_KINDS + (OTHER,)
+
+
+def _check_probability(name: str, value) -> None:
+    if not (_is_finite(value) and 0 <= value <= 1):
+        raise ConfigError(f"{name}: expected a number in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -290,24 +372,29 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "omit_instance_prob", dict(self.omit_instance_prob))
-        object.__setattr__(self, "hallucinate_instances", dict(self.hallucinate_instances))
+        for name in ("omit_instance_prob", "hallucinate_instances"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ConfigError(f"{name}: expected an object keyed by structure kind")
+            object.__setattr__(self, name, dict(getattr(self, name)))
         for kind, p in self.omit_instance_prob.items():
             if kind not in SCORABLE_STRUCTURE_KINDS:
                 raise ConfigError(f"omit_instance_prob: unknown structure kind {kind!r}")
-            if not 0.0 <= float(p) <= 1.0:
-                raise ConfigError(f"omit_instance_prob[{kind!r}]={p} outside [0, 1]")
+            _check_probability(f"omit_instance_prob[{kind!r}]", p)
         for kind, h in self.hallucinate_instances.items():
             if kind not in SCORABLE_STRUCTURE_KINDS:
                 raise ConfigError(f"hallucinate_instances: unknown structure kind {kind!r}")
-            if h.count < 0 or h.cells_per_instance < 0:
-                raise ConfigError("hallucination counts must be >= 0")
-        if not 0.0 <= self.detection_fn_prob <= 1.0:
-            raise ConfigError(f"detection_fn_prob={self.detection_fn_prob} outside [0, 1]")
-        if self.detection_fp_count < 0:
-            raise ConfigError("detection_fp_count must be >= 0")
-        if self.jitter_sigma < 0:
-            raise ConfigError("jitter_sigma must be >= 0")
+            if not isinstance(h, HallucinationSpec):
+                raise ConfigError(f"hallucinate_instances[{kind!r}]: expected a HallucinationSpec")
+        _check_probability("detection_fn_prob", self.detection_fn_prob)
+        _count("detection_fp_count", self.detection_fp_count)
+        if self.fp_cell_class not in _FP_CELL_CLASSES:
+            expected = ", ".join(_FP_CELL_CLASSES)
+            raise ConfigError(f"fp_cell_class: expected one of {expected}, got {self.fp_cell_class!r}")
+        if not (_is_finite(self.jitter_sigma) and self.jitter_sigma >= 0):
+            raise ConfigError(
+                f"jitter_sigma: expected a finite number >= 0, got {self.jitter_sigma!r}"
+            )
+        _check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return {
@@ -324,28 +411,32 @@ class PerturbationSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "PerturbationSpec":
+        if not isinstance(doc, Mapping):
+            raise ConfigError("perturbation spec: expected a JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown perturbation spec keys: {sorted(unknown)}")
         kwargs = dict(doc)
+        entries = kwargs.pop("hallucinate_instances", {})
+        if not isinstance(entries, Mapping):
+            raise ConfigError("hallucinate_instances: expected an object keyed by structure kind")
         halluc = {}
-        for kind, entry in dict(kwargs.pop("hallucinate_instances", {})).items():
+        for kind, entry in entries.items():
             if isinstance(entry, HallucinationSpec):
                 halluc[kind] = entry
                 continue
+            where = f"hallucinate_instances[{kind!r}]"
             if not isinstance(entry, Mapping):
-                raise ConfigError(f"hallucinate_instances[{kind!r}] must be an object")
-            radius = entry.get("radius")
-            halluc[kind] = HallucinationSpec(
-                count=int(entry.get("count", 0)),
-                cells_per_instance=int(entry.get("cells_per_instance", 0)),
-                radius=tuple(float(v) for v in radius) if radius is not None else None,
-            )
-        try:
-            return cls(hallucinate_instances=halluc, **kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad perturbation spec: {exc}") from exc
+                raise ConfigError(f"{where} must be an object")
+            unknown = set(entry) - set(HallucinationSpec.__dataclass_fields__)
+            if unknown:
+                raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+            try:
+                halluc[kind] = HallucinationSpec(**entry)
+            except ConfigError as exc:
+                raise ConfigError(f"{where}.{exc}") from None
+        return cls(hallucinate_instances=halluc, **kwargs)
 
 
 def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
@@ -378,11 +469,12 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
             poly, circle = _place_polygon(rng, canvas, radius_range, occupied, iid)
             occupied.append(circle)
             instances.append(Instance(id=iid, cls=StructureClass(kind), polygon=poly))
+            fan = _fan(poly)
             for c in range(hspec.cells_per_instance):
                 detections.append(
                     Detection(
                         id=f"{iid}-cell-{c + 1}",
-                        point=_point_inside(rng, poly),
+                        point=_point_inside(rng, poly, fan),
                         cls=_cell_class(rng),
                         confidence=round(rng.uniform(0.6, 1.0), 4),
                     )
@@ -390,7 +482,8 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
 
     if pspec.detection_fn_prob > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "fn"))
-        detections = [d for d in detections if not rng.random() < pspec.detection_fn_prob]
+        draws = rng.random(len(detections)).tolist()
+        detections = [d for d, r in zip(detections, draws) if not r < pspec.detection_fn_prob]
 
     if pspec.detection_fp_count > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "fp"))
@@ -407,12 +500,11 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
 
     if pspec.jitter_sigma > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "jitter"))
-        jittered = []
-        for d in detections:
-            dx = rng.normal(0.0, pspec.jitter_sigma)
-            dy = rng.normal(0.0, pspec.jitter_sigma)
-            jittered.append(replace(d, point=(d.point[0] + dx, d.point[1] + dy)))
-        detections = jittered
+        shifts = rng.normal(0.0, pspec.jitter_sigma, size=(len(detections), 2)).tolist()
+        detections = [
+            Detection(d.id, (d.point[0] + dx, d.point[1] + dy), d.cls, d.confidence)
+            for d, (dx, dy) in zip(detections, shifts)
+        ]
 
     return SectionScene(
         section_id=scene.section_id,

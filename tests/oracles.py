@@ -10,18 +10,40 @@ with the same operation order as the package, because the suite asserts
 bit-exact agreement on arbitrary float input and only an identical IEEE
 evaluation sequence makes that meaningful.  The ring self-intersection
 oracle tests every pair of edges one at a time, as the reference for the
-package's batched sweep.
+package's batched sweep.  The scene generator and the FN/jitter stages are
+the package's earlier per-object loops (an all-instance scan per background
+draw, a triangulation per planted cell, one scalar draw per detection):
+they must consume the random streams in exactly the package's order, since
+the suite asserts identical scenes.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from banffscore.geometry import AssignmentTable
+from banffscore.errors import PlacementFailure
+from banffscore.geometry import AssignmentTable, point_in_polygon
+from banffscore.model import (
+    ARTERY,
+    GLOMERULUS,
+    PERITUBULAR_CAPILLARY,
+    Detection,
+    Instance,
+    SectionScene,
+    StructureClass,
+)
+from banffscore.seeds import derive_seed
+from banffscore.synth import (
+    _PLACEMENT_ATTEMPTS,
+    _cell_class,
+    _place_polygon,
+    planted_grades,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +313,111 @@ def weighted_kappa_direct(cells) -> float:
     if pe == 1.0:
         return 1.0
     return (po - pe) / (1.0 - pe)
+
+
+# ---------------------------------------------------------------------------
+# scene generation and perturbation, one object at a time
+
+def per_call_point_inside(rng: np.random.Generator, poly) -> Tuple[float, float]:
+    """Uniform point inside a convex polygon via fan triangulation."""
+    verts = poly.exterior
+    tris = [(verts[0], verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)]
+    areas = np.array(
+        [
+            abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])) / 2.0
+            for a, b, c in tris
+        ]
+    )
+    weights = areas / areas.sum()
+    for _ in range(100):
+        a, b, c = tris[int(rng.choice(len(tris), p=weights))]
+        u = math.sqrt(rng.random())
+        w = rng.random()
+        x = (1 - u) * a[0] + u * (1 - w) * b[0] + u * w * c[0]
+        y = (1 - u) * a[1] + u * (1 - w) * b[1] + u * w * c[1]
+        if point_in_polygon((x, y), poly):
+            return (x, y)
+    raise PlacementFailure("interior sampling failed")  # pragma: no cover
+
+
+def all_instance_scan_generate_scene(spec):
+    """``synth.generate_scene`` with every background draw tested against
+    every instance and the fan triangulation rebuilt for every planted cell."""
+    rng = np.random.default_rng(derive_seed(spec.seed, "scene"))
+    x0, y0, x1, y1 = spec.canvas
+    occupied: List[Tuple[float, float, float]] = []
+    instances: List[Instance] = []
+    plan = (
+        (GLOMERULUS, "glom", spec.glomerulus_cells, spec.glomerulus_radius),
+        (PERITUBULAR_CAPILLARY, "ptc", spec.ptc_cells, spec.ptc_radius),
+        (ARTERY, "art", spec.artery_cells, spec.artery_radius),
+    )
+    for kind, prefix, cell_counts, radius_range in plan:
+        for j in range(len(cell_counts)):
+            poly, circle = _place_polygon(
+                rng, spec.canvas, radius_range, occupied, f"{prefix}-{j + 1}"
+            )
+            occupied.append(circle)
+            instances.append(
+                Instance(id=f"{prefix}-{j + 1}", cls=StructureClass(kind), polygon=poly)
+            )
+    detections: List[Detection] = []
+    cell_counter = 0
+    for inst, want in zip(instances, [c for _, _, counts, _ in plan for c in counts]):
+        for _ in range(want):
+            cell_counter += 1
+            detections.append(
+                Detection(
+                    id=f"cell-{cell_counter}",
+                    point=per_call_point_inside(rng, inst.polygon),
+                    cls=_cell_class(rng),
+                    confidence=round(rng.uniform(0.6, 1.0), 4),
+                )
+            )
+    for j in range(spec.background_cells):
+        for _ in range(_PLACEMENT_ATTEMPTS):
+            x = rng.uniform(x0, x1)
+            y = rng.uniform(y0, y1)
+            if not any(
+                inst.polygon.bounds.contains(x, y) and point_in_polygon((x, y), inst.polygon)
+                for inst in instances
+            ):
+                break
+        else:
+            raise PlacementFailure(f"background cell {j + 1}: no free canvas space")
+        detections.append(
+            Detection(
+                id=f"bg-{j + 1}",
+                point=(x, y),
+                cls=_cell_class(rng),
+                confidence=round(rng.uniform(0.6, 1.0), 4),
+            )
+        )
+    scene = SectionScene(
+        section_id=spec.section_id,
+        instances=instances,
+        detections=detections,
+        metadata={"canvas": list(spec.canvas), "seed": spec.seed, "generator": "banffscore.synth"},
+    )
+    return scene, planted_grades(spec)
+
+
+def scalar_fn_dropout(detections, pspec) -> List:
+    """The false-negative stage of ``synth.perturb_scene``, one draw per detection."""
+    if pspec.detection_fn_prob > 0:
+        rng = np.random.default_rng(derive_seed(pspec.seed, "fn"))
+        detections = [d for d in detections if not rng.random() < pspec.detection_fn_prob]
+    return detections
+
+
+def scalar_jitter(detections, pspec) -> List:
+    """The jitter stage of ``synth.perturb_scene``, two draws per detection."""
+    if pspec.jitter_sigma > 0:
+        rng = np.random.default_rng(derive_seed(pspec.seed, "jitter"))
+        jittered = []
+        for d in detections:
+            dx = rng.normal(0.0, pspec.jitter_sigma)
+            dy = rng.normal(0.0, pspec.jitter_sigma)
+            jittered.append(replace(d, point=(d.point[0] + dx, d.point[1] + dy)))
+        detections = jittered
+    return detections

@@ -369,6 +369,73 @@ class TestSynthAndSensitivityCommands:
             assert "section_id" in capsys.readouterr().err
             assert not list(tmp_path.rglob("escaped*"))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("canvas", [0, 0, 100], id="canvas-3-values"),
+            pytest.param("canvas", [0, 0, float("nan"), 100], id="canvas-nan"),
+            pytest.param("canvas", [100, 0, 0, 100], id="canvas-x0-above-x1"),
+            pytest.param("canvas", [0, 100, 100, 100], id="canvas-y0-equals-y1"),
+            pytest.param("ptc_radius", [30, 10], id="radius-min-above-max"),
+            pytest.param("ptc_radius", [-30, -10], id="radius-negative"),
+            pytest.param("artery_radius", [50], id="radius-1-value"),
+            pytest.param("background_cells", 2.5, id="background-cells-fraction"),
+            pytest.param("ptc_cells", [1.7], id="planted-count-fraction"),
+            pytest.param("glomerulus_cells", 3, id="planted-counts-not-a-list"),
+            pytest.param("seed", 1.5, id="seed-fraction"),
+            pytest.param("seed", True, id="seed-bool"),
+            pytest.param("section_id", 5, id="section-id-number"),
+        ],
+    )
+    def test_bad_scene_spec_value_exits_2(self, key, value, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {**SCENE_SPEC, key: value})
+        out = tmp_path / "o"
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 2
+        assert f"error: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("jitter_sigma", float("nan"), id="jitter-nan"),
+            pytest.param("jitter_sigma", float("inf"), id="jitter-inf"),
+            pytest.param("detection_fp_count", 2.5, id="fp-count-fraction"),
+            pytest.param("detection_fp_count", True, id="fp-count-bool"),
+            pytest.param("detection_fn_prob", "x", id="fn-prob-string"),
+            pytest.param("seed", 1.5, id="seed-fraction"),
+            pytest.param("seed", "x", id="seed-string"),
+            pytest.param("omit_instance_prob", {"glomerulus": "x"}, id="omit-prob-string"),
+            pytest.param("fp_cell_class", "neutrophil", id="fp-class-neutrophil"),
+            pytest.param("fp_cell_class", "bogus", id="fp-class-bogus"),
+            pytest.param("hallucinate_instances", {"artery": {"count": "x"}}, id="halluc-count-string"),
+            pytest.param(
+                "hallucinate_instances", {"artery": {"count": 1, "radius": [50]}}, id="halluc-radius-1-value"
+            ),
+            pytest.param(
+                "hallucinate_instances",
+                {"artery": {"count": 1, "radius": [float("nan"), 3]}},
+                id="halluc-radius-nan",
+            ),
+            pytest.param(
+                "hallucinate_instances",
+                {"artery": {"count": 1, "radius": [-60, -50]}},
+                id="halluc-radius-negative",
+            ),
+            pytest.param(
+                "hallucinate_instances", {"artery": {"count": 1, "size": 3}}, id="halluc-unknown-key"
+            ),
+        ],
+    )
+    def test_bad_perturbation_spec_value_exits_2(self, key, value, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        pspec = write_json(tmp_path / "p.json", {"detection_fn_prob": 0.5, "seed": 3, key: value})
+        out = tmp_path / "sens"
+        argv = ["sensitivity", "--scene", str(tmp_path / "synth-x.scene.json"), "--perturb", str(pspec)]
+        assert main(argv + ["--trials", "3", "--out-dir", str(out)]) == 2
+        assert f"error: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scene_section_id_that_leaves_out_dir_exits_2(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
         assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0

@@ -193,6 +193,7 @@ class TestSpatialIndex:
         xs, ys = np.array([0.0, 5.0]), np.array([0.0, -3.0])
         assert (index.point_cells(xs, ys) == -1).all()
         assert candidates_by_bbox(index, [BoundingBox(-10.0, -10.0, 10.0, 10.0)], xs, ys) == [set()]
+        assert index.instances_at(0.0, 0.0) == ()
 
     def test_single_instance_bbox_hit(self):
         inst = mk_instance("a", GLOMERULUS, UNIT_SQUARE)
@@ -210,8 +211,47 @@ class TestSpatialIndex:
         )
         position = {inst.id: k for k, inst in enumerate(instances)}
         for j, (x, y) in enumerate(points[:2000]):
-            for iid in brute_bbox_hits(instances, x, y):
+            hits = brute_bbox_hits(instances, x, y)
+            for iid in hits:
                 assert j in candidates[position[iid]]
+            assert hits <= {index.ids[k] for k in index.instances_at(x, y)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        boxes=st.lists(
+            st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 30), st.integers(1, 30)),
+            min_size=1,
+            max_size=20,
+        ),
+        picks=st.lists(
+            st.tuples(st.integers(0, 999), st.integers(0, 999), st.sampled_from((-1, 0, 1)),
+                      st.sampled_from((-1, 0, 1))),
+            max_size=60,
+        ),
+    )
+    def test_instances_at_covers_bbox_and_grid_cell_edges(self, boxes, picks):
+        # Coordinates are multiples of 0.3, so box and cell edges fall between
+        # representable grid steps; picks land exactly on a box or grid cell
+        # edge, or one float step to either side of it.
+        instances = [
+            mk_instance(f"b{k}", GLOMERULUS, [(x * 0.3, y * 0.3), ((x + w) * 0.3, y * 0.3),
+                                             ((x + w) * 0.3, (y + h) * 0.3), (x * 0.3, (y + h) * 0.3)])
+            for k, (x, y, w, h) in enumerate(boxes)
+        ]
+        index = build_index(instances)
+        b = index._bounds
+        xs = sorted({v for i in instances for v in (i.polygon.bounds.min_x, i.polygon.bounds.max_x)}
+                    | {b.min_x + k * index._cell_w for k in range(index._nx + 1)})
+        ys = sorted({v for i in instances for v in (i.polygon.bounds.min_y, i.polygon.bounds.max_y)}
+                    | {b.min_y + k * index._cell_h for k in range(index._ny + 1)})
+        points = [(bb.min_x, bb.min_y) for bb in (i.polygon.bounds for i in instances)]
+        points += [(bb.max_x, bb.max_y) for bb in (i.polygon.bounds for i in instances)]
+        for ix, iy, sx, sy in picks:
+            x = float(np.nextafter(xs[ix % len(xs)], sx * np.inf)) if sx else xs[ix % len(xs)]
+            y = float(np.nextafter(ys[iy % len(ys)], sy * np.inf)) if sy else ys[iy % len(ys)]
+            points.append((x, y))
+        for x, y in points:
+            assert brute_bbox_hits(instances, x, y) <= {index.ids[k] for k in index.instances_at(x, y)}
 
 
 class TestAssignDetections:

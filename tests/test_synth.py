@@ -6,7 +6,10 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from banffscore.errors import ConfigError, PlacementFailure
 from banffscore.geometry import point_in_polygon
 from banffscore.ingest import write_scene
@@ -19,6 +22,7 @@ from banffscore.synth import (
     SceneSpec,
     generate_scene,
     perturb_scene,
+    planted_grades,
     sensitivity_run,
 )
 
@@ -275,6 +279,84 @@ class TestPerturbScene:
             seed=23,
         )
         assert PerturbationSpec.from_dict(pspec.to_dict()) == pspec
+
+
+def _outcome(generate, spec):
+    try:
+        return generate(spec)
+    except PlacementFailure as exc:
+        return f"PlacementFailure: {exc}"
+
+
+class TestAgainstPerObjectOracles:
+    """The indexed background scan, the per-instance triangulation and the
+    array-drawn FN/jitter stages give exactly the scenes of the per-object
+    loops in ``tests/oracles.py``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.builds(
+            SceneSpec,
+            canvas=st.tuples(
+                st.integers(-300, 300), st.integers(-300, 300), st.integers(250, 1400), st.integers(250, 1400)
+            ).map(lambda c: (c[0], c[1], c[0] + c[2] * 0.999, c[1] + c[3] * 1.001)),
+            glomerulus_cells=st.lists(st.integers(0, 6), max_size=4).map(tuple),
+            ptc_cells=st.lists(st.integers(0, 4), max_size=10).map(tuple),
+            artery_cells=st.lists(st.integers(0, 4), max_size=3).map(tuple),
+            background_cells=st.integers(0, 200),
+            seed=st.integers(0, 2**64 - 1),
+        )
+    )
+    def test_generate_scene_matches_all_instance_scan(self, spec):
+        assert _outcome(generate_scene, spec) == _outcome(oracles.all_instance_scan_generate_scene, spec)
+
+    def test_dense_background_matches_all_instance_scan(self):
+        # About 265 of the 665 background draws on this canvas land inside an
+        # instance and are redrawn.
+        spec = SceneSpec(
+            canvas=(0, 0, 700, 700),
+            glomerulus_cells=(2, 0, 1, 3),
+            ptc_cells=(1,) * 10,
+            artery_cells=(0, 2),
+            background_cells=400,
+            seed=3,
+        )
+        scene, _ = generate_scene(spec)
+        assert (scene, planted_grades(spec)) == oracles.all_instance_scan_generate_scene(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        omit=st.floats(0.0, 1.0),
+        hallucinated=st.integers(0, 2),
+        fn=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        fp=st.integers(0, 20),
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+    )
+    def test_perturb_scene_matches_scalar_loops(self, seed, omit, hallucinated, fn, fp, sigma):
+        scene = base_scene()
+        pspec = PerturbationSpec(
+            omit_instance_prob={GLOMERULUS: omit, PERITUBULAR_CAPILLARY: omit},
+            hallucinate_instances={ARTERY: HallucinationSpec(count=hallucinated, cells_per_instance=2)},
+            detection_fn_prob=fn,
+            detection_fp_count=fp,
+            jitter_sigma=sigma,
+            seed=seed,
+        )
+        # Each stage draws from its own stream, so the unchanged stages can run
+        # on their own: omission and hallucination first, then FP insertion
+        # into an empty copy of the result, which yields just the FPs.
+        structural = perturb_scene(
+            scene, replace(pspec, detection_fn_prob=0, detection_fp_count=0, jitter_sigma=0)
+        )
+        fps = perturb_scene(
+            replace(structural, detections=[]), PerturbationSpec(detection_fp_count=fp, seed=seed)
+        ).detections
+        kept = oracles.scalar_fn_dropout(structural.detections, pspec)
+        expected = oracles.scalar_jitter(kept + fps, pspec)
+        out = perturb_scene(scene, pspec)
+        assert out.instances == structural.instances
+        assert out.detections == expected
 
 
 class TestSensitivityRun:
