@@ -273,13 +273,11 @@ def build_index(instances: Sequence) -> SpatialIndex:
 
 @dataclass(frozen=True)
 class AssignmentTable:
-    """Per-instance detection containment: counts, member detection ids, and
-    the ids of detections contained by no instance.  Member and unassigned
-    lists are sorted by detection id so the table is independent of input
-    order and of batch partitioning."""
+    """Per-instance detection counts and the ids of detections contained by
+    no instance.  The unassigned ids are sorted, so the table is independent
+    of input order and of batch partitioning."""
 
     counts: Dict[str, int]
-    members: Dict[str, Tuple[str, ...]]
     unassigned: Tuple[str, ...]
 
 
@@ -295,10 +293,8 @@ def assign_detections(detections: Sequence, instances: Sequence, index: SpatialI
             f"index covers {len(index.ids)} instances, got {len(inst_ids)} with different ids"
         )
     counts: Dict[str, int] = {i: 0 for i in inst_ids}
-    members: Dict[str, Tuple[str, ...]] = {i: () for i in inst_ids}
     if not detections:
-        return AssignmentTable(counts, members, ())
-    det_ids = [d.id for d in detections]
+        return AssignmentTable(counts, ())
     m = len(detections)
     xs = np.fromiter((d.point[0] for d in detections), dtype=np.float64, count=m)
     ys = np.fromiter((d.point[1] for d in detections), dtype=np.float64, count=m)
@@ -322,7 +318,6 @@ def assign_detections(detections: Sequence, instances: Sequence, index: SpatialI
             sel = cand[hit]
             if sel.size:
                 counts[inst.id] = int(sel.size)
-                members[inst.id] = tuple(sorted(det_ids[j] for j in sel))
                 assigned[sel] = True
-    unassigned = tuple(sorted(det_ids[j] for j in np.nonzero(~assigned)[0]))
-    return AssignmentTable(counts=counts, members=members, unassigned=unassigned)
+    unassigned = tuple(sorted(detections[j].id for j in np.nonzero(~assigned)[0]))
+    return AssignmentTable(counts=counts, unassigned=unassigned)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -70,7 +71,7 @@ def load_json_bytes(data: bytes):
     """JSON loader with the package's MalformedDocument error contract."""
     try:
         return json.loads(data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an int literal too long to convert
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
 
 
@@ -78,6 +79,50 @@ def canonical_json_bytes(obj) -> bytes:
     """Deterministic JSON serialization: sorted keys, 2-space indent, trailing
     newline.  Same object always yields the same bytes."""
     return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# numbers: one rule for a value that any input file gives as a number
+
+def as_number(value) -> Optional[float]:
+    """``value`` as a float if it is a real number, else None.  Strings and
+    bools are never numbers; an int too large for a float reads as infinity."""
+    if type(value) is float:  # the per-coordinate case
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def is_finite(value) -> bool:
+    return (number := as_number(value)) is not None and math.isfinite(number)
+
+
+def is_int(value) -> bool:
+    """An integer proper: ``2.0`` and ``True`` are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def checked_integer(value, where: str, error: type) -> int:
+    """``value`` as an int if it is a finite number without a fraction (``2``
+    or ``2.0``); anything else raises ``error`` naming ``where``."""
+    number = as_number(value)
+    if number is None or not number.is_integer():
+        raise error(f"{where}: expected an integer, got {value!r}")
+    return value if type(value) is int else int(number)
+
+
+def checked_canvas(value, where: str, error: type) -> Tuple[float, float, float, float]:
+    """``value`` as ``(x0, y0, x1, y1)``, four finite numbers with x0 < x1 and
+    y0 < y1; anything else raises ``error`` naming ``where``."""
+    if isinstance(value, (list, tuple)) and len(value) == 4 and all(map(is_finite, value)):
+        x0, y0, x1, y1 = map(as_number, value)
+        if x0 < x1 and y0 < y1:
+            return (x0, y0, x1, y1)
+    raise error(f"{where}: expected [x0, y0, x1, y1] with x0 < x1 and y0 < y1, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +252,9 @@ def _clean_ring(coords, owner: str) -> Tuple[Point, ...]:
     for item in coords:
         if not isinstance(item, (list, tuple)) or len(item) < 2:
             raise MalformedDocument(f"{owner}: ring vertex {item!r} is not an [x, y] pair")
-        try:
-            x, y = float(item[0]), float(item[1])
-        except (TypeError, ValueError):
-            raise MalformedDocument(f"{owner}: non-numeric ring vertex {item!r}") from None
+        x, y = as_number(item[0]), as_number(item[1])
+        if x is None or y is None:
+            raise MalformedDocument(f"{owner}: non-numeric ring vertex {item!r}")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DegenerateGeometry(f"{owner}: non-finite ring vertex")
         if pts and pts[-1] == (x, y):
@@ -304,6 +348,23 @@ def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> L
 # ---------------------------------------------------------------------------
 # detections (JSON point lists)
 
+def _checked_point(entry: dict, where: str, confidence_key: str, error: type) -> Tuple[Point, float]:
+    """The ``point`` and confidence of one detection entry, checked alike in
+    detection and scene files; ``where`` names the entry."""
+    pt = entry.get("point")
+    is_pair = isinstance(pt, (list, tuple)) and len(pt) > 1
+    x, y = (as_number(pt[0]), as_number(pt[1])) if is_pair else (None, None)
+    if x is None or y is None:
+        raise error(f"{where}.point: expected [x, y] of numbers, got {pt!r}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise error(f"{where}.point: non-finite point coordinates {pt!r}")
+    raw = entry.get(confidence_key, 1.0)
+    confidence = as_number(raw)
+    if confidence is None or not 0.0 <= confidence <= 1.0:
+        raise error(f"{where}.{confidence_key}: expected a number in [0, 1], got {raw!r}")
+    return (x, y), confidence
+
+
 def parse_detections(
     data: bytes,
     min_confidence: float = 0.5,
@@ -327,27 +388,13 @@ def parse_detections(
         name = entry.get("name")
         if not isinstance(name, str):
             raise SchemaViolation(f"{where}: missing or non-string 'name'")
-        pt = entry.get("point")
-        if not isinstance(pt, (list, tuple)) or len(pt) < 2:
-            raise SchemaViolation(f"{where}: missing 'point' [x, y]")
-        try:
-            x, y = float(pt[0]), float(pt[1])
-        except (TypeError, ValueError):
-            raise SchemaViolation(f"{where}: non-numeric point {pt!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise SchemaViolation(f"{where}: non-finite point coordinates")
-        prob = entry.get("probability", 1.0)
-        if isinstance(prob, bool) or not isinstance(prob, (int, float)):
-            raise SchemaViolation(f"{where}: non-numeric probability {prob!r}")
-        prob = float(prob)
-        if not 0.0 <= prob <= 1.0:
-            raise SchemaViolation(f"{where}: probability {prob} outside [0, 1]")
+        point, prob = _checked_point(entry, where, "probability", SchemaViolation)
         cls = CellClass.from_label(name, aliases)
         if allowed is not None and cls.kind not in allowed:
             continue
         if prob < min_confidence:
             continue
-        out.append(Detection(id=f"d{i}", point=(x, y), cls=cls, confidence=prob))
+        out.append(Detection(id=f"d{i}", point=point, cls=cls, confidence=prob))
     return out
 
 
@@ -355,11 +402,7 @@ def parse_detections(
 # ground truth
 
 def _grade_value(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise GradeOutOfRange(f"{key}={value!r} is not an integer grade")
-    if float(value) != int(value):
-        raise GradeOutOfRange(f"{key}={value!r} is not an integer grade")
-    grade = int(value)
+    grade = checked_integer(value, key, GradeOutOfRange)
     if not 0 <= grade <= 3:
         raise GradeOutOfRange(f"{key}={value!r} outside 0-3")
     return grade
@@ -445,8 +488,9 @@ def dedup_detections(detections: Sequence[Detection], radius: float) -> List[Det
 # ---------------------------------------------------------------------------
 # scene interchange
 
-def scene_to_dict(scene: SectionScene) -> dict:
-    return {
+def write_scene(scene: SectionScene) -> bytes:
+    """Serialize a scene deterministically; see :func:`canonical_json_bytes`."""
+    doc = {
         "section_id": scene.section_id,
         "instances": [
             {
@@ -471,14 +515,22 @@ def scene_to_dict(scene: SectionScene) -> dict:
         ],
         "metadata": scene.metadata,
     }
+    return canonical_json_bytes(doc)
 
 
-def write_scene(scene: SectionScene) -> bytes:
-    """Serialize a scene deterministically; see :func:`canonical_json_bytes`."""
-    return canonical_json_bytes(scene_to_dict(scene))
+def _scene_entry(entry, where: str, parse_class) -> Tuple[str, object]:
+    """The id and class of one scene instance or detection entry."""
+    if not isinstance(entry, dict) or "id" not in entry:
+        raise MalformedDocument(f"{where}: expected an object with an 'id'")
+    label = entry.get("class")
+    try:
+        return str(entry["id"]), parse_class(label if isinstance(label, str) else "")
+    except ValueError:
+        raise MalformedDocument(f"{where}.class: unknown class {label!r}") from None
 
 
-def scene_from_dict(doc: dict) -> SectionScene:
+def read_scene(data: bytes) -> SectionScene:
+    doc = load_json_bytes(data)
     if not isinstance(doc, dict):
         raise MalformedDocument("scene document is not an object")
     for key in ("section_id", "instances", "detections"):
@@ -489,48 +541,38 @@ def scene_from_dict(doc: dict) -> SectionScene:
     instances: List[Instance] = []
     seen: Set[str] = set()
     with _self_intersection_sweep() as cleaned:
-        for entry in doc["instances"]:
-            try:
-                iid = str(entry["id"])
-                rings = [entry["polygon"]["exterior"], *entry["polygon"].get("holes", [])]
-                inst = Instance(
-                    id=iid,
-                    cls=StructureClass.from_string(entry["class"]),
-                    polygon=_polygon_from_coords(rings, f"instance {iid}", cleaned),
-                    properties=dict(entry.get("properties", {})),
-                )
-            except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
-                raise MalformedDocument(f"bad instance entry: {exc}") from exc
-            if inst.id in seen:
-                raise MalformedDocument(f"duplicate instance id {inst.id!r}")
-            seen.add(inst.id)
-            instances.append(inst)
+        for i, entry in enumerate(doc["instances"]):
+            where = f"instances[{i}]"
+            iid, cls = _scene_entry(entry, where, StructureClass.from_string)
+            polygon, properties = entry.get("polygon"), entry.get("properties", {})
+            if not (isinstance(polygon, dict) and isinstance(polygon.get("holes", []), list)):
+                raise MalformedDocument(f"{where}.polygon: expected an object with 'exterior' and 'holes'")
+            if not isinstance(properties, dict):
+                raise MalformedDocument(f"{where}.properties: expected an object")
+            rings = [polygon.get("exterior"), *polygon.get("holes", [])]
+            poly = _polygon_from_coords(rings, f"instance {iid}", cleaned)
+            if iid in seen:
+                raise MalformedDocument(f"duplicate instance id {iid!r}")
+            seen.add(iid)
+            instances.append(Instance(id=iid, cls=cls, polygon=poly, properties=dict(properties)))
     detections: List[Detection] = []
     seen_d: Set[str] = set()
-    for entry in doc["detections"]:
-        try:
-            det = Detection(
-                id=str(entry["id"]),
-                point=(entry["point"][0], entry["point"][1]),
-                cls=CellClass.from_string(entry["class"]),
-                confidence=float(entry.get("confidence", 1.0)),
-            )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise MalformedDocument(f"bad detection entry: {exc}") from exc
-        if det.id in seen_d:
-            raise MalformedDocument(f"duplicate detection id {det.id!r}")
-        seen_d.add(det.id)
-        detections.append(det)
+    for i, entry in enumerate(doc["detections"]):
+        where = f"detections[{i}]"
+        did, cls = _scene_entry(entry, where, CellClass.from_string)
+        point, confidence = _checked_point(entry, where, "confidence", MalformedDocument)
+        if did in seen_d:
+            raise MalformedDocument(f"duplicate detection id {did!r}")
+        seen_d.add(did)
+        detections.append(Detection(id=did, point=point, cls=cls, confidence=confidence))
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise MalformedDocument("scene metadata must be an object")
+    if "canvas" in metadata:
+        checked_canvas(metadata["canvas"], "metadata.canvas", MalformedDocument)
     return SectionScene(
         section_id=str(doc["section_id"]),
         instances=instances,
         detections=detections,
         metadata=metadata,
     )
-
-
-def read_scene(data: bytes) -> SectionScene:
-    return scene_from_dict(load_json_bytes(data))

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import GradeOutOfRange
 from .geometry import Polygon
 
 GLOMERULUS = "glomerulus"
@@ -123,13 +121,6 @@ class Detection:
     cls: CellClass
     confidence: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", (float(self.point[0]), float(self.point[1])))
-        if not (math.isfinite(self.point[0]) and math.isfinite(self.point[1])):
-            raise ValueError(f"detection {self.id}: non-finite coordinates")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"detection {self.id}: confidence {self.confidence} outside [0, 1]")
-
 
 @dataclass
 class SectionScene:
@@ -147,15 +138,13 @@ class SectionScene:
 def scene_canvas(scene: SectionScene) -> Tuple[float, float, float, float]:
     """(min_x, min_y, max_x, max_y) working area of a scene.
 
-    Uses ``metadata["canvas"]`` when present, otherwise the padded bounding
-    box of all geometry and detection points; (0, 0, 100, 100) for an empty
-    scene.
+    Uses ``metadata["canvas"]`` when present (``read_scene`` checks it),
+    otherwise the padded bounding box of all geometry and detection points;
+    (0, 0, 100, 100) for an empty scene.
     """
     canvas = scene.metadata.get("canvas")
-    if isinstance(canvas, (list, tuple)) and len(canvas) == 4:
-        x0, y0, x1, y1 = (float(v) for v in canvas)
-        if x0 < x1 and y0 < y1:
-            return (x0, y0, x1, y1)
+    if canvas is not None:
+        return tuple(map(float, canvas))
     xs: List[float] = []
     ys: List[float] = []
     for inst in scene.instances:
@@ -179,9 +168,3 @@ class GroundTruthGrades:
     g: Optional[int] = None
     ptc: Optional[int] = None
     v: Optional[int] = None
-
-    def __post_init__(self):
-        for name in ("g", "ptc", "v"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or value not in (0, 1, 2, 3)):
-                raise GradeOutOfRange(f"{name}={value!r} outside 0-3")

@@ -27,7 +27,7 @@ from . import __version__
 from .config import RunConfig
 from .errors import MalformedDocument
 from .geometry import assign_detections, build_index
-from .ingest import canonical_json_bytes, dedup_detections
+from .ingest import canonical_json_bytes, checked_integer, dedup_detections
 from .model import (
     ARTERY,
     GLOMERULUS,
@@ -221,22 +221,30 @@ def _detail_from_dict(doc: dict, indicator: str) -> GradeDetail:
         return Unscorable(str(doc.get("reason", "")))
     if doc.get("status") != "scored":
         raise MalformedDocument(f"{indicator}: unknown status {doc.get('status')!r}")
+
+    def integer(value, key: str) -> int:
+        return checked_integer(value, f"{indicator}.{key}", MalformedDocument)
+
     try:
+        entries = [
+            (str(e["id"]), integer(e["count"], f"per_instance[{k}].count"), e)
+            for k, e in enumerate(doc["per_instance"])
+        ]
+        grade = integer(doc["grade"], "grade")
         if indicator == "g":
-            num, den = doc["inflamed_fraction_ratio"]
+            num, den = (integer(v, "inflamed_fraction_ratio") for v in doc["inflamed_fraction_ratio"])
+            if den == 0:
+                raise MalformedDocument("g.inflamed_fraction_ratio: zero denominator")
             return GScoreDetail(
-                per_instance=tuple(
-                    (str(e["id"]), int(e["count"]), bool(e["inflamed"]))
-                    for e in doc["per_instance"]
-                ),
-                n_structures=int(doc["n_structures"]),
-                inflamed_fraction=Fraction(int(num), int(den)),
-                grade=int(doc["grade"]),
+                per_instance=tuple((iid, count, bool(e["inflamed"])) for iid, count, e in entries),
+                n_structures=integer(doc["n_structures"], "n_structures"),
+                inflamed_fraction=Fraction(num, den),
+                grade=grade,
             )
         return MaxCountDetail(
-            per_instance=tuple((str(e["id"]), int(e["count"])) for e in doc["per_instance"]),
-            max_count=int(doc["max_count"]),
-            grade=int(doc["grade"]),
+            per_instance=tuple((iid, count) for iid, count, _ in entries),
+            max_count=integer(doc["max_count"], "max_count"),
+            grade=grade,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"{indicator}: bad score detail: {exc}") from exc

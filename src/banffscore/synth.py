@@ -20,7 +20,6 @@ instance; there is deliberately no clamping.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -30,6 +29,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigError, PlacementFailure
 from .geometry import Point, Polygon, build_index, point_in_polygon
+from .ingest import as_number, checked_canvas, checked_integer, is_finite, is_int
 from .model import (
     ARTERY,
     GLOMERULUS,
@@ -71,39 +71,22 @@ _PLACEMENT_MARGIN = 4.0
 # truncation (1.7 cells) or a stage that does nothing (an unknown FP class).
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _count(name: str, value) -> int:
-    if not (_is_int(value) and value >= 0):
+    if not (is_int(value) and value >= 0):
         raise ConfigError(f"{name}: expected an integer >= 0, got {value!r}")
-    return int(value)
+    return checked_integer(value, name, ConfigError)
 
 
 def _check_seed(value) -> None:
-    if not _is_int(value):
+    if not is_int(value):
         raise ConfigError(f"seed: expected an integer, got {value!r}")
 
 
 def _radius_range(name: str, value) -> Tuple[float, float]:
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(_is_finite(v) for v in value)
-        and 0 < value[0] <= value[1]
-    ):
+    is_pair = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_finite, value))
+    if not (is_pair and 0 < value[0] <= value[1]):
         raise ConfigError(f"{name}: expected [min, max] with 0 < min <= max, got {value!r}")
-    return (float(value[0]), float(value[1]))
+    return (as_number(value[0]), as_number(value[1]))
 
 
 @dataclass(frozen=True)
@@ -125,18 +108,7 @@ class SceneSpec:
     def __post_init__(self):
         if not isinstance(self.section_id, str):
             raise ConfigError(f"section_id: expected a string, got {self.section_id!r}")
-        canvas = self.canvas
-        if not (
-            isinstance(canvas, (list, tuple))
-            and len(canvas) == 4
-            and all(_is_finite(v) for v in canvas)
-            and canvas[0] < canvas[2]
-            and canvas[1] < canvas[3]
-        ):
-            raise ConfigError(
-                f"canvas: expected [x0, y0, x1, y1] with x0 < x1 and y0 < y1, got {canvas!r}"
-            )
-        object.__setattr__(self, "canvas", tuple(float(v) for v in canvas))
+        object.__setattr__(self, "canvas", checked_canvas(self.canvas, "canvas", ConfigError))
         for name in ("glomerulus_cells", "ptc_cells", "artery_cells"):
             counts = getattr(self, name)
             if not isinstance(counts, (list, tuple)):
@@ -355,7 +327,7 @@ _FP_CELL_CLASSES = KNOWN_CELL_KINDS + (OTHER,)
 
 
 def _check_probability(name: str, value) -> None:
-    if not (_is_finite(value) and 0 <= value <= 1):
+    if not (is_finite(value) and 0 <= value <= 1):
         raise ConfigError(f"{name}: expected a number in [0, 1], got {value!r}")
 
 
@@ -390,7 +362,7 @@ class PerturbationSpec:
         if self.fp_cell_class not in _FP_CELL_CLASSES:
             expected = ", ".join(_FP_CELL_CLASSES)
             raise ConfigError(f"fp_cell_class: expected one of {expected}, got {self.fp_cell_class!r}")
-        if not (_is_finite(self.jitter_sigma) and self.jitter_sigma >= 0):
+        if not (is_finite(self.jitter_sigma) and self.jitter_sigma >= 0):
             raise ConfigError(
                 f"jitter_sigma: expected a finite number >= 0, got {self.jitter_sigma!r}"
             )
@@ -446,7 +418,7 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
     instances = list(scene.instances)
     detections = list(scene.detections)
 
-    omit = {k: float(p) for k, p in pspec.omit_instance_prob.items() if p > 0}
+    omit = {k: p for k, p in pspec.omit_instance_prob.items() if p > 0}
     if omit:
         rng = np.random.default_rng(derive_seed(pspec.seed, "omit"))
         kept = []

@@ -160,25 +160,28 @@ def brute_bbox_hits(instances, x: float, y: float) -> set:
     return hits
 
 
-def brute_assign_table(detections, instances) -> AssignmentTable:
-    """All-pairs assignment: every polygon tested against every detection."""
-    counts: Dict[str, int] = {inst.id: 0 for inst in instances}
+def brute_members(detections, instances) -> Dict[str, Tuple[str, ...]]:
+    """All-pairs containment: every polygon tested against every detection;
+    the sorted ids of the detections inside each instance."""
     members: Dict[str, Tuple[str, ...]] = {inst.id: () for inst in instances}
-    det_ids = [d.id for d in detections]
     if not detections:
-        return AssignmentTable(counts, members, ())
+        return members
     xs = np.array([d.point[0] for d in detections], dtype=np.float64)
     ys = np.array([d.point[1] for d in detections], dtype=np.float64)
-    assigned = np.zeros(len(detections), dtype=bool)
     for inst in instances:
         hit = brute_contains_many(inst.polygon.exterior, inst.polygon.holes, xs, ys)
-        if hit.any():
-            picked = np.nonzero(hit)[0]
-            counts[inst.id] = int(picked.size)
-            members[inst.id] = tuple(sorted(det_ids[j] for j in picked))
-            assigned |= hit
-    unassigned = tuple(sorted(det_ids[j] for j in np.nonzero(~assigned)[0]))
-    return AssignmentTable(counts=counts, members=members, unassigned=unassigned)
+        members[inst.id] = tuple(sorted(detections[j].id for j in np.nonzero(hit)[0]))
+    return members
+
+
+def brute_assign_table(detections, instances) -> AssignmentTable:
+    """The assignment table of :func:`brute_members`."""
+    members = brute_members(detections, instances)
+    inside = {m for ids in members.values() for m in ids}
+    return AssignmentTable(
+        counts={iid: len(ids) for iid, ids in members.items()},
+        unassigned=tuple(sorted(d.id for d in detections if d.id not in inside)),
+    )
 
 
 # ---------------------------------------------------------------------------

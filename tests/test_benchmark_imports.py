@@ -1,11 +1,12 @@
 """The benchmark's decomposed paths call the package's layers directly, so
-every name they import from ``banffscore`` must still exist.  The benchmark
-files are only parsed here, never run."""
+every name they import from ``banffscore`` must still exist and take the
+arguments they pass.  The benchmark files are only parsed here, never run."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,41 @@ def test_benchmark_imports_resolve(file_name):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{file_name} imports names banffscore no longer has: {missing}"
+
+
+@pytest.mark.parametrize("file_name", ["decomposed.py", "workloads.py"])
+def test_benchmark_call_arguments_bind(file_name):
+    """Every call the file makes to a ``banffscore`` name (or to an attribute
+    of one, such as ``SceneSpec.from_dict``) binds to that callable's
+    signature, keyword names and positional count included."""
+    tree = ast.parse((BENCHMARKS / file_name).read_text(encoding="utf-8"))
+    names = {
+        alias.asname or alias.name: getattr(importlib.import_module(node.module), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "banffscore"
+        for alias in node.names
+    }
+    checked, unbound = 0, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            target = names[func.id]
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in names
+        ):
+            target = getattr(names[func.value.id], func.attr)
+        else:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+            continue
+        checked += 1
+        try:
+            inspect.signature(target).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {node.lineno}: {ast.unparse(node)[:80]}: {exc}")
+    assert checked, f"{file_name} makes no call to a banffscore name"
+    assert not unbound, f"{file_name} calls banffscore with arguments it no longer takes: {unbound}"

@@ -537,6 +537,100 @@ class TestRenderCommand:
         assert main(["render", "--scene", str(bad), "--out-dir", str(tmp_path)]) == 2
 
 
+class Literal(str):
+    """A value written into the JSON text as it is, unquoted."""
+
+
+BIG_INT = 10**400  # valid JSON, too large for a float
+RING_X = ("features", 0, "geometry", "coordinates", 0, 1, 0)  # glom-a, vertex 1, x = 130
+
+
+def bad_number_inputs(command, section_files, tmp_path):
+    """The JSON files one ``command`` run reads, by role, and its argv."""
+    if command == "score":
+        structures, detections = section_files
+        gt = write_json(
+            tmp_path / "gt.geojson",
+            {"type": "FeatureCollection", "features": [], "properties": {"banff_g": 1}},
+        )
+        files = {"structures": structures, "detections": detections, "gt": gt}
+        argv = ["score", "--structures", str(structures), "--detections", str(detections), "--gt", str(gt)]
+    elif command == "sensitivity":
+        spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        pspec = write_json(tmp_path / "p.json", {"detection_fp_count": 5, "seed": 3})
+        scene = tmp_path / "synth-x.scene.json"
+        files = {"scene": scene}
+        argv = ["sensitivity", "--scene", str(scene), "--perturb", str(pspec), "--trials", "2"]
+    else:
+        report, gt = make_report_and_gt(tmp_path, "s", grade=0)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{report},{gt}\n", encoding="utf-8")
+        files = {"report": report}
+        argv = ["evaluate", "--manifest", str(manifest)]
+    return files, argv + ["--out-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize(
+    "command, role, path, value, field",
+    [
+        pytest.param("score", "structures", RING_X, BIG_INT, "feature glom-a: non-finite ring vertex",
+                     id="ring-vertex-huge-int"),
+        pytest.param("score", "structures", RING_X, "130", "feature glom-a: non-numeric ring vertex",
+                     id="ring-vertex-string"),
+        pytest.param("score", "detections", ("points", 0, "point"), [BIG_INT, 100], "points[0].point",
+                     id="point-huge-int"),
+        pytest.param("score", "detections", ("points", 0, "point"), [True, False], "points[0].point",
+                     id="point-bools"),
+        pytest.param("score", "detections", ("points", 0, "point"), ["1", "2"], "points[0].point",
+                     id="point-strings"),
+        pytest.param("score", "detections", ("points", 0, "probability"), BIG_INT, "points[0].probability",
+                     id="probability-huge-int"),
+        pytest.param("score", "detections", ("points", 0, "point"), [Literal("1" + "0" * 5000), 100],
+                     "not valid JSON", id="point-int-literal-too-long-to-read"),
+        pytest.param("score", "gt", ("properties", "banff_g"), float("nan"), "banff_g", id="gt-nan"),
+        pytest.param("score", "gt", ("properties", "banff_g"), float("inf"), "banff_g", id="gt-infinity"),
+        pytest.param("score", "gt", ("properties", "banff_g"), Literal("1e309"), "banff_g", id="gt-1e309"),
+        pytest.param("score", "gt", ("properties", "banff_g"), BIG_INT, "banff_g", id="gt-huge-int"),
+        pytest.param("sensitivity", "scene", ("detections", 0, "confidence"), BIG_INT,
+                     "detections[0].confidence", id="scene-confidence-huge-int"),
+        pytest.param("sensitivity", "scene", ("detections", 0, "confidence"), "0.7",
+                     "detections[0].confidence", id="scene-confidence-string"),
+        pytest.param("sensitivity", "scene", ("detections", 0, "confidence"), True,
+                     "detections[0].confidence", id="scene-confidence-bool"),
+        pytest.param("sensitivity", "scene", ("detections", 0, "point"), [True, False],
+                     "detections[0].point", id="scene-point-bools"),
+        pytest.param("sensitivity", "scene", ("detections", 0, "point"), ["1", "2"],
+                     "detections[0].point", id="scene-point-strings"),
+        pytest.param("sensitivity", "scene", ("metadata", "canvas"), [0, 0, -5, "x"], "metadata.canvas",
+                     id="scene-canvas-string"),
+        pytest.param("sensitivity", "scene", ("metadata", "canvas"), [0, 0, float("inf"), 100],
+                     "metadata.canvas", id="scene-canvas-infinity"),
+        pytest.param("evaluate", "report", ("g", "inflamed_fraction_ratio"), [1, 0],
+                     "g.inflamed_fraction_ratio", id="report-zero-denominator"),
+        pytest.param("evaluate", "report", ("g", "grade"), float("inf"), "g.grade", id="report-grade-infinity"),
+        pytest.param("evaluate", "report", ("g", "grade"), "2", "g.grade", id="report-grade-string"),
+    ],
+)
+def test_bad_number_exits_2(command, role, path, value, field, section_files, tmp_path, capsys):
+    files, argv = bad_number_inputs(command, section_files, tmp_path)
+    doc = json.loads(files[role].read_text(encoding="utf-8"))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    text = json.dumps(doc)
+    for literal in value if isinstance(value, list) else [value]:
+        if isinstance(literal, Literal):
+            text = text.replace(json.dumps(literal), literal)
+    files[role].write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
 def config_block(doc: dict) -> str:
     """The provenance block of an output, as canonical JSON text."""
     return json.dumps(doc["config"], sort_keys=True, separators=(",", ":"))

@@ -32,6 +32,7 @@ from conftest import (
 from oracles import (
     brute_assign_table,
     brute_bbox_hits,
+    brute_members,
     naive_point_in_polygon,
     trapezoid_polygon_area,
 )
@@ -267,7 +268,8 @@ class TestAssignDetections:
         outside = [mk_detection("out1", 100.0, 100.0), mk_detection("out2", -50.0, 0.0)]
         table = assign_detections(inside + outside, instances, build_index(instances))
         assert table.counts == {"glom": 5}
-        assert set(table.members["glom"]) == {d.id for d in inside}
+        assert table == brute_assign_table(inside + outside, instances)
+        assert brute_members(inside + outside, instances) == {"glom": tuple(d.id for d in inside)}
         assert set(table.unassigned) == {"out1", "out2"}
 
     def test_detection_in_overlapping_instances_counts_in_each(self):
@@ -358,9 +360,6 @@ class TestAssignDetections:
             tables = [assign_detections(batch, instances, index) for batch in parts]
             merged = AssignmentTable(
                 counts={i: sum(t.counts[i] for t in tables) for i in whole.counts},
-                members={
-                    i: tuple(sorted(m for t in tables for m in t.members[i])) for i in whole.members
-                },
                 unassigned=tuple(sorted(u for t in tables for u in t.unassigned)),
             )
             assert merged == whole

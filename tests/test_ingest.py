@@ -20,6 +20,8 @@ from banffscore import geometry
 from banffscore.ingest import (
     _clean_ring,
     _first_self_intersecting_ring,
+    as_number,
+    checked_integer,
     dedup_detections,
     parse_detections,
     parse_ground_truth,
@@ -388,6 +390,89 @@ class TestSceneRoundTrip:
         doc["instances"][0]["polygon"]["exterior"] = [[0, 0], [10, 10], [10, 0], [0, 14]]
         with pytest.raises(DegenerateGeometry, match="bow-tie: self-intersecting"):
             read_scene(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "section, field, value, message",
+        [
+            ("instances", "polygon", None, "instances[0].polygon: expected an object"),
+            ("instances", "polygon", [[0, 0]], "instances[0].polygon: expected an object"),
+            ("instances", "polygon", {"exterior": SQUARE_RING, "holes": 3}, "instances[0].polygon: expected"),
+            ("instances", "class", "vessel", "instances[0].class: unknown class 'vessel'"),
+            ("instances", "class", 5, "instances[0].class: unknown class 5"),
+            ("instances", "properties", [1, 2], "instances[0].properties: expected an object"),
+            ("instances", "id", None, "instances[0]: expected an object with an 'id'"),
+            ("detections", "point", None, "detections[0].point: expected [x, y] of numbers, got None"),
+            ("detections", "point", "ab", "detections[0].point: expected [x, y] of numbers, got 'ab'"),
+            ("detections", "point", [1.0, float("nan")], "detections[0].point: non-finite point"),
+            ("detections", "class", "platelet", "detections[0].class: unknown class 'platelet'"),
+            ("detections", "confidence", 1.5, "detections[0].confidence: expected a number in [0, 1]"),
+        ],
+    )
+    def test_bad_entry_names_index_and_field(self, section, field, value, message):
+        scene = SectionScene(
+            section_id="s",
+            instances=[mk_instance("glom", GLOMERULUS, square(5.0, 5.0, 5.0))],
+            detections=[mk_detection("d0", 5.0, 5.0)],
+        )
+        doc = json.loads(write_scene(scene))
+        entry = doc[section][0]
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        with pytest.raises(MalformedDocument) as info:
+            read_scene(json.dumps(doc).encode())
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("canvas", [[0, 0, 100], [0, 0, 0, 100], [0, 0, True, 100], None])
+    def test_present_invalid_canvas_rejected(self, canvas):
+        doc = json.loads(write_scene(SectionScene(section_id="s", metadata={"canvas": canvas})))
+        with pytest.raises(MalformedDocument, match=r"metadata\.canvas: expected"):
+            read_scene(json.dumps(doc).encode())
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize(
+        "value, number",
+        [
+            (1.5, 1.5),
+            (np.float64(2.5), 2.5),
+            (3, 3.0),
+            (np.int64(4), 4.0),
+            pytest.param(10**400, math.inf, id="huge-int"),
+            pytest.param(-(10**400), -math.inf, id="huge-negative-int"),
+            (True, None),
+            ("1.5", None),
+            (None, None),
+            ([1.0], None),
+        ],
+    )
+    def test_as_number(self, value, number):
+        assert as_number(value) == number
+        assert number is None or type(as_number(value)) is float
+
+    def test_as_number_passes_nan_through(self):
+        assert math.isnan(as_number(float("nan")))
+
+    @pytest.mark.parametrize("value, integer", [(2, 2), (2.0, 2), (2**60 + 1, 2**60 + 1), (-3, -3)])
+    def test_checked_integer_accepts(self, value, integer):
+        got = checked_integer(value, "k", MalformedDocument)
+        assert got == integer and type(got) is int
+
+    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), 10**400, "2", True, None],
+                             ids=["fraction", "nan", "inf", "huge-int", "string", "bool", "null"])
+    def test_checked_integer_rejects(self, value):
+        with pytest.raises(MalformedDocument, match="^k: expected an integer"):
+            checked_integer(value, "k", MalformedDocument)
+
+    def test_probability_rule_is_the_scene_confidence_rule(self):
+        for value in ("0.7", True, 10**400, float("nan"), -0.1):
+            with pytest.raises(SchemaViolation, match=r"points\[0\]\.probability"):
+                parse_detections(detection_doc([{"name": "lymphocyte", "point": [0, 0], "probability": value}]))
+            scene = json.loads(write_scene(SectionScene("s", detections=[mk_detection("d0", 0.0, 0.0)])))
+            scene["detections"][0]["confidence"] = value
+            with pytest.raises(MalformedDocument, match=r"detections\[0\]\.confidence"):
+                read_scene(json.dumps(scene).encode())
 
 
 # ---------------------------------------------------------------------------
