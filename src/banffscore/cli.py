@@ -33,7 +33,7 @@ from .ingest import (
 )
 from .model import SectionScene
 from .render import render_svg
-from .scoring import report_from_dict, report_to_json, score_section
+from .scoring import report_from_dict, report_to_dict, score_section
 from .synth import PerturbationSpec, SceneSpec, generate_scene, sensitivity_run
 
 Output = Tuple[Path, bytes]
@@ -109,14 +109,12 @@ def _cmd_score(args: argparse.Namespace) -> int:
         detections_path.read_bytes(), min_confidence=0.0, classes=None, aliases=config.cell_aliases
     )
     scene = SectionScene(section_id=section_id, instances=instances, detections=detections)
-    doc = report_to_json(score_section(scene, config))
+    doc = report_to_dict(score_section(scene, config))
     if gt_path is not None:
         gt = parse_ground_truth(gt_path.read_bytes())
-        merged = load_json_bytes(doc)
-        merged["ground_truth"] = {"g": gt.g, "ptc": gt.ptc, "v": gt.v}
-        doc = canonical_json_bytes(merged)
+        doc["ground_truth"] = {"g": gt.g, "ptc": gt.ptc, "v": gt.v}
     out_dir = Path(args.out_dir)
-    _write_all([(out_dir / f"{section_id}.score.json", doc)])
+    _write_all([(out_dir / f"{section_id}.score.json", canonical_json_bytes(doc))])
     return 0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -159,116 +159,88 @@ def point_in_polygon(point: Point, poly: Polygon) -> bool:
 
 
 class SpatialIndex:
-    """Uniform grid over the bounds of a set of instances, immutable after
-    construction.
+    """Uniform grid over the bounds of a set of instances.
 
-    Points are bucketed by grid cell; :meth:`candidate_positions` returns
-    every point whose cell overlaps a bounding box's cell range, and
-    :meth:`instances_at` every instance whose bbox cell range covers a
-    point's cell.  Being a superset of the exact bbox hits is the
-    correctness contract, the grid only narrows the scan.
+    One table backs both queries: for each grid cell, the ascending positions
+    of the instances whose bbox cell range covers that cell, stored as CSR
+    arrays (``_offsets`` into ``_members``).  Points and bbox corners map to
+    cells through the same monotone arithmetic, so a cell's list is a
+    superset of the instances whose bbox holds any point of that cell.
+    :meth:`pairs` filters it to the exact closed-bbox hits; :meth:`instances_at`
+    returns the unfiltered list for one point.  The answers never change
+    after construction.  An empty index has empty bounds (+inf minima,
+    -inf maxima), which hold no point.
     """
 
-    def __init__(
-        self,
-        ids: Sequence[str],
-        bboxes: Sequence[BoundingBox],
-        bounds: Optional[BoundingBox],
-        nx: int,
-        ny: int,
-    ):
+    def __init__(self, ids: Sequence[str], bboxes: Sequence[BoundingBox]):
         self._ids: Tuple[str, ...] = tuple(ids)
-        self._bboxes: Tuple[BoundingBox, ...] = tuple(bboxes)
-        self._bounds = bounds
-        self._nx = nx
-        self._ny = ny
-        if bounds is not None:
-            self._cell_w = max(bounds.width / nx, 1e-12)
-            self._cell_h = max(bounds.height / ny, 1e-12)
-        else:
-            self._cell_w = self._cell_h = 1.0
+        n = len(self._ids)
+        self._boxes = np.asarray(bboxes, dtype=np.float64).reshape(n, 4)
+        self._side = max(1, min(128, 2 * math.isqrt(n)))
+        lo = self._boxes[:, :2].min(axis=0, initial=math.inf).tolist()
+        hi = self._boxes[:, 2:].max(axis=0, initial=-math.inf).tolist()
+        self._bounds = BoundingBox(*lo, *hi)
+        self._cell_w = max(self._bounds.width / self._side, 1e-12)
+        self._cell_h = max(self._bounds.height / self._side, 1e-12)
+        # cell range of each bbox, then one (cell, instance) entry per covered cell
+        ix0, iy0 = self._cells(self._boxes[:, 0], self._boxes[:, 1])
+        ix1, iy1 = self._cells(self._boxes[:, 2], self._boxes[:, 3])
+        w = ix1 - ix0 + 1
+        span = w * (iy1 - iy0 + 1)
+        owner = np.repeat(np.arange(n, dtype=np.int64), span)
+        k = np.arange(owner.size, dtype=np.int64) - np.repeat(np.cumsum(span) - span, span)
+        cell = (iy0[owner] + k // w[owner]) * self._side + ix0[owner] + k % w[owner]
+        self._members = owner[np.argsort(cell, kind="stable")]
+        self._offsets = np.zeros(self._side * self._side + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell, minlength=self._side * self._side), out=self._offsets[1:])
+        self._at: Dict[int, Tuple[int, ...]] = {}  # instances_at's tuple per cell, filled on use
 
     @property
     def ids(self) -> Tuple[str, ...]:
         return self._ids
 
-    def _cell_coords(self, x: float, y: float) -> Tuple[int, int]:
+    def _cells(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Grid column and row of points inside the index bounds."""
+        b, last = self._bounds, self._side - 1
+        ix = np.minimum(((xs - b.min_x) / self._cell_w).astype(np.int64), last)
+        iy = np.minimum(((ys - b.min_y) / self._cell_h).astype(np.int64), last)
+        return ix, iy
+
+    def pairs(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every (point position, instance position) pair whose closed bbox
+        holds the point, ordered by point, then by instance."""
         b = self._bounds
-        ix = min(int((x - b.min_x) / self._cell_w), self._nx - 1)
-        iy = min(int((y - b.min_y) / self._cell_h), self._ny - 1)
-        return max(ix, 0), max(iy, 0)
-
-    def _cell_range(self, bbox: BoundingBox) -> Tuple[int, int, int, int]:
-        ix0, iy0 = self._cell_coords(bbox.min_x, bbox.min_y)
-        ix1, iy1 = self._cell_coords(bbox.max_x, bbox.max_y)
-        return ix0, iy0, ix1, iy1
-
-    def point_cells(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Grid cell code per point, -1 for points outside the index bounds."""
-        codes = np.full(xs.shape, -1, dtype=np.int64)
-        b = self._bounds
-        if b is None:
-            return codes
-        ok = (xs >= b.min_x) & (xs <= b.max_x) & (ys >= b.min_y) & (ys <= b.max_y)
-        ix = np.clip(((xs - b.min_x) / self._cell_w).astype(np.int64), 0, self._nx - 1)
-        iy = np.clip(((ys - b.min_y) / self._cell_h).astype(np.int64), 0, self._ny - 1)
-        codes[ok] = (iy * self._nx + ix)[ok]
-        return codes
-
-    @cached_property
-    def _cell_members(self) -> Tuple[Tuple[int, ...], ...]:
-        cells: List[List[int]] = [[] for _ in range(self._nx * self._ny)]
-        for pos, bbox in enumerate(self._bboxes):
-            ix0, iy0, ix1, iy1 = self._cell_range(bbox)
-            for iy in range(iy0, iy1 + 1):
-                for ix in range(ix0, ix1 + 1):
-                    cells[iy * self._nx + ix].append(pos)
-        return tuple(tuple(c) for c in cells)
+        pts = np.flatnonzero((xs >= b.min_x) & (xs <= b.max_x) & (ys >= b.min_y) & (ys <= b.max_y))
+        ix, iy = self._cells(xs[pts], ys[pts])
+        cell = iy * self._side + ix
+        start, stop = self._offsets[cell], self._offsets[cell + 1]
+        n = stop - start
+        pt = np.repeat(pts, n)
+        inst = self._members[np.arange(pt.size, dtype=np.int64) + np.repeat(start - (np.cumsum(n) - n), n)]
+        px, py, box = xs[pt], ys[pt], self._boxes[inst]
+        hit = (px >= box[:, 0]) & (px <= box[:, 2]) & (py >= box[:, 1]) & (py <= box[:, 3])
+        return pt[hit], inst[hit]
 
     def instances_at(self, x: float, y: float) -> Tuple[int, ...]:
-        """Positions (into the indexed instances, ascending) of the instances
-        whose bbox cell range covers the point's grid cell.  Superset of the
-        instances whose bbox contains the point."""
+        """Positions (into the indexed instances, ascending) listed for the
+        point's grid cell: a superset of the instances whose bbox holds the
+        point.  Same cell arithmetic as :meth:`pairs`, on Python floats."""
         b = self._bounds
-        if b is None or not b.contains(x, y):
+        if not b.contains(x, y):
             return ()
-        ix, iy = self._cell_coords(x, y)
-        return self._cell_members[iy * self._nx + ix]
-
-    def candidate_positions(
-        self, bbox: BoundingBox, sorted_codes: np.ndarray, order: np.ndarray
-    ) -> np.ndarray:
-        """Positions (into the original point arrays) of points whose grid cell
-        overlaps the bbox's cell range.  Superset of the points inside bbox."""
-        if self._bounds is None:
-            return np.empty(0, dtype=np.int64)
-        ix0, iy0, ix1, iy1 = self._cell_range(bbox)
-        parts = []
-        nx = self._nx
-        for iy in range(iy0, iy1 + 1):
-            lo = np.searchsorted(sorted_codes, iy * nx + ix0, side="left")
-            hi = np.searchsorted(sorted_codes, iy * nx + ix1, side="right")
-            if hi > lo:
-                parts.append(order[lo:hi])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        last = self._side - 1
+        ix = min(int((x - b.min_x) / self._cell_w), last)
+        cell = min(int((y - b.min_y) / self._cell_h), last) * self._side + ix
+        if cell not in self._at:
+            self._at[cell] = tuple(self._members[self._offsets[cell] : self._offsets[cell + 1]].tolist())
+        return self._at[cell]
 
 
 def build_index(instances: Sequence) -> SpatialIndex:
     """Grid index over the bounding boxes of ``instances`` (objects with
     ``.id`` and ``.polygon``).  An empty list yields an index that returns
     no candidates."""
-    ids = [inst.id for inst in instances]
-    bboxes = [inst.polygon.bounds for inst in instances]
-    if not instances:
-        return SpatialIndex(ids, bboxes, None, 1, 1)
-    min_x = min(b.min_x for b in bboxes)
-    min_y = min(b.min_y for b in bboxes)
-    max_x = max(b.max_x for b in bboxes)
-    max_y = max(b.max_y for b in bboxes)
-    side = max(1, min(128, 2 * math.isqrt(len(instances))))
-    return SpatialIndex(ids, bboxes, BoundingBox(min_x, min_y, max_x, max_y), side, side)
+    return SpatialIndex([inst.id for inst in instances], [inst.polygon.bounds for inst in instances])
 
 
 @dataclass(frozen=True)
@@ -285,39 +257,28 @@ def assign_detections(detections: Sequence, instances: Sequence, index: SpatialI
     """Assign each detection to every instance whose polygon contains it.
 
     A detection inside several instances counts toward each of them.
-    Raises IndexMismatch if ``index`` was built over a different instance set.
+    Raises IndexMismatch unless ``index`` was built over the same instances
+    in the same order.
     """
-    inst_ids = [inst.id for inst in instances]
-    if len(inst_ids) != len(index.ids) or set(inst_ids) != set(index.ids):
+    inst_ids = tuple(inst.id for inst in instances)
+    if inst_ids != index.ids:
         raise IndexMismatch(
-            f"index covers {len(index.ids)} instances, got {len(inst_ids)} with different ids"
+            f"index covers {len(index.ids)} instances, got {len(inst_ids)} with different ids or order"
         )
     counts: Dict[str, int] = {i: 0 for i in inst_ids}
-    if not detections:
-        return AssignmentTable(counts, ())
     m = len(detections)
     xs = np.fromiter((d.point[0] for d in detections), dtype=np.float64, count=m)
     ys = np.fromiter((d.point[1] for d in detections), dtype=np.float64, count=m)
+    pt, inst = index.pairs(xs, ys)
+    order = np.argsort(inst, kind="stable")
+    pt, inst = pt[order], inst[order]
     assigned = np.zeros(m, dtype=bool)
-    if instances:
-        codes = index.point_cells(xs, ys)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        for inst in instances:
-            bbox = inst.polygon.bounds
-            cand = index.candidate_positions(bbox, sorted_codes, order)
-            if cand.size == 0:
-                continue
-            cx = xs[cand]
-            cy = ys[cand]
-            in_box = (cx >= bbox.min_x) & (cx <= bbox.max_x) & (cy >= bbox.min_y) & (cy <= bbox.max_y)
-            cand = cand[in_box]
-            if cand.size == 0:
-                continue
-            hit = contains_points(inst.polygon, xs[cand], ys[cand])
-            sel = cand[hit]
-            if sel.size:
-                counts[inst.id] = int(sel.size)
-                assigned[sel] = True
+    cuts = np.flatnonzero(np.diff(inst, prepend=-1, append=len(inst_ids)))
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        k, cand = int(inst[lo]), pt[lo:hi]
+        sel = cand[contains_points(instances[k].polygon, xs[cand], ys[cand])]
+        if sel.size:
+            counts[inst_ids[k]] = int(sel.size)
+            assigned[sel] = True
     unassigned = tuple(sorted(detections[j].id for j in np.nonzero(~assigned)[0]))
     return AssignmentTable(counts=counts, unassigned=unassigned)

@@ -455,33 +455,26 @@ def dedup_detections(detections: Sequence[Detection], radius: float) -> List[Det
         raise ValueError("radius must be >= 0")
     ranked = sorted(detections, key=lambda d: (-d.confidence, d.id))
     kept_ids: Set[str] = set()
-    if radius == 0:
-        seen_points: Set[Tuple[str, float, float]] = set()
-        for d in ranked:
-            key = (d.cls.kind, d.point[0], d.point[1])
-            if key in seen_points:
-                continue
-            seen_points.add(key)
-            kept_ids.add(d.id)
-    else:
-        buckets: Dict[Tuple[str, int, int], List[Detection]] = {}
-        for d in ranked:
-            cx = math.floor(d.point[0] / radius)
-            cy = math.floor(d.point[1] / radius)
-            suppressed = False
-            for nx in (cx - 1, cx, cx + 1):
-                for ny in (cy - 1, cy, cy + 1):
-                    for other in buckets.get((d.cls.kind, nx, ny), ()):
-                        if math.dist(d.point, other.point) <= radius:
-                            suppressed = True
-                            break
-                    if suppressed:
+    # buckets at least 1 wide, so a tiny radius cannot push a cell index to infinity
+    side = max(radius, 1.0)
+    buckets: Dict[Tuple[str, int, int], List[Detection]] = {}
+    for d in ranked:
+        cx = math.floor(d.point[0] / side)
+        cy = math.floor(d.point[1] / side)
+        suppressed = False
+        for nx in (cx - 1, cx, cx + 1):
+            for ny in (cy - 1, cy, cy + 1):
+                for other in buckets.get((d.cls.kind, nx, ny), ()):
+                    if math.dist(d.point, other.point) <= radius:
+                        suppressed = True
                         break
                 if suppressed:
                     break
-            if not suppressed:
-                buckets.setdefault((d.cls.kind, cx, cy), []).append(d)
-                kept_ids.add(d.id)
+            if suppressed:
+                break
+        if not suppressed:
+            buckets.setdefault((d.cls.kind, cx, cy), []).append(d)
+            kept_ids.add(d.id)
     return [d for d in detections if d.id in kept_ids]
 
 
@@ -522,9 +515,11 @@ def _scene_entry(entry, where: str, parse_class) -> Tuple[str, object]:
     """The id and class of one scene instance or detection entry."""
     if not isinstance(entry, dict) or "id" not in entry:
         raise MalformedDocument(f"{where}: expected an object with an 'id'")
+    if not isinstance(entry["id"], str):
+        raise MalformedDocument(f"{where}.id: expected a string, got {entry['id']!r}")
     label = entry.get("class")
     try:
-        return str(entry["id"]), parse_class(label if isinstance(label, str) else "")
+        return entry["id"], parse_class(label if isinstance(label, str) else "")
     except ValueError:
         raise MalformedDocument(f"{where}.class: unknown class {label!r}") from None
 
@@ -538,6 +533,8 @@ def read_scene(data: bytes) -> SectionScene:
             raise MalformedDocument(f"scene document missing {key!r}")
     if not isinstance(doc["instances"], list) or not isinstance(doc["detections"], list):
         raise MalformedDocument("scene instances/detections must be arrays")
+    if not isinstance(doc["section_id"], str):
+        raise MalformedDocument(f"section_id: expected a string, got {doc['section_id']!r}")
     instances: List[Instance] = []
     seen: Set[str] = set()
     with _self_intersection_sweep() as cleaned:
@@ -571,7 +568,7 @@ def read_scene(data: bytes) -> SectionScene:
     if "canvas" in metadata:
         checked_canvas(metadata["canvas"], "metadata.canvas", MalformedDocument)
     return SectionScene(
-        section_id=str(doc["section_id"]),
+        section_id=doc["section_id"],
         instances=instances,
         detections=detections,
         metadata=metadata,

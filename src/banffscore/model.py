@@ -131,9 +131,6 @@ class SectionScene:
     detections: List[Detection] = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
 
-    def instances_of(self, kind: str) -> List[Instance]:
-        return [i for i in self.instances if i.cls.kind == kind]
-
 
 def scene_canvas(scene: SectionScene) -> Tuple[float, float, float, float]:
     """(min_x, min_y, max_x, max_y) working area of a scene.

@@ -19,6 +19,7 @@ conflated with "no lesion".
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple, Union
@@ -130,6 +131,9 @@ def score_v(counts: Mapping[str, int]) -> Union[MaxCountDetail, Unscorable]:
     return _score_max(counts, "no arteries")
 
 
+_REGRADE = {"g": score_g, "ptc": score_ptc, "v": score_v}
+
+
 @dataclass(frozen=True)
 class ScoreReport:
     """Grades plus full intermediates for one section."""
@@ -217,37 +221,29 @@ def report_to_json(report: ScoreReport) -> bytes:
 
 
 def _detail_from_dict(doc: dict, indicator: str) -> GradeDetail:
-    if doc.get("status") == "unscorable":
-        return Unscorable(str(doc.get("reason", "")))
-    if doc.get("status") != "scored":
-        raise MalformedDocument(f"{indicator}: unknown status {doc.get('status')!r}")
-
-    def integer(value, key: str) -> int:
-        return checked_integer(value, f"{indicator}.{key}", MalformedDocument)
-
-    try:
-        entries = [
-            (str(e["id"]), integer(e["count"], f"per_instance[{k}].count"), e)
-            for k, e in enumerate(doc["per_instance"])
-        ]
-        grade = integer(doc["grade"], "grade")
-        if indicator == "g":
-            num, den = (integer(v, "inflamed_fraction_ratio") for v in doc["inflamed_fraction_ratio"])
-            if den == 0:
-                raise MalformedDocument("g.inflamed_fraction_ratio: zero denominator")
-            return GScoreDetail(
-                per_instance=tuple((iid, count, bool(e["inflamed"])) for iid, count, e in entries),
-                n_structures=integer(doc["n_structures"], "n_structures"),
-                inflamed_fraction=Fraction(num, den),
-                grade=grade,
-            )
-        return MaxCountDetail(
-            per_instance=tuple((iid, count) for iid, count, _ in entries),
-            max_count=integer(doc["max_count"], "max_count"),
-            grade=grade,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocument(f"{indicator}: bad score detail: {exc}") from exc
+    """Re-grade the detail's per-instance counts; every key this program
+    writes for those counts must read back as the same JSON text."""
+    counts: Dict[str, int] = {}
+    if doc.get("status") != "unscorable":
+        entries = doc.get("per_instance")
+        if not isinstance(entries, list):
+            raise MalformedDocument(f"{indicator}.per_instance: expected a list")
+        for k, entry in enumerate(entries):
+            where = f"{indicator}.per_instance[{k}]"
+            iid = entry.get("id") if isinstance(entry, dict) else None
+            if not isinstance(iid, str):
+                raise MalformedDocument(f"{where}.id: expected a string, got {iid!r}")
+            if iid in counts:
+                raise MalformedDocument(f"{where}.id: {iid!r} repeats")
+            count = checked_integer(entry.get("count"), f"{where}.count", MalformedDocument)
+            if count < 0:
+                raise MalformedDocument(f"{where}.count: expected an integer >= 0, got {count}")
+            counts[iid] = count
+    detail = _REGRADE[indicator](counts)
+    for key, value in _detail_to_dict(detail).items():
+        if json.dumps(doc.get(key), sort_keys=True) != json.dumps(value, sort_keys=True):
+            raise MalformedDocument(f"{indicator}.{key}: does not match the re-graded per_instance counts")
+    return detail
 
 
 def report_from_dict(doc: dict) -> ScoreReport:
@@ -260,8 +256,11 @@ def report_from_dict(doc: dict) -> ScoreReport:
             raise MalformedDocument(f"score report missing {indicator!r}")
         details[indicator] = _detail_from_dict(entry, indicator)
     config = doc.get("config", {})
+    section_id = doc.get("section_id", "")
+    if not isinstance(section_id, str):
+        raise MalformedDocument(f"section_id: expected a string, got {section_id!r}")
     return ScoreReport(
-        section_id=str(doc.get("section_id", "")),
+        section_id=section_id,
         g=details["g"],
         ptc=details["ptc"],
         v=details["v"],

@@ -147,16 +147,20 @@ def brute_contains_many(exterior, holes, xs: np.ndarray, ys: np.ndarray) -> np.n
     return result | boundary
 
 
-def brute_bbox_hits(instances, x: float, y: float) -> set:
-    """Exhaustive bounding-box scan: ids of instances whose bbox contains (x, y)."""
-    hits = set()
+def brute_bbox_hits(instances, xs, ys) -> List[set]:
+    """Exhaustive bounding-box scan: for each point, the ids of the instances
+    whose bbox (taken from the exterior vertices) contains it.  Every
+    instance is compared with every point; no grid."""
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    hits: List[set] = [set() for _ in range(xs.size)]
     for inst in instances:
         pts = inst.polygon.exterior
-        if (
-            min(p[0] for p in pts) <= x <= max(p[0] for p in pts)
-            and min(p[1] for p in pts) <= y <= max(p[1] for p in pts)
-        ):
-            hits.add(inst.id)
+        inside = (
+            (min(p[0] for p in pts) <= xs) & (xs <= max(p[0] for p in pts))
+            & (min(p[1] for p in pts) <= ys) & (ys <= max(p[1] for p in pts))
+        )
+        for j in np.flatnonzero(inside).tolist():
+            hits[j].add(inst.id)
     return hits
 
 

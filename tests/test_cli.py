@@ -148,6 +148,21 @@ class TestScoreCommand:
         doc = json.loads((out / "sec1.score.json").read_text())
         assert doc["ground_truth"] == {"g": 2, "ptc": None, "v": None}
 
+    def test_subnormal_dedup_radius_counts_like_radius_zero(self, section_files, tmp_path):
+        structures, _ = section_files
+        doc = detection_doc()
+        doc["points"].append(dict(doc["points"][0], probability=0.6))  # an exact duplicate
+        detections = write_json(tmp_path / "dup.json", doc)
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        details = {}
+        for radius in ("0", "1e-320"):
+            out = tmp_path / radius
+            assert main(argv + ["--dedup-radius", radius, "--out-dir", str(out)]) == 0
+            report = json.loads((out / "sec1.score.json").read_text())
+            details[radius] = [report[k] for k in ("g", "ptc", "v")]
+        assert details["1e-320"] == details["0"]
+        assert details["0"][0]["per_instance"][0] == {"id": "glom-a", "count": 5, "inflamed": True}
+
     def test_config_precedence_file_then_flags(self, section_files, tmp_path):
         structures, detections = section_files
         config = tmp_path / "run.cfg"
@@ -610,6 +625,21 @@ def bad_number_inputs(command, section_files, tmp_path):
                      "g.inflamed_fraction_ratio", id="report-zero-denominator"),
         pytest.param("evaluate", "report", ("g", "grade"), float("inf"), "g.grade", id="report-grade-infinity"),
         pytest.param("evaluate", "report", ("g", "grade"), "2", "g.grade", id="report-grade-string"),
+        pytest.param("evaluate", "report", ("g", "grade"), 3, "g.grade", id="report-grade-not-regraded"),
+        pytest.param("evaluate", "report", ("g", "per_instance", 1, "inflamed"), "false", "g.per_instance",
+                     id="report-inflamed-string"),
+        pytest.param("evaluate", "report", ("g", "per_instance", 0, "count"), -4, "g.per_instance[0].count",
+                     id="report-count-negative"),
+        pytest.param("evaluate", "report", ("g", "per_instance", 0), {"count": 0, "inflamed": False},
+                     "g.per_instance[0].id", id="report-id-missing"),
+        pytest.param("evaluate", "report", ("g", "per_instance", 0, "id"), 7, "g.per_instance[0].id",
+                     id="report-id-number"),
+        pytest.param("evaluate", "report", ("section_id",), 12, "section_id", id="report-section-id-number"),
+        pytest.param("sensitivity", "scene", ("section_id",), 12, "section_id", id="scene-section-id-number"),
+        pytest.param("sensitivity", "scene", ("instances", 0, "id"), 5, "instances[0].id",
+                     id="scene-instance-id-number"),
+        pytest.param("sensitivity", "scene", ("detections", 0, "id"), 5, "detections[0].id",
+                     id="scene-detection-id-number"),
     ],
 )
 def test_bad_number_exits_2(command, role, path, value, field, section_files, tmp_path, capsys):

@@ -11,7 +11,6 @@ from banffscore import geometry
 from banffscore.errors import DegenerateGeometry, IndexMismatch
 from banffscore.geometry import (
     AssignmentTable,
-    BoundingBox,
     Polygon,
     assign_detections,
     build_index,
@@ -181,40 +180,37 @@ class TestBoundaryInclusionProperty:
             assert point_in_polygon(((x1 + x2) / 2.0, (y1 + y2) / 2.0), poly)
 
 
-def candidates_by_bbox(index, bboxes, xs, ys):
-    codes = index.point_cells(xs, ys)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    return [set(index.candidate_positions(b, sorted_codes, order).tolist()) for b in bboxes]
+def bbox_hits_by_point(index, xs, ys):
+    """``index.pairs`` as a set of instance ids per point position."""
+    hits = [set() for _ in range(len(xs))]
+    pt, inst = index.pairs(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+    for j, k in zip(pt.tolist(), inst.tolist()):
+        hits[j].add(index.ids[k])
+    return hits
 
 
 class TestSpatialIndex:
     def test_empty_index_returns_nothing(self):
         index = build_index([])
-        xs, ys = np.array([0.0, 5.0]), np.array([0.0, -3.0])
-        assert (index.point_cells(xs, ys) == -1).all()
-        assert candidates_by_bbox(index, [BoundingBox(-10.0, -10.0, 10.0, 10.0)], xs, ys) == [set()]
+        pt, inst = index.pairs(np.array([0.0, 5.0]), np.array([0.0, -3.0]))
+        assert pt.size == 0 and inst.size == 0
         assert index.instances_at(0.0, 0.0) == ()
 
     def test_single_instance_bbox_hit(self):
         inst = mk_instance("a", GLOMERULUS, UNIT_SQUARE)
         index = build_index([inst])
-        xs, ys = np.array([0.5, 2.0]), np.array([0.5, 2.0])
-        assert candidates_by_bbox(index, [inst.polygon.bounds], xs, ys) == [{0}]
+        pt, pos = index.pairs(np.array([0.5, 2.0]), np.array([0.5, 2.0]))
+        assert pt.tolist() == [0] and pos.tolist() == [0]
+        assert index.instances_at(0.5, 0.5) == (0,)
 
-    def test_candidates_superset_of_bbox_scan(self):
+    def test_pairs_equal_bbox_scan(self):
         instances, detections = random_assignment_scene(seed=404, n_instances=1000, n_detections=0)
         index = build_index(instances)
         rng = np.random.default_rng(405)
         points = rng.uniform(0.0, 4096.0, size=(10_000, 2))
-        candidates = candidates_by_bbox(
-            index, [inst.polygon.bounds for inst in instances], points[:, 0], points[:, 1]
-        )
-        position = {inst.id: k for k, inst in enumerate(instances)}
-        for j, (x, y) in enumerate(points[:2000]):
-            hits = brute_bbox_hits(instances, x, y)
-            for iid in hits:
-                assert j in candidates[position[iid]]
+        brute = brute_bbox_hits(instances, points[:, 0], points[:, 1])
+        assert bbox_hits_by_point(index, points[:, 0], points[:, 1]) == brute
+        for (x, y), hits in zip(points.tolist(), brute):
             assert hits <= {index.ids[k] for k in index.instances_at(x, y)}
 
     @settings(max_examples=80, deadline=None)
@@ -242,17 +238,20 @@ class TestSpatialIndex:
         index = build_index(instances)
         b = index._bounds
         xs = sorted({v for i in instances for v in (i.polygon.bounds.min_x, i.polygon.bounds.max_x)}
-                    | {b.min_x + k * index._cell_w for k in range(index._nx + 1)})
+                    | {b.min_x + k * index._cell_w for k in range(index._side + 1)})
         ys = sorted({v for i in instances for v in (i.polygon.bounds.min_y, i.polygon.bounds.max_y)}
-                    | {b.min_y + k * index._cell_h for k in range(index._ny + 1)})
+                    | {b.min_y + k * index._cell_h for k in range(index._side + 1)})
         points = [(bb.min_x, bb.min_y) for bb in (i.polygon.bounds for i in instances)]
         points += [(bb.max_x, bb.max_y) for bb in (i.polygon.bounds for i in instances)]
         for ix, iy, sx, sy in picks:
             x = float(np.nextafter(xs[ix % len(xs)], sx * np.inf)) if sx else xs[ix % len(xs)]
             y = float(np.nextafter(ys[iy % len(ys)], sy * np.inf)) if sy else ys[iy % len(ys)]
             points.append((x, y))
-        for x, y in points:
-            assert brute_bbox_hits(instances, x, y) <= {index.ids[k] for k in index.instances_at(x, y)}
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        brute = brute_bbox_hits(instances, xs, ys)
+        assert bbox_hits_by_point(index, xs, ys) == brute
+        for (x, y), hits in zip(points, brute):
+            assert hits <= {index.ids[k] for k in index.instances_at(x, y)}
 
 
 class TestAssignDetections:
@@ -299,6 +298,14 @@ class TestAssignDetections:
         other = [mk_instance("b", GLOMERULUS, UNIT_SQUARE)]
         with pytest.raises(IndexMismatch):
             assign_detections([], instances, build_index(other))
+
+    def test_index_over_reordered_instances_rejected(self):
+        instances = [
+            mk_instance("a", GLOMERULUS, UNIT_SQUARE),
+            mk_instance("b", GLOMERULUS, square(5.0, 5.0, 1.0)),
+        ]
+        with pytest.raises(IndexMismatch):
+            assign_detections([mk_detection("d0", 0.5, 0.5)], instances, build_index(instances[::-1]))
 
     def test_matches_brute_force_oracle(self):
         instances, detections = random_assignment_scene(seed=77, n_instances=60, n_detections=5000)

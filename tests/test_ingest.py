@@ -328,7 +328,7 @@ class TestDedupDetections:
             st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 100)),
             max_size=40,
         ),
-        radius=st.sampled_from([0.0, 1.0, 3.5, 10.0]),
+        radius=st.sampled_from([0.0, 1e-320, 0.5, 1.0, 3.5, 10.0]),
     )
     @settings(max_examples=60, deadline=None)
     def test_output_is_subset_and_matches_oracle(self, coords, radius):

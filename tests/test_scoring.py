@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banffscore import ConfigError, RunConfig, __version__
+from banffscore import ConfigError, MalformedDocument, RunConfig, __version__
 from banffscore.model import (
     ARTERY,
     DEFAULT_CELL_ALIASES,
@@ -316,6 +317,35 @@ class TestReportSerialization:
         report = score_section(scene)
         restored = report_from_dict(report_to_dict(report))
         assert restored.v == Unscorable("no arteries")
+
+    @pytest.mark.parametrize(
+        "indicator, mutate, field",
+        [
+            pytest.param("g", lambda d: d.update(grade=float("nan")), "g.grade", id="grade-nan"),
+            pytest.param("g", lambda d: d.update(grade=1.0), "g.grade", id="grade-float"),
+            pytest.param("g", lambda d: d.update(inflamed_fraction=float("nan")), "g.inflamed_fraction",
+                         id="fraction-nan"),
+            pytest.param("g", lambda d: d.update(n_structures=9), "g.n_structures", id="n-structures"),
+            pytest.param("g", lambda d: d.update(status="bogus"), "g.status", id="status-unknown"),
+            pytest.param("g", lambda d: d.update(per_instance={}), "g.per_instance", id="entries-not-a-list"),
+            pytest.param("g", lambda d: d["per_instance"].reverse(), "g.per_instance", id="entries-unsorted"),
+            pytest.param("ptc", lambda d: d.update(max_count=4), "ptc.max_count", id="max-count"),
+            pytest.param("ptc", lambda d: d["per_instance"].append(dict(d["per_instance"][0])),
+                         "ptc.per_instance[3].id", id="id-repeats"),
+            pytest.param("ptc", lambda d: d["per_instance"][0].update(count=2.5), "ptc.per_instance[0].count",
+                         id="count-fraction"),
+            pytest.param("ptc", lambda d: d.update(per_instance=[]), "ptc.status", id="scored-without-entries"),
+            pytest.param("v", lambda d: d.update(reason="no tissue"), "v.reason", id="unscorable-reason"),
+        ],
+    )
+    def test_detail_that_does_not_regrade_is_rejected(self, indicator, mutate, field):
+        scene = workflow_demo_scene()
+        scene.instances = [i for i in scene.instances if i.cls.kind != ARTERY]
+        doc = report_to_dict(score_section(scene))
+        assert report_from_dict(doc).v == Unscorable("no arteries")
+        mutate(doc[indicator])
+        with pytest.raises(MalformedDocument, match=rf"^{re.escape(field)}: "):
+            report_from_dict(doc)
 
     def test_exact_fraction_survives_serialization(self):
         detail = score_g(counts([4, 0, 0]))

@@ -54,9 +54,9 @@ class TestGenerateScene:
         )
         scene, gt = generate_scene(spec)
         assert (gt.g, gt.ptc, gt.v) == (0, 0, 0)
-        assert len(scene.instances_of(GLOMERULUS)) == 5
-        assert len(scene.instances_of(PERITUBULAR_CAPILLARY)) == 3
-        assert len(scene.instances_of(ARTERY)) == 2
+        assert len([i for i in scene.instances if i.cls.kind == GLOMERULUS]) == 5
+        assert len([i for i in scene.instances if i.cls.kind == PERITUBULAR_CAPILLARY]) == 3
+        assert len([i for i in scene.instances if i.cls.kind == ARTERY]) == 2
         assert len(scene.detections) == 100
 
     def test_planted_counts_drive_ground_truth(self):
