@@ -40,6 +40,7 @@ from .model import (
     PERITUBULAR_CAPILLARY,
     CellClass,
     Detection,
+    DetectionTable,
     GroundTruthGrades,
     Instance,
     SectionScene,

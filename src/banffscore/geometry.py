@@ -2,22 +2,27 @@
 
 Containment is ray casting with a boundary-inclusive amendment: a point that
 lies exactly on any ring segment (exterior or hole) counts as inside.  It is
-decided in one place, :func:`_ring_hits`, which evaluates the edge predicate
+decided in one place, the kernel :func:`_contains`, over (point, polygon)
+pairs.  The rings of the polygons form one flat edge table
+(:class:`_EdgeTable`); each pair expands to one (point, ring) row per ring
+of its polygon and each row to one test per edge of its ring, a bounded
+block of tests at a time.  Each test evaluates the edge predicate
 
     d = (x2 - x1) * (py - y1) - (px - x1) * (y2 - y1)
 
-for every edge of a ring against a block of points at once, in exactly this
-operation order (the test oracles repeat it, so agreement is bit-exact).
-For an edge that straddles the horizontal line through the point (half-open
-rule ``(y1 <= py) != (y2 <= py)``), the ray to +x crosses it iff ``d > 0``
-for an upward edge or ``d < 0`` for a downward edge; an odd crossing count
-means inside.  ``d == 0`` with the point inside the edge's bounding box
-means the point sits on the segment itself.  :func:`contains_points` combines
-the exterior with the holes, and :func:`point_in_polygon` is its one-point
-call.  See Hormann & Agathos, "The point in polygon problem for arbitrary
-polygons", Comput. Geom. 20(3), 2001.
+in exactly this operation order (the test oracles repeat it, so agreement
+is bit-exact).  For an edge that straddles the horizontal line through the
+point (half-open rule ``(y1 <= py) != (y2 <= py)``), the ray to +x crosses
+it iff ``d > 0`` for an upward edge or ``d < 0`` for a downward edge; an odd
+crossing count per row means inside the ring.  ``d == 0`` with the point
+inside the edge's bounding box means the point sits on the segment itself.
+A pair holds when the point is inside the exterior and strictly inside no
+hole, or on any ring.  :func:`assign_detections` runs the kernel once over
+every candidate pair from :class:`SpatialIndex`; :func:`contains_points`
+runs it over every point and one polygon, and :func:`point_in_polygon` is
+its one-point call.  See Hormann & Agathos, "The point in polygon problem
+for arbitrary polygons", Comput. Geom. 20(3), 2001.
 """
-
 from __future__ import annotations
 
 import math
@@ -40,14 +45,6 @@ class BoundingBox(NamedTuple):
 
     def contains(self, x: float, y: float) -> bool:
         return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
-
-    @property
-    def width(self) -> float:
-        return self.max_x - self.min_x
-
-    @property
-    def height(self) -> float:
-        return self.max_y - self.min_y
 
 
 def _as_ring(vertices) -> Tuple[Point, ...]:
@@ -111,44 +108,87 @@ class Polygon:
     def _hole_arrs(self) -> Tuple[np.ndarray, ...]:
         return tuple(np.asarray(h, dtype=np.float64) for h in self.holes)
 
+    @cached_property
+    def _edges(self) -> "_EdgeTable":
+        return _EdgeTable([self])
 
-# Edge x point pairs evaluated at once by _ring_hits; bounds its temporaries
-# so peak memory stays flat however many vertices a ring has.
+
+# (point, edge) evaluations at once in the containment kernel; bounds its
+# temporaries so peak memory stays flat however many pairs and vertices a
+# call has.
 _BLOCK_PAIRS = 1 << 16
 
 
-def _ring_hits(ring: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(odd crossing parity, point on a ring segment) for each point, one ring."""
-    nxt = np.roll(ring, -1, axis=0)
-    x1, y1 = ring[:, 0:1], ring[:, 1:2]
-    x2, y2 = nxt[:, 0:1], nxt[:, 1:2]
-    lo_x, hi_x = np.minimum(x1, x2), np.maximum(x1, x2)
-    lo_y, hi_y = np.minimum(y1, y2), np.maximum(y1, y2)
-    dx, dy = x2 - x1, y2 - y1
-    up, down = y2 > y1, y2 < y1
-    inside = np.empty(xs.shape, dtype=bool)
-    on_edge = np.empty(xs.shape, dtype=bool)
-    step = max(1, _BLOCK_PAIRS // ring.shape[0])
-    for lo in range(0, xs.size, step):
-        px, py = xs[lo : lo + step], ys[lo : lo + step]
-        d = dx * (py - y1) - (px - x1) * dy
-        on = (d == 0.0) & (px >= lo_x) & (px <= hi_x) & (py >= lo_y) & (py <= hi_y)
-        crosses = ((y1 <= py) != (y2 <= py)) & ((up & (d > 0.0)) | (down & (d < 0.0)))
-        inside[lo : lo + step] = np.count_nonzero(crosses, axis=0) % 2 == 1
-        on_edge[lo : lo + step] = on.any(axis=0)
-    return inside, on_edge
+class _EdgeTable:
+    """Every ring of a list of polygons as one flat edge table.
+
+    Polygon ``k`` owns rings ``first_ring[k]`` to ``first_ring[k] +
+    n_rings[k] - 1``, its exterior first; ring ``r`` owns edges
+    ``ring_start[r]`` to ``ring_start[r] + ring_size[r] - 1``, and edge ``e``
+    runs from vertex ``e`` to the next vertex of its ring.  ``n_edges[k]``
+    is the edge count over all rings of polygon ``k``.
+    """
+
+    def __init__(self, polygons: Sequence[Polygon]):
+        rings = [r for poly in polygons for r in (poly._exterior_arr, *poly._hole_arrs)]
+        self.n_rings = np.fromiter((1 + len(p.holes) for p in polygons), dtype=np.intp, count=len(polygons))
+        self.first_ring = np.cumsum(self.n_rings) - self.n_rings
+        self.ring_size = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
+        self.ring_start = np.cumsum(self.ring_size) - self.ring_size
+        self.is_hole = np.ones(len(rings), dtype=bool)
+        self.is_hole[self.first_ring] = False
+        sums = np.concatenate(([0], np.cumsum(self.ring_size)))
+        self.n_edges = sums[self.first_ring + self.n_rings] - sums[self.first_ring]
+        xy = np.concatenate(rings) if rings else np.empty((0, 2))
+        nxt = np.arange(1, len(xy) + 1)
+        nxt[self.ring_start + self.ring_size - 1] = self.ring_start
+        self.x1, self.y1 = xy[:, 0], xy[:, 1]
+        self.x2, self.y2 = self.x1[nxt], self.y1[nxt]
+
+
+def _contains(edges: _EdgeTable, px: np.ndarray, py: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Whether polygon ``owner[i]`` holds point ``(px[i], py[i])``, for every
+    (point, polygon) pair ``i``: the one containment kernel.
+
+    Pairs expand to (pair, ring) rows and those to (row, edge) tests, about
+    ``_BLOCK_PAIRS`` tests per block.  Each test evaluates the edge
+    predicate ``d`` and the half-open straddle rule in the module's
+    operation order; ``np.add.reduceat`` gives each row's crossing parity
+    and ``np.logical_or.reduceat`` whether the point is on the ring.
+    """
+    hit = np.empty(owner.size, dtype=bool)
+    cum = np.cumsum(edges.n_edges[owner])
+    start = 0
+    while start < owner.size:
+        done = int(cum[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(cum, done + _BLOCK_PAIRS, side="right")))
+        own = owner[start:stop]
+        nr = edges.n_rings[own]
+        pair = np.repeat(np.arange(own.size), nr)
+        first = np.cumsum(nr) - nr
+        ring = edges.first_ring[own][pair] + np.arange(pair.size) - first[pair]
+        ne = edges.ring_size[ring]
+        row_start = np.cumsum(ne) - ne
+        row = np.repeat(np.arange(ring.size), ne)
+        e = edges.ring_start[ring][row] + np.arange(row.size) - row_start[row]
+        qx, qy = px[start:stop][pair][row], py[start:stop][pair][row]
+        x1, y1, x2, y2 = edges.x1[e], edges.y1[e], edges.x2[e], edges.y2[e]
+        d = (x2 - x1) * (qy - y1) - (qx - x1) * (y2 - y1)
+        on = (d == 0.0) & (qx >= np.minimum(x1, x2)) & (qx <= np.maximum(x1, x2))
+        on &= (qy >= np.minimum(y1, y2)) & (qy <= np.maximum(y1, y2))
+        crosses = ((y1 <= qy) != (y2 <= qy)) & (((y2 > y1) & (d > 0.0)) | ((y2 < y1) & (d < 0.0)))
+        inside = np.add.reduceat(crosses, row_start, dtype=np.intp) % 2 == 1
+        on_ring = np.logical_or.reduceat(on, row_start)
+        in_hole = np.logical_or.reduceat(edges.is_hole[ring] & inside, first)
+        hit[start:stop] = (inside[first] & ~in_hole) | np.logical_or.reduceat(on_ring, first)
+        start = stop
+    return hit
 
 
 def contains_points(poly: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Boundary-inclusive containment of many points in one polygon."""
     poly.area  # validity gate: raises DegenerateGeometry on invalid rings
-    inside, boundary = _ring_hits(poly._exterior_arr, xs, ys)
-    keep = inside.copy()
-    for hole in poly._hole_arrs:
-        h_in, h_on = _ring_hits(hole, xs, ys)
-        boundary |= h_on
-        keep &= ~(h_in & ~h_on)
-    return keep | boundary
+    return _contains(poly._edges, xs, ys, np.zeros(np.size(xs), dtype=np.intp))
 
 
 def point_in_polygon(point: Point, poly: Polygon) -> bool:
@@ -180,8 +220,9 @@ class SpatialIndex:
         lo = self._boxes[:, :2].min(axis=0, initial=math.inf).tolist()
         hi = self._boxes[:, 2:].max(axis=0, initial=-math.inf).tolist()
         self._bounds = BoundingBox(*lo, *hi)
-        self._cell_w = max(self._bounds.width / self._side, 1e-12)
-        self._cell_h = max(self._bounds.height / self._side, 1e-12)
+        # hi / side - lo / side stays finite for bounds that span more than the float range
+        self._cell_w = max(hi[0] / self._side - lo[0] / self._side, 1e-12)
+        self._cell_h = max(hi[1] / self._side - lo[1] / self._side, 1e-12)
         # cell range of each bbox, then one (cell, instance) entry per covered cell
         ix0, iy0 = self._cells(self._boxes[:, 0], self._boxes[:, 1])
         ix1, iy1 = self._cells(self._boxes[:, 2], self._boxes[:, 3])
@@ -200,10 +241,13 @@ class SpatialIndex:
         return self._ids
 
     def _cells(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Grid column and row of points inside the index bounds."""
+        """Grid column and row of points inside the index bounds.  The float
+        cell coordinate is clamped before the int conversion, since ``xs -
+        min_x`` may overflow to infinity."""
         b, last = self._bounds, self._side - 1
-        ix = np.minimum(((xs - b.min_x) / self._cell_w).astype(np.int64), last)
-        iy = np.minimum(((ys - b.min_y) / self._cell_h).astype(np.int64), last)
+        with np.errstate(over="ignore"):
+            ix = np.clip((xs - b.min_x) / self._cell_w, 0, last).astype(np.int64)
+            iy = np.clip((ys - b.min_y) / self._cell_h, 0, last).astype(np.int64)
         return ix, iy
 
     def pairs(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -229,8 +273,8 @@ class SpatialIndex:
         if not b.contains(x, y):
             return ()
         last = self._side - 1
-        ix = min(int((x - b.min_x) / self._cell_w), last)
-        cell = min(int((y - b.min_y) / self._cell_h), last) * self._side + ix
+        ix = int(min(max((x - b.min_x) / self._cell_w, 0), last))
+        cell = int(min(max((y - b.min_y) / self._cell_h, 0), last)) * self._side + ix
         if cell not in self._at:
             self._at[cell] = tuple(self._members[self._offsets[cell] : self._offsets[cell + 1]].tolist())
         return self._at[cell]
@@ -260,25 +304,23 @@ def assign_detections(detections: Sequence, instances: Sequence, index: SpatialI
     Raises IndexMismatch unless ``index`` was built over the same instances
     in the same order.
     """
+    from .model import DetectionTable  # model imports this module
+
     inst_ids = tuple(inst.id for inst in instances)
     if inst_ids != index.ids:
         raise IndexMismatch(
             f"index covers {len(index.ids)} instances, got {len(inst_ids)} with different ids or order"
         )
-    counts: Dict[str, int] = {i: 0 for i in inst_ids}
-    m = len(detections)
-    xs = np.fromiter((d.point[0] for d in detections), dtype=np.float64, count=m)
-    ys = np.fromiter((d.point[1] for d in detections), dtype=np.float64, count=m)
-    pt, inst = index.pairs(xs, ys)
-    order = np.argsort(inst, kind="stable")
-    pt, inst = pt[order], inst[order]
-    assigned = np.zeros(m, dtype=bool)
-    cuts = np.flatnonzero(np.diff(inst, prepend=-1, append=len(inst_ids)))
-    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        k, cand = int(inst[lo]), pt[lo:hi]
-        sel = cand[contains_points(instances[k].polygon, xs[cand], ys[cand])]
-        if sel.size:
-            counts[inst_ids[k]] = int(sel.size)
-            assigned[sel] = True
-    unassigned = tuple(sorted(detections[j].id for j in np.nonzero(~assigned)[0]))
-    return AssignmentTable(counts=counts, unassigned=unassigned)
+    table = DetectionTable.from_rows(detections)
+    pt, inst = index.pairs(table.xs, table.ys)
+    polygons = [i.polygon for i in instances]
+    for k in np.flatnonzero(np.bincount(inst, minlength=len(polygons))).tolist():
+        polygons[k].area  # validity gate, as in contains_points
+    hit = _contains(_EdgeTable(polygons), table.xs[pt], table.ys[pt], inst)
+    counts = np.bincount(inst[hit], minlength=len(inst_ids)).tolist()
+    assigned = np.zeros(len(table), dtype=bool)
+    assigned[pt[hit]] = True
+    return AssignmentTable(
+        counts=dict(zip(inst_ids, counts)),
+        unassigned=tuple(sorted(table.ids[~assigned].tolist())),
+    )

@@ -58,6 +58,7 @@ from .model import (
     KNOWN_CELL_KINDS,
     CellClass,
     Detection,
+    DetectionTable,
     GroundTruthGrades,
     Instance,
     SectionScene,
@@ -365,37 +366,81 @@ def _checked_point(entry: dict, where: str, confidence_key: str, error: type) ->
     return (x, y), confidence
 
 
+def _check_entry(entry, where: str) -> None:
+    """One detection entry's checks, in the order their errors take
+    precedence: an object, then ``name``, then ``point`` and ``probability``."""
+    if not isinstance(entry, dict):
+        raise SchemaViolation(f"{where}: not an object")
+    if not isinstance(entry.get("name"), str):
+        raise SchemaViolation(f"{where}: missing or non-string 'name'")
+    _checked_point(entry, where, "probability", SchemaViolation)
+
+
+def _finite_column(values: list) -> Optional[np.ndarray]:
+    """``values`` as float64 if every one is a float or an int (never a bool
+    or a string) and finite, else None."""
+    if not set(map(type, values)) <= {float, int}:
+        return None
+    try:
+        column = np.array(list(map(float, values)), dtype=np.float64)
+    except OverflowError:  # an int too large for a float is infinite
+        return None
+    return column if np.isfinite(column).all() else None
+
+
+def _point_columns(points: list):
+    """(names, xs, ys, probabilities) of the entries, or None if any entry
+    fails a check of :func:`_check_entry`."""
+    if not set(map(type, points)) <= {dict}:
+        return None
+    names = [e.get("name") for e in points]
+    coords = [e.get("point") for e in points]
+    if not set(map(type, names)) <= {str} or not set(map(type, coords)) <= {list}:
+        return None
+    if points and min(map(len, coords)) < 2:
+        return None
+    xs = _finite_column([p[0] for p in coords])
+    ys = _finite_column([p[1] for p in coords])
+    probs = _finite_column([e.get("probability", 1.0) for e in points])
+    if xs is None or ys is None or probs is None or not ((probs >= 0.0) & (probs <= 1.0)).all():
+        return None
+    return names, xs, ys, probs
+
+
 def parse_detections(
     data: bytes,
     min_confidence: float = 0.5,
     classes: Optional[Iterable] = KNOWN_CELL_KINDS,
     aliases: Optional[Dict[str, str]] = None,
-) -> List[Detection]:
+) -> DetectionTable:
     """Parse detector output, keeping points with class in ``classes`` and
     confidence >= ``min_confidence``.  ``classes=None`` keeps every class.
-    Ids are ``d<i>`` over the document order, stable under filtering."""
+    Ids are ``d<i>`` over the document order, stable under filtering.
+
+    Every entry is checked as a column at once; when a check fails, the
+    entries are checked one by one in document order, so the error names
+    the first bad entry and its first bad field.
+    """
     doc = load_json_bytes(data)
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise MalformedDocument('expected an object with a "points" array')
-    allowed = None
+    points = doc["points"]
+    columns = _point_columns(points)
+    if columns is None:
+        for i, entry in enumerate(points):
+            _check_entry(entry, f"points[{i}]")
+        raise AssertionError("a detection entry failed a column check but no entry check")
+    names, xs, ys, probs = columns
+    class_of = {name: CellClass.from_label(name, aliases) for name in dict.fromkeys(names)}
+    code_of_class: Dict[CellClass, int] = {}
+    code_of = {name: code_of_class.setdefault(cls, len(code_of_class)) for name, cls in class_of.items()}
+    ids = np.empty(len(points), dtype=object)
+    ids[:] = [f"d{i}" for i in range(len(points))]
+    codes = np.fromiter(map(code_of.__getitem__, names), dtype=np.intp, count=len(points))
+    table = DetectionTable(ids, xs, ys, probs, codes, tuple(code_of_class))
     if classes is not None:
-        allowed = {c.kind if isinstance(c, CellClass) else str(c) for c in classes}
-    out: List[Detection] = []
-    for i, entry in enumerate(doc["points"]):
-        where = f"points[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaViolation(f"{where}: not an object")
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise SchemaViolation(f"{where}: missing or non-string 'name'")
-        point, prob = _checked_point(entry, where, "probability", SchemaViolation)
-        cls = CellClass.from_label(name, aliases)
-        if allowed is not None and cls.kind not in allowed:
-            continue
-        if prob < min_confidence:
-            continue
-        out.append(Detection(id=f"d{i}", point=point, cls=cls, confidence=prob))
-    return out
+        classes = {c.kind if isinstance(c, CellClass) else str(c) for c in classes}
+    return table.take(table.keep(classes, min_confidence))
 
 
 # ---------------------------------------------------------------------------
@@ -438,44 +483,91 @@ def parse_ground_truth(data: bytes) -> GroundTruthGrades:
             values = [_grade_value(fp[key], key) for fp in feature_props if key in fp]
             grades[name] = max(values) if values else None
     section_id = coll.get("section_id", doc.get("section_id", ""))
-    return GroundTruthGrades(section_id=str(section_id), **grades)
+    if not isinstance(section_id, str):
+        raise MalformedDocument(f"section_id: expected a string, got {section_id!r}")
+    return GroundTruthGrades(section_id=section_id, **grades)
 
 
 # ---------------------------------------------------------------------------
 # detection dedup
 
-def dedup_detections(detections: Sequence[Detection], radius: float) -> List[Detection]:
+def _close_pairs(table: DetectionTable, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair of row positions i < j of the same class kind with
+    ``math.dist <= radius``.
+
+    Rows go into grid cells of side ``max(radius, 1.0)``, keyed by the dense
+    ranks of ``floor(x / side)`` and ``floor(y / side)`` (floats, so no
+    coordinate overflows an integer), and only rows of the same kind in
+    cells whose ranks differ by at most one are compared.  A candidate
+    survives ``|dx|, |dy| <= nextafter(radius, inf)``, which no pair within
+    ``radius`` fails and which squares nothing, and ``math.dist`` decides
+    the rest, so a pair exactly at the radius is decided as the scalar
+    distance decides it.
+    """
+    side = max(radius, 1.0)
+    _, rx = np.unique(np.floor(table.xs / side), return_inverse=True)
+    _, ry = np.unique(np.floor(table.ys / side), return_inverse=True)
+    nx, ny = int(rx.max(initial=-1)) + 2, int(ry.max(initial=-1)) + 2
+    # one integer per (kind, x rank, y rank) cell, with a spare rank on each
+    # axis so that a neighbour offset never wraps into the next row
+    key = (table.kind_codes() * nx + rx + 1) * ny + ry + 1
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    cells, first, size = np.unique(sorted_key, return_index=True, return_counts=True)
+    pi, pj = [], []
+    for ox in (-1, 0, 1):
+        for oy in (-1, 0, 1):
+            lo = np.searchsorted(sorted_key, cells + ox * ny + oy, side="left")
+            hi = np.searchsorted(sorted_key, cells + ox * ny + oy, side="right")
+            # every row of cell c against every row of its neighbour cell
+            n = size * (hi - lo)
+            cell = np.repeat(np.arange(cells.size), n)
+            k = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
+            width = (hi - lo)[cell]
+            pi.append(order[first[cell] + k // width])
+            pj.append(order[lo[cell] + k % width])
+    i, j = np.concatenate(pi), np.concatenate(pj)
+    reach = np.nextafter(radius, math.inf)
+    with np.errstate(over="ignore"):
+        near = (i < j) & (np.abs(table.xs[i] - table.xs[j]) <= reach)
+        near &= np.abs(table.ys[i] - table.ys[j]) <= reach
+    i, j = i[near], j[near]
+    xs, ys = table.xs.tolist(), table.ys.tolist()
+    close = np.array(
+        [math.dist((xs[a], ys[a]), (xs[b], ys[b])) <= radius for a, b in zip(i.tolist(), j.tolist())],
+        dtype=bool,
+    )
+    return i[close], j[close]
+
+
+def dedup_detections(detections: Sequence[Detection], radius: float) -> DetectionTable:
     """Greedy same-class suppression, highest confidence first (id breaks ties).
 
-    A detection is kept iff no already-kept detection of the same class lies
-    within Euclidean distance <= radius.  Radius 0 suppresses only exact
-    same-class coordinate duplicates.  Output preserves input order.
+    A detection is kept iff no already-kept detection of the same class
+    kind lies within Euclidean distance <= radius (``math.dist``).  Radius
+    0 suppresses only exact same-class coordinate duplicates.  Only the
+    detections with a close neighbour (:func:`_close_pairs`) are ranked, by
+    confidence descending, then id string; each is kept iff none of its
+    earlier-ranked neighbours is kept.  Output preserves input order.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    ranked = sorted(detections, key=lambda d: (-d.confidence, d.id))
-    kept_ids: Set[str] = set()
-    # buckets at least 1 wide, so a tiny radius cannot push a cell index to infinity
-    side = max(radius, 1.0)
-    buckets: Dict[Tuple[str, int, int], List[Detection]] = {}
-    for d in ranked:
-        cx = math.floor(d.point[0] / side)
-        cy = math.floor(d.point[1] / side)
-        suppressed = False
-        for nx in (cx - 1, cx, cx + 1):
-            for ny in (cy - 1, cy, cy + 1):
-                for other in buckets.get((d.cls.kind, nx, ny), ()):
-                    if math.dist(d.point, other.point) <= radius:
-                        suppressed = True
-                        break
-                if suppressed:
-                    break
-            if suppressed:
-                break
-        if not suppressed:
-            buckets.setdefault((d.cls.kind, cx, cy), []).append(d)
-            kept_ids.add(d.id)
-    return [d for d in detections if d.id in kept_ids]
+    table = DetectionTable.from_rows(detections)
+    i, j = _close_pairs(table, radius)
+    involved = np.flatnonzero(np.bincount(np.concatenate((i, j)), minlength=len(table))).tolist()
+    conf, ids = table.confidences.tolist(), table.ids.tolist()
+    rank = np.zeros(len(table), dtype=np.int64)
+    rank[sorted(involved, key=lambda r: (-conf[r], ids[r]))] = np.arange(len(involved))
+    # (later, earlier) pairs in the order of the later one's rank: when a
+    # pair is visited, the earlier row's fate is already final
+    swap = rank[i] < rank[j]
+    later, earlier = np.where(swap, j, i), np.where(swap, i, j)
+    order = np.argsort(rank[later], kind="stable")
+    kept = np.ones(len(table), dtype=bool)
+    for a, b in zip(later[order].tolist(), earlier[order].tolist()):
+        if kept[b]:
+            kept[a] = False
+    return table.take(kept)
 
 
 # ---------------------------------------------------------------------------

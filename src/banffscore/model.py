@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .geometry import Polygon
 
@@ -122,13 +125,85 @@ class Detection:
     confidence: float = 1.0
 
 
+class DetectionTable(Sequence):
+    """Detections as columns: ``ids`` (object array of str), ``xs``, ``ys``
+    and ``confidences`` (float64), and ``codes``, each an index into
+    ``classes``, the distinct cell classes.
+
+    A ``Sequence[Detection]``: ``len``, indexing and iteration build
+    :class:`Detection` rows on demand, so code written for a list of rows
+    reads a table unchanged.  A slice is a table.
+    """
+
+    __slots__ = ("ids", "xs", "ys", "confidences", "codes", "classes")
+
+    def __init__(self, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, confidences: np.ndarray,
+                 codes: np.ndarray, classes: Tuple[CellClass, ...]):
+        self.ids, self.xs, self.ys = ids, xs, ys
+        self.confidences, self.codes, self.classes = confidences, codes, classes
+
+    @classmethod
+    def from_rows(cls, detections: "Sequence[Detection]") -> "DetectionTable":
+        """The table of any sequence of detections; a table is returned as is."""
+        if isinstance(detections, DetectionTable):
+            return detections
+        n = len(detections)
+        code_of: Dict[CellClass, int] = {}
+        codes = [code_of.setdefault(d.cls, len(code_of)) for d in detections]
+        ids = np.empty(n, dtype=object)
+        ids[:] = [d.id for d in detections]
+        return cls(
+            ids,
+            np.fromiter((d.point[0] for d in detections), dtype=np.float64, count=n),
+            np.fromiter((d.point[1] for d in detections), dtype=np.float64, count=n),
+            np.fromiter((d.confidence for d in detections), dtype=np.float64, count=n),
+            np.array(codes, dtype=np.intp),
+            tuple(code_of),
+        )
+
+    def __len__(self) -> int:
+        return self.xs.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        return Detection(self.ids[i], (float(self.xs[i]), float(self.ys[i])),
+                         self.classes[self.codes[i]], float(self.confidences[i]))
+
+    def __iter__(self) -> Iterator[Detection]:
+        classes = self.classes
+        for did, x, y, code, c in zip(self.ids.tolist(), self.xs.tolist(), self.ys.tolist(),
+                                      self.codes.tolist(), self.confidences.tolist()):
+            yield Detection(did, (x, y), classes[code], c)
+
+    def take(self, rows) -> "DetectionTable":
+        """The rows a boolean mask, a position array or a slice selects, in order."""
+        return DetectionTable(self.ids[rows], self.xs[rows], self.ys[rows], self.confidences[rows],
+                              self.codes[rows], self.classes)
+
+    def kind_codes(self) -> np.ndarray:
+        """Per row, an integer that is equal for two rows iff their classes
+        have the same ``kind``."""
+        kinds = [c.kind for c in self.classes]
+        return np.array([kinds.index(k) for k in kinds], dtype=np.intp)[self.codes]
+
+    def keep(self, kinds: Optional[Iterable[str]], min_confidence: float) -> np.ndarray:
+        """Mask of the rows whose class kind is in ``kinds`` (every kind when
+        None) and whose confidence is >= ``min_confidence``."""
+        mask = self.confidences >= min_confidence
+        if kinds is not None:
+            wanted = set(kinds)
+            mask &= np.array([c.kind in wanted for c in self.classes], dtype=bool)[self.codes]
+        return mask
+
+
 @dataclass
 class SectionScene:
     """All instances and detections for one tissue section."""
 
     section_id: str
     instances: List[Instance] = field(default_factory=list)
-    detections: List[Detection] = field(default_factory=list)
+    detections: Sequence[Detection] = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
 
 

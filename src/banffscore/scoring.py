@@ -34,6 +34,7 @@ from .model import (
     GLOMERULUS,
     PERITUBULAR_CAPILLARY,
     SCORABLE_STRUCTURE_KINDS,
+    DetectionTable,
     SectionScene,
 )
 
@@ -155,10 +156,8 @@ def score_section(scene: SectionScene, config: RunConfig = RunConfig()) -> Score
     Deterministic: identical (scene, config) always produce an identical
     report, and the report embeds the config snapshot it was computed with.
     """
-    wanted = set(config.cell_classes)
-    detections = [
-        d for d in scene.detections if d.cls.kind in wanted and d.confidence >= config.min_confidence
-    ]
+    detections = DetectionTable.from_rows(scene.detections)
+    detections = detections.take(detections.keep(config.cell_classes, config.min_confidence))
     if config.dedup_radius is not None:
         detections = dedup_detections(detections, config.dedup_radius)
     scorable = [inst for inst in scene.instances if inst.cls.kind in SCORABLE_STRUCTURE_KINDS]

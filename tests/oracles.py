@@ -10,11 +10,14 @@ with the same operation order as the package, because the suite asserts
 bit-exact agreement on arbitrary float input and only an identical IEEE
 evaluation sequence makes that meaningful.  The ring self-intersection
 oracle tests every pair of edges one at a time, as the reference for the
-package's batched sweep.  The scene generator and the FN/jitter stages are
-the package's earlier per-object loops (an all-instance scan per background
-draw, a triangulation per planted cell, one scalar draw per detection):
-they must consume the random streams in exactly the package's order, since
-the suite asserts identical scenes.
+package's batched sweep.  The bucket-scan dedup and the per-instance
+assignment loop are the package's earlier implementations, kept as
+references for its pair-based dedup and its batched containment kernel.
+The scene generator and the FN/jitter stages are the package's earlier
+per-object loops (an all-instance scan per background draw, a
+triangulation per planted cell, one scalar draw per detection): they must
+consume the random streams in exactly the package's order, since the
+suite asserts identical scenes.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from banffscore.errors import PlacementFailure
-from banffscore.geometry import AssignmentTable, point_in_polygon
+from banffscore.geometry import AssignmentTable, contains_points, point_in_polygon
 from banffscore.model import (
     ARTERY,
     GLOMERULUS,
@@ -300,6 +303,63 @@ def greedy_dedup_quadratic(detections, radius: float) -> List:
             kept.append(d)
     keep_ids = {d.id for d in kept}
     return [d for d in detections if d.id in keep_ids]
+
+
+def bucket_dedup(detections, radius: float) -> List:
+    """The package's earlier dedup: a greedy scan over buckets of side
+    ``max(radius, 1.0)``, each detection compared with the kept ones in the
+    3x3 buckets around its own."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    ranked = sorted(detections, key=lambda d: (-d.confidence, d.id))
+    kept_ids: Set[str] = set()
+    # buckets at least 1 wide, so a tiny radius cannot push a cell index to infinity
+    side = max(radius, 1.0)
+    buckets: Dict[Tuple[str, int, int], List[Detection]] = {}
+    for d in ranked:
+        cx = math.floor(d.point[0] / side)
+        cy = math.floor(d.point[1] / side)
+        suppressed = False
+        for nx in (cx - 1, cx, cx + 1):
+            for ny in (cy - 1, cy, cy + 1):
+                for other in buckets.get((d.cls.kind, nx, ny), ()):
+                    if math.dist(d.point, other.point) <= radius:
+                        suppressed = True
+                        break
+                if suppressed:
+                    break
+            if suppressed:
+                break
+        if not suppressed:
+            buckets.setdefault((d.cls.kind, cx, cy), []).append(d)
+            kept_ids.add(d.id)
+    return [d for d in detections if d.id in kept_ids]
+
+
+# ---------------------------------------------------------------------------
+# assignment: the package's earlier per-instance loop
+
+def per_instance_assign(detections: Sequence, instances: Sequence, index) -> AssignmentTable:
+    """Groups the index's (point, instance) pairs by instance and calls
+    ``contains_points`` once per instance that has a pair."""
+    inst_ids = tuple(inst.id for inst in instances)
+    counts: Dict[str, int] = {i: 0 for i in inst_ids}
+    m = len(detections)
+    xs = np.fromiter((d.point[0] for d in detections), dtype=np.float64, count=m)
+    ys = np.fromiter((d.point[1] for d in detections), dtype=np.float64, count=m)
+    pt, inst = index.pairs(xs, ys)
+    order = np.argsort(inst, kind="stable")
+    pt, inst = pt[order], inst[order]
+    assigned = np.zeros(m, dtype=bool)
+    cuts = np.flatnonzero(np.diff(inst, prepend=-1, append=len(inst_ids)))
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        k, cand = int(inst[lo]), pt[lo:hi]
+        sel = cand[contains_points(instances[k].polygon, xs[cand], ys[cand])]
+        if sel.size:
+            counts[inst_ids[k]] = int(sel.size)
+            assigned[sel] = True
+    unassigned = tuple(sorted(detections[j].id for j in np.nonzero(~assigned)[0]))
+    return AssignmentTable(counts=counts, unassigned=unassigned)
 
 
 # ---------------------------------------------------------------------------

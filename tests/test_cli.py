@@ -148,6 +148,19 @@ class TestScoreCommand:
         doc = json.loads((out / "sec1.score.json").read_text())
         assert doc["ground_truth"] == {"g": 2, "ptc": None, "v": None}
 
+    def test_structures_spanning_more_than_the_float_range(self, tmp_path, capsys):
+        doc = structure_doc()
+        doc["features"] = doc["features"][:2]
+        doc["features"][0]["geometry"]["coordinates"] = [square_ring(-1e308, -1e308, 1e306)]
+        doc["features"][1]["geometry"]["coordinates"] = [square_ring(1e308, 1e308, 1e306)]
+        structures = write_json(tmp_path / "far.geojson", doc)
+        points = [{"name": "lymphocyte", "point": [1e308 + 5e305, 1e308 - 5e305]}]
+        detections = write_json(tmp_path / "far.json", {"points": points})
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "far.score.json").read_text())
+        assert [(e["id"], e["count"]) for e in report["g"]["per_instance"]] == [("glom-a", 0), ("glom-b", 1)]
+
     def test_subnormal_dedup_radius_counts_like_radius_zero(self, section_files, tmp_path):
         structures, _ = section_files
         doc = detection_doc()
@@ -607,6 +620,8 @@ def bad_number_inputs(command, section_files, tmp_path):
         pytest.param("score", "gt", ("properties", "banff_g"), float("inf"), "banff_g", id="gt-infinity"),
         pytest.param("score", "gt", ("properties", "banff_g"), Literal("1e309"), "banff_g", id="gt-1e309"),
         pytest.param("score", "gt", ("properties", "banff_g"), BIG_INT, "banff_g", id="gt-huge-int"),
+        pytest.param("score", "gt", ("properties", "section_id"), 12, "section_id",
+                     id="gt-section-id-number"),
         pytest.param("sensitivity", "scene", ("detections", 0, "confidence"), BIG_INT,
                      "detections[0].confidence", id="scene-confidence-huge-int"),
         pytest.param("sensitivity", "scene", ("detections", 0, "confidence"), "0.7",
@@ -775,6 +790,64 @@ class TestSynthGoldenBytes:
         argv = ["sensitivity", "--scene", str(out / "golden.scene.json"), "--perturb", str(pspec)]
         assert main(argv + ["--trials", "12", "--out-dir", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.SHA256}
+        assert digests == self.SHA256
+
+
+class TestScoreGoldenBytes:
+    """sha256 of the reports ``score`` writes for one fixed section, with and
+    without dedup.  The section covers every containment and dedup edge the
+    grades depend on: an artery with a lumen hole, an ``other`` structure,
+    points exactly on an exterior edge, a hole edge and a vertex, a point in
+    two overlapping glomeruli, a same-class pair exactly 10 apart, a
+    confidence tie where id string order (``d10`` < ``d9``) differs from
+    numeric order, and points dropped by class and by confidence."""
+
+    STRUCTURES = {
+        "type": "FeatureCollection",
+        "features": [
+            {"type": "Feature", "id": fid, "properties": {"classification": {"name": name}},
+             "geometry": {"type": "Polygon", "coordinates": rings}}
+            for fid, name, rings in [
+                ("glom-1", "glomerulus", [square_ring(50, 50, 50)]),
+                ("glom-2", "glomerulus", [square_ring(100, 100, 50)]),
+                ("art-1", "artery", [square_ring(250, 50, 50), square_ring(250, 50, 20)]),
+                ("ptc-1", "ptc", [[[0, 200], [60, 200], [30, 260], [0, 200]]]),
+                ("tub-1", "tubule", [square_ring(450, 50, 50)]),
+            ]
+        ],
+    }
+    POINTS = [
+        ("lymphocyte", [0, 0], 0.8),  # d0: glom-1 vertex, 10 from d1
+        ("lymphocyte", [6, 8], 0.9),  # d1
+        ("lymphocyte", [0, 30], 0.9),  # d2: glom-1 exterior edge
+        ("lymphocyte", [230, 50], 0.9),  # d3: lumen (hole) edge
+        ("lymphocyte", [250, 50], 0.9),  # d4: strictly inside the lumen
+        ("monocyte", [300, 100], 0.7),  # d5: artery vertex
+        ("lymphocyte", [75, 75], 0.95),  # d6: inside glom-1 and glom-2
+        ("plasma cell", [20, 20], 1.0),  # d7: other class
+        ("lymphocyte", [30, 30], 0.4),  # d8: below the confidence floor
+        ("lymphocyte", [148, 120], 0.6),  # d9: glom-2; ties d10, and "d10" < "d9"
+        ("lymphocyte", [153, 124], 0.6),  # d10: in no structure
+        ("monocyte", [30, 220], 0.85),  # d11: ptc-1
+        ("lymphocyte", [600, 600], 0.99),  # d12: in no structure
+        ("lymphocyte", [450, 50], 0.9),  # d13: inside the other structure
+        ("monocyte", [30, 215], 0.85),  # d14: ties d11, 5 away
+    ]
+    SHA256 = {
+        "plain": "82bc0f8ddb207b292a5a2b3760a8a81147e6580b112cae7f6e1b8923fc37e7e4",
+        "dedup-10": "22588d90d682c1f585714152958b277e33fea6228a75018202507121fd9b64ad",
+    }
+
+    def test_report_bytes(self, tmp_path):
+        structures = write_json(tmp_path / "golden.geojson", self.STRUCTURES)
+        points = [{"name": n, "point": p, "probability": c} for n, p, c in self.POINTS]
+        detections = write_json(tmp_path / "golden.json", {"points": points})
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        digests = {}
+        for name, extra in (("plain", []), ("dedup-10", ["--dedup-radius", "10"])):
+            out = tmp_path / name
+            assert main(argv + extra + ["--out-dir", str(out)]) == 0
+            digests[name] = hashlib.sha256((out / "golden.score.json").read_bytes()).hexdigest()
         assert digests == self.SHA256
 
 

@@ -33,6 +33,7 @@ from oracles import (
     brute_bbox_hits,
     brute_members,
     naive_point_in_polygon,
+    per_instance_assign,
     trapezoid_polygon_area,
 )
 
@@ -253,6 +254,24 @@ class TestSpatialIndex:
         for (x, y), hits in zip(points, brute):
             assert hits <= {index.ids[k] for k in index.instances_at(x, y)}
 
+    def test_bounds_wider_than_the_float_range(self):
+        # max_x - min_x overflows to infinity for these bounds
+        instances = [
+            mk_instance("lo", GLOMERULUS, square(-1e308, -1e308, 1e306)),
+            mk_instance("hi", GLOMERULUS, square(1e308, 1e308, 1e306)),
+            mk_instance("mid", GLOMERULUS, square(0.0, 0.0, 1e307)),
+            mk_instance("wide", GLOMERULUS, ((-1.5e308, -1e300), (1.5e308, -1e300), (0.0, 1e300))),
+        ]
+        index = build_index(instances)
+        edges = [-1.5e308, -1.01e308, -1e308, -0.99e308, -1e307, 0.0,
+                 1e307, 0.99e308, 1e308, 1.01e308, 1.5e308]
+        points = [(x, y) for x in edges for y in edges + [-1e300, 1e300]]
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        brute = brute_bbox_hits(instances, xs, ys)
+        assert any(brute) and bbox_hits_by_point(index, xs, ys) == brute
+        for (x, y), hits in zip(points, brute):
+            assert hits <= {index.ids[k] for k in index.instances_at(x, y)}
+
 
 class TestAssignDetections:
     def test_no_detections(self):
@@ -321,6 +340,34 @@ class TestAssignDetections:
         oracle = brute_assign_table(detections, instances)
         assert table == oracle
         assert sum(table.counts.values()) + len(table.unassigned) >= len(detections)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(0, 16), st.integers(0, 16), st.integers(2, 10), st.integers(2, 10),
+                      st.sampled_from(("square", "holed", "triangle"))),
+            min_size=1,
+            max_size=8,
+        ),
+        points=st.lists(st.tuples(st.integers(0, 56), st.integers(0, 56)), max_size=80),
+    )
+    def test_matches_both_oracles_with_holes_boundaries_and_overlaps(self, shapes, points):
+        # half-unit grid points land on edges and vertices of the integer shapes
+        instances = []
+        for k, (x, y, w, h, shape) in enumerate(shapes):
+            box = ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
+            if shape == "triangle":
+                instances.append(mk_instance(f"i{k}", GLOMERULUS, box[:3]))
+            elif shape == "holed" and w > 2 and h > 2:
+                hole = ((x + 1, y + 1), (x + w - 1, y + 1), (x + w - 1, y + h - 1), (x + 1, y + h - 1))
+                instances.append(mk_instance(f"i{k}", GLOMERULUS, box, (hole,)))
+            else:
+                instances.append(mk_instance(f"i{k}", GLOMERULUS, box))
+        detections = [mk_detection(f"d{j}", px / 2, py / 2) for j, (px, py) in enumerate(points)]
+        index = build_index(instances)
+        table = assign_detections(detections, instances, index)
+        assert table == brute_assign_table(detections, instances)
+        assert table == per_instance_assign(detections, instances, index)
 
     def test_permutation_invariance(self):
         instances, detections = random_assignment_scene(seed=51, n_instances=30, n_detections=1500)

@@ -36,12 +36,14 @@ from banffscore.model import (
     MONOCYTE,
     OTHER,
     PERITUBULAR_CAPILLARY,
+    CellClass,
+    Detection,
     SectionScene,
 )
 from banffscore.synth import SceneSpec, generate_scene
 
 from conftest import mk_detection, mk_instance, square
-from oracles import greedy_dedup_quadratic, naive_ring_self_intersects
+from oracles import bucket_dedup, greedy_dedup_quadratic, naive_ring_self_intersects
 
 
 def feature_collection(*features, properties=None):
@@ -180,7 +182,7 @@ class TestParseDetections:
                 {"name": "monocyte", "point": [3.0, 4.0], "probability": 0.4},
             ]
         )
-        assert parse_detections(doc, min_confidence=0.95) == []
+        assert list(parse_detections(doc, min_confidence=0.95)) == []
 
     def test_ids_stable_under_filtering(self):
         dets = parse_detections(self.DOC, min_confidence=0.5)
@@ -194,7 +196,7 @@ class TestParseDetections:
 
     def test_unmapped_class_excluded_by_default_kept_with_none(self):
         doc = detection_doc([{"name": "plasma cell", "point": [0, 0], "probability": 1.0}])
-        assert parse_detections(doc, min_confidence=0.0) == []
+        assert list(parse_detections(doc, min_confidence=0.0)) == []
         (det,) = parse_detections(doc, min_confidence=0.0, classes=None)
         assert det.cls.kind == OTHER and det.cls.label == "plasma cell"
 
@@ -239,6 +241,51 @@ class TestParseDetections:
         n_hi = len(parse_detections(doc, min_confidence=hi))
         assert n_hi <= n_lo
         assert len(parse_detections(doc, min_confidence=0.0)) == len(confidences)
+
+
+    LYMPH = {"name": "lymphocyte", "point": [1.0, 2.0], "probability": 0.9}
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            pytest.param([LYMPH, {"point": [0, 0]}, LYMPH, {"name": "lymphocyte", "point": [0]}],
+                         "points[1]: missing or non-string 'name'", id="first-of-two-bad"),
+            pytest.param([LYMPH, {**LYMPH, "probability": 2}, [1, 2]],
+                         "points[1].probability: expected a number in [0, 1], got 2",
+                         id="probability-before-later-object"),
+            pytest.param([LYMPH, "x", {"name": 3}], "points[1]: not an object", id="not-an-object"),
+            pytest.param([{"name": None, "point": "x", "probability": -1}],
+                         "points[0]: missing or non-string 'name'", id="name-before-point"),
+            pytest.param([{"name": "m", "point": [0, None], "probability": -1}],
+                         "points[0].point: expected [x, y] of numbers, got [0, None]",
+                         id="point-before-probability"),
+            pytest.param([{"name": "m", "point": [True, 0]}],
+                         "points[0].point: expected [x, y] of numbers, got [True, 0]", id="bool-coordinate"),
+            pytest.param([{"name": "m", "point": ["1.5", 0]}],
+                         "points[0].point: expected [x, y] of numbers, got ['1.5', 0]",
+                         id="string-coordinate"),
+            pytest.param([{"name": "m", "point": [10**400, 0]}],
+                         f"points[0].point: non-finite point coordinates {[10**400, 0]!r}",
+                         id="huge-int-coordinate"),
+            pytest.param([{"name": "m", "point": [1.0]}],
+                         "points[0].point: expected [x, y] of numbers, got [1.0]", id="one-element-point"),
+            pytest.param([LYMPH, {"name": "m", "point": [0, 0], "probability": float("nan")}],
+                         "points[1].probability: expected a number in [0, 1], got nan", id="nan-probability"),
+        ],
+    )
+    def test_first_bad_entry_and_field_named(self, entries, message):
+        with pytest.raises(SchemaViolation) as info:
+            parse_detections(detection_doc(entries), min_confidence=0.0, classes=None)
+        assert str(info.value) == message
+
+    def test_missing_probability_and_three_element_point_accepted(self):
+        doc = detection_doc([{"name": "lymphocyte", "point": [1, 2, 3]},
+                             {"name": "Monocyte", "point": [4.5, 6]}])
+        dets = list(parse_detections(doc, min_confidence=0.0, classes=None))
+        assert [(d.id, d.point, d.cls.kind, d.confidence) for d in dets] == [
+            ("d0", (1.0, 2.0), LYMPHOCYTE, 1.0), ("d1", (4.5, 6.0), MONOCYTE, 1.0)
+        ]
+        assert all(type(v) is float for d in dets for v in (*d.point, d.confidence))
 
 
 GT_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
@@ -290,22 +337,22 @@ class TestDedupDetections:
     def test_exact_duplicate_keeps_higher_confidence(self):
         a = mk_detection("a", 5.0, 5.0, confidence=0.9)
         b = mk_detection("b", 5.0, 5.0, confidence=0.8)
-        assert dedup_detections([b, a], radius=0.0) == [a]
+        assert list(dedup_detections([b, a], radius=0.0)) == [a]
 
     def test_radius_zero_keeps_distinct_points(self):
         dets = [mk_detection(f"d{i}", float(i), 0.0) for i in range(5)]
-        assert dedup_detections(dets, radius=0.0) == dets
+        assert list(dedup_detections(dets, radius=0.0)) == dets
 
     def test_different_classes_never_suppress_each_other(self):
         a = mk_detection("a", 5.0, 5.0, kind=LYMPHOCYTE, confidence=0.9)
         b = mk_detection("b", 5.0, 5.0, kind=MONOCYTE, confidence=0.8)
-        assert dedup_detections([a, b], radius=10.0) == [a, b]
+        assert list(dedup_detections([a, b], radius=10.0)) == [a, b]
 
     def test_suppression_radius_is_inclusive(self):
         a = mk_detection("a", 0.0, 0.0, confidence=0.9)
         b = mk_detection("b", 8.0, 0.0, confidence=0.8)
-        assert dedup_detections([a, b], radius=8.0) == [a]
-        assert dedup_detections([a, b], radius=7.9) == [a, b]
+        assert list(dedup_detections([a, b], radius=8.0)) == [a]
+        assert list(dedup_detections([a, b], radius=7.9)) == [a, b]
 
     def test_matches_quadratic_oracle_on_clustered_scene(self):
         rng = np.random.default_rng(99)
@@ -321,7 +368,7 @@ class TestDedupDetections:
                     confidence=float(rng.uniform(0.2, 1.0)),
                 )
             )
-        assert dedup_detections(detections, radius=8.0) == greedy_dedup_quadratic(detections, 8.0)
+        assert list(dedup_detections(detections, radius=8.0)) == greedy_dedup_quadratic(detections, 8.0)
 
     @given(
         coords=st.lists(
@@ -336,13 +383,39 @@ class TestDedupDetections:
             mk_detection(f"d{i}", float(x), float(y), confidence=c / 100.0)
             for i, (x, y, c) in enumerate(coords)
         ]
-        out = dedup_detections(dets, radius)
+        out = list(dedup_detections(dets, radius))
         assert set(d.id for d in out) <= set(d.id for d in dets)
         assert out == greedy_dedup_quadratic(dets, radius)
 
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(0, 12).map(float),
+                    # within a few float steps (2**971 apart) of -1e308 or 1e308
+                    st.builds(lambda s, k: s * 1e308 + k * 2.0**971, st.sampled_from((-1.0, 1.0)),
+                              st.integers(-3, 3)),
+                ),
+                st.integers(0, 12).map(float),
+                st.integers(0, 4),
+                st.sampled_from((CellClass(LYMPHOCYTE), CellClass(MONOCYTE),
+                                 CellClass(OTHER, "a"), CellClass(OTHER, "b"))),
+            ),
+            max_size=30,
+        ),
+        radius=st.sampled_from([0.0, 0.5, 1e-320, 1e308]),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_both_oracles_at_extreme_radii_and_coordinates(self, rows, radius):
+        # ids d0..d29 make id string order differ from numeric order on ties
+        dets = [Detection(f"d{i}", (x, y), cls, c / 4) for i, (x, y, c, cls) in enumerate(rows)]
+        out = list(dedup_detections(dets, radius))
+        assert out == greedy_dedup_quadratic(dets, radius)
+        assert out == bucket_dedup(dets, radius)
+
     def test_identity_on_duplicate_free_input(self):
         dets = [mk_detection(f"d{i}", float(i) * 3.0, 0.0) for i in range(10)]
-        assert dedup_detections(dets, radius=0.0) == dets
+        assert list(dedup_detections(dets, radius=0.0)) == dets
 
 
 class TestSceneRoundTrip:
