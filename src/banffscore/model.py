@@ -176,6 +176,24 @@ class DetectionTable(Sequence):
                                       self.codes.tolist(), self.confidences.tolist()):
             yield Detection(did, (x, y), classes[code], c)
 
+    # a table equals the list of its rows, and a list has no hash
+    __hash__ = None
+
+    def __eq__(self, other):
+        """Row by row against any sequence of detections; two tables are
+        compared column by column, their class codes through the classes."""
+        if isinstance(other, DetectionTable):
+            codes = [other.classes.index(c) if c in other.classes else -1 for c in self.classes]
+            return (
+                len(self) == len(other)
+                and np.array_equal(np.array(codes, dtype=np.intp)[self.codes], other.codes)
+                and all(map(np.array_equal, (self.ids, self.xs, self.ys, self.confidences),
+                            (other.ids, other.xs, other.ys, other.confidences)))
+            )
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
     def take(self, rows) -> "DetectionTable":
         """The rows a boolean mask, a position array or a slice selects, in order."""
         return DetectionTable(self.ids[rows], self.xs[rows], self.ys[rows], self.confidences[rows],

@@ -38,6 +38,7 @@ from banffscore.model import (
     PERITUBULAR_CAPILLARY,
     CellClass,
     Detection,
+    DetectionTable,
     SectionScene,
 )
 from banffscore.synth import SceneSpec, generate_scene
@@ -182,7 +183,7 @@ class TestParseDetections:
                 {"name": "monocyte", "point": [3.0, 4.0], "probability": 0.4},
             ]
         )
-        assert list(parse_detections(doc, min_confidence=0.95)) == []
+        assert parse_detections(doc, min_confidence=0.95) == []
 
     def test_ids_stable_under_filtering(self):
         dets = parse_detections(self.DOC, min_confidence=0.5)
@@ -196,7 +197,7 @@ class TestParseDetections:
 
     def test_unmapped_class_excluded_by_default_kept_with_none(self):
         doc = detection_doc([{"name": "plasma cell", "point": [0, 0], "probability": 1.0}])
-        assert list(parse_detections(doc, min_confidence=0.0)) == []
+        assert parse_detections(doc, min_confidence=0.0) == []
         (det,) = parse_detections(doc, min_confidence=0.0, classes=None)
         assert det.cls.kind == OTHER and det.cls.label == "plasma cell"
 
@@ -281,7 +282,7 @@ class TestParseDetections:
     def test_missing_probability_and_three_element_point_accepted(self):
         doc = detection_doc([{"name": "lymphocyte", "point": [1, 2, 3]},
                              {"name": "Monocyte", "point": [4.5, 6]}])
-        dets = list(parse_detections(doc, min_confidence=0.0, classes=None))
+        dets = parse_detections(doc, min_confidence=0.0, classes=None)
         assert [(d.id, d.point, d.cls.kind, d.confidence) for d in dets] == [
             ("d0", (1.0, 2.0), LYMPHOCYTE, 1.0), ("d1", (4.5, 6.0), MONOCYTE, 1.0)
         ]
@@ -337,22 +338,22 @@ class TestDedupDetections:
     def test_exact_duplicate_keeps_higher_confidence(self):
         a = mk_detection("a", 5.0, 5.0, confidence=0.9)
         b = mk_detection("b", 5.0, 5.0, confidence=0.8)
-        assert list(dedup_detections([b, a], radius=0.0)) == [a]
+        assert dedup_detections([b, a], radius=0.0) == [a]
 
     def test_radius_zero_keeps_distinct_points(self):
         dets = [mk_detection(f"d{i}", float(i), 0.0) for i in range(5)]
-        assert list(dedup_detections(dets, radius=0.0)) == dets
+        assert dedup_detections(dets, radius=0.0) == dets
 
     def test_different_classes_never_suppress_each_other(self):
         a = mk_detection("a", 5.0, 5.0, kind=LYMPHOCYTE, confidence=0.9)
         b = mk_detection("b", 5.0, 5.0, kind=MONOCYTE, confidence=0.8)
-        assert list(dedup_detections([a, b], radius=10.0)) == [a, b]
+        assert dedup_detections([a, b], radius=10.0) == [a, b]
 
     def test_suppression_radius_is_inclusive(self):
         a = mk_detection("a", 0.0, 0.0, confidence=0.9)
         b = mk_detection("b", 8.0, 0.0, confidence=0.8)
-        assert list(dedup_detections([a, b], radius=8.0)) == [a]
-        assert list(dedup_detections([a, b], radius=7.9)) == [a, b]
+        assert dedup_detections([a, b], radius=8.0) == [a]
+        assert dedup_detections([a, b], radius=7.9) == [a, b]
 
     def test_matches_quadratic_oracle_on_clustered_scene(self):
         rng = np.random.default_rng(99)
@@ -368,7 +369,7 @@ class TestDedupDetections:
                     confidence=float(rng.uniform(0.2, 1.0)),
                 )
             )
-        assert list(dedup_detections(detections, radius=8.0)) == greedy_dedup_quadratic(detections, 8.0)
+        assert dedup_detections(detections, radius=8.0) == greedy_dedup_quadratic(detections, 8.0)
 
     @given(
         coords=st.lists(
@@ -383,7 +384,7 @@ class TestDedupDetections:
             mk_detection(f"d{i}", float(x), float(y), confidence=c / 100.0)
             for i, (x, y, c) in enumerate(coords)
         ]
-        out = list(dedup_detections(dets, radius))
+        out = dedup_detections(dets, radius)
         assert set(d.id for d in out) <= set(d.id for d in dets)
         assert out == greedy_dedup_quadratic(dets, radius)
 
@@ -409,13 +410,75 @@ class TestDedupDetections:
     def test_matches_both_oracles_at_extreme_radii_and_coordinates(self, rows, radius):
         # ids d0..d29 make id string order differ from numeric order on ties
         dets = [Detection(f"d{i}", (x, y), cls, c / 4) for i, (x, y, c, cls) in enumerate(rows)]
-        out = list(dedup_detections(dets, radius))
+        out = dedup_detections(dets, radius)
         assert out == greedy_dedup_quadratic(dets, radius)
         assert out == bucket_dedup(dets, radius)
 
     def test_identity_on_duplicate_free_input(self):
         dets = [mk_detection(f"d{i}", float(i) * 3.0, 0.0) for i in range(10)]
-        assert list(dedup_detections(dets, radius=0.0)) == dets
+        assert dedup_detections(dets, radius=0.0) == dets
+
+    def test_many_points_at_a_huge_radius(self):
+        # every detection of a kind is within the radius of every other: one
+        # cell, one kept per kind, and no pair list that grows with the square
+        rng = np.random.default_rng(11)
+        xy = rng.uniform(-1e6, 1e6, size=(20_000, 2))
+        conf = rng.integers(0, 50, size=20_000) / 50
+        dets = [
+            mk_detection(f"d{i}", x, y, kind=(LYMPHOCYTE, MONOCYTE)[i % 2], confidence=c)
+            for i, ((x, y), c) in enumerate(zip(xy.tolist(), conf.tolist()))
+        ]
+        out = dedup_detections(dets, 1e308)
+        assert len(out) == 2
+        assert out == bucket_dedup(dets, 1e308)
+
+    @pytest.mark.parametrize("radius", [9.0, 20.0, 50.0])
+    def test_dense_lattice_at_radii_above_its_pitch(self, radius):
+        # a jittered 9-px lattice: at these radii most detections have a
+        # same-kind neighbour within the radius
+        rng = np.random.default_rng(12)
+        grid = np.stack(np.meshgrid(np.arange(70), np.arange(70)), axis=-1).reshape(-1, 2) * 9.0
+        xy = grid + rng.normal(0.0, 1.5, size=grid.shape)
+        conf = rng.integers(0, 20, size=len(grid)) / 20
+        dets = [
+            mk_detection(f"d{i}", x, y, kind=(LYMPHOCYTE, MONOCYTE)[i % 3 == 0], confidence=c)
+            for i, ((x, y), c) in enumerate(zip(xy.tolist(), conf.tolist()))
+        ]
+        assert dedup_detections(dets, radius) == bucket_dedup(dets, radius)
+
+
+class TestDetectionTable:
+    ROWS = [
+        Detection("d0", (1.0, 2.0), CellClass(LYMPHOCYTE), 0.9),
+        Detection("d1", (3.0, 4.0), CellClass(OTHER, "mast cell"), 1.0),
+        Detection("d2", (-0.5, 7.25), CellClass(MONOCYTE), 0.5),
+    ]
+
+    def test_equals_a_list_of_the_same_rows(self):
+        table = DetectionTable.from_rows(self.ROWS)
+        assert table == self.ROWS and self.ROWS == table
+        assert table[:2] == self.ROWS[:2]
+        assert table != self.ROWS[:2] and table != self.ROWS[::-1]
+        assert table[:0] == [] and table != [] and table != 5
+
+    def test_tables_compare_rows_not_class_codes(self):
+        table = DetectionTable.from_rows(self.ROWS)
+        # built from reversed rows, the class codes differ for the same rows
+        reordered = DetectionTable.from_rows(self.ROWS[::-1]).take([2, 1, 0])
+        assert reordered.codes.tolist() != table.codes.tolist()
+        assert reordered == table
+        moved = Detection("d2", (-0.5, 7.5), CellClass(MONOCYTE), 0.5)
+        assert DetectionTable.from_rows(self.ROWS[:2] + [moved]) != table
+        relabelled = Detection("d1", (3.0, 4.0), CellClass(OTHER, "eosinophil"), 1.0)
+        assert DetectionTable.from_rows([self.ROWS[0], relabelled, self.ROWS[2]]) != table
+
+    def test_scene_with_a_table_equals_scene_with_its_rows(self):
+        table = DetectionTable.from_rows(self.ROWS)
+        assert SectionScene("s", detections=table) == SectionScene("s", detections=list(self.ROWS))
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(DetectionTable.from_rows(self.ROWS))
 
 
 class TestSceneRoundTrip:
