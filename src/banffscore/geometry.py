@@ -8,13 +8,18 @@ pairs.  The rings of the polygons form one flat edge table
 of its polygon and each row to one test per edge of its ring, a bounded
 block of tests at a time.  Each test evaluates the edge predicate
 
-    d = (x2 - x1) * (py - y1) - (px - x1) * (y2 - y1)
+    d = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
 
-in exactly this operation order (the test oracles repeat it, so agreement
-is bit-exact).  For an edge that straddles the horizontal line through the
-point (half-open rule ``(y1 <= py) != (y2 <= py)``), the ray to +x crosses
-it iff ``d > 0`` for an upward edge or ``d < 0`` for a downward edge; an odd
-crossing count per row means inside the ring.  ``d == 0`` with the point
+with :func:`orient`, in exactly this operation order (the test oracles
+repeat it up to the order of the factors of a product, which IEEE
+multiplication ignores, so agreement is bit-exact).  Where ``d`` is not
+finite, :func:`orient` gives its exact sign instead, as an exact predicate
+would (Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast
+Robust Geometric Predicates", Discrete Comput. Geom. 18(3), 1997).  For an
+edge that straddles the horizontal line through the point (half-open rule
+``(y1 <= py) != (y2 <= py)``), the ray to +x crosses it iff ``d > 0`` for an
+upward edge or ``d < 0`` for a downward edge; an odd crossing count per row
+means inside the ring.  ``d == 0`` with the point
 inside the edge's bounding box means the point sits on the segment itself.
 A pair holds when the point is inside the exterior and strictly inside no
 hole, or on any ring.  :func:`assign_detections` runs the kernel once over
@@ -26,8 +31,11 @@ for arbitrary polygons", Comput. Geom. 20(3), 2001.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -51,8 +59,31 @@ def _as_ring(vertices) -> Tuple[Point, ...]:
     return tuple((float(p[0]), float(p[1])) for p in vertices)
 
 
+def _cross(ax, ay, bx, by, cx, cy):
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def orient(ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray, cx: np.ndarray,
+           cy: np.ndarray) -> np.ndarray:
+    """Per element, twice the signed area of triangle abc: positive when c
+    lies left of the line from a to b, zero when the three are collinear.
+
+    The value is float64.  Where it is not finite (an intermediate
+    overflowed), it is replaced by the exact sign, -1.0, 0.0 or 1.0,
+    computed with Fractions of the float operands.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _cross(ax, ay, bx, by, cx, cy)
+    for k in np.flatnonzero(~np.isfinite(d)).tolist():
+        exact = _cross(*(Fraction(float(v[k])) for v in (ax, ay, bx, by, cx, cy)))
+        d[k] = (exact > 0) - (exact < 0)
+    return d
+
+
 def ring_area(vertices: Sequence[Point]) -> float:
-    """Unsigned shoelace area of an implicitly closed ring."""
+    """Unsigned shoelace area of an implicitly closed ring.  If the float
+    sum is not finite, the area is the exact sum of the float vertices,
+    rounded (infinity beyond the float range), so a zero area reads 0.0."""
     n = len(vertices)
     if n < 3:
         raise DegenerateGeometry(f"ring has {n} vertices, need at least 3")
@@ -61,7 +92,11 @@ def ring_area(vertices: Sequence[Point]) -> float:
         x1, y1 = vertices[i]
         x2, y2 = vertices[(i + 1) % n]
         acc += x1 * y2 - x2 * y1
-    return abs(acc) / 2.0
+    if math.isfinite(acc):
+        return abs(acc) / 2.0
+    ring = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    exact = abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]))) / 2
+    return float(exact) if exact <= sys.float_info.max else math.inf
 
 
 @dataclass(frozen=True)
@@ -101,14 +136,6 @@ class Polygon:
         return outer - inner
 
     @cached_property
-    def _exterior_arr(self) -> np.ndarray:
-        return np.asarray(self.exterior, dtype=np.float64)
-
-    @cached_property
-    def _hole_arrs(self) -> Tuple[np.ndarray, ...]:
-        return tuple(np.asarray(h, dtype=np.float64) for h in self.holes)
-
-    @cached_property
     def _edges(self) -> "_EdgeTable":
         return _EdgeTable([self])
 
@@ -130,7 +157,7 @@ class _EdgeTable:
     """
 
     def __init__(self, polygons: Sequence[Polygon]):
-        rings = [r for poly in polygons for r in (poly._exterior_arr, *poly._hole_arrs)]
+        rings = [r for poly in polygons for r in (poly.exterior, *poly.holes)]
         self.n_rings = np.fromiter((1 + len(p.holes) for p in polygons), dtype=np.intp, count=len(polygons))
         self.first_ring = np.cumsum(self.n_rings) - self.n_rings
         self.ring_size = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
@@ -139,10 +166,11 @@ class _EdgeTable:
         self.is_hole[self.first_ring] = False
         sums = np.concatenate(([0], np.cumsum(self.ring_size)))
         self.n_edges = sums[self.first_ring + self.n_rings] - sums[self.first_ring]
-        xy = np.concatenate(rings) if rings else np.empty((0, 2))
-        nxt = np.arange(1, len(xy) + 1)
+        vertices = chain.from_iterable(chain.from_iterable(rings))
+        xy = np.fromiter(vertices, dtype=np.float64, count=2 * sums[-1])
+        nxt = np.arange(1, sums[-1] + 1)
         nxt[self.ring_start + self.ring_size - 1] = self.ring_start
-        self.x1, self.y1 = xy[:, 0], xy[:, 1]
+        self.x1, self.y1 = xy[0::2], xy[1::2]
         self.x2, self.y2 = self.x1[nxt], self.y1[nxt]
 
 
@@ -173,7 +201,7 @@ def _contains(edges: _EdgeTable, px: np.ndarray, py: np.ndarray, owner: np.ndarr
         e = edges.ring_start[ring][row] + np.arange(row.size) - row_start[row]
         qx, qy = px[start:stop][pair][row], py[start:stop][pair][row]
         x1, y1, x2, y2 = edges.x1[e], edges.y1[e], edges.x2[e], edges.y2[e]
-        d = (x2 - x1) * (qy - y1) - (qx - x1) * (y2 - y1)
+        d = orient(x1, y1, x2, y2, qx, qy)
         on = (d == 0.0) & (qx >= np.minimum(x1, x2)) & (qx <= np.maximum(x1, x2))
         on &= (qy >= np.minimum(y1, y2)) & (qy <= np.maximum(y1, y2))
         crosses = ((y1 <= qy) != (y2 <= qy)) & (((y2 > y1) & (d > 0.0)) | ((y2 < y1) & (d < 0.0)))

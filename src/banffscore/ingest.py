@@ -53,7 +53,7 @@ from .errors import (
     MalformedDocument,
     SchemaViolation,
 )
-from .geometry import _BLOCK_PAIRS, Point, Polygon, contains_points, point_in_polygon, ring_area
+from .geometry import _BLOCK_PAIRS, Point, Polygon, contains_points, orient, point_in_polygon, ring_area
 from .model import (
     KNOWN_CELL_KINDS,
     CellClass,
@@ -118,12 +118,16 @@ def checked_integer(value, where: str, error: type) -> int:
 
 def checked_canvas(value, where: str, error: type) -> Tuple[float, float, float, float]:
     """``value`` as ``(x0, y0, x1, y1)``, four finite numbers with x0 < x1 and
-    y0 < y1; anything else raises ``error`` naming ``where``."""
+    y0 < y1 whose width and height are finite; anything else raises
+    ``error`` naming ``where``."""
     if isinstance(value, (list, tuple)) and len(value) == 4 and all(map(is_finite, value)):
         x0, y0, x1, y1 = map(as_number, value)
-        if x0 < x1 and y0 < y1:
+        if 0 < x1 - x0 < math.inf and 0 < y1 - y0 < math.inf:
             return (x0, y0, x1, y1)
-    raise error(f"{where}: expected [x0, y0, x1, y1] with x0 < x1 and y0 < y1, got {value!r}")
+    raise error(
+        f"{where}: expected [x0, y0, x1, y1] with x0 < x1, y0 < y1 and a finite width and height, "
+        f"got {value!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +135,6 @@ def checked_canvas(value, where: str, error: type) -> Tuple[float, float, float,
 
 # (cleaned ring, owner) pairs of one document, in document order
 _CleanedRings = List[Tuple[Tuple[Point, ...], str]]
-
-
-def _orient(ax, ay, bx, by, cx, cy):
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def _within(lo_x, hi_x, lo_y, hi_y, px, py):
@@ -150,8 +150,9 @@ def _first_self_intersecting_ring(rings: Sequence[Sequence[Point]]) -> int:
     ring.  Adjacent edges share a vertex and are rejected only for a
     zero-width spike through it (collinear and pointing back).  Any other
     pair of edges is rejected when the closed segments meet, decided by
-    :func:`_orient` on the lower-numbered edge first; pairs whose closed
-    bounding boxes are disjoint never meet, and only the others are tested.
+    :func:`~banffscore.geometry.orient` on the lower-numbered edge first;
+    pairs whose closed bounding boxes are disjoint never meet, and only the
+    others are tested.
     They are found by a sweep over the edges sorted by ring, then by
     ``lo_x``: an edge's candidates are the later edges of its ring whose
     ``lo_x`` is at most its ``hi_x``, generated ``_BLOCK_PAIRS`` at a time.
@@ -173,7 +174,7 @@ def _first_self_intersecting_ring(rings: Sequence[Sequence[Point]]) -> int:
     after = np.where(vertex == start, last, nxt)
     px, py, ax, ay = x[prev], y[prev], x[after], y[after]
     with np.errstate(over="ignore", invalid="ignore"):
-        spike = (_orient(px, py, x, y, ax, ay) == 0.0) & (
+        spike = (orient(px, py, x, y, ax, ay) == 0.0) & (
             (px - x) * (ax - x) + (py - y) * (ay - y) > 0
         )
     first = int(ring[spike][0]) if spike.any() else len(rings)
@@ -205,11 +206,10 @@ def _first_self_intersecting_ring(rings: Sequence[Sequence[Point]]) -> int:
             continue
         a1x, a1y, a2x, a2y = x[i], y[i], x2[i], y2[i]
         b1x, b1y, b2x, b2y = x[j], y[j], x2[j], y2[j]
-        with np.errstate(over="ignore", invalid="ignore"):
-            d1 = _orient(b1x, b1y, b2x, b2y, a1x, a1y)
-            d2 = _orient(b1x, b1y, b2x, b2y, a2x, a2y)
-            d3 = _orient(a1x, a1y, a2x, a2y, b1x, b1y)
-            d4 = _orient(a1x, a1y, a2x, a2y, b2x, b2y)
+        d1 = orient(b1x, b1y, b2x, b2y, a1x, a1y)
+        d2 = orient(b1x, b1y, b2x, b2y, a2x, a2y)
+        d3 = orient(a1x, a1y, a2x, a2y, b1x, b1y)
+        d4 = orient(a1x, a1y, a2x, a2y, b2x, b2y)
         hit = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
             ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
         )
@@ -609,6 +609,33 @@ def write_scene(scene: SectionScene) -> bytes:
         "metadata": scene.metadata,
     }
     return canonical_json_bytes(doc)
+
+
+def scene_canvas(scene: SectionScene) -> Tuple[float, float, float, float]:
+    """(min_x, min_y, max_x, max_y) working area of a scene.
+
+    Uses ``metadata["canvas"]`` when present, otherwise the padded bounding
+    box of all geometry and detection points; (0, 0, 100, 100) for an empty
+    scene.  Either passes :func:`checked_canvas`, so a scene whose box has
+    no finite width and height is a MalformedDocument naming ``canvas``.
+    """
+    canvas = scene.metadata.get("canvas")
+    if canvas is not None:
+        return checked_canvas(canvas, "metadata.canvas", MalformedDocument)
+    xs: List[float] = []
+    ys: List[float] = []
+    for inst in scene.instances:
+        b = inst.polygon.bounds
+        xs.extend((b.min_x, b.max_x))
+        ys.extend((b.min_y, b.max_y))
+    for det in scene.detections:
+        xs.append(det.point[0])
+        ys.append(det.point[1])
+    if not xs:
+        return (0.0, 0.0, 100.0, 100.0)
+    pad = 10.0
+    box = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+    return checked_canvas(box, "canvas (the padded bounding box of the scene)", MalformedDocument)
 
 
 def _scene_entry(entry, where: str, parse_class) -> Tuple[str, object]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
@@ -42,19 +42,28 @@ def normalize_label(label: str) -> str:
     return " ".join(str(label).replace("_", " ").split()).lower()
 
 
+_Label = TypeVar("_Label", bound="_ClassLabel")
+
+
 @dataclass(frozen=True)
-class StructureClass:
-    """Structure class: one of the three scorable kinds, or ``other`` with the
-    original annotation label retained."""
+class _ClassLabel:
+    """A class label: one of the type's ``kinds``, or ``other`` with the
+    original annotation label retained.  Subclasses set ``kinds``, the
+    ``default_aliases`` :meth:`from_label` maps through, and the ``noun``
+    of :meth:`from_string`'s error; two types never compare equal."""
 
     kind: str
     label: str = ""
 
+    kinds: ClassVar[Tuple[str, ...]] = ()
+    default_aliases: ClassVar[Dict[str, str]] = {}
+    noun: ClassVar[str] = ""
+
     @classmethod
-    def from_label(cls, label: object, aliases: Optional[Dict[str, str]] = None) -> "StructureClass":
-        table = DEFAULT_STRUCTURE_ALIASES if aliases is None else aliases
+    def from_label(cls: Type[_Label], label: object, aliases: Optional[Dict[str, str]] = None) -> _Label:
+        table = cls.default_aliases if aliases is None else aliases
         kind = table.get(normalize_label(label)) if label is not None else None
-        if kind in SCORABLE_STRUCTURE_KINDS:
+        if kind in cls.kinds:
             return cls(kind)
         return cls(OTHER, "" if label is None else str(label))
 
@@ -64,45 +73,30 @@ class StructureClass:
         return f"other:{self.label}" if self.label else "other"
 
     @classmethod
-    def from_string(cls, s: str) -> "StructureClass":
-        if s in SCORABLE_STRUCTURE_KINDS:
+    def from_string(cls: Type[_Label], s: str) -> _Label:
+        if s in cls.kinds:
             return cls(s)
         if s == "other":
             return cls(OTHER)
         if s.startswith("other:"):
             return cls(OTHER, s[len("other:"):])
-        raise ValueError(f"unknown structure class {s!r}")
+        raise ValueError(f"unknown {cls.noun} class {s!r}")
 
 
-@dataclass(frozen=True)
-class CellClass:
-    """Inflammatory-cell class, or ``other`` with the original label."""
+class StructureClass(_ClassLabel):
+    """Structure class: one of the three scorable kinds, or ``other``."""
 
-    kind: str
-    label: str = ""
+    kinds = SCORABLE_STRUCTURE_KINDS
+    default_aliases = DEFAULT_STRUCTURE_ALIASES
+    noun = "structure"
 
-    @classmethod
-    def from_label(cls, label: object, aliases: Optional[Dict[str, str]] = None) -> "CellClass":
-        table = DEFAULT_CELL_ALIASES if aliases is None else aliases
-        kind = table.get(normalize_label(label)) if label is not None else None
-        if kind in KNOWN_CELL_KINDS:
-            return cls(kind)
-        return cls(OTHER, "" if label is None else str(label))
 
-    def to_string(self) -> str:
-        if self.kind != OTHER:
-            return self.kind
-        return f"other:{self.label}" if self.label else "other"
+class CellClass(_ClassLabel):
+    """Inflammatory-cell class, or ``other``."""
 
-    @classmethod
-    def from_string(cls, s: str) -> "CellClass":
-        if s in KNOWN_CELL_KINDS:
-            return cls(s)
-        if s == "other":
-            return cls(OTHER)
-        if s.startswith("other:"):
-            return cls(OTHER, s[len("other:"):])
-        raise ValueError(f"unknown cell class {s!r}")
+    kinds = KNOWN_CELL_KINDS
+    default_aliases = DEFAULT_CELL_ALIASES
+    noun = "cell"
 
 
 @dataclass(frozen=True)
@@ -180,16 +174,7 @@ class DetectionTable(Sequence):
     __hash__ = None
 
     def __eq__(self, other):
-        """Row by row against any sequence of detections; two tables are
-        compared column by column, their class codes through the classes."""
-        if isinstance(other, DetectionTable):
-            codes = [other.classes.index(c) if c in other.classes else -1 for c in self.classes]
-            return (
-                len(self) == len(other)
-                and np.array_equal(np.array(codes, dtype=np.intp)[self.codes], other.codes)
-                and all(map(np.array_equal, (self.ids, self.xs, self.ys, self.confidences),
-                            (other.ids, other.xs, other.ys, other.confidences)))
-            )
+        """Row by row against any sequence of detections, a table included."""
         if isinstance(other, Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
@@ -223,31 +208,6 @@ class SectionScene:
     instances: List[Instance] = field(default_factory=list)
     detections: Sequence[Detection] = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
-
-
-def scene_canvas(scene: SectionScene) -> Tuple[float, float, float, float]:
-    """(min_x, min_y, max_x, max_y) working area of a scene.
-
-    Uses ``metadata["canvas"]`` when present (``read_scene`` checks it),
-    otherwise the padded bounding box of all geometry and detection points;
-    (0, 0, 100, 100) for an empty scene.
-    """
-    canvas = scene.metadata.get("canvas")
-    if canvas is not None:
-        return tuple(map(float, canvas))
-    xs: List[float] = []
-    ys: List[float] = []
-    for inst in scene.instances:
-        b = inst.polygon.bounds
-        xs.extend((b.min_x, b.max_x))
-        ys.extend((b.min_y, b.max_y))
-    for det in scene.detections:
-        xs.append(det.point[0])
-        ys.append(det.point[1])
-    if not xs:
-        return (0.0, 0.0, 100.0, 100.0)
-    pad = 10.0
-    return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ import re
 from typing import Dict, Optional
 
 from . import __version__
-from .model import SectionScene, scene_canvas
+from .ingest import scene_canvas
+from .model import SectionScene
 from .scoring import ScoreReport, Unscorable
 
 STRUCTURE_COLORS: Dict[str, str] = {

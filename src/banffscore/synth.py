@@ -29,7 +29,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigError, PlacementFailure
 from .geometry import Point, Polygon, build_index, point_in_polygon
-from .ingest import as_number, checked_canvas, checked_integer, is_finite, is_int
+from .ingest import as_number, checked_canvas, checked_integer, is_finite, is_int, scene_canvas
 from .model import (
     ARTERY,
     GLOMERULUS,
@@ -41,11 +41,11 @@ from .model import (
     SCORABLE_STRUCTURE_KINDS,
     CellClass,
     Detection,
+    DetectionTable,
     GroundTruthGrades,
     Instance,
     SectionScene,
     StructureClass,
-    scene_canvas,
 )
 from .scoring import (
     GLOMERULUS_CELL_THRESHOLD,
@@ -220,6 +220,18 @@ def _cell_class(rng: np.random.Generator) -> CellClass:
     return CellClass(LYMPHOCYTE if rng.random() < 0.5 else MONOCYTE)
 
 
+def _cell(rng: np.random.Generator, cell_id: str, point: Point) -> Detection:
+    """A synthetic cell at ``point``; its class is drawn first, then its confidence."""
+    return Detection(cell_id, point, _cell_class(rng), round(rng.uniform(0.6, 1.0), 4))
+
+
+def _plant(rng: np.random.Generator, poly: Polygon, cell_ids: List[str]) -> List[Detection]:
+    """One cell per id at a uniform point inside the convex ``poly``, each
+    point drawn before the cell's class and confidence."""
+    fan = _fan(poly)
+    return [_cell(rng, cell_id, _point_inside(rng, poly, fan)) for cell_id in cell_ids]
+
+
 def _bounding_circle(poly: Polygon) -> Tuple[float, float, float]:
     b = poly.bounds
     cx = (b.min_x + b.max_x) / 2.0
@@ -253,19 +265,9 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
                 Instance(id=f"{prefix}-{j + 1}", cls=StructureClass(kind), polygon=poly)
             )
     detections: List[Detection] = []
-    cell_counter = 0
     for inst, want in zip(instances, [c for _, _, counts, _ in plan for c in counts]):
-        fan = _fan(inst.polygon)
-        for _ in range(want):
-            cell_counter += 1
-            detections.append(
-                Detection(
-                    id=f"cell-{cell_counter}",
-                    point=_point_inside(rng, inst.polygon, fan),
-                    cls=_cell_class(rng),
-                    confidence=round(rng.uniform(0.6, 1.0), 4),
-                )
-            )
+        n = len(detections)
+        detections += _plant(rng, inst.polygon, [f"cell-{n + k}" for k in range(1, want + 1)])
     index = build_index(instances)
     for j in range(spec.background_cells):
         for _ in range(_PLACEMENT_ATTEMPTS):
@@ -279,14 +281,7 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
                 break
         else:
             raise PlacementFailure(f"background cell {j + 1}: no free canvas space")
-        detections.append(
-            Detection(
-                id=f"bg-{j + 1}",
-                point=(x, y),
-                cls=_cell_class(rng),
-                confidence=round(rng.uniform(0.6, 1.0), 4),
-            )
-        )
+        detections.append(_cell(rng, f"bg-{j + 1}", (x, y)))
     scene = SectionScene(
         section_id=spec.section_id,
         instances=instances,
@@ -413,8 +408,8 @@ class PerturbationSpec:
 
 def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
     """Apply omission, hallucination, FN dropout, FP insertion, and jitter,
-    in that fixed order; an all-zero spec returns a scene equal to the input."""
-    canvas = scene_canvas(scene)
+    in that fixed order; an all-zero spec returns a scene equal to the input.
+    Only hallucination and FP insertion read the scene's canvas."""
     instances = list(scene.instances)
     detections = list(scene.detections)
 
@@ -434,6 +429,7 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
         if hspec is None or hspec.count == 0:
             continue
         rng = np.random.default_rng(derive_seed(pspec.seed, f"hallucinate:{kind}"))
+        canvas = scene_canvas(scene)
         occupied = [_bounding_circle(inst.polygon) for inst in instances]
         radius_range = hspec.radius if hspec.radius is not None else DEFAULT_RADIUS_RANGES[kind]
         for j in range(hspec.count):
@@ -441,16 +437,8 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
             poly, circle = _place_polygon(rng, canvas, radius_range, occupied, iid)
             occupied.append(circle)
             instances.append(Instance(id=iid, cls=StructureClass(kind), polygon=poly))
-            fan = _fan(poly)
-            for c in range(hspec.cells_per_instance):
-                detections.append(
-                    Detection(
-                        id=f"{iid}-cell-{c + 1}",
-                        point=_point_inside(rng, poly, fan),
-                        cls=_cell_class(rng),
-                        confidence=round(rng.uniform(0.6, 1.0), 4),
-                    )
-                )
+            cell_ids = [f"{iid}-cell-{c}" for c in range(1, hspec.cells_per_instance + 1)]
+            detections += _plant(rng, poly, cell_ids)
 
     if pspec.detection_fn_prob > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "fn"))
@@ -459,7 +447,7 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
 
     if pspec.detection_fp_count > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "fp"))
-        x0, y0, x1, y1 = canvas
+        x0, y0, x1, y1 = scene_canvas(scene)
         for j in range(pspec.detection_fp_count):
             detections.append(
                 Detection(
@@ -472,11 +460,10 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
 
     if pspec.jitter_sigma > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "jitter"))
-        shifts = rng.normal(0.0, pspec.jitter_sigma, size=(len(detections), 2)).tolist()
-        detections = [
-            Detection(d.id, (d.point[0] + dx, d.point[1] + dy), d.cls, d.confidence)
-            for d, (dx, dy) in zip(detections, shifts)
-        ]
+        table = DetectionTable.from_rows(detections)
+        shifts = rng.normal(0.0, pspec.jitter_sigma, size=(len(table), 2))
+        detections = DetectionTable(table.ids, table.xs + shifts[:, 0], table.ys + shifts[:, 1],
+                                    table.confidences, table.codes, table.classes)
 
     return SectionScene(
         section_id=scene.section_id,

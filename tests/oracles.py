@@ -6,9 +6,13 @@ different control flow, and in the kappa case a different algebraic
 formulation.  Two things are intentionally shared: the boundary-inclusive
 edge predicate ``d = (x2-x1)*(py-y1) - (px-x1)*(y2-y1)`` and the ring
 orientation predicate ``(bx-ax)*(cy-ay) - (by-ay)*(cx-ax)`` are evaluated
-with the same operation order as the package, because the suite asserts
-bit-exact agreement on arbitrary float input and only an identical IEEE
-evaluation sequence makes that meaningful.  The ring self-intersection
+with the same operation order as the package (the package writes the edge
+predicate's second product with its factors swapped, which IEEE
+multiplication ignores), because the suite asserts bit-exact agreement on
+arbitrary float input and only an identical IEEE evaluation sequence makes
+that meaningful.  Where a predicate overflows, the package decides its sign
+exactly and these oracles do not; the inputs they are compared on never
+come near the float range, and the overflow cases are named tests.  The ring self-intersection
 oracle tests every pair of edges one at a time, as the reference for the
 package's batched sweep.  The bucket-scan dedup and the per-instance
 assignment loop are the package's earlier implementations, kept as

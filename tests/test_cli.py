@@ -161,6 +161,20 @@ class TestScoreCommand:
         report = json.loads((tmp_path / "far.score.json").read_text())
         assert [(e["id"], e["count"]) for e in report["g"]["per_instance"]] == [("glom-a", 0), ("glom-b", 1)]
 
+    def test_glomerulus_spanning_the_float_range_holds_points_on_its_axis(self, tmp_path, capsys):
+        # every vertical edge's predicate overflows: 0 * inf is NaN in float64
+        doc = structure_doc()
+        doc["features"] = doc["features"][:1]
+        ring = [[-1e308, -1.5e308], [1e308, -1.5e308], [1e308, 1.5e308], [-1e308, 1.5e308]]
+        doc["features"][0]["geometry"]["coordinates"] = [ring]
+        structures = write_json(tmp_path / "wide.geojson", doc)
+        points = [{"name": "lymphocyte", "point": p} for p in ([0, 0], [0, 1e308])]
+        detections = write_json(tmp_path / "wide.json", {"points": points})
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "wide.score.json").read_text())
+        assert [(e["id"], e["count"]) for e in report["g"]["per_instance"]] == [("glom-a", 2)]
+
     def test_subnormal_dedup_radius_counts_like_radius_zero(self, section_files, tmp_path):
         structures, _ = section_files
         doc = detection_doc()
@@ -404,6 +418,8 @@ class TestSynthAndSensitivityCommands:
             pytest.param("canvas", [0, 0, float("nan"), 100], id="canvas-nan"),
             pytest.param("canvas", [100, 0, 0, 100], id="canvas-x0-above-x1"),
             pytest.param("canvas", [0, 100, 100, 100], id="canvas-y0-equals-y1"),
+            # its width overflows, so drawing a uniform x raised OverflowError
+            pytest.param("canvas", [-1e308, -1e308, 1e308, 1e308], id="canvas-wider-than-the-float-range"),
             pytest.param("ptc_radius", [30, 10], id="radius-min-above-max"),
             pytest.param("ptc_radius", [-30, -10], id="radius-negative"),
             pytest.param("artery_radius", [50], id="radius-1-value"),
@@ -563,6 +579,58 @@ class TestRenderCommand:
         bad = tmp_path / "scene.json"
         bad.write_text("{broken")
         assert main(["render", "--scene", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+
+def scene_doc(instances, metadata):
+    """A scene document: ``instances`` maps an id to a structure class and an exterior ring."""
+    return {
+        "section_id": "wide",
+        "instances": [
+            {"id": iid, "class": cls, "polygon": {"exterior": ring, "holes": []}, "properties": {}}
+            for iid, (cls, ring) in instances.items()
+        ],
+        "detections": [{"id": "c1", "class": "lymphocyte", "point": [100.0, 100.0], "confidence": 0.9}],
+        "metadata": metadata,
+    }
+
+
+class TestSceneCanvasWithoutFiniteWidth:
+    """A scene canvas whose width or height overflows exits 2 naming
+    ``canvas``: ``sensitivity`` drew FP points from ``rng.uniform`` with an
+    infinite range, and ``render`` wrote ``inf`` into the SVG."""
+
+    WIDE = [-1e308, -1e308, 1e308, 1e308]
+    # no canvas, and a padded bounding box wider than the float range
+    FAR_APART = {"glom-a": ("glomerulus", square_ring(-1e308, -1e308, 1e306)),
+                 "glom-b": ("glomerulus", square_ring(1e308, 1e308, 1e306))}
+
+    @pytest.mark.parametrize(
+        "instances, metadata, field",
+        [
+            pytest.param({"glom-a": ("glomerulus", square_ring(100, 100, 30))}, {"canvas": WIDE},
+                         "error: metadata.canvas: ", id="metadata-canvas"),
+            pytest.param(FAR_APART, {}, "error: canvas (the padded bounding box of the scene): ",
+                         id="scene-bounding-box"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["sensitivity", "render"])
+    def test_scene_canvas_exits_2(self, command, instances, metadata, field, tmp_path, capsys):
+        scene = write_json(tmp_path / "wide.scene.json", scene_doc(instances, metadata))
+        pspec = write_json(tmp_path / "p.json", {"detection_fp_count": 3, "seed": 3})
+        out = tmp_path / "o"
+        argv = ["render", "--scene", str(scene)]
+        if command == "sensitivity":
+            argv = ["sensitivity", "--scene", str(scene), "--perturb", str(pspec), "--trials", "2"]
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(field) and "finite width and height" in err
+        assert not out.exists()
+
+    def test_stages_that_draw_no_position_need_no_canvas(self, tmp_path):
+        scene = write_json(tmp_path / "wide.scene.json", scene_doc(self.FAR_APART, {}))
+        pspec = write_json(tmp_path / "p.json", {"detection_fn_prob": 0.5, "jitter_sigma": 2.0, "seed": 3})
+        argv = ["sensitivity", "--scene", str(scene), "--perturb", str(pspec), "--trials", "2"]
+        assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 0
 
 
 class Literal(str):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from banffscore.geometry import (
     assign_detections,
     build_index,
     contains_points,
+    orient,
     point_in_polygon,
+    ring_area,
 )
 from banffscore.model import GLOMERULUS
 
@@ -69,10 +73,27 @@ class TestPolygonArea:
         with pytest.raises(DegenerateGeometry):
             Polygon(exterior=((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))).area
 
+    def test_zero_area_decided_exactly_when_the_float_sum_overflows(self):
+        assert ring_area(((1e200, 1e200), (2e200, 2e200), (3e200, 3e200))) == 0.0
+        # the products overflow, the area does not
+        c, leg = 2.0**520, 2.0**468
+        assert ring_area(((c, c), (c + leg, c), (c, c + leg))) == 2.0**935
+        assert ring_area(((-1e308, -1e308), (1e308, -1e308), (1e308, 1e308))) == math.inf
+
     def test_zero_area_hole_rejected(self):
         poly = Polygon(exterior=UNIT_SQUARE, holes=(((0.2, 0.2), (0.4, 0.4), (0.6, 0.6)),))
         with pytest.raises(DegenerateGeometry):
             poly.area
+
+
+def test_orient_gives_the_exact_sign_where_the_float_value_is_not_finite():
+    big = 1e308
+    # collinear (inf - inf), left of a->b (inf - inf), right of it (inf * 0), and a finite row
+    ax, ay = np.array([-big, -big, -big, 0.0]), np.array([-big, -big, -big, 0.0])
+    bx, by = np.array([big, big, big, 1.0]), np.array([big, big, big, 0.1])
+    cx, cy = np.array([0.0, 0.0, 0.0, 0.3]), np.array([0.0, big, -big, 0.7])
+    d = orient(ax, ay, bx, by, cx, cy)
+    assert d.tolist() == [0.0, 1.0, -1.0, (1.0 - 0.0) * (0.7 - 0.0) - (0.1 - 0.0) * (0.3 - 0.0)]
 
 
 class TestPointInPolygon:

@@ -722,6 +722,31 @@ class TestRingValidation:
     def test_mixed_batches_report_first_bad_ring(self, rings):
         assert _first_self_intersecting_ring(rings) == expected_first_bad(rings)
 
+    @pytest.mark.parametrize(
+        "ring, message",
+        [
+            # the shoelace sum is inf - inf = NaN, which is not == 0.0
+            pytest.param([[1e200, 1e200], [2e200, 2e200], [3e200, 3e200]], "ring has zero area",
+                         id="collinear-beyond-float-products"),
+            # exactly zero signed area, as any symmetric bow-tie has
+            pytest.param([[-1e308, -1e308], [1e308, 1e308], [1e308, -1e308], [-1e308, 1e308]],
+                         "ring has zero area", id="bow-tie-across-float-range"),
+            # non-zero area, so the sweep decides; its orientations overflow
+            pytest.param([[-1e308, -1e308], [1e308, 1e308], [1e308, -1e308], [-1e308, 1.5e308]],
+                         "self-intersecting ring", id="lopsided-bow-tie-across-float-range"),
+        ],
+    )
+    def test_rings_whose_float_predicates_overflow_are_rejected(self, ring, message):
+        with pytest.raises(DegenerateGeometry, match=f"feature wide: {message}"):
+            parse_structures(feature_collection(polygon_feature("wide", "glomerulus", [ring])))
+
+    def test_sweep_decides_overflowing_orientations_exactly(self):
+        bow_tie = ((-1e308, -1e308), (1e308, 1e308), (1e308, -1e308), (-1e308, 1e308))
+        wide_square = ((-1e308, -1e308), (1e308, -1e308), (1e308, 1e308), (-1e308, 1e308))
+        assert _first_self_intersecting_ring([wide_square, bow_tie]) == 1
+        (inst,) = parse_structures(feature_collection(polygon_feature("wide", "glomerulus", [wide_square])))
+        assert inst.polygon.area == math.inf
+
     def test_near_collinear_ring_accepted_by_both_parsers(self):
         data = feature_collection(polygon_feature("thin", "ptc", [NEAR_COLLINEAR_RING]))
         (inst,) = parse_structures(data)
