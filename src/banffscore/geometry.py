@@ -55,10 +55,6 @@ class BoundingBox(NamedTuple):
         return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
 
 
-def _as_ring(vertices) -> Tuple[Point, ...]:
-    return tuple((float(p[0]), float(p[1])) for p in vertices)
-
-
 def _cross(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
@@ -103,18 +99,14 @@ def ring_area(vertices: Sequence[Point]) -> float:
 class Polygon:
     """Polygon with an exterior ring and zero or more hole rings.
 
-    Rings are implicitly closed (the first vertex is not repeated).  Holes
-    must lie inside the exterior and be pairwise disjoint; the parsers
-    enforce that at ingest time.  Instances are immutable and safe to share
-    across threads.
+    Rings are tuples of float pairs, kept as given, and implicitly closed
+    (the first vertex is not repeated).  Holes must lie inside the exterior
+    and be pairwise disjoint; the parsers enforce that at ingest time.
+    Instances are immutable and safe to share across threads.
     """
 
     exterior: Tuple[Point, ...]
     holes: Tuple[Tuple[Point, ...], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "exterior", _as_ring(self.exterior))
-        object.__setattr__(self, "holes", tuple(_as_ring(h) for h in self.holes))
 
     @cached_property
     def bounds(self) -> BoundingBox:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -349,8 +349,8 @@ def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> L
 # ---------------------------------------------------------------------------
 # detections (JSON point lists)
 
-def _checked_point(entry: dict, where: str, confidence_key: str, error: type) -> Tuple[Point, float]:
-    """The ``point`` and confidence of one detection entry, checked alike in
+def _check_point(entry: dict, where: str, confidence_key: str, error: type) -> None:
+    """Check the ``point`` and confidence of one detection entry, alike in
     detection and scene files; ``where`` names the entry."""
     pt = entry.get("point")
     is_pair = isinstance(pt, (list, tuple)) and len(pt) > 1
@@ -363,7 +363,6 @@ def _checked_point(entry: dict, where: str, confidence_key: str, error: type) ->
     confidence = as_number(raw)
     if confidence is None or not 0.0 <= confidence <= 1.0:
         raise error(f"{where}.{confidence_key}: expected a number in [0, 1], got {raw!r}")
-    return (x, y), confidence
 
 
 def _check_entry(entry, where: str) -> None:
@@ -373,7 +372,7 @@ def _check_entry(entry, where: str) -> None:
         raise SchemaViolation(f"{where}: not an object")
     if not isinstance(entry.get("name"), str):
         raise SchemaViolation(f"{where}: missing or non-string 'name'")
-    _checked_point(entry, where, "probability", SchemaViolation)
+    _check_point(entry, where, "probability", SchemaViolation)
 
 
 def _number_column(values: list) -> Optional[np.ndarray]:
@@ -382,26 +381,26 @@ def _number_column(values: list) -> Optional[np.ndarray]:
     return None if None in column else np.array(column, dtype=np.float64)
 
 
-def _point_columns(points: list):
-    """(names, xs, ys, probabilities) of the entries, or None if any entry
-    fails a check of :func:`_check_entry`; the same checks, a column at a
-    time (a JSON array is a ``list``, an object a ``dict``)."""
+def _point_columns(points: list, label_key: str, confidence_key: str):
+    """(xs, ys, confidences, labels) of the entries, or None if any entry has
+    no string ``label_key`` or fails :func:`_check_point`; the same checks,
+    a column at a time (a JSON array is a ``list``, an object a ``dict``)."""
     if not set(map(type, points)) <= {dict}:
         return None
-    names = [e.get("name") for e in points]
+    labels = [e.get(label_key) for e in points]
     coords = [e.get("point") for e in points]
-    if not set(map(type, names)) <= {str} or not set(map(type, coords)) <= {list}:
+    if not set(map(type, labels)) <= {str} or not set(map(type, coords)) <= {list}:
         return None
     if points and min(map(len, coords)) < 2:
         return None
     xs = _number_column([p[0] for p in coords])
     ys = _number_column([p[1] for p in coords])
-    probs = _number_column([e.get("probability", 1.0) for e in points])
+    probs = _number_column([e.get(confidence_key, 1.0) for e in points])
     if xs is None or ys is None or probs is None:
         return None
     if not (np.isfinite(xs).all() and np.isfinite(ys).all() and ((probs >= 0.0) & (probs <= 1.0)).all()):
         return None
-    return names, xs, ys, probs
+    return xs, ys, probs, labels
 
 
 def parse_detections(
@@ -422,19 +421,13 @@ def parse_detections(
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise MalformedDocument('expected an object with a "points" array')
     points = doc["points"]
-    columns = _point_columns(points)
+    columns = _point_columns(points, "name", "probability")
     if columns is None:
         for i, entry in enumerate(points):
             _check_entry(entry, f"points[{i}]")
         raise AssertionError("a detection entry failed a column check but no entry check")
-    names, xs, ys, probs = columns
-    class_of = {name: CellClass.from_label(name, aliases) for name in dict.fromkeys(names)}
-    code_of_class: Dict[CellClass, int] = {}
-    code_of = {name: code_of_class.setdefault(cls, len(code_of_class)) for name, cls in class_of.items()}
-    ids = np.empty(len(points), dtype=object)
-    ids[:] = [f"d{i}" for i in range(len(points))]
-    codes = np.fromiter(map(code_of.__getitem__, names), dtype=np.intp, count=len(points))
-    table = DetectionTable(ids, xs, ys, probs, codes, tuple(code_of_class))
+    ids = [f"d{i}" for i in range(len(points))]
+    table = DetectionTable.from_labels(ids, *columns, lambda s: CellClass.from_label(s, aliases))
     if classes is not None:
         classes = {c.kind if isinstance(c, CellClass) else str(c) for c in classes}
     return table.take(table.keep(classes, min_confidence))
@@ -583,6 +576,9 @@ def dedup_detections(detections: Sequence[Detection], radius: float) -> Detectio
 
 def write_scene(scene: SectionScene) -> bytes:
     """Serialize a scene deterministically; see :func:`canonical_json_bytes`."""
+    table = scene.detections
+    names = [c.to_string() for c in table.classes]
+    columns = (table.ids, table.codes, table.xs, table.ys, table.confidences)
     doc = {
         "section_id": scene.section_id,
         "instances": [
@@ -598,13 +594,8 @@ def write_scene(scene: SectionScene) -> bytes:
             for inst in scene.instances
         ],
         "detections": [
-            {
-                "id": det.id,
-                "class": det.cls.to_string(),
-                "point": [det.point[0], det.point[1]],
-                "confidence": det.confidence,
-            }
-            for det in scene.detections
+            {"id": did, "class": names[code], "point": [x, y], "confidence": confidence}
+            for did, code, x, y, confidence in zip(*(column.tolist() for column in columns))
         ],
         "metadata": scene.metadata,
     }
@@ -622,19 +613,13 @@ def scene_canvas(scene: SectionScene) -> Tuple[float, float, float, float]:
     canvas = scene.metadata.get("canvas")
     if canvas is not None:
         return checked_canvas(canvas, "metadata.canvas", MalformedDocument)
-    xs: List[float] = []
-    ys: List[float] = []
-    for inst in scene.instances:
-        b = inst.polygon.bounds
-        xs.extend((b.min_x, b.max_x))
-        ys.extend((b.min_y, b.max_y))
-    for det in scene.detections:
-        xs.append(det.point[0])
-        ys.append(det.point[1])
-    if not xs:
+    bounds = [inst.polygon.bounds for inst in scene.instances]
+    xs = np.concatenate(([b.min_x for b in bounds], [b.max_x for b in bounds], scene.detections.xs))
+    ys = np.concatenate(([b.min_y for b in bounds], [b.max_y for b in bounds], scene.detections.ys))
+    if not xs.size:
         return (0.0, 0.0, 100.0, 100.0)
     pad = 10.0
-    box = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+    box = (float(xs.min()) - pad, float(ys.min()) - pad, float(xs.max()) + pad, float(ys.max()) + pad)
     return checked_canvas(box, "canvas (the padded bounding box of the scene)", MalformedDocument)
 
 
@@ -649,6 +634,26 @@ def _scene_entry(entry, where: str, parse_class) -> Tuple[str, object]:
         return entry["id"], parse_class(label if isinstance(label, str) else "")
     except ValueError:
         raise MalformedDocument(f"{where}.class: unknown class {label!r}") from None
+
+
+def _scene_detections(entries: list) -> DetectionTable:
+    """The table of a scene's detection entries, checked as columns; when a
+    check fails, the entries are checked one by one in document order, so
+    the error names the first bad entry and its first bad field."""
+    columns = _point_columns(entries, "class", "confidence")
+    ids = [e.get("id") if isinstance(e, dict) else None for e in entries]
+    if columns is not None and set(map(type, ids)) <= {str} and len(set(ids)) == len(ids):
+        with suppress(ValueError):  # an unknown class
+            return DetectionTable.from_labels(ids, *columns, CellClass.from_string)
+    seen: Set[str] = set()
+    for i, entry in enumerate(entries):
+        where = f"detections[{i}]"
+        did, _ = _scene_entry(entry, where, CellClass.from_string)
+        _check_point(entry, where, "confidence", MalformedDocument)
+        if did in seen:
+            raise MalformedDocument(f"duplicate detection id {did!r}")
+        seen.add(did)
+    raise AssertionError("a scene detection failed a column check but no entry check")
 
 
 def read_scene(data: bytes) -> SectionScene:
@@ -679,16 +684,7 @@ def read_scene(data: bytes) -> SectionScene:
                 raise MalformedDocument(f"duplicate instance id {iid!r}")
             seen.add(iid)
             instances.append(Instance(id=iid, cls=cls, polygon=poly, properties=dict(properties)))
-    detections: List[Detection] = []
-    seen_d: Set[str] = set()
-    for i, entry in enumerate(doc["detections"]):
-        where = f"detections[{i}]"
-        did, cls = _scene_entry(entry, where, CellClass.from_string)
-        point, confidence = _checked_point(entry, where, "confidence", MalformedDocument)
-        if did in seen_d:
-            raise MalformedDocument(f"duplicate detection id {did!r}")
-        seen_d.add(did)
-        detections.append(Detection(id=did, point=point, cls=cls, confidence=confidence))
+    detections = _scene_detections(doc["detections"])
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise MalformedDocument("scene metadata must be an object")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
+from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
@@ -137,23 +137,25 @@ class DetectionTable(Sequence):
         self.confidences, self.codes, self.classes = confidences, codes, classes
 
     @classmethod
+    def from_labels(cls, ids: Sequence[str], xs: np.ndarray, ys: np.ndarray, confidences: np.ndarray,
+                    labels: Sequence, parse: Callable[..., CellClass] = lambda c: c) -> "DetectionTable":
+        """The table of these columns, row ``i`` of class ``parse(labels[i])``.
+        Each distinct label is parsed once, in order of first appearance."""
+        code_of_class: Dict[CellClass, int] = {}
+        code_of = {x: code_of_class.setdefault(parse(x), len(code_of_class)) for x in dict.fromkeys(labels)}
+        codes = np.fromiter(map(code_of.__getitem__, labels), dtype=np.intp, count=len(labels))
+        ids_column = np.empty(len(ids), dtype=object)
+        ids_column[:] = ids
+        return cls(ids_column, xs, ys, confidences, codes, tuple(code_of_class))
+
+    @classmethod
     def from_rows(cls, detections: "Sequence[Detection]") -> "DetectionTable":
         """The table of any sequence of detections; a table is returned as is."""
         if isinstance(detections, DetectionTable):
             return detections
-        n = len(detections)
-        code_of: Dict[CellClass, int] = {}
-        codes = [code_of.setdefault(d.cls, len(code_of)) for d in detections]
-        ids = np.empty(n, dtype=object)
-        ids[:] = [d.id for d in detections]
-        return cls(
-            ids,
-            np.fromiter((d.point[0] for d in detections), dtype=np.float64, count=n),
-            np.fromiter((d.point[1] for d in detections), dtype=np.float64, count=n),
-            np.fromiter((d.confidence for d in detections), dtype=np.float64, count=n),
-            np.array(codes, dtype=np.intp),
-            tuple(code_of),
-        )
+        numbers = np.array([(*d.point, d.confidence) for d in detections], dtype=np.float64)
+        xs, ys, confidences = numbers.reshape(len(detections), 3).T.copy()
+        return cls.from_labels([d.id for d in detections], xs, ys, confidences, [d.cls for d in detections])
 
     def __len__(self) -> int:
         return self.xs.size
@@ -179,6 +181,20 @@ class DetectionTable(Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
+    def __add__(self, other):
+        """This table's rows, then those of ``other``, any sequence of detections."""
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        other = DetectionTable.from_rows(other)
+        classes = tuple(dict.fromkeys(self.classes + other.classes))
+        codes = np.array([classes.index(c) for c in other.classes], dtype=np.intp)[other.codes]
+        columns = zip((self.ids, self.xs, self.ys, self.confidences, self.codes),
+                      (other.ids, other.xs, other.ys, other.confidences, codes))
+        return DetectionTable(*map(np.concatenate, columns), classes)
+
+    def __radd__(self, other):
+        return DetectionTable.from_rows(other) + self if isinstance(other, Sequence) else NotImplemented
+
     def take(self, rows) -> "DetectionTable":
         """The rows a boolean mask, a position array or a slice selects, in order."""
         return DetectionTable(self.ids[rows], self.xs[rows], self.ys[rows], self.confidences[rows],
@@ -202,12 +218,16 @@ class DetectionTable(Sequence):
 
 @dataclass
 class SectionScene:
-    """All instances and detections for one tissue section."""
+    """All instances and detections for one tissue section; ``detections``,
+    given as any sequence of detections, is held as a :class:`DetectionTable`."""
 
     section_id: str
     instances: List[Instance] = field(default_factory=list)
-    detections: Sequence[Detection] = field(default_factory=list)
+    detections: DetectionTable = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.detections = DetectionTable.from_rows(self.detections)
 
 
 @dataclass(frozen=True)

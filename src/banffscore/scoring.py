@@ -34,7 +34,6 @@ from .model import (
     GLOMERULUS,
     PERITUBULAR_CAPILLARY,
     SCORABLE_STRUCTURE_KINDS,
-    DetectionTable,
     SectionScene,
 )
 
@@ -156,8 +155,7 @@ def score_section(scene: SectionScene, config: RunConfig = RunConfig()) -> Score
     Deterministic: identical (scene, config) always produce an identical
     report, and the report embeds the config snapshot it was computed with.
     """
-    detections = DetectionTable.from_rows(scene.detections)
-    detections = detections.take(detections.keep(config.cell_classes, config.min_confidence))
+    detections = scene.detections.take(scene.detections.keep(config.cell_classes, config.min_confidence))
     if config.dedup_radius is not None:
         detections = dedup_detections(detections, config.dedup_radius)
     scorable = [inst for inst in scene.instances if inst.cls.kind in SCORABLE_STRUCTURE_KINDS]

@@ -411,7 +411,7 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
     in that fixed order; an all-zero spec returns a scene equal to the input.
     Only hallucination and FP insertion read the scene's canvas."""
     instances = list(scene.instances)
-    detections = list(scene.detections)
+    detections = scene.detections
 
     omit = {k: p for k, p in pspec.omit_instance_prob.items() if p > 0}
     if omit:
@@ -438,32 +438,26 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
             occupied.append(circle)
             instances.append(Instance(id=iid, cls=StructureClass(kind), polygon=poly))
             cell_ids = [f"{iid}-cell-{c}" for c in range(1, hspec.cells_per_instance + 1)]
-            detections += _plant(rng, poly, cell_ids)
+            detections = detections + _plant(rng, poly, cell_ids)
 
     if pspec.detection_fn_prob > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "fn"))
-        draws = rng.random(len(detections)).tolist()
-        detections = [d for d, r in zip(detections, draws) if not r < pspec.detection_fn_prob]
+        detections = detections.take(~(rng.random(len(detections)) < pspec.detection_fn_prob))
 
-    if pspec.detection_fp_count > 0:
+    n = pspec.detection_fp_count
+    if n > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "fp"))
         x0, y0, x1, y1 = scene_canvas(scene)
-        for j in range(pspec.detection_fp_count):
-            detections.append(
-                Detection(
-                    id=f"fp-{j + 1}",
-                    point=(rng.uniform(x0, x1), rng.uniform(y0, y1)),
-                    cls=CellClass(pspec.fp_cell_class),
-                    confidence=1.0,
-                )
-            )
+        # row j holds FP j's x, then its y: the order of one draw per coordinate
+        xy = rng.uniform((x0, y0), (x1, y1), size=(n, 2))
+        ids, labels = [f"fp-{j + 1}" for j in range(n)], [pspec.fp_cell_class] * n
+        detections = detections + DetectionTable.from_labels(ids, *xy.T, np.ones(n), labels, CellClass)
 
     if pspec.jitter_sigma > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "jitter"))
-        table = DetectionTable.from_rows(detections)
-        shifts = rng.normal(0.0, pspec.jitter_sigma, size=(len(table), 2))
-        detections = DetectionTable(table.ids, table.xs + shifts[:, 0], table.ys + shifts[:, 1],
-                                    table.confidences, table.codes, table.classes)
+        dx, dy = rng.normal(0.0, pspec.jitter_sigma, size=(len(detections), 2)).T
+        detections = DetectionTable(detections.ids, detections.xs + dx, detections.ys + dy,
+                                    detections.confidences, detections.codes, detections.classes)
 
     return SectionScene(
         section_id=scene.section_id,
