@@ -22,10 +22,11 @@ upward edge or ``d < 0`` for a downward edge; an odd crossing count per row
 means inside the ring.  ``d == 0`` with the point
 inside the edge's bounding box means the point sits on the segment itself.
 A pair holds when the point is inside the exterior and strictly inside no
-hole, or on any ring.  :func:`assign_detections` runs the kernel once over
-every candidate pair from :class:`SpatialIndex`; :func:`contains_points`
-runs it over every point and one polygon, and :func:`point_in_polygon` is
-its one-point call.  See Hormann & Agathos, "The point in polygon problem
+hole, or on any ring.  :func:`contained_pairs` runs the kernel once over
+every candidate pair from a :class:`SpatialIndex`, for
+:func:`assign_detections` and for the parsers' hole checks;
+:func:`contains_points` runs it over every point and one polygon, and
+:func:`point_in_polygon` is its one-point call.  See Hormann & Agathos, "The point in polygon problem
 for arbitrary polygons", Comput. Geom. 20(3), 2001.
 """
 from __future__ import annotations
@@ -88,11 +89,20 @@ def ring_area(vertices: Sequence[Point]) -> float:
         x1, y1 = vertices[i]
         x2, y2 = vertices[(i + 1) % n]
         acc += x1 * y2 - x2 * y1
-    if math.isfinite(acc):
-        return abs(acc) / 2.0
+    return abs(acc) / 2.0 if math.isfinite(acc) else _rounded(_exact_area(vertices))
+
+
+def _exact_area(vertices: Sequence[Point]) -> Fraction:
+    """Unsigned shoelace area of a ring, exact in the float vertices."""
     ring = [(Fraction(x), Fraction(y)) for x, y in vertices]
-    exact = abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]))) / 2
-    return float(exact) if exact <= sys.float_info.max else math.inf
+    return abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]))) / 2
+
+
+def _rounded(exact: Fraction) -> float:
+    """``exact`` rounded to a float, or infinity of its sign beyond the float range."""
+    if abs(exact) <= sys.float_info.max:
+        return float(exact)
+    return math.inf if exact > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -116,6 +126,8 @@ class Polygon:
 
     @cached_property
     def area(self) -> float:
+        """Exterior area minus hole areas; if a float area is not finite, the
+        exact difference, rounded as :func:`ring_area` rounds."""
         outer = ring_area(self.exterior)
         if outer == 0.0:
             raise DegenerateGeometry("exterior ring has zero area")
@@ -125,7 +137,9 @@ class Polygon:
             if a == 0.0:
                 raise DegenerateGeometry("hole ring has zero area")
             inner += a
-        return outer - inner
+        if math.isfinite(outer) and math.isfinite(inner):
+            return outer - inner
+        return _rounded(_exact_area(self.exterior) - sum(map(_exact_area, self.holes)))
 
     @cached_property
     def _edges(self) -> "_EdgeTable":
@@ -300,6 +314,18 @@ class SpatialIndex:
         return self._at[cell]
 
 
+def contained_pairs(index: SpatialIndex, polygons: Sequence[Polygon], xs: np.ndarray,
+                    ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every (point position, polygon position) pair in which the polygon
+    holds the point, ordered by point, then by polygon: one kernel call over
+    the candidates of ``index``, built over the bounds of ``polygons``."""
+    pt, k = index.pairs(xs, ys)
+    for j in np.flatnonzero(np.bincount(k, minlength=len(polygons))).tolist():
+        polygons[j].area  # validity gate, as in contains_points
+    hit = _contains(_EdgeTable(polygons), xs[pt], ys[pt], k)
+    return pt[hit], k[hit]
+
+
 def build_index(instances: Sequence) -> SpatialIndex:
     """Grid index over the bounding boxes of ``instances`` (objects with
     ``.id`` and ``.polygon``).  An empty list yields an index that returns
@@ -332,14 +358,10 @@ def assign_detections(detections: Sequence, instances: Sequence, index: SpatialI
             f"index covers {len(index.ids)} instances, got {len(inst_ids)} with different ids or order"
         )
     table = DetectionTable.from_rows(detections)
-    pt, inst = index.pairs(table.xs, table.ys)
-    polygons = [i.polygon for i in instances]
-    for k in np.flatnonzero(np.bincount(inst, minlength=len(polygons))).tolist():
-        polygons[k].area  # validity gate, as in contains_points
-    hit = _contains(_EdgeTable(polygons), table.xs[pt], table.ys[pt], inst)
-    counts = np.bincount(inst[hit], minlength=len(inst_ids)).tolist()
+    pt, inst = contained_pairs(index, [i.polygon for i in instances], table.xs, table.ys)
+    counts = np.bincount(inst, minlength=len(inst_ids)).tolist()
     assigned = np.zeros(len(table), dtype=bool)
-    assigned[pt[hit]] = True
+    assigned[pt] = True
     return AssignmentTable(
         counts=dict(zip(inst_ids, counts)),
         unassigned=tuple(sorted(table.ids[~assigned].tolist())),

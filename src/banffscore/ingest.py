@@ -53,7 +53,16 @@ from .errors import (
     MalformedDocument,
     SchemaViolation,
 )
-from .geometry import _BLOCK_PAIRS, Point, Polygon, contains_points, orient, point_in_polygon, ring_area
+from .geometry import (
+    _BLOCK_PAIRS,
+    Point,
+    Polygon,
+    SpatialIndex,
+    contained_pairs,
+    contains_points,
+    orient,
+    ring_area,
+)
 from .model import (
     KNOWN_CELL_KINDS,
     CellClass,
@@ -279,17 +288,31 @@ def _polygon_from_coords(coords, owner: str, cleaned: _CleanedRings) -> Polygon:
     for ring in coords:
         rings.append(_clean_ring(ring, owner))
         cleaned.append((rings[-1], owner))
-    exterior, holes = rings[0], rings[1:]
-    poly = Polygon(exterior=exterior, holes=tuple(holes))
-    shell = Polygon(exterior=exterior) if holes else poly
-    for h, hole in enumerate(holes):
-        xs, ys = np.asarray(hole, dtype=np.float64).T
-        if not contains_points(shell, xs, ys).all():
-            raise DegenerateGeometry(f"{owner}: hole {h} is not inside the exterior ring")
-        for other in range(len(holes)):
-            if other != h and point_in_polygon(hole[0], Polygon(exterior=holes[other])):
-                raise DegenerateGeometry(f"{owner}: holes {other} and {h} are nested")
-    return poly
+    exterior, holes = rings[0], tuple(rings[1:])
+    if holes:
+        _check_holes(exterior, holes, owner)
+    return Polygon(exterior=exterior, holes=holes)
+
+
+def _check_holes(exterior: Tuple[Point, ...], holes: Tuple[Tuple[Point, ...], ...], owner: str) -> None:
+    """Reject the first hole ``h`` that is not inside the exterior ring or
+    whose first vertex some other hole holds (nested holes), as a loop over
+    ``h`` would: lowest ``h``, its "not inside" check first, then the lowest
+    other hole.  Two kernel calls: every hole vertex against the exterior,
+    and each first vertex against the holes whose bounding boxes hold it."""
+    sizes = np.fromiter(map(len, holes), dtype=np.intp, count=len(holes))
+    starts = np.cumsum(sizes) - sizes
+    xy = np.fromiter(chain.from_iterable(chain.from_iterable(holes)), dtype=np.float64, count=2 * sizes.sum())
+    xs, ys = xy[0::2], xy[1::2]
+    outside = np.flatnonzero(~np.logical_and.reduceat(contains_points(Polygon(exterior), xs, ys), starts))
+    rings = [Polygon(exterior=hole) for hole in holes]
+    index = SpatialIndex(range(len(rings)), [ring.bounds for ring in rings])
+    h, other = contained_pairs(index, rings, xs[starts], ys[starts])
+    h, other = h[h != other], other[h != other]
+    if outside.size and (not h.size or outside[0] <= h[0]):
+        raise DegenerateGeometry(f"{owner}: hole {outside[0]} is not inside the exterior ring")
+    if h.size:
+        raise DegenerateGeometry(f"{owner}: holes {other[0]} and {h[0]} are nested")
 
 
 def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> List[Instance]:
@@ -483,17 +506,25 @@ def parse_ground_truth(data: bytes) -> GroundTruthGrades:
 
 def _cell_keys(table: DetectionTable, radius: float) -> Tuple[np.ndarray, int]:
     """Per row, an integer naming its class kind and its grid cell of side
-    ``max(radius, 1.0)``, and the key step from one cell to the next in x.
+    ``radius``, and the key step from one cell to the next in x.
 
-    Cells are the dense ranks of ``floor(x / side)`` and ``floor(y / side)``
-    (floats, so no coordinate overflows an integer), with a spare rank on
-    each axis so that a neighbour offset never wraps into the next row.  Two
-    rows of one kind within ``radius`` have keys that differ by one of
-    ``ox * step + oy`` with ``ox, oy`` in (-1, 0, 1).
+    Cells are the dense ranks of ``floor(x / radius)`` and ``floor(y /
+    radius)`` (floats, so no coordinate overflows an integer), or at radius 0
+    of ``x`` and ``y`` themselves, so that a cell is one point (``-0.0`` and
+    ``0.0`` are one coordinate, as for ``math.dist``).  A spare rank on each
+    axis keeps a neighbour offset from wrapping into the next row.  Two rows
+    of one kind within ``radius`` have keys that differ by one of ``ox *
+    step + oy`` with ``ox, oy`` in (-1, 0, 1).  A radius below ``|x| /
+    1.8e308`` makes ``x / radius`` overflow; every such coordinate of one
+    sign then shares the infinite cell, which stays correct but is scanned
+    like one bucket.
     """
-    side = max(radius, 1.0)
-    _, rx = np.unique(np.floor(table.xs / side), return_inverse=True)
-    _, ry = np.unique(np.floor(table.ys / side), return_inverse=True)
+    cx, cy = table.xs, table.ys
+    if radius > 0:
+        with np.errstate(over="ignore"):
+            cx, cy = np.floor(cx / radius), np.floor(cy / radius)
+    _, rx = np.unique(cx, return_inverse=True)
+    _, ry = np.unique(cy, return_inverse=True)
     nx, ny = int(rx.max(initial=-1)) + 2, int(ry.max(initial=-1)) + 2
     return (table.kind_codes() * nx + rx + 1) * ny + ry + 1, ny
 
@@ -540,13 +571,11 @@ def dedup_detections(detections: Sequence[Detection], radius: float) -> Detectio
     are kept as they are.  The rest are visited by confidence descending,
     then id string, and each is compared only with the kept detections of
     the 3x3 cells around its own (:func:`_cell_keys`).  Kept detections of
-    one kind are more than ``radius`` apart, so for ``radius >= 1`` a cell
-    holds at most four of them and a visit costs at most 36 distances,
-    whatever the radius.  For ``radius < 1`` the cells stay 1 wide, as in
-    the earlier bucket scan, and hold up to about ``(1 / radius) ** 2``
-    kept detections (at radius 0, every distinct point).  The sparse case,
-    in which few detections have a same-kind neighbour within ``radius``,
-    visits only those few.
+    one kind are more than ``radius`` apart, so a cell of side ``radius``
+    holds at most four of them (a cell at radius 0, one) and a visit costs
+    at most 36 distances, whatever the radius.  The sparse case, in which
+    few detections have a same-kind neighbour within ``radius``, visits
+    only those few.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")

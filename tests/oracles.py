@@ -17,11 +17,12 @@ oracle tests every pair of edges one at a time, as the reference for the
 package's batched sweep.  The bucket-scan dedup and the per-instance
 assignment loop are the package's earlier implementations, kept as
 references for its pair-based dedup and its batched containment kernel.
-The scene generator and the FN/jitter stages are the package's earlier
+The scene generator and the FN/FP/jitter stages are the package's earlier
 per-object loops (an all-instance scan per background draw, a
-triangulation per planted cell, one scalar draw per detection): they must
-consume the random streams in exactly the package's order, since the
-suite asserts identical scenes.
+triangulation per planted cell, one scalar draw per detection or
+coordinate): they must consume the random streams in exactly the
+package's order, since the suite asserts identical scenes.  The scene
+detection reader builds one row per entry, as the package once did.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ import numpy as np
 
 from banffscore.errors import PlacementFailure
 from banffscore.geometry import AssignmentTable, contains_points, point_in_polygon
+from banffscore.ingest import scene_canvas
 from banffscore.model import (
     ARTERY,
     GLOMERULUS,
     PERITUBULAR_CAPILLARY,
+    CellClass,
     Detection,
     Instance,
     SectionScene,
@@ -492,3 +495,36 @@ def scalar_jitter(detections, pspec) -> List:
             jittered.append(replace(d, point=(d.point[0] + dx, d.point[1] + dy)))
         detections = jittered
     return detections
+
+
+def scalar_fp_insertion(scene, pspec) -> List:
+    """The false-positive stage of ``synth.perturb_scene``: the FPs it
+    appends, two scalar draws per FP, x then y."""
+    detections = []
+    if pspec.detection_fp_count > 0:
+        rng = np.random.default_rng(derive_seed(pspec.seed, "fp"))
+        x0, y0, x1, y1 = scene_canvas(scene)
+        for j in range(pspec.detection_fp_count):
+            detections.append(
+                Detection(
+                    id=f"fp-{j + 1}",
+                    point=(rng.uniform(x0, x1), rng.uniform(y0, y1)),
+                    cls=CellClass(pspec.fp_cell_class),
+                    confidence=1.0,
+                )
+            )
+    return detections
+
+
+def per_entry_scene_detections(entries) -> List[Detection]:
+    """The rows of a valid scene document's ``detections`` array, one
+    ``Detection`` per entry, as ``ingest.read_scene`` once built them."""
+    return [
+        Detection(
+            e["id"],
+            (float(e["point"][0]), float(e["point"][1])),
+            CellClass.from_string(e["class"]),
+            float(e.get("confidence", 1.0)),
+        )
+        for e in entries
+    ]

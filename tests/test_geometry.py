@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,17 @@ class TestPolygonArea:
         poly = Polygon(exterior=UNIT_SQUARE, holes=(((0.2, 0.2), (0.4, 0.4), (0.6, 0.6)),))
         with pytest.raises(DegenerateGeometry):
             poly.area
+
+    def test_area_beyond_the_float_range_is_infinite(self):
+        # both ring areas overflow, and so does their exact difference
+        poly = Polygon(exterior=square(0.0, 0.0, 1e308), holes=(square(0.0, 0.0, 5e307),))
+        assert poly.area == math.inf
+
+    def test_finite_area_of_an_exterior_whose_float_area_overflows(self):
+        poly = Polygon(exterior=square(0.0, 0.0, 7e153), holes=(square(0.0, 0.0, 5e153),))
+        assert ring_area(poly.exterior) == math.inf
+        exact = (2 * Fraction(7e153)) ** 2 - (2 * Fraction(5e153)) ** 2
+        assert poly.area == float(exact) and math.isfinite(poly.area)
 
 
 def test_orient_gives_the_exact_sign_where_the_float_value_is_not_finite():

@@ -44,7 +44,12 @@ from banffscore.model import (
 from banffscore.synth import SceneSpec, generate_scene
 
 from conftest import mk_detection, mk_instance, square
-from oracles import bucket_dedup, greedy_dedup_quadratic, naive_ring_self_intersects
+from oracles import (
+    bucket_dedup,
+    greedy_dedup_quadratic,
+    naive_ring_self_intersects,
+    per_entry_scene_detections,
+)
 
 
 def feature_collection(*features, properties=None):
@@ -92,6 +97,42 @@ class TestParseStructures:
         (inst,) = parse_structures(data)
         assert inst.cls.kind == PERITUBULAR_CAPILLARY
         assert len(inst.polygon.holes) == 1
+
+    @staticmethod
+    def holey_square(holes):
+        """A 100-wide square with the given hole rings, as one feature."""
+        exterior = [[0, 0], [100, 0], [100, 100], [0, 100]]
+        return feature_collection(polygon_feature("h", "artery", [exterior, *holes]))
+
+    def test_nested_holes_rejected_lowest_hole_first(self):
+        small = lambda x, y, r: [[x - r, y - r], [x + r, y - r], [x + r, y + r], [x - r, y + r]]
+        # hole 2 holds hole 4 and hole 3 holds hole 1; hole 1 is the lowest
+        # hole with an error, and hole 3 the only other hole holding it
+        holes = [small(10, 10, 2), small(50, 50, 1), small(80, 20, 5), small(50, 50, 4), small(80, 20, 1)]
+        with pytest.raises(DegenerateGeometry) as info:
+            parse_structures(self.holey_square(holes))
+        assert str(info.value) == "feature h: holes 3 and 1 are nested"
+        # a hole outside the exterior wins over a nested pair of a later hole...
+        with pytest.raises(DegenerateGeometry, match="hole 1 is not inside the exterior ring"):
+            parse_structures(self.holey_square(holes[:1] + [small(150, 50, 1)] + holes[1:]))
+        # ...and over one of the same hole, whose own check comes first
+        with pytest.raises(DegenerateGeometry, match="hole 1 is not inside the exterior ring"):
+            parse_structures(self.holey_square([small(50, 50, 4), small(50, 98, 3)]))
+        # but not over a nested pair of an earlier hole
+        with pytest.raises(DegenerateGeometry, match="holes 1 and 0 are nested"):
+            parse_structures(self.holey_square([small(20, 20, 1), small(20, 20, 3), small(150, 50, 1)]))
+
+    def test_many_holes_take_a_few_kernel_calls(self, monkeypatch):
+        holes = [
+            [[x + 1, y + 1], [x + 3, y + 1], [x + 3, y + 3], [x + 1, y + 3]]
+            for x in range(0, 96, 6) for y in range(0, 96, 6)
+        ][:200]
+        calls = []
+        kernel = geometry._contains
+        monkeypatch.setattr(geometry, "_contains", lambda *args: calls.append(1) or kernel(*args))
+        (inst,) = parse_structures(self.holey_square(holes))
+        assert len(inst.polygon.holes) == 200
+        assert len(calls) <= 4
 
     def test_two_vertex_ring_names_feature(self):
         data = feature_collection(polygon_feature("bad-ring", "artery", [[[0, 0], [1, 1], [0, 0]]]))
@@ -447,6 +488,39 @@ class TestDedupDetections:
         assert dedup_detections(dets, radius) == bucket_dedup(dets, radius)
 
 
+class TestSubPixelDedup:
+    @staticmethod
+    def crowd():
+        """1,000 lymphocytes in a unit square on a 0.02 lattice, so many
+        share a point, with ``-0.0`` and ``0.0`` both on the left edge."""
+        rng = np.random.default_rng(21)
+        xy = rng.integers(0, 50, size=(1000, 2)) * 0.02
+        conf = rng.integers(0, 10, size=1000) / 10
+        dets = [
+            mk_detection(f"d{i}", -0.0 if x == 0 and i % 2 else x, y, confidence=c)
+            for i, ((x, y), c) in enumerate(zip(xy.tolist(), conf.tolist()))
+        ]
+        return dets
+
+    @pytest.mark.parametrize("radius", [0.0, 0.01])
+    def test_crowd_matches_oracle_with_linear_distance_count(self, radius, monkeypatch):
+        dets = self.crowd()
+        expected = greedy_dedup_quadratic(dets, radius)
+        assert len(expected) < len(dets)
+        calls = []
+        dist = math.dist
+        monkeypatch.setattr(math, "dist", lambda p, q: calls.append(1) or dist(p, q))
+        out = dedup_detections(dets, radius)
+        monkeypatch.undo()
+        assert out == expected
+        assert len(calls) <= 10 * len(dets)
+
+    def test_signed_zeros_are_one_point(self):
+        a = mk_detection("a", 0.0, -0.0, confidence=0.9)
+        b = mk_detection("b", -0.0, 0.0, confidence=0.8)
+        assert dedup_detections([b, a], radius=0.0) == [a]
+
+
 class TestDetectionTable:
     ROWS = [
         Detection("d0", (1.0, 2.0), CellClass(LYMPHOCYTE), 0.9),
@@ -479,6 +553,42 @@ class TestDetectionTable:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(DetectionTable.from_rows(self.ROWS))
+
+    def test_scene_holds_a_table_equal_to_its_row_list(self):
+        scene = SectionScene("s", detections=list(self.ROWS))
+        assert type(scene.detections) is DetectionTable
+        assert scene.detections == self.ROWS
+        assert type(SectionScene("s").detections) is DetectionTable
+
+    def test_sum_with_a_row_list_on_either_side(self):
+        extra = Detection("d3", (5.0, 6.0), CellClass(LYMPHOCYTE), 0.7)
+        head, tail = self.ROWS[:2], [self.ROWS[2], extra]
+        sums = (
+            DetectionTable.from_rows(head) + tail,
+            head + DetectionTable.from_rows(tail),
+            DetectionTable.from_rows(head) + DetectionTable.from_rows(tail),
+        )
+        for total in sums:
+            assert type(total) is DetectionTable
+            assert total == self.ROWS + [extra]
+            # one code per class: the lymphocytes of both sides share theirs
+            assert len(total.classes) == 3
+            assert [total.classes[k] for k in total.codes] == [d.cls for d in self.ROWS + [extra]]
+
+    def test_read_scene_rows_match_one_entry_at_a_time(self):
+        entries = [
+            {"id": "a", "class": "other:mast cell", "point": [1, 2.5], "confidence": 0.25},
+            {"id": "b", "class": "lymphocyte", "point": [-0.0, 3]},
+            {"id": "c", "class": "other:eosinophil", "point": [7.5, -2], "confidence": 1},
+            {"id": "d", "class": "other", "point": [0.125, 1e-300], "confidence": 0.5},
+            {"id": "e", "class": "other:mast cell", "point": [4, 4], "confidence": 0.0},
+        ]
+        for dets in (entries, []):
+            doc = {"section_id": "s", "instances": [], "detections": dets}
+            scene = read_scene(json.dumps(doc).encode())
+            assert type(scene.detections) is DetectionTable
+            assert list(scene.detections) == per_entry_scene_detections(dets)
+        assert len(read_scene(json.dumps(doc | {"detections": entries}).encode()).detections.classes) == 4
 
 
 class TestSceneRoundTrip:

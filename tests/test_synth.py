@@ -359,6 +359,30 @@ class TestAgainstPerObjectOracles:
         assert out.detections == expected
 
 
+class TestFalsePositiveInsertion:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        corner=st.tuples(st.floats(-5000.0, 5000.0), st.floats(-5000.0, 5000.0)),
+        size=st.tuples(st.floats(0.5, 5000.0), st.floats(0.5, 5000.0)),
+        explicit_canvas=st.booleans(),
+        count=st.integers(0, 40),
+        cls=st.sampled_from(["lymphocyte", "monocyte", "other"]),
+        cells=st.integers(0, 3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_scalar_loop(self, corner, size, explicit_canvas, count, cls, cells, seed):
+        (x0, y0), (w, h) = corner, size
+        # without a canvas, the scene's padded bounding box is the canvas
+        scene = SectionScene(
+            section_id="fp",
+            detections=[mk_detection(f"c{k}", x0 + k * w / 3, y0 + k * h / 3) for k in range(cells)],
+            metadata={"canvas": [x0, y0, x0 + w, y0 + h]} if explicit_canvas else {},
+        )
+        pspec = PerturbationSpec(detection_fp_count=count, fp_cell_class=cls, seed=seed)
+        expected = list(scene.detections) + oracles.scalar_fp_insertion(scene, pspec)
+        assert perturb_scene(scene, pspec).detections == expected
+
+
 class TestSensitivityRun:
     def test_zero_perturbation_never_flips(self):
         scene = base_scene()
