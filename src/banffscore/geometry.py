@@ -26,8 +26,9 @@ hole, or on any ring.  :func:`contained_pairs` runs the kernel once over
 every candidate pair from a :class:`SpatialIndex`, for
 :func:`assign_detections` and for the parsers' hole checks;
 :func:`contains_points` runs it over every point and one polygon, and
-:func:`point_in_polygon` is its one-point call.  See Hormann & Agathos, "The point in polygon problem
-for arbitrary polygons", Comput. Geom. 20(3), 2001.
+:func:`point_in_polygon` is its one-point call.  See Hormann & Agathos,
+"The point in polygon problem for arbitrary polygons", Comput. Geom. 20(3),
+2001.
 """
 from __future__ import annotations
 

@@ -305,10 +305,12 @@ def _check_holes(exterior: Tuple[Point, ...], holes: Tuple[Tuple[Point, ...], ..
     xy = np.fromiter(chain.from_iterable(chain.from_iterable(holes)), dtype=np.float64, count=2 * sizes.sum())
     xs, ys = xy[0::2], xy[1::2]
     outside = np.flatnonzero(~np.logical_and.reduceat(contains_points(Polygon(exterior), xs, ys), starts))
-    rings = [Polygon(exterior=hole) for hole in holes]
-    index = SpatialIndex(range(len(rings)), [ring.bounds for ring in rings])
-    h, other = contained_pairs(index, rings, xs[starts], ys[starts])
-    h, other = h[h != other], other[h != other]
+    h = other = np.zeros(0, dtype=np.intp)
+    if len(holes) > 1:  # one hole holds no other
+        rings = [Polygon(exterior=hole) for hole in holes]
+        index = SpatialIndex(range(len(rings)), [ring.bounds for ring in rings])
+        h, other = contained_pairs(index, rings, xs[starts], ys[starts])
+        h, other = h[h != other], other[h != other]
     if outside.size and (not h.size or outside[0] <= h[0]):
         raise DegenerateGeometry(f"{owner}: hole {outside[0]} is not inside the exterior ring")
     if h.size:
