@@ -304,7 +304,8 @@ def _check_holes(exterior: Tuple[Point, ...], holes: Tuple[Tuple[Point, ...], ..
     starts = np.cumsum(sizes) - sizes
     xy = np.fromiter(chain.from_iterable(chain.from_iterable(holes)), dtype=np.float64, count=2 * sizes.sum())
     xs, ys = xy[0::2], xy[1::2]
-    outside = np.flatnonzero(~np.logical_and.reduceat(contains_points(Polygon(exterior), xs, ys), starts))
+    inside = contains_points(Polygon(exterior=exterior), xs, ys)
+    outside = np.flatnonzero(~np.logical_and.reduceat(inside, starts))
     h = other = np.zeros(0, dtype=np.intp)
     if len(holes) > 1:  # one hole holds no other
         rings = [Polygon(exterior=hole) for hole in holes]

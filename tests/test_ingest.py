@@ -115,9 +115,13 @@ class TestParseStructures:
         # a hole outside the exterior wins over a nested pair of a later hole...
         with pytest.raises(DegenerateGeometry, match="hole 1 is not inside the exterior ring"):
             parse_structures(self.holey_square(holes[:1] + [small(150, 50, 1)] + holes[1:]))
-        # ...and over one of the same hole, whose own check comes first
+        # ...and over one of the same hole, whose own check comes first: hole
+        # 0 holds the first vertex of hole 1, which reaches past the exterior
+        long_hole = [[50, 50], [150, 50], [150, 51], [50, 51]]
         with pytest.raises(DegenerateGeometry, match="hole 1 is not inside the exterior ring"):
-            parse_structures(self.holey_square([small(50, 50, 4), small(50, 98, 3)]))
+            parse_structures(self.holey_square([small(50, 50, 4), long_hole]))
+        with pytest.raises(DegenerateGeometry, match="holes 0 and 1 are nested"):
+            parse_structures(self.holey_square([small(50, 50, 4), [[50, 50], [90, 50], [90, 51], [50, 51]]]))
         # but not over a nested pair of an earlier hole
         with pytest.raises(DegenerateGeometry, match="holes 1 and 0 are nested"):
             parse_structures(self.holey_square([small(20, 20, 1), small(20, 20, 3), small(150, 50, 1)]))
@@ -496,11 +500,10 @@ class TestSubPixelDedup:
         rng = np.random.default_rng(21)
         xy = rng.integers(0, 50, size=(1000, 2)) * 0.02
         conf = rng.integers(0, 10, size=1000) / 10
-        dets = [
+        return [
             mk_detection(f"d{i}", -0.0 if x == 0 and i % 2 else x, y, confidence=c)
             for i, ((x, y), c) in enumerate(zip(xy.tolist(), conf.tolist()))
         ]
-        return dets
 
     @pytest.mark.parametrize("radius", [0.0, 0.01])
     def test_crowd_matches_oracle_with_linear_distance_count(self, radius, monkeypatch):
@@ -583,12 +586,12 @@ class TestDetectionTable:
             {"id": "d", "class": "other", "point": [0.125, 1e-300], "confidence": 0.5},
             {"id": "e", "class": "other:mast cell", "point": [4, 4], "confidence": 0.0},
         ]
-        for dets in (entries, []):
+        for dets, n_classes in ((entries, 4), ([], 0)):
             doc = {"section_id": "s", "instances": [], "detections": dets}
-            scene = read_scene(json.dumps(doc).encode())
-            assert type(scene.detections) is DetectionTable
-            assert list(scene.detections) == per_entry_scene_detections(dets)
-        assert len(read_scene(json.dumps(doc | {"detections": entries}).encode()).detections.classes) == 4
+            table = read_scene(json.dumps(doc).encode()).detections
+            assert type(table) is DetectionTable
+            assert list(table) == per_entry_scene_detections(dets)
+            assert len(table.classes) == n_classes  # one per distinct class
 
 
 class TestSceneRoundTrip:
