@@ -307,7 +307,7 @@ def _check_holes(exterior: Tuple[Point, ...], holes: Tuple[Tuple[Point, ...], ..
     inside = contains_points(Polygon(exterior=exterior), xs, ys)
     outside = np.flatnonzero(~np.logical_and.reduceat(inside, starts))
     h = other = np.zeros(0, dtype=np.intp)
-    if len(holes) > 1:  # one hole holds no other
+    if len(holes) > 1:  # a lone hole has no other hole to nest in
         rings = [Polygon(exterior=hole) for hole in holes]
         index = SpatialIndex(range(len(rings)), [ring.bounds for ring in rings])
         h, other = contained_pairs(index, rings, xs[starts], ys[starts])
