@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way their
+messages echo a value from the input."""
+
+import reprlib
+
+# Fixed limits: an abbreviated echo is at most about 110 characters, so an
+# error line stays short whatever the input holds.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 1
+_ECHO.maxtuple = _ECHO.maxlist = _ECHO.maxset = _ECHO.maxfrozenset = 3
+_ECHO.maxdict = 2
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 24
+
+
+def echo(value) -> str:
+    """``repr(value)`` for an error message: unchanged up to 80 characters,
+    abbreviated by :mod:`reprlib` past that."""
+    text = repr(value)
+    return text if len(text) <= 80 else _ECHO.repr(value)
 
 
 class BanffScoreError(Exception):

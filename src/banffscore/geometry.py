@@ -24,7 +24,8 @@ inside the edge's bounding box means the point sits on the segment itself.
 A pair holds when the point is inside the exterior and strictly inside no
 hole, or on any ring.  :func:`contained_pairs` runs the kernel once over
 every candidate pair from a :class:`SpatialIndex`, for
-:func:`assign_detections` and for the parsers' hole checks;
+:func:`assign_detections`, the parsers' hole checks and the synthetic
+background draws;
 :func:`contains_points` runs it over every point and one polygon, and
 :func:`point_in_polygon` is its one-point call.  See Hormann & Agathos,
 "The point in polygon problem for arbitrary polygons", Comput. Geom. 20(3),
@@ -52,9 +53,6 @@ class BoundingBox(NamedTuple):
     min_y: float
     max_x: float
     max_y: float
-
-    def contains(self, x: float, y: float) -> bool:
-        return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
 
 
 def _cross(ax, ay, bx, by, cx, cy):
@@ -236,15 +234,14 @@ def point_in_polygon(point: Point, poly: Polygon) -> bool:
 class SpatialIndex:
     """Uniform grid over the bounds of a set of instances.
 
-    One table backs both queries: for each grid cell, the ascending positions
-    of the instances whose bbox cell range covers that cell, stored as CSR
-    arrays (``_offsets`` into ``_members``).  Points and bbox corners map to
-    cells through the same monotone arithmetic, so a cell's list is a
-    superset of the instances whose bbox holds any point of that cell.
-    :meth:`pairs` filters it to the exact closed-bbox hits; :meth:`instances_at`
-    returns the unfiltered list for one point.  The answers never change
-    after construction.  An empty index has empty bounds (+inf minima,
-    -inf maxima), which hold no point.
+    One table backs its one query, :meth:`pairs`: for each grid cell, the
+    ascending positions of the instances whose bbox cell range covers that
+    cell, stored as CSR arrays (``_offsets`` into ``_members``).  Points and
+    bbox corners map to cells through the same monotone arithmetic, so a
+    cell's list is a superset of the instances whose bbox holds any point of
+    that cell, and :meth:`pairs` filters it to the exact closed-bbox hits.
+    The answers never change after construction.  An empty index has empty
+    bounds (+inf minima, -inf maxima), which hold no point.
     """
 
     def __init__(self, ids: Sequence[str], bboxes: Sequence[BoundingBox]):
@@ -269,7 +266,6 @@ class SpatialIndex:
         self._members = owner[np.argsort(cell, kind="stable")]
         self._offsets = np.zeros(self._side * self._side + 1, dtype=np.int64)
         np.cumsum(np.bincount(cell, minlength=self._side * self._side), out=self._offsets[1:])
-        self._at: Dict[int, Tuple[int, ...]] = {}  # instances_at's tuple per cell, filled on use
 
     @property
     def ids(self) -> Tuple[str, ...]:
@@ -299,20 +295,6 @@ class SpatialIndex:
         px, py, box = xs[pt], ys[pt], self._boxes[inst]
         hit = (px >= box[:, 0]) & (px <= box[:, 2]) & (py >= box[:, 1]) & (py <= box[:, 3])
         return pt[hit], inst[hit]
-
-    def instances_at(self, x: float, y: float) -> Tuple[int, ...]:
-        """Positions (into the indexed instances, ascending) listed for the
-        point's grid cell: a superset of the instances whose bbox holds the
-        point.  Same cell arithmetic as :meth:`pairs`, on Python floats."""
-        b = self._bounds
-        if not b.contains(x, y):
-            return ()
-        last = self._side - 1
-        ix = int(min(max((x - b.min_x) / self._cell_w, 0), last))
-        cell = int(min(max((y - b.min_y) / self._cell_h, 0), last)) * self._side + ix
-        if cell not in self._at:
-            self._at[cell] = tuple(self._members[self._offsets[cell] : self._offsets[cell + 1]].tolist())
-        return self._at[cell]
 
 
 def contained_pairs(index: SpatialIndex, polygons: Sequence[Polygon], xs: np.ndarray,

@@ -52,6 +52,7 @@ from .errors import (
     GradeOutOfRange,
     MalformedDocument,
     SchemaViolation,
+    echo,
 )
 from .geometry import (
     _BLOCK_PAIRS,
@@ -121,7 +122,7 @@ def checked_integer(value, where: str, error: type) -> int:
     or ``2.0``); anything else raises ``error`` naming ``where``."""
     number = as_number(value)
     if number is None or not number.is_integer():
-        raise error(f"{where}: expected an integer, got {value!r}")
+        raise error(f"{where}: expected an integer, got {echo(value)}")
     return value if type(value) is int else int(number)
 
 
@@ -135,7 +136,7 @@ def checked_canvas(value, where: str, error: type) -> Tuple[float, float, float,
             return (x0, y0, x1, y1)
     raise error(
         f"{where}: expected [x0, y0, x1, y1] with x0 < x1, y0 < y1 and a finite width and height, "
-        f"got {value!r}"
+        f"got {echo(value)}"
     )
 
 
@@ -382,13 +383,13 @@ def _check_point(entry: dict, where: str, confidence_key: str, error: type) -> N
     is_pair = isinstance(pt, (list, tuple)) and len(pt) > 1
     x, y = (as_number(pt[0]), as_number(pt[1])) if is_pair else (None, None)
     if x is None or y is None:
-        raise error(f"{where}.point: expected [x, y] of numbers, got {pt!r}")
+        raise error(f"{where}.point: expected [x, y] of numbers, got {echo(pt)}")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise error(f"{where}.point: non-finite point coordinates {pt!r}")
     raw = entry.get(confidence_key, 1.0)
     confidence = as_number(raw)
     if confidence is None or not 0.0 <= confidence <= 1.0:
-        raise error(f"{where}.{confidence_key}: expected a number in [0, 1], got {raw!r}")
+        raise error(f"{where}.{confidence_key}: expected a number in [0, 1], got {echo(raw)}")
 
 
 def _check_entry(entry, where: str) -> None:
@@ -500,7 +501,7 @@ def parse_ground_truth(data: bytes) -> GroundTruthGrades:
             grades[name] = max(values) if values else None
     section_id = coll.get("section_id", doc.get("section_id", ""))
     if not isinstance(section_id, str):
-        raise MalformedDocument(f"section_id: expected a string, got {section_id!r}")
+        raise MalformedDocument(f"section_id: expected a string, got {echo(section_id)}")
     return GroundTruthGrades(section_id=section_id, **grades)
 
 
@@ -660,7 +661,7 @@ def _scene_entry(entry, where: str, parse_class) -> Tuple[str, object]:
     if not isinstance(entry, dict) or "id" not in entry:
         raise MalformedDocument(f"{where}: expected an object with an 'id'")
     if not isinstance(entry["id"], str):
-        raise MalformedDocument(f"{where}.id: expected a string, got {entry['id']!r}")
+        raise MalformedDocument(f"{where}.id: expected a string, got {echo(entry['id'])}")
     label = entry.get("class")
     try:
         return entry["id"], parse_class(label if isinstance(label, str) else "")
@@ -698,7 +699,7 @@ def read_scene(data: bytes) -> SectionScene:
     if not isinstance(doc["instances"], list) or not isinstance(doc["detections"], list):
         raise MalformedDocument("scene instances/detections must be arrays")
     if not isinstance(doc["section_id"], str):
-        raise MalformedDocument(f"section_id: expected a string, got {doc['section_id']!r}")
+        raise MalformedDocument(f"section_id: expected a string, got {echo(doc['section_id'])}")
     instances: List[Instance] = []
     seen: Set[str] = set()
     with _self_intersection_sweep() as cleaned:

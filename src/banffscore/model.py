@@ -192,9 +192,6 @@ class DetectionTable(Sequence):
                       (other.ids, other.xs, other.ys, other.confidences, codes))
         return DetectionTable(*map(np.concatenate, columns), classes)
 
-    def __radd__(self, other):
-        return DetectionTable.from_rows(other) + self if isinstance(other, Sequence) else NotImplemented
-
     def take(self, rows) -> "DetectionTable":
         """The rows a boolean mask, a position array or a slice selects, in order."""
         return DetectionTable(self.ids[rows], self.xs[rows], self.ys[rows], self.confidences[rows],

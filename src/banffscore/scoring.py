@@ -26,7 +26,7 @@ from typing import Dict, Mapping, Tuple, Union
 
 from . import __version__
 from .config import RunConfig
-from .errors import MalformedDocument
+from .errors import MalformedDocument, echo
 from .geometry import assign_detections, build_index
 from .ingest import canonical_json_bytes, checked_integer, dedup_detections
 from .model import (
@@ -229,12 +229,14 @@ def _detail_from_dict(doc: dict, indicator: str) -> GradeDetail:
             where = f"{indicator}.per_instance[{k}]"
             iid = entry.get("id") if isinstance(entry, dict) else None
             if not isinstance(iid, str):
-                raise MalformedDocument(f"{where}.id: expected a string, got {iid!r}")
+                raise MalformedDocument(f"{where}.id: expected a string, got {echo(iid)}")
             if iid in counts:
                 raise MalformedDocument(f"{where}.id: {iid!r} repeats")
             count = checked_integer(entry.get("count"), f"{where}.count", MalformedDocument)
             if count < 0:
-                raise MalformedDocument(f"{where}.count: expected an integer >= 0, got {count}")
+                raise MalformedDocument(
+                    f"{where}.count: expected an integer >= 0, got {echo(count)}"
+                )
             counts[iid] = count
     detail = _REGRADE[indicator](counts)
     for key, value in _detail_to_dict(detail).items():
@@ -255,7 +257,7 @@ def report_from_dict(doc: dict) -> ScoreReport:
     config = doc.get("config", {})
     section_id = doc.get("section_id", "")
     if not isinstance(section_id, str):
-        raise MalformedDocument(f"section_id: expected a string, got {section_id!r}")
+        raise MalformedDocument(f"section_id: expected a string, got {echo(section_id)}")
     return ScoreReport(
         section_id=section_id,
         g=details["g"],

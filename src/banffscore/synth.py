@@ -27,9 +27,18 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, PlacementFailure
-from .geometry import Point, Polygon, build_index, point_in_polygon
-from .ingest import as_number, checked_canvas, checked_integer, is_finite, is_int, scene_canvas
+from .errors import ConfigError, DegenerateGeometry, PlacementFailure, echo
+from .geometry import _BLOCK_PAIRS, Point, Polygon, build_index, contained_pairs, point_in_polygon
+from .ingest import (
+    _clean_ring,
+    _self_intersection_sweep,
+    as_number,
+    checked_canvas,
+    checked_integer,
+    is_finite,
+    is_int,
+    scene_canvas,
+)
 from .model import (
     ARTERY,
     GLOMERULUS,
@@ -73,19 +82,19 @@ _PLACEMENT_MARGIN = 4.0
 
 def _count(name: str, value) -> int:
     if not (is_int(value) and value >= 0):
-        raise ConfigError(f"{name}: expected an integer >= 0, got {value!r}")
+        raise ConfigError(f"{name}: expected an integer >= 0, got {echo(value)}")
     return checked_integer(value, name, ConfigError)
 
 
 def _check_seed(value) -> None:
     if not is_int(value):
-        raise ConfigError(f"seed: expected an integer, got {value!r}")
+        raise ConfigError(f"seed: expected an integer, got {echo(value)}")
 
 
 def _radius_range(name: str, value) -> Tuple[float, float]:
     is_pair = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_finite, value))
     if not (is_pair and 0 < value[0] <= value[1]):
-        raise ConfigError(f"{name}: expected [min, max] with 0 < min <= max, got {value!r}")
+        raise ConfigError(f"{name}: expected [min, max] with 0 < min <= max, got {echo(value)}")
     return (as_number(value[0]), as_number(value[1]))
 
 
@@ -107,12 +116,12 @@ class SceneSpec:
 
     def __post_init__(self):
         if not isinstance(self.section_id, str):
-            raise ConfigError(f"section_id: expected a string, got {self.section_id!r}")
+            raise ConfigError(f"section_id: expected a string, got {echo(self.section_id)}")
         object.__setattr__(self, "canvas", checked_canvas(self.canvas, "canvas", ConfigError))
         for name in ("glomerulus_cells", "ptc_cells", "artery_cells"):
             counts = getattr(self, name)
             if not isinstance(counts, (list, tuple)):
-                raise ConfigError(f"{name}: expected a list of integers >= 0, got {counts!r}")
+                raise ConfigError(f"{name}: expected a list of integers >= 0, got {echo(counts)}")
             object.__setattr__(
                 self, name, tuple(_count(f"{name}[{i}]", c) for i, c in enumerate(counts))
             )
@@ -216,20 +225,35 @@ def _point_inside(rng: np.random.Generator, poly: Polygon, fan: _Fan) -> Point:
     raise PlacementFailure("interior sampling failed")  # pragma: no cover
 
 
-def _cell_class(rng: np.random.Generator) -> CellClass:
-    return CellClass(LYMPHOCYTE if rng.random() < 0.5 else MONOCYTE)
-
-
-def _cell(rng: np.random.Generator, cell_id: str, point: Point) -> Detection:
-    """A synthetic cell at ``point``; its class is drawn first, then its confidence."""
-    return Detection(cell_id, point, _cell_class(rng), round(rng.uniform(0.6, 1.0), 4))
+def _cell(cell_id: str, point: Point, u_class: float, u_confidence: float) -> Detection:
+    """A synthetic cell at ``point`` from two uniform doubles in [0, 1): the
+    first picks its class, the second its confidence, mapped as
+    ``rng.uniform(0.6, 1.0)`` maps a double and rounded to 4 decimals."""
+    cls = CellClass(LYMPHOCYTE if u_class < 0.5 else MONOCYTE)
+    return Detection(cell_id, point, cls, round(0.6 + (1.0 - 0.6) * u_confidence, 4))
 
 
 def _plant(rng: np.random.Generator, poly: Polygon, cell_ids: List[str]) -> List[Detection]:
     """One cell per id at a uniform point inside the convex ``poly``, each
     point drawn before the cell's class and confidence."""
     fan = _fan(poly)
-    return [_cell(rng, cell_id, _point_inside(rng, poly, fan)) for cell_id in cell_ids]
+    return [_cell(cell_id, _point_inside(rng, poly, fan), *rng.random(2).tolist())
+            for cell_id in cell_ids]
+
+
+def _check_rings(instances: List[Instance]) -> None:
+    """Raise PlacementFailure naming the first instance whose ring
+    :func:`~banffscore.ingest.read_scene` would reject or change, as a tiny
+    radius can make it: one self-intersection sweep over all the rings."""
+    try:
+        with _self_intersection_sweep() as cleaned:
+            for inst in instances:
+                ring = inst.polygon.exterior
+                if _clean_ring(ring, inst.id) != ring:
+                    raise DegenerateGeometry(f"{inst.id}: ring repeats a vertex")
+                cleaned.append((ring, inst.id))
+    except DegenerateGeometry as exc:
+        raise PlacementFailure(str(exc)) from None
 
 
 def _bounding_circle(poly: Polygon) -> Tuple[float, float, float]:
@@ -264,24 +288,36 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
             instances.append(
                 Instance(id=f"{prefix}-{j + 1}", cls=StructureClass(kind), polygon=poly)
             )
+    _check_rings(instances)
     detections: List[Detection] = []
     for inst, want in zip(instances, [c for _, _, counts, _ in plan for c in counts]):
         n = len(detections)
         detections += _plant(rng, inst.polygon, [f"cell-{n + k}" for k in range(1, want + 1)])
+    # The background stream is a sequence of pairs of doubles: an attempt's
+    # x and y, mapped as rng.uniform maps a double, and after a free attempt
+    # that cell's class and confidence.  It is read and tested a block at a
+    # time.  The background is the scene stream's last stage, so the pairs
+    # the walk leaves unread in the last block need no rewind.
     index = build_index(instances)
-    for j in range(spec.background_cells):
-        for _ in range(_PLACEMENT_ATTEMPTS):
-            x = rng.uniform(x0, x1)
-            y = rng.uniform(y0, y1)
-            if not any(
-                instances[k].polygon.bounds.contains(x, y)
-                and point_in_polygon((x, y), instances[k].polygon)
-                for k in index.instances_at(x, y)
-            ):
-                break
-        else:
-            raise PlacementFailure(f"background cell {j + 1}: no free canvas space")
-        detections.append(_cell(rng, f"bg-{j + 1}", (x, y)))
+    polygons = [inst.polygon for inst in instances]
+    j, point, misses = 0, None, 0
+    while j < spec.background_cells:
+        u = rng.random((min(_BLOCK_PAIRS, 2 * (spec.background_cells - j)), 2))
+        xs, ys = x0 + (x1 - x0) * u[:, 0], y0 + (y1 - y0) * u[:, 1]
+        busy = np.zeros(len(u), dtype=bool)
+        busy[contained_pairs(index, polygons, xs, ys)[0]] = True
+        walk = zip(u.tolist(), xs.tolist(), ys.tolist(), busy.tolist())
+        for (u_class, u_confidence), x, y, hit in walk:
+            if point is not None:
+                j += 1
+                detections.append(_cell(f"bg-{j}", point, u_class, u_confidence))
+                point = None
+                if j == spec.background_cells:
+                    break
+            elif not hit:
+                point, misses = (x, y), 0
+            elif (misses := misses + 1) == _PLACEMENT_ATTEMPTS:
+                raise PlacementFailure(f"background cell {j + 1}: no free canvas space")
     scene = SectionScene(
         section_id=spec.section_id,
         instances=instances,
@@ -323,7 +359,7 @@ _FP_CELL_CLASSES = KNOWN_CELL_KINDS + (OTHER,)
 
 def _check_probability(name: str, value) -> None:
     if not (is_finite(value) and 0 <= value <= 1):
-        raise ConfigError(f"{name}: expected a number in [0, 1], got {value!r}")
+        raise ConfigError(f"{name}: expected a number in [0, 1], got {echo(value)}")
 
 
 @dataclass(frozen=True)
@@ -356,10 +392,12 @@ class PerturbationSpec:
         _count("detection_fp_count", self.detection_fp_count)
         if self.fp_cell_class not in _FP_CELL_CLASSES:
             expected = ", ".join(_FP_CELL_CLASSES)
-            raise ConfigError(f"fp_cell_class: expected one of {expected}, got {self.fp_cell_class!r}")
+            raise ConfigError(
+                f"fp_cell_class: expected one of {expected}, got {echo(self.fp_cell_class)}"
+            )
         if not (is_finite(self.jitter_sigma) and self.jitter_sigma >= 0):
             raise ConfigError(
-                f"jitter_sigma: expected a finite number >= 0, got {self.jitter_sigma!r}"
+                f"jitter_sigma: expected a finite number >= 0, got {echo(self.jitter_sigma)}"
             )
         _check_seed(self.seed)
 
@@ -437,6 +475,8 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
             poly, circle = _place_polygon(rng, canvas, radius_range, occupied, iid)
             occupied.append(circle)
             instances.append(Instance(id=iid, cls=StructureClass(kind), polygon=poly))
+            # planting draws before the next placement, so each ring is checked alone
+            _check_rings(instances[-1:])
             cell_ids = [f"{iid}-cell-{c}" for c in range(1, hspec.cells_per_instance + 1)]
             detections = detections + _plant(rng, poly, cell_ids)
 

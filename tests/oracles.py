@@ -40,6 +40,8 @@ from banffscore.ingest import scene_canvas
 from banffscore.model import (
     ARTERY,
     GLOMERULUS,
+    LYMPHOCYTE,
+    MONOCYTE,
     PERITUBULAR_CAPILLARY,
     CellClass,
     Detection,
@@ -48,12 +50,7 @@ from banffscore.model import (
     StructureClass,
 )
 from banffscore.seeds import derive_seed
-from banffscore.synth import (
-    _PLACEMENT_ATTEMPTS,
-    _cell_class,
-    _place_polygon,
-    planted_grades,
-)
+from banffscore.synth import _PLACEMENT_ATTEMPTS, _place_polygon, planted_grades
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +441,7 @@ def all_instance_scan_generate_scene(spec):
                 Detection(
                     id=f"cell-{cell_counter}",
                     point=per_call_point_inside(rng, inst.polygon),
-                    cls=_cell_class(rng),
+                    cls=CellClass(LYMPHOCYTE if rng.random() < 0.5 else MONOCYTE),
                     confidence=round(rng.uniform(0.6, 1.0), 4),
                 )
             )
@@ -453,7 +450,9 @@ def all_instance_scan_generate_scene(spec):
             x = rng.uniform(x0, x1)
             y = rng.uniform(y0, y1)
             if not any(
-                inst.polygon.bounds.contains(x, y) and point_in_polygon((x, y), inst.polygon)
+                inst.polygon.bounds.min_x <= x <= inst.polygon.bounds.max_x
+                and inst.polygon.bounds.min_y <= y <= inst.polygon.bounds.max_y
+                and point_in_polygon((x, y), inst.polygon)
                 for inst in instances
             ):
                 break
@@ -463,7 +462,7 @@ def all_instance_scan_generate_scene(spec):
             Detection(
                 id=f"bg-{j + 1}",
                 point=(x, y),
-                cls=_cell_class(rng),
+                cls=CellClass(LYMPHOCYTE if rng.random() < 0.5 else MONOCYTE),
                 confidence=round(rng.uniform(0.6, 1.0), 4),
             )
         )

@@ -480,6 +480,27 @@ class TestSynthAndSensitivityCommands:
         assert f"error: {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cells", [pytest.param([4], id="with-cells"), pytest.param([0], id="empty")])
+    def test_collapsed_ring_exits_2_naming_it(self, cells, tmp_path, capsys):
+        doc = {**SCENE_SPEC, "glomerulus_cells": cells, "glomerulus_radius": [1e-20, 1e-20]}
+        spec = write_json(tmp_path / "spec.json", doc)
+        out = tmp_path / "o"
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: glom-1: ring has fewer than 3 distinct vertices\n"
+        assert not out.exists()
+
+    def test_collapsed_hallucinated_ring_exits_2_naming_it(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        hallucinate = {"glomerulus": {"count": 1, "cells_per_instance": 4, "radius": [1e-20, 1e-20]}}
+        pspec = write_json(tmp_path / "p.json", {"hallucinate_instances": hallucinate, "seed": 3})
+        out = tmp_path / "sens"
+        argv = ["sensitivity", "--scene", str(tmp_path / "synth-x.scene.json"), "--perturb", str(pspec)]
+        capsys.readouterr()
+        assert main(argv + ["--trials", "3", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: hall-glomerulus-1: ring has fewer than 3 distinct vertices\n"
+        assert not out.exists()
+
     def test_scene_section_id_that_leaves_out_dir_exits_2(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
         assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
@@ -742,6 +763,25 @@ def test_bad_number_exits_2(command, role, path, value, field, section_files, tm
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("probability", BIG_INT, id="probability-401-digits"),
+        pytest.param("point", ["1" * 5000, 100], id="point-5000-character-string"),
+    ],
+)
+def test_long_bad_value_is_echoed_abbreviated(key, value, section_files, tmp_path, capsys):
+    structures, detections = section_files
+    doc = detection_doc()
+    doc["points"][0][key] = value
+    write_json(detections, doc)
+    argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: points[0].{key}: expected ") and err.count("\n") == 1
+    assert len(err) < 200
 
 
 def config_block(doc: dict) -> str:

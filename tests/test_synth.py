@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from banffscore import synth
 from banffscore.errors import ConfigError, PlacementFailure
-from banffscore.geometry import point_in_polygon
-from banffscore.ingest import write_scene
+from banffscore.geometry import contained_pairs, point_in_polygon
+from banffscore.ingest import read_scene, write_scene
 from banffscore.model import ARTERY, GLOMERULUS, PERITUBULAR_CAPILLARY, SectionScene
 from banffscore.scoring import Unscorable, score_section
 from banffscore.seeds import derive_seed
@@ -281,6 +283,39 @@ class TestPerturbScene:
         assert PerturbationSpec.from_dict(pspec.to_dict()) == pspec
 
 
+class TestTinyRadii:
+    """A radius small against the canvas coordinates collapses or twists a
+    ring when its vertices round to floats.  Placement checks every new ring
+    as ``read_scene`` would, before any cell is planted."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        exponents=st.lists(
+            st.one_of(st.floats(-300.0, 3.0), st.floats(-16.0, -10.0)), min_size=2, max_size=2
+        ).map(sorted),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_fails_naming_the_instance_or_round_trips(self, exponents, seed):
+        radius = (10.0 ** exponents[0], 10.0 ** exponents[1])
+        spec = SceneSpec(
+            canvas=(0, 0, 800, 800),
+            glomerulus_cells=(3, 0),
+            ptc_cells=(2,),
+            background_cells=5,
+            glomerulus_radius=radius,
+            ptc_radius=radius,
+            seed=seed,
+        )
+        hallucinate = {ARTERY: HallucinationSpec(count=2, cells_per_instance=2, radius=radius)}
+        try:
+            scene = perturb_scene(generate_scene(spec)[0], PerturbationSpec(hallucinate_instances=hallucinate))
+        except PlacementFailure as exc:
+            assert re.match(r"(glom|ptc|hall-artery)-\d+: |background cell \d+: ", str(exc)), str(exc)
+            return
+        data = write_scene(scene)
+        assert write_scene(read_scene(data)) == data
+
+
 def _outcome(generate, spec):
     try:
         return generate(spec)
@@ -288,8 +323,23 @@ def _outcome(generate, spec):
         return f"PlacementFailure: {exc}"
 
 
+# About 265 of its 665 background draws land inside an instance.
+DENSE_BACKGROUND = SceneSpec(
+    canvas=(0, 0, 700, 700),
+    glomerulus_cells=(2, 0, 1, 3),
+    ptc_cells=(1,) * 10,
+    artery_cells=(0, 2),
+    background_cells=400,
+    seed=3,
+)
+# One glomerulus covers about half the canvas; its placement never retries.
+CROWDED_BACKGROUND = SceneSpec(
+    canvas=(0, 0, 700, 700), glomerulus_cells=(0,), glomerulus_radius=(300, 300), background_cells=400, seed=3
+)
+
+
 class TestAgainstPerObjectOracles:
-    """The indexed background scan, the per-instance triangulation and the
+    """The block-read background scan, the per-instance triangulation and the
     array-drawn FN/jitter stages give exactly the scenes of the per-object
     loops in ``tests/oracles.py``."""
 
@@ -324,6 +374,38 @@ class TestAgainstPerObjectOracles:
         scene, _ = generate_scene(spec)
         assert (scene, planted_grades(spec)) == oracles.all_instance_scan_generate_scene(spec)
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_background_blocks_of_any_size_match_all_instance_scan(self, block, monkeypatch):
+        # A block boundary may fall between an attempt and its cell's class
+        # and confidence pair.
+        monkeypatch.setattr(synth, "_BLOCK_PAIRS", block)
+        spec = DENSE_BACKGROUND
+        assert _outcome(generate_scene, spec) == _outcome(oracles.all_instance_scan_generate_scene, spec)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_background_failure_matches_all_instance_scan(self, block, monkeypatch):
+        monkeypatch.setattr(synth, "_BLOCK_PAIRS", block)
+        monkeypatch.setattr(synth, "_PLACEMENT_ATTEMPTS", 2)
+        monkeypatch.setattr(oracles, "_PLACEMENT_ATTEMPTS", 2)
+        spec = CROWDED_BACKGROUND
+        outcome = _outcome(generate_scene, spec)
+        assert outcome == _outcome(oracles.all_instance_scan_generate_scene, spec)
+        assert re.fullmatch(r"PlacementFailure: background cell \d+: no free canvas space", outcome)
+
+    def test_one_containment_call_per_background_block(self, monkeypatch):
+        expected = write_scene(generate_scene(DENSE_BACKGROUND)[0])
+        sizes = []
+
+        def counting(index, polygons, xs, ys):
+            sizes.append(len(xs))
+            return contained_pairs(index, polygons, xs, ys)
+
+        monkeypatch.setattr(synth, "_BLOCK_PAIRS", 64)
+        monkeypatch.setattr(synth, "contained_pairs", counting)
+        assert write_scene(generate_scene(DENSE_BACKGROUND)[0]) == expected
+        # 665 attempts and 400 class and confidence pairs
+        assert len(sizes) >= 1065 // 64 and max(sizes) <= 64 and sum(sizes) >= 1065
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
@@ -353,7 +435,7 @@ class TestAgainstPerObjectOracles:
             replace(structural, detections=[]), PerturbationSpec(detection_fp_count=fp, seed=seed)
         ).detections
         kept = oracles.scalar_fn_dropout(structural.detections, pspec)
-        expected = oracles.scalar_jitter(kept + fps, pspec)
+        expected = oracles.scalar_jitter(list(kept) + list(fps), pspec)
         out = perturb_scene(scene, pspec)
         assert out.instances == structural.instances
         assert out.detections == expected
