@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .config import RunConfig, merge_config, parse_config_text
-from .errors import BanffScoreError, EmptyMatrix
+from .errors import BanffScoreError, EmptyMatrix, echo
 from .evaluation import accumulate, confusion_to_csv, summarize, summary_to_dict
 from .ingest import (
     canonical_json_bytes,
@@ -29,6 +29,7 @@ from .ingest import (
     parse_ground_truth,
     parse_structures,
     read_scene,
+    write_ground_truth,
     write_scene,
 )
 from .model import SectionScene
@@ -67,7 +68,7 @@ def _file_name(section_id: str) -> str:
         or section_id.splitlines() != [section_id]
     ):
         raise BanffScoreError(
-            f"section_id {section_id!r} cannot name an output file (it is empty, '.' or '..', "
+            f"section_id {echo(section_id)} cannot name an output file (it is empty, '.' or '..', "
             "or contains '/', '\\', a control character or a line break)"
         )
     return section_id
@@ -85,7 +86,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         file_overrides = parse_config_text(_require_file(Path(args.config)).read_text("utf-8"))
     flag_overrides = {
         "min_confidence": args.min_confidence,
-        "cell_classes": tuple(args.classes.split(",")) if args.classes else None,
+        "cell_classes": None if args.classes is None else tuple(args.classes.split(",")),
         "dedup_radius": args.dedup_radius,
         "seed": getattr(args, "seed", None),
         "section_id": getattr(args, "section_id", None),
@@ -171,20 +172,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     stem = _file_name(spec.section_id)
     scene, gt = generate_scene(spec)
     scene.metadata["config"] = config.snapshot()
-    gt_doc = {
-        "type": "FeatureCollection",
-        "features": [],
-        "properties": {"section_id": gt.section_id},
-    }
-    for name in ("g", "ptc", "v"):
-        value = getattr(gt, name)
-        if value is not None:
-            gt_doc["properties"][f"banff_{name}"] = value
     out_dir = Path(args.out_dir)
     _write_all(
         [
             (out_dir / f"{stem}.scene.json", write_scene(scene)),
-            (out_dir / f"{stem}.gt.geojson", canonical_json_bytes(gt_doc)),
+            (out_dir / f"{stem}.gt.geojson", write_ground_truth(gt)),
         ]
     )
     return 0

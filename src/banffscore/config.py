@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, echo, echo_id
 from .model import (
     DEFAULT_CELL_ALIASES,
     DEFAULT_STRUCTURE_ALIASES,
@@ -33,8 +33,8 @@ class RunConfig:
     """The operating point of one run.  The scoring defaults (min confidence
     0.5, lymphocytes + monocytes, dedup off) are conventional operating
     points, not measured constants.  Construction normalizes ``cell_classes``
-    and rejects out-of-range values with ConfigError, so every instance is
-    a valid config."""
+    and rejects out-of-range values and an empty class list with
+    ConfigError, so every instance is a valid config."""
 
     min_confidence: float = 0.5
     cell_classes: Tuple[str, ...] = KNOWN_CELL_KINDS
@@ -48,14 +48,16 @@ class RunConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.min_confidence) and 0.0 <= self.min_confidence <= 1.0):
-            raise ConfigError(f"min_confidence={self.min_confidence!r} outside [0, 1]")
+            raise ConfigError(f"min_confidence={echo(self.min_confidence)} outside [0, 1]")
         radius = self.dedup_radius
         if radius is not None and not (math.isfinite(radius) and radius >= 0.0):
-            raise ConfigError(f"dedup_radius={radius!r} is not a finite number >= 0")
+            raise ConfigError(f"dedup_radius={echo(radius)} is not a finite number >= 0")
         kinds = tuple(filter(None, (normalize_label(c).replace(" ", "_") for c in self.cell_classes)))
         for kind in kinds:
             if kind not in KNOWN_CELL_KINDS and kind != OTHER:
-                raise ConfigError(f"cell_classes: unknown cell kind {kind!r}")
+                raise ConfigError(f"cell_classes: unknown cell kind {echo(kind)}")
+        if not kinds:
+            raise ConfigError("cell_classes: expected at least one cell kind, got none")
         object.__setattr__(self, "cell_classes", kinds)
 
     def snapshot(self) -> dict:
@@ -75,7 +77,7 @@ def _parse_float(value: str, key: str) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ConfigError(f"{key}: not a number: {value!r}") from None
+        raise ConfigError(f"{key}: not a number: {echo(value)}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -100,21 +102,21 @@ def parse_config_text(text: str) -> dict:
             try:
                 overrides["seed"] = int(value)
             except ValueError:
-                raise ConfigError(f"seed: not an integer: {value!r}") from None
+                raise ConfigError(f"seed: not an integer: {echo(value)}") from None
         elif key == "section_id":
             overrides["section_id"] = value
         elif key.startswith("alias."):
             kind = normalize_label(value).replace(" ", "_")
             if kind not in SCORABLE_STRUCTURE_KINDS:
-                raise ConfigError(f"{key}: unknown structure kind {value!r}")
+                raise ConfigError(f"{echo_id(key)}: unknown structure kind {echo(value)}")
             structure_aliases[normalize_label(key[len("alias."):])] = kind
         elif key.startswith("cell_alias."):
             kind = normalize_label(value)
             if kind not in KNOWN_CELL_KINDS:
-                raise ConfigError(f"{key}: unknown cell kind {value!r}")
+                raise ConfigError(f"{echo_id(key)}: unknown cell kind {echo(value)}")
             cell_aliases[normalize_label(key[len("cell_alias."):])] = kind
         else:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"config line {lineno}: unknown key {echo(key)}")
     if structure_aliases:
         overrides["structure_aliases"] = structure_aliases
     if cell_aliases:
@@ -137,7 +139,7 @@ def merge_config(file_overrides: Optional[dict] = None, flag_overrides: Optional
             if value is None:
                 continue
             if key not in valid:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(f"unknown config key {echo(key)}")
             if key in ("structure_aliases", "cell_aliases"):
                 value = {**getattr(config, key), **value}
             try:

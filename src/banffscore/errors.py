@@ -19,6 +19,12 @@ def echo(value) -> str:
     return text if len(text) <= 80 else _ECHO.repr(value)
 
 
+def echo_id(name: str) -> str:
+    """An id or label that prefixes an error message: unquoted up to 80
+    characters, abbreviated by :func:`echo` past that."""
+    return name if len(name) <= 80 else _ECHO.repr(name)
+
+
 class BanffScoreError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import EmptyMatrix, GradeOutOfRange
+from .errors import EmptyMatrix, GradeOutOfRange, echo
 from .scoring import Unscorable
 
 N_GRADES = 4
@@ -26,7 +26,7 @@ def _grade_or_none(value: GradeLike) -> Optional[int]:
     if value is None or isinstance(value, Unscorable):
         return None
     if isinstance(value, bool) or value not in (0, 1, 2, 3):
-        raise GradeOutOfRange(f"grade {value!r} outside 0-3")
+        raise GradeOutOfRange(f"grade {echo(value)} outside 0-3")
     return int(value)
 
 

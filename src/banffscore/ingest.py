@@ -24,10 +24,10 @@ Detections: ``{"points": [{"name": str, "point": [x, y],
 "probability": float}, ...]}``; ``probability`` is optional and defaults
 to 1.0.
 
-Ground truth: integer grades under the keys ``banff_g``, ``banff_ptc`` and
-``banff_v``, either on collection-level ``properties`` (which take
-precedence) or on feature ``properties``, where the per-indicator maximum
-across features applies.
+Ground truth: integer grades under the keys of ``GRADE_KEYS``, either on
+collection-level ``properties`` (which take precedence) or on feature
+``properties``, where the per-indicator maximum across features applies.
+:func:`write_ground_truth` writes them on collection-level ``properties``.
 
 Scene interchange: one JSON document ``{"section_id", "instances",
 "detections", "metadata"}`` serialized with sorted keys and 2-space
@@ -53,6 +53,7 @@ from .errors import (
     MalformedDocument,
     SchemaViolation,
     echo,
+    echo_id,
 )
 from .geometry import (
     _BLOCK_PAIRS,
@@ -262,10 +263,10 @@ def _clean_ring(coords, owner: str) -> Tuple[Point, ...]:
     pts: List[Point] = []
     for item in coords:
         if not isinstance(item, (list, tuple)) or len(item) < 2:
-            raise MalformedDocument(f"{owner}: ring vertex {item!r} is not an [x, y] pair")
+            raise MalformedDocument(f"{owner}: ring vertex {echo(item)} is not an [x, y] pair")
         x, y = as_number(item[0]), as_number(item[1])
         if x is None or y is None:
-            raise MalformedDocument(f"{owner}: non-numeric ring vertex {item!r}")
+            raise MalformedDocument(f"{owner}: non-numeric ring vertex {echo(item)}")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DegenerateGeometry(f"{owner}: non-finite ring vertex")
         if pts and pts[-1] == (x, y):
@@ -350,7 +351,7 @@ def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> L
             cls = StructureClass.from_label(label, aliases)
             geom = feature.get("geometry")
             if not isinstance(geom, dict):
-                raise MalformedDocument(f"feature {fid}: missing geometry")
+                raise MalformedDocument(f"feature {echo_id(fid)}: missing geometry")
             gtype = geom.get("type")
             coords = geom.get("coordinates")
             if gtype == "Polygon":
@@ -358,16 +359,16 @@ def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> L
                 multi = False
             elif gtype == "MultiPolygon":
                 if not isinstance(coords, (list, tuple)) or not coords:
-                    raise MalformedDocument(f"feature {fid}: empty MultiPolygon")
+                    raise MalformedDocument(f"feature {echo_id(fid)}: empty MultiPolygon")
                 member_coords = list(coords)
                 multi = True
             else:
-                raise MalformedDocument(f"feature {fid}: unsupported geometry type {gtype!r}")
+                raise MalformedDocument(f"feature {echo_id(fid)}: unsupported geometry type {echo(gtype)}")
             for j, pcoords in enumerate(member_coords):
                 iid = f"{fid}#{j}" if multi else fid
-                polygon = _polygon_from_coords(pcoords, f"feature {iid}", cleaned)
+                polygon = _polygon_from_coords(pcoords, f"feature {echo_id(iid)}", cleaned)
                 if iid in seen:
-                    raise MalformedDocument(f"duplicate instance id {iid!r}")
+                    raise MalformedDocument(f"duplicate instance id {echo(iid)}")
                 seen.add(iid)
                 out.append(Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props)))
     return out
@@ -385,7 +386,7 @@ def _check_point(entry: dict, where: str, confidence_key: str, error: type) -> N
     if x is None or y is None:
         raise error(f"{where}.point: expected [x, y] of numbers, got {echo(pt)}")
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise error(f"{where}.point: non-finite point coordinates {pt!r}")
+        raise error(f"{where}.point: non-finite point coordinates {echo(pt)}")
     raw = entry.get(confidence_key, 1.0)
     confidence = as_number(raw)
     if confidence is None or not 0.0 <= confidence <= 1.0:
@@ -466,7 +467,7 @@ def parse_detections(
 def _grade_value(value, key: str) -> int:
     grade = checked_integer(value, key, GradeOutOfRange)
     if not 0 <= grade <= 3:
-        raise GradeOutOfRange(f"{key}={value!r} outside 0-3")
+        raise GradeOutOfRange(f"{key}={echo(value)} outside 0-3")
     return grade
 
 
@@ -503,6 +504,15 @@ def parse_ground_truth(data: bytes) -> GroundTruthGrades:
     if not isinstance(section_id, str):
         raise MalformedDocument(f"section_id: expected a string, got {echo(section_id)}")
     return GroundTruthGrades(section_id=section_id, **grades)
+
+
+def write_ground_truth(gt: GroundTruthGrades) -> bytes:
+    """The ground-truth file that :func:`parse_ground_truth` reads as ``gt``:
+    an empty FeatureCollection whose ``properties`` hold the section id and
+    each grade that is not None; see :func:`canonical_json_bytes`."""
+    grades = {key: getattr(gt, name) for name, key in GRADE_KEYS.items() if getattr(gt, name) is not None}
+    doc = {"type": "FeatureCollection", "features": [], "properties": {"section_id": gt.section_id, **grades}}
+    return canonical_json_bytes(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +676,7 @@ def _scene_entry(entry, where: str, parse_class) -> Tuple[str, object]:
     try:
         return entry["id"], parse_class(label if isinstance(label, str) else "")
     except ValueError:
-        raise MalformedDocument(f"{where}.class: unknown class {label!r}") from None
+        raise MalformedDocument(f"{where}.class: unknown class {echo(label)}") from None
 
 
 def _scene_detections(entries: list) -> DetectionTable:
@@ -684,7 +694,7 @@ def _scene_detections(entries: list) -> DetectionTable:
         did, _ = _scene_entry(entry, where, CellClass.from_string)
         _check_point(entry, where, "confidence", MalformedDocument)
         if did in seen:
-            raise MalformedDocument(f"duplicate detection id {did!r}")
+            raise MalformedDocument(f"duplicate detection id {echo(did)}")
         seen.add(did)
     raise AssertionError("a scene detection failed a column check but no entry check")
 
@@ -712,9 +722,9 @@ def read_scene(data: bytes) -> SectionScene:
             if not isinstance(properties, dict):
                 raise MalformedDocument(f"{where}.properties: expected an object")
             rings = [polygon.get("exterior"), *polygon.get("holes", [])]
-            poly = _polygon_from_coords(rings, f"instance {iid}", cleaned)
+            poly = _polygon_from_coords(rings, f"instance {echo_id(iid)}", cleaned)
             if iid in seen:
-                raise MalformedDocument(f"duplicate instance id {iid!r}")
+                raise MalformedDocument(f"duplicate instance id {echo(iid)}")
             seen.add(iid)
             instances.append(Instance(id=iid, cls=cls, polygon=poly, properties=dict(properties)))
     detections = _scene_detections(doc["detections"])

@@ -8,6 +8,7 @@ from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional,
 
 import numpy as np
 
+from .errors import echo
 from .geometry import Polygon
 
 GLOMERULUS = "glomerulus"
@@ -80,7 +81,7 @@ class _ClassLabel:
             return cls(OTHER)
         if s.startswith("other:"):
             return cls(OTHER, s[len("other:"):])
-        raise ValueError(f"unknown {cls.noun} class {s!r}")
+        raise ValueError(f"unknown {cls.noun} class {echo(s)}")
 
 
 class StructureClass(_ClassLabel):

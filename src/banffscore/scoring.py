@@ -231,7 +231,7 @@ def _detail_from_dict(doc: dict, indicator: str) -> GradeDetail:
             if not isinstance(iid, str):
                 raise MalformedDocument(f"{where}.id: expected a string, got {echo(iid)}")
             if iid in counts:
-                raise MalformedDocument(f"{where}.id: {iid!r} repeats")
+                raise MalformedDocument(f"{where}.id: {echo(iid)} repeats")
             count = checked_integer(entry.get("count"), f"{where}.count", MalformedDocument)
             if count < 0:
                 raise MalformedDocument(

@@ -2,8 +2,9 @@
 
 Scenes are built from explicit per-instance planted cell counts, so the
 ground-truth grades come straight from the grading rules applied to those
-counts -- a path independent of the geometry pipeline, which the test suite
-cross-checks against it.  Instances are convex polygons (randomized 12-24-gon
+counts -- :func:`~banffscore.scoring.score_g`, ``score_ptc`` and ``score_v``
+graded without the geometry pipeline, which the test suite cross-checks
+against it.  Instances are convex polygons (randomized 12-24-gon
 approximations of ellipses) placed without overlap via bounding-circle
 rejection sampling; convexity keeps uniform interior sampling cheap and
 grades depend only on containment counts, not boundary realism.
@@ -20,8 +21,7 @@ instance; there is deliberately no clamping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -56,14 +56,7 @@ from .model import (
     SectionScene,
     StructureClass,
 )
-from .scoring import (
-    GLOMERULUS_CELL_THRESHOLD,
-    ScoreReport,
-    Unscorable,
-    grade_from_inflamed_fraction,
-    grade_from_max_count,
-    score_section,
-)
+from .scoring import ScoreReport, Unscorable, score_g, score_ptc, score_section, score_v
 from .seeds import derive_seed
 
 DEFAULT_RADIUS_RANGES: Dict[str, Tuple[float, float]] = {
@@ -78,6 +71,44 @@ _PLACEMENT_MARGIN = 4.0
 # Spec values arrive from JSON.  They are checked on construction, so a bad
 # value is a ConfigError naming its field, never a traceback, a silent
 # truncation (1.7 cells) or a stage that does nothing (an unknown FP class).
+
+
+class _Spec:
+    """One reader and one writer for the spec documents: scene and
+    perturbation specs and their nested hallucination entries."""
+
+    _document = "spec"
+
+    @classmethod
+    def from_dict(cls, doc, where: str = ""):
+        """The spec the JSON object ``doc`` holds.  A non-object or an unknown
+        key is an error naming ``where``, or else the document; when ``where``
+        names a nested entry, a field's own error gets ``where.`` before it."""
+        name = where or cls._document
+        if not isinstance(doc, Mapping):
+            raise ConfigError(f"{name}: expected a JSON object")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys {echo(sorted(unknown))}")
+        try:
+            return cls(**doc)
+        except ConfigError as exc:
+            if not where:
+                raise
+            raise ConfigError(f"{where}.{exc}") from None
+
+    def to_dict(self) -> dict:
+        """The spec as a JSON object that :meth:`from_dict` reads back as
+        it: tuples as lists, nested specs as objects, a None field left out."""
+        return {f.name: _json_value(v) for f in fields(self) if (v := getattr(self, f.name)) is not None}
+
+
+def _json_value(value):
+    if isinstance(value, _Spec):
+        return value.to_dict()
+    if isinstance(value, Mapping):
+        return {k: _json_value(v) for k, v in value.items()}
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _count(name: str, value) -> int:
@@ -99,9 +130,11 @@ def _radius_range(name: str, value) -> Tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(_Spec):
     """Recipe for one synthetic section.  The cell-count lists fix the number
     of instances per class and the number of cells planted in each."""
+
+    _document = "scene spec"
 
     section_id: str = "synthetic"
     canvas: Tuple[float, float, float, float] = (0.0, 0.0, 4096.0, 4096.0)
@@ -130,27 +163,19 @@ class SceneSpec:
         object.__setattr__(self, "background_cells", _count("background_cells", self.background_cells))
         _check_seed(self.seed)
 
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "SceneSpec":
-        if not isinstance(doc, Mapping):
-            raise ConfigError("scene spec: expected a JSON object")
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown scene spec keys: {sorted(unknown)}")
-        return cls(**doc)
-
 
 def planted_grades(spec: SceneSpec) -> GroundTruthGrades:
-    """Grades implied by the planted counts alone (no geometry involved)."""
-    g = ptc = v = None
-    if spec.glomerulus_cells:
-        inflamed = sum(1 for c in spec.glomerulus_cells if c > GLOMERULUS_CELL_THRESHOLD)
-        g = grade_from_inflamed_fraction(Fraction(inflamed, len(spec.glomerulus_cells)))
-    if spec.ptc_cells:
-        ptc = grade_from_max_count(max(spec.ptc_cells))
-    if spec.artery_cells:
-        v = grade_from_max_count(max(spec.artery_cells))
-    return GroundTruthGrades(section_id=spec.section_id, g=g, ptc=ptc, v=v)
+    """Grades implied by the planted counts alone (no geometry involved),
+    graded by the scorer; an unscorable indicator is None."""
+    grades = {}
+    for name, score, counts in (
+        ("g", score_g, spec.glomerulus_cells),
+        ("ptc", score_ptc, spec.ptc_cells),
+        ("v", score_v, spec.artery_cells),
+    ):
+        detail = score(dict(enumerate(counts)))
+        grades[name] = None if isinstance(detail, Unscorable) else detail.grade
+    return GroundTruthGrades(section_id=spec.section_id, **grades)
 
 
 def _ellipse_polygon(rng: np.random.Generator, cx: float, cy: float, a: float, b: float) -> Polygon:
@@ -331,7 +356,7 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
 # perturbation
 
 @dataclass(frozen=True)
-class HallucinationSpec:
+class HallucinationSpec(_Spec):
     """How many fake instances of one class to insert and how many cells to
     plant in each; ``radius`` falls back to the class default range."""
 
@@ -347,12 +372,6 @@ class HallucinationSpec:
         if self.radius is not None:
             object.__setattr__(self, "radius", _radius_range("radius", self.radius))
 
-    def to_dict(self) -> dict:
-        out: dict = {"count": self.count, "cells_per_instance": self.cells_per_instance}
-        if self.radius is not None:
-            out["radius"] = list(self.radius)
-        return out
-
 
 _FP_CELL_CLASSES = KNOWN_CELL_KINDS + (OTHER,)
 
@@ -363,8 +382,12 @@ def _check_probability(name: str, value) -> None:
 
 
 @dataclass(frozen=True)
-class PerturbationSpec:
-    """Error-injection recipe applied by :func:`perturb_scene`."""
+class PerturbationSpec(_Spec):
+    """Error-injection recipe applied by :func:`perturb_scene`.  A
+    hallucination entry given as an object is read as a
+    :class:`HallucinationSpec`."""
+
+    _document = "perturbation spec"
 
     omit_instance_prob: Mapping[str, float] = field(default_factory=dict)
     hallucinate_instances: Mapping[str, HallucinationSpec] = field(default_factory=dict)
@@ -381,13 +404,15 @@ class PerturbationSpec:
             object.__setattr__(self, name, dict(getattr(self, name)))
         for kind, p in self.omit_instance_prob.items():
             if kind not in SCORABLE_STRUCTURE_KINDS:
-                raise ConfigError(f"omit_instance_prob: unknown structure kind {kind!r}")
+                raise ConfigError(f"omit_instance_prob: unknown structure kind {echo(kind)}")
             _check_probability(f"omit_instance_prob[{kind!r}]", p)
         for kind, h in self.hallucinate_instances.items():
             if kind not in SCORABLE_STRUCTURE_KINDS:
-                raise ConfigError(f"hallucinate_instances: unknown structure kind {kind!r}")
+                raise ConfigError(f"hallucinate_instances: unknown structure kind {echo(kind)}")
             if not isinstance(h, HallucinationSpec):
-                raise ConfigError(f"hallucinate_instances[{kind!r}]: expected a HallucinationSpec")
+                self.hallucinate_instances[kind] = HallucinationSpec.from_dict(
+                    h, f"hallucinate_instances[{kind!r}]"
+                )
         _check_probability("detection_fn_prob", self.detection_fn_prob)
         _count("detection_fp_count", self.detection_fp_count)
         if self.fp_cell_class not in _FP_CELL_CLASSES:
@@ -400,48 +425,6 @@ class PerturbationSpec:
                 f"jitter_sigma: expected a finite number >= 0, got {echo(self.jitter_sigma)}"
             )
         _check_seed(self.seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "omit_instance_prob": dict(self.omit_instance_prob),
-            "hallucinate_instances": {
-                kind: h.to_dict() for kind, h in self.hallucinate_instances.items()
-            },
-            "detection_fn_prob": self.detection_fn_prob,
-            "detection_fp_count": self.detection_fp_count,
-            "fp_cell_class": self.fp_cell_class,
-            "jitter_sigma": self.jitter_sigma,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "PerturbationSpec":
-        if not isinstance(doc, Mapping):
-            raise ConfigError("perturbation spec: expected a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown perturbation spec keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        entries = kwargs.pop("hallucinate_instances", {})
-        if not isinstance(entries, Mapping):
-            raise ConfigError("hallucinate_instances: expected an object keyed by structure kind")
-        halluc = {}
-        for kind, entry in entries.items():
-            if isinstance(entry, HallucinationSpec):
-                halluc[kind] = entry
-                continue
-            where = f"hallucinate_instances[{kind!r}]"
-            if not isinstance(entry, Mapping):
-                raise ConfigError(f"{where} must be an object")
-            unknown = set(entry) - set(HallucinationSpec.__dataclass_fields__)
-            if unknown:
-                raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-            try:
-                halluc[kind] = HallucinationSpec(**entry)
-            except ConfigError as exc:
-                raise ConfigError(f"{where}.{exc}") from None
-        return cls(hallucinate_instances=halluc, **kwargs)
 
 
 def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:

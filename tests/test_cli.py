@@ -282,6 +282,25 @@ class TestScoreCommand:
         assert docs[1]["config"]["cell_classes"] == docs[0]["config"]["cell_classes"] == ["lymphocyte"]
         assert [docs[1][k] for k in ("g", "ptc", "v")] == [docs[0][k] for k in ("g", "ptc", "v")]
 
+    @pytest.mark.parametrize(
+        "source, spelling", [("--classes", ","), ("--classes", ""), ("config file", ""), ("config file", " , ")]
+    )
+    def test_empty_class_list_exits_2(self, source, spelling, section_files, tmp_path, capsys):
+        structures, detections = section_files
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        if source == "--classes":
+            argv += ["--classes", spelling]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"cell_classes ={spelling}\n")
+            argv += ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {source}: cell_classes: expected at least one cell kind, got none\n"
+        )
+        assert not out.exists()
+
 
 def make_report_and_gt(tmp_path, name, grade, unscorable=False):
     """Score a one-glomerulus section shaped to hit the wanted g grade, then
@@ -781,6 +800,84 @@ def test_long_bad_value_is_echoed_abbreviated(key, value, section_files, tmp_pat
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: points[0].{key}: expected ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
+LONG_ID = "g" * 5000
+ECHOED_LONG_ID = "'ggggggggg...gggggggggg'"
+FLAT_RING = [[0, 0], [1, 1], [2, 2], [0, 0]]  # zero area
+
+
+@pytest.mark.parametrize(
+    "command, role, edits, start",
+    [
+        pytest.param("score", "structures",
+                     [(("features", 0, "id"), LONG_ID), (("features", 0, "geometry", "coordinates", 0), FLAT_RING)],
+                     f"feature {ECHOED_LONG_ID}: ring has zero area", id="feature-id-on-a-zero-area-ring"),
+        pytest.param("score", "structures", [(("features", 0, "id"), LONG_ID), (("features", 1, "id"), LONG_ID)],
+                     f"duplicate instance id {ECHOED_LONG_ID}", id="duplicate-feature-id"),
+        pytest.param("score", "structures", [(RING_X, "1" * 5000)],
+                     "feature glom-a: non-numeric ring vertex ['111111111...1111111111', 70]",
+                     id="string-ring-vertex"),
+        pytest.param("score", "structures", [(("features", 0, "geometry", "type"), "x" * 5000)],
+                     "feature glom-a: unsupported geometry type 'xxxxxxxxx...xxxxxxxxxx'",
+                     id="geometry-type"),
+        pytest.param("score", "detections", [(("points", 0, "point"), [BIG_INT, 0])],
+                     "points[0].point: non-finite point coordinates [1000000000...00000000000, 0]",
+                     id="huge-int-point"),
+        pytest.param("score", "gt", [(("properties", "banff_g"), 10**300)],
+                     "banff_g=1000000000...00000000000 outside 0-3", id="grade-value"),
+        pytest.param("sensitivity", "scene", [(("instances", 0, "class"), "x" * 5000)],
+                     "instances[0].class: unknown class 'xxxxxxxxx...xxxxxxxxxx'", id="scene-class-label"),
+        pytest.param("sensitivity", "scene",
+                     [(("instances", 0, "id"), LONG_ID), (("instances", 0, "polygon", "exterior"), FLAT_RING)],
+                     f"instance {ECHOED_LONG_ID}: ring has zero area", id="scene-instance-id-on-a-bad-ring"),
+        pytest.param("sensitivity", "scene", [(("detections", 0, "id"), LONG_ID), (("detections", 1, "id"), LONG_ID)],
+                     f"duplicate detection id {ECHOED_LONG_ID}", id="duplicate-scene-detection-id"),
+        pytest.param("evaluate", "report",
+                     [(("g", "per_instance", 0, "id"), LONG_ID), (("g", "per_instance", 1, "id"), LONG_ID)],
+                     f"g.per_instance[1].id: {ECHOED_LONG_ID} repeats", id="duplicate-report-id"),
+    ],
+)
+def test_long_id_or_value_is_echoed_abbreviated(command, role, edits, start, section_files, tmp_path, capsys):
+    files, argv = bad_number_inputs(command, section_files, tmp_path)
+    doc = json.loads(files[role].read_text(encoding="utf-8"))
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    write_json(files[role], doc)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {start}") and err.count("\n") == 1
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "flags, config_text, start",
+    [
+        pytest.param(["--classes", "x" * 5000], None, "--classes: cell_classes: unknown cell kind 'xxx",
+                     id="classes-flag"),
+        pytest.param(["--section-id", "a/" + "b" * 5000], None, "section_id 'a/bbbbbbb...bbbbbbbbbb' cannot",
+                     id="section-id-flag"),
+        pytest.param([], "seed = " + "9" * 5000, "seed: not an integer: '99999", id="config-seed"),
+        pytest.param([], "alias." + "t" * 5000 + " = bogus", "'alias.ttt...tttttttttt': unknown structure kind",
+                     id="config-alias-key"),
+        pytest.param([], "x" * 5000 + " = 1", "config line 1: unknown key 'xxx", id="config-unknown-key"),
+    ],
+)
+def test_long_config_value_is_echoed_abbreviated(flags, config_text, start, section_files, tmp_path, capsys):
+    structures, detections = section_files
+    argv = ["score", "--structures", str(structures), "--detections", str(detections), *flags]
+    if config_text is not None:
+        config = tmp_path / "run.cfg"
+        config.write_text(config_text + "\n")
+        argv += ["--config", str(config)]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {start}") and err.count("\n") == 1
     assert len(err) < 200
 
 

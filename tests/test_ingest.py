@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -27,6 +28,7 @@ from banffscore.ingest import (
     parse_ground_truth,
     parse_structures,
     read_scene,
+    write_ground_truth,
     write_scene,
 )
 from banffscore.model import (
@@ -39,6 +41,7 @@ from banffscore.model import (
     CellClass,
     Detection,
     DetectionTable,
+    GroundTruthGrades,
     SectionScene,
 )
 from banffscore.synth import SceneSpec, generate_scene
@@ -311,7 +314,7 @@ class TestParseDetections:
                          "points[0].point: expected [x, y] of numbers, got ['1.5', 0]",
                          id="string-coordinate"),
             pytest.param([{"name": "m", "point": [10**400, 0]}],
-                         f"points[0].point: non-finite point coordinates {[10**400, 0]!r}",
+                         "points[0].point: non-finite point coordinates [1000000000...00000000000, 0]",
                          id="huge-int-coordinate"),
             pytest.param([{"name": "m", "point": [1.0]}],
                          "points[0].point: expected [x, y] of numbers, got [1.0]", id="one-element-point"),
@@ -377,6 +380,20 @@ class TestParseGroundTruth:
     def test_malformed(self):
         with pytest.raises(MalformedDocument):
             parse_ground_truth(b"[1, 2, 3]")
+
+    @pytest.mark.parametrize("section_id", ["s1", "Niere éè 腰 🔬", ""])
+    def test_written_file_reads_back_for_every_grade(self, section_id):
+        grades = (None, 0, 1, 2, 3)
+        for g, ptc, v in itertools.product(grades, grades, grades):
+            gt = GroundTruthGrades(section_id=section_id, g=g, ptc=ptc, v=v)
+            assert parse_ground_truth(write_ground_truth(gt)) == gt
+
+    def test_written_file_holds_only_the_annotated_grades(self):
+        data = write_ground_truth(GroundTruthGrades(section_id="sé", g=2, v=0))
+        assert data == (
+            b'{\n  "features": [],\n  "properties": {\n    "banff_g": 2,\n    "banff_v": 0,\n'
+            b'    "section_id": "s\\u00e9"\n  },\n  "type": "FeatureCollection"\n}\n'
+        )
 
 
 class TestDedupDetections:

@@ -295,6 +295,8 @@ class TestScoreSection:
             {"dedup_radius": -1.0},
             {"dedup_radius": float("inf")},
             {"cell_classes": ("lymphocytes",)},
+            {"cell_classes": ()},
+            {"cell_classes": ("", " ")},
         ):
             with pytest.raises(ConfigError, match=next(iter(bad))):
                 RunConfig(**bad)

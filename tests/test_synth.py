@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import replace
@@ -133,6 +134,16 @@ class TestGenerateScene:
             SceneSpec(background_cells=-2)
         with pytest.raises(ConfigError):
             SceneSpec.from_dict({"glomerulus_cells": [1], "bogus": 3})
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(counts=st.lists(st.lists(st.integers(0, 20), max_size=12), min_size=3, max_size=3))
+    def test_planted_grades_follow_the_grading_bands(self, counts):
+        glom, ptc, art = counts
+        gt = planted_grades(SceneSpec(section_id="p", glomerulus_cells=glom, ptc_cells=ptc, artery_cells=art))
+        assert gt.section_id == "p"
+        assert gt.g == (oracles.g_band(sum(c > 3 for c in glom), len(glom)) if glom else None)
+        assert gt.ptc == (oracles.max_count_band(max(ptc)) if ptc else None)
+        assert gt.v == (oracles.max_count_band(max(art)) if art else None)
 
 
 def base_scene() -> SectionScene:
@@ -281,6 +292,73 @@ class TestPerturbScene:
             seed=23,
         )
         assert PerturbationSpec.from_dict(pspec.to_dict()) == pspec
+
+
+numbers = st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e6))
+probabilities = st.one_of(st.integers(0, 1), st.floats(0.0, 1.0))
+radii = st.lists(st.one_of(st.integers(1, 10**6), st.floats(1e-6, 1e6)), min_size=2, max_size=2).map(sorted)
+kinds = st.sampled_from([GLOMERULUS, PERITUBULAR_CAPILLARY, ARTERY])
+
+
+class TestSpecDocuments:
+    """One reader and one writer for scene and perturbation spec documents."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        omit=st.dictionaries(kinds, probabilities),
+        hallucinate=st.dictionaries(
+            kinds,
+            st.builds(HallucinationSpec, count=st.integers(0, 9), cells_per_instance=st.integers(0, 9),
+                      radius=st.one_of(st.none(), radii)),
+        ),
+        fn=probabilities,
+        fp=st.integers(0, 10**6),
+        fp_class=st.sampled_from(["lymphocyte", "monocyte", "other"]),
+        sigma=numbers,
+        seed=st.integers(-(2**70), 2**70),
+    )
+    def test_perturbation_spec_round_trips_through_json(self, omit, hallucinate, fn, fp, fp_class, sigma, seed):
+        pspec = PerturbationSpec(omit, hallucinate, fn, fp, fp_class, sigma, seed)
+        assert PerturbationSpec.from_dict(json.loads(json.dumps(pspec.to_dict()))) == pspec
+
+    def test_none_radius_is_left_out(self):
+        doc = PerturbationSpec(hallucinate_instances={ARTERY: HallucinationSpec(count=1)}).to_dict()
+        assert doc["hallucinate_instances"] == {ARTERY: {"count": 1, "cells_per_instance": 0}}
+
+    def test_scene_spec_round_trips_through_json(self):
+        spec = SceneSpec("s", (0, 0, 500, 400), (5, 0), (3,), (), 10, (90, 150.5), seed=7)
+        doc = json.loads(json.dumps(spec.to_dict()))
+        assert doc["canvas"] == [0, 0, 500, 400] and doc["glomerulus_radius"] == [90, 150.5]
+        assert SceneSpec.from_dict(doc) == spec
+
+    def test_an_entry_object_is_read_as_a_hallucination_spec(self):
+        pspec = PerturbationSpec(hallucinate_instances={ARTERY: {"count": 2, "radius": [50, 60]}})
+        assert pspec.hallucinate_instances == {ARTERY: HallucinationSpec(count=2, radius=(50.0, 60.0))}
+
+    @pytest.mark.parametrize(
+        "read, doc, message",
+        [
+            (SceneSpec.from_dict, [], "scene spec: expected a JSON object"),
+            (SceneSpec.from_dict, {"bogus_knob": 1, "a": 2}, "scene spec: unknown keys ['a', 'bogus_knob']"),
+            (PerturbationSpec.from_dict, "x", "perturbation spec: expected a JSON object"),
+            (PerturbationSpec.from_dict, {"jitter": 1}, "perturbation spec: unknown keys ['jitter']"),
+            (PerturbationSpec.from_dict, {"seed": 1.5}, "seed: expected an integer, got 1.5"),
+            (PerturbationSpec.from_dict, {"hallucinate_instances": {ARTERY: 3}},
+             "hallucinate_instances['artery']: expected a JSON object"),
+            (PerturbationSpec.from_dict, {"hallucinate_instances": {ARTERY: {"count": 1, "size": 3}}},
+             "hallucinate_instances['artery']: unknown keys ['size']"),
+            (PerturbationSpec.from_dict, {"hallucinate_instances": {ARTERY: {"count": -1}}},
+             "hallucinate_instances['artery'].count: expected an integer >= 0, got -1"),
+            (PerturbationSpec.from_dict, {"hallucinate_instances": {ARTERY: {"radius": [5]}}},
+             "hallucinate_instances['artery'].radius: expected [min, max] with 0 < min <= max, got [5]"),
+            (PerturbationSpec.from_dict, {"hallucinate_instances": {"tubule": {}}},
+             "hallucinate_instances: unknown structure kind 'tubule'"),
+        ],
+    )
+    def test_bad_document_names_its_field(self, read, doc, message):
+        with pytest.raises(ConfigError) as info:
+            read(doc)
+        assert str(info.value) == message
 
 
 class TestTinyRadii:
