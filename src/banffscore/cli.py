@@ -40,6 +40,13 @@ from .synth import PerturbationSpec, SceneSpec, generate_scene, sensitivity_run
 Output = Tuple[Path, bytes]
 
 
+# An output's temp file is "." + its name + "." + 8 random characters +
+# ".tmp" (see _write_atomic), ".sensitivity.json" is the longest output
+# suffix, and a file name holds at most 255 bytes on common file systems.
+_LONGEST_TEMP_NAME = ".{}.sensitivity.json.XXXXXXXX.tmp"
+_NAME_MAX = 255
+
+
 def _write_atomic(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -70,6 +77,16 @@ def _file_name(section_id: str) -> str:
         raise BanffScoreError(
             f"section_id {echo(section_id)} cannot name an output file (it is empty, '.' or '..', "
             "or contains '/', '\\', a control character or a line break)"
+        )
+    try:
+        size = len(os.fsencode(_LONGEST_TEMP_NAME.format(section_id)))
+    except UnicodeEncodeError:  # a lone surrogate, which JSON text can hold
+        raise BanffScoreError(f"section_id {echo(section_id)} cannot name an output file (it is not "
+                              "valid Unicode text)") from None
+    if size > _NAME_MAX:
+        raise BanffScoreError(
+            f"section_id {echo(section_id)} is too long to name an output file (its longest temporary "
+            f"file name would be {size} bytes, over {_NAME_MAX})"
         )
     return section_id
 

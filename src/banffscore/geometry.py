@@ -25,7 +25,8 @@ A pair holds when the point is inside the exterior and strictly inside no
 hole, or on any ring.  :func:`contained_pairs` runs the kernel once over
 every candidate pair from a :class:`SpatialIndex`, for
 :func:`assign_detections`, the parsers' hole checks and the synthetic
-background draws;
+background draws (synthetic planted cells call the kernel directly, each
+point with its own polygon);
 :func:`contains_points` runs it over every point and one polygon, and
 :func:`point_in_polygon` is its one-point call.  See Hormann & Agathos,
 "The point in polygon problem for arbitrary polygons", Comput. Geom. 20(3),
@@ -122,6 +123,15 @@ class Polygon:
         xs = [p[0] for p in self.exterior]
         ys = [p[1] for p in self.exterior]
         return BoundingBox(min(xs), min(ys), max(xs), max(ys))
+
+    @cached_property
+    def bounding_circle(self) -> Tuple[float, float, float]:
+        """``(cx, cy, radius)``: the centre of :attr:`bounds` and the distance
+        from it to the farthest exterior vertex."""
+        b = self.bounds
+        cx = (b.min_x + b.max_x) / 2.0
+        cy = (b.min_y + b.max_y) / 2.0
+        return (cx, cy, max(math.hypot(x - cx, y - cy) for x, y in self.exterior))
 
     @cached_property
     def area(self) -> float:

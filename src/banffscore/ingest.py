@@ -89,8 +89,65 @@ def load_json_bytes(data: bytes):
 
 def canonical_json_bytes(obj) -> bytes:
     """Deterministic JSON serialization: sorted keys, 2-space indent, trailing
-    newline.  Same object always yields the same bytes."""
-    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8")
+    newline.  The bytes are those of ``json.dumps(obj, sort_keys=True,
+    indent=2, allow_nan=False) + "\\n"`` for every document, and a non-finite
+    float raises its ValueError; see :func:`_json_text`."""
+    return (_json_text(obj, "") + "\n").encode("utf-8")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+class _RawJson:
+    """A value already written as canonical JSON text, as at the top level
+    of a document; :func:`_json_text` indents it to where it goes."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _json_text(obj, indent: str) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False)`` writes it, nested at ``indent``.
+
+    Strings and keys go through the stdlib's own ASCII string encoder, ints
+    and floats through ``int.__repr__`` and ``float.__repr__``, each type
+    tested in the stdlib encoder's order; empty containers stay ``[]`` and
+    ``{}``.  A non-finite float, a dict with a key that is not a string
+    (the stdlib sorts such keys before it converts them) and any type JSON
+    has no value for go to ``json.dumps`` itself, re-indented, so the text
+    and the errors stay the stdlib's.  CPython 3.10 and 3.11 write indented
+    JSON with the stdlib's pure-Python encoder, as their C encoder has no
+    indent branch; this walk skips that encoder's generators.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(value, inner) for value in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        if not obj:
+            return "{}"
+        items = [_encode_str(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, _RawJson):
+        return obj.text.replace("\n", "\n" + indent)
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + indent)
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +674,52 @@ def dedup_detections(detections: Sequence[Detection], radius: float) -> Detectio
 # ---------------------------------------------------------------------------
 # scene interchange
 
-def write_scene(scene: SectionScene) -> bytes:
-    """Serialize a scene deterministically; see :func:`canonical_json_bytes`."""
-    table = scene.detections
+# A detection row and a ring vertex as canonical JSON text, each an item of
+# a list written at the top level of a document.
+_DETECTION_ROW = (
+    '{\n    "class": %s,\n    "confidence": %r,\n    "id": %s,\n    "point": [\n      %r,\n      %r\n    ]\n  }'
+)
+_VERTEX = "[\n    %r,\n    %r\n  ]"
+
+
+def _list_text(items: List[str]) -> str:
+    """The text of a top-level list whose items are already written, as
+    items of a top-level list."""
+    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
+
+
+def _detections_json(table: DetectionTable):
+    """The scene's detection entries: one ``%`` template per row, straight
+    from the columns, when every id is a string and every number a finite
+    float64; otherwise the entries as objects for :func:`_json_text`, which
+    writes them alike and raises on a non-finite number."""
+    ids, numbers = table.ids.tolist(), (table.xs, table.ys, table.confidences)
+    if set(map(type, ids)) <= {str} and all(c.dtype == np.float64 and np.isfinite(c).all() for c in numbers):
+        names = [_encode_str(c.to_string()) for c in table.classes]
+        rows = zip(map(names.__getitem__, table.codes.tolist()), table.confidences.tolist(),
+                   map(_encode_str, ids), table.xs.tolist(), table.ys.tolist())
+        return _RawJson(_list_text(list(map(_DETECTION_ROW.__mod__, rows))))
     names = [c.to_string() for c in table.classes]
-    columns = (table.ids, table.codes, table.xs, table.ys, table.confidences)
+    columns = (table.codes, table.xs, table.ys, table.confidences)
+    return [
+        {"id": did, "class": names[code], "point": [x, y], "confidence": confidence}
+        for did, code, x, y, confidence in zip(ids, *(column.tolist() for column in columns))
+    ]
+
+
+def _ring_json(ring: Sequence[Point]):
+    """A ring's ``[x, y]`` vertices: one ``%`` template for the ring when every
+    coordinate is a finite float, otherwise lists for :func:`_json_text`."""
+    flat = tuple(chain.from_iterable(ring))
+    if flat and len(flat) == 2 * len(ring) and set(map(type, flat)) <= {float} and all(map(math.isfinite, flat)):
+        return _RawJson(_list_text([_VERTEX] * len(ring)) % flat)
+    return [[x, y] for x, y in ring]
+
+
+def write_scene(scene: SectionScene) -> bytes:
+    """Serialize a scene deterministically; see :func:`canonical_json_bytes`.
+    Detection rows and ring vertices are written from templates, with the
+    bytes the generic walk gives them."""
     doc = {
         "section_id": scene.section_id,
         "instances": [
@@ -629,17 +727,14 @@ def write_scene(scene: SectionScene) -> bytes:
                 "id": inst.id,
                 "class": inst.cls.to_string(),
                 "polygon": {
-                    "exterior": [[x, y] for x, y in inst.polygon.exterior],
-                    "holes": [[[x, y] for x, y in hole] for hole in inst.polygon.holes],
+                    "exterior": _ring_json(inst.polygon.exterior),
+                    "holes": [_ring_json(hole) for hole in inst.polygon.holes],
                 },
                 "properties": inst.properties,
             }
             for inst in scene.instances
         ],
-        "detections": [
-            {"id": did, "class": names[code], "point": [x, y], "confidence": confidence}
-            for did, code, x, y, confidence in zip(*(column.tolist() for column in columns))
-        ],
+        "detections": _detections_json(scene.detections),
         "metadata": scene.metadata,
     }
     return canonical_json_bytes(doc)

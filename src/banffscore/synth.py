@@ -9,6 +9,17 @@ approximations of ellipses) placed without overlap via bounding-circle
 rejection sampling; convexity keeps uniform interior sampling cheap and
 grades depend only on containment counts, not boundary realism.
 
+The scene stream is read in a fixed order: every placement, then every
+planted cell, then the background.  A planted cell reads five doubles --
+its fan triangle (``rng.choice`` with the triangles' area weights), ``u``
+and ``w`` of its point in that triangle, its class and its confidence --
+and :func:`_plant` draws them for many cells at once as one ``(k, 5)``
+block, with one containment call over the block's points.  At the first
+point the polygon does not hold, the generator's saved state is restored,
+the accepted cells' doubles are read again, that one cell redraws its
+point one draw at a time until one is inside, and a new block starts after
+it; so the stream is read exactly as a one-cell-at-a-time loop reads it.
+
 Perturbations run in a fixed order -- instance omission, instance
 hallucination, detection false-negative dropout, false-positive insertion,
 coordinate jitter -- because the operations do not commute; the order
@@ -22,13 +33,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError, DegenerateGeometry, PlacementFailure, echo
-from .geometry import _BLOCK_PAIRS, Point, Polygon, build_index, contained_pairs, point_in_polygon
+from .geometry import (
+    _BLOCK_PAIRS,
+    Point,
+    Polygon,
+    _contains,
+    _EdgeTable,
+    build_index,
+    contained_pairs,
+    point_in_polygon,
+)
 from .ingest import (
     _clean_ring,
     _self_intersection_sweep,
@@ -49,7 +69,6 @@ from .model import (
     PERITUBULAR_CAPILLARY,
     SCORABLE_STRUCTURE_KINDS,
     CellClass,
-    Detection,
     DetectionTable,
     GroundTruthGrades,
     Instance,
@@ -250,20 +269,69 @@ def _point_inside(rng: np.random.Generator, poly: Polygon, fan: _Fan) -> Point:
     raise PlacementFailure("interior sampling failed")  # pragma: no cover
 
 
-def _cell(cell_id: str, point: Point, u_class: float, u_confidence: float) -> Detection:
-    """A synthetic cell at ``point`` from two uniform doubles in [0, 1): the
-    first picks its class, the second its confidence, mapped as
-    ``rng.uniform(0.6, 1.0)`` maps a double and rounded to 4 decimals."""
-    cls = CellClass(LYMPHOCYTE if u_class < 0.5 else MONOCYTE)
-    return Detection(cell_id, point, cls, round(0.6 + (1.0 - 0.6) * u_confidence, 4))
+def _cells(ids: List[str], xs: np.ndarray, ys: np.ndarray, u_class: np.ndarray,
+           u_confidence: np.ndarray) -> DetectionTable:
+    """Synthetic cells at ``(xs, ys)``, each from two uniform doubles in [0,
+    1): ``u_class`` picks its class, ``u_confidence`` its confidence, mapped
+    as ``rng.uniform(0.6, 1.0)`` maps a double and rounded to 4 decimals by
+    Python's ``round`` (``np.round`` scales by 10**4 first, which rounds some
+    values near a half the other way)."""
+    labels = np.where(u_class < 0.5, LYMPHOCYTE, MONOCYTE).tolist()
+    confidences = np.array([round(0.6 + (1.0 - 0.6) * u, 4) for u in u_confidence.tolist()], dtype=np.float64)
+    return DetectionTable.from_labels(ids, xs, ys, confidences, labels, CellClass)
 
 
-def _plant(rng: np.random.Generator, poly: Polygon, cell_ids: List[str]) -> List[Detection]:
-    """One cell per id at a uniform point inside the convex ``poly``, each
-    point drawn before the cell's class and confidence."""
-    fan = _fan(poly)
-    return [_cell(cell_id, _point_inside(rng, poly, fan), *rng.random(2).tolist())
-            for cell_id in cell_ids]
+def _plant(rng: np.random.Generator, polygons: Sequence[Polygon], counts: Sequence[int],
+           ids: List[str]) -> DetectionTable:
+    """One cell per id at a uniform point inside a convex polygon: the first
+    ``counts[0]`` ids in ``polygons[0]``, the next ``counts[1]`` in
+    ``polygons[1]``, and so on.
+
+    Each cell reads five doubles: its :func:`_fan` triangle, ``u`` and ``w``
+    of the point, its class and its confidence, which are the draws of one
+    accepted :func:`_point_inside` call and of the pair after it.  The cells
+    are drawn as ``(k, 5)`` blocks: the triangle pick is ``rng.choice``'s
+    own ``searchsorted`` over the normalized cumulative weights (a count of
+    the entries ``<=`` the double), the points are computed in
+    :func:`_point_inside`'s operation order, and one kernel call tests them
+    all.  At a block's first rejected point, the generator goes back to its
+    state before the block and reads the accepted cells' doubles again; the
+    rejected cell then takes the one-cell path, retries included, and a new
+    block starts after it.  The state is restored rather than rewound with
+    ``advance()``, which would drop the buffered 32-bit half that
+    ``rng.integers`` leaves behind.
+    """
+    owner = np.repeat(np.arange(len(polygons)), counts)
+    fans = [_fan(poly) for poly in polygons]
+    cdf = np.full((len(polygons), max((len(tris) for tris, _ in fans), default=0)), np.inf)
+    for k, (_, weights) in enumerate(fans):
+        cumulative = weights.cumsum()
+        cumulative /= cumulative[-1]  # as rng.choice normalizes its p
+        cdf[k, :cumulative.size] = cumulative
+    edges = _EdgeTable(polygons)
+    apex = edges.ring_start[edges.first_ring]  # vertex 0 of each exterior, every fan triangle's first corner
+    columns = np.empty((4, owner.size))  # x, y, class double, confidence double
+    i = 0
+    while i < owner.size:
+        state = rng.bit_generator.state
+        block = rng.random((min(_BLOCK_PAIRS, owner.size - i), 5))
+        own = owner[i:i + len(block)]
+        b = apex[own] + 1 + np.count_nonzero(cdf[own] <= block[:, :1], axis=1)
+        u, w = np.sqrt(block[:, 1]), block[:, 2]
+        a, c = apex[own], b + 1
+        xs = (1 - u) * edges.x1[a] + u * (1 - w) * edges.x1[b] + u * w * edges.x1[c]
+        ys = (1 - u) * edges.y1[a] + u * (1 - w) * edges.y1[b] + u * w * edges.y1[c]
+        inside = _contains(edges, xs, ys, own)
+        good = int(np.argmin(inside)) if not inside.all() else len(block)
+        columns[:, i:i + good] = (xs[:good], ys[:good], block[:good, 3], block[:good, 4])
+        if good < len(block):
+            rng.bit_generator.state = state
+            rng.random(5 * good)
+            k = int(own[good])
+            columns[:, i + good] = (*_point_inside(rng, polygons[k], fans[k]), *rng.random(2))
+            good += 1
+        i += good
+    return _cells(ids, *columns)
 
 
 def _check_rings(instances: List[Instance]) -> None:
@@ -279,14 +347,6 @@ def _check_rings(instances: List[Instance]) -> None:
                 cleaned.append((ring, inst.id))
     except DegenerateGeometry as exc:
         raise PlacementFailure(str(exc)) from None
-
-
-def _bounding_circle(poly: Polygon) -> Tuple[float, float, float]:
-    b = poly.bounds
-    cx = (b.min_x + b.max_x) / 2.0
-    cy = (b.min_y + b.max_y) / 2.0
-    radius = max(math.hypot(x - cx, y - cy) for x, y in poly.exterior)
-    return (cx, cy, radius)
 
 
 def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
@@ -314,35 +374,35 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
                 Instance(id=f"{prefix}-{j + 1}", cls=StructureClass(kind), polygon=poly)
             )
     _check_rings(instances)
-    detections: List[Detection] = []
-    for inst, want in zip(instances, [c for _, _, counts, _ in plan for c in counts]):
-        n = len(detections)
-        detections += _plant(rng, inst.polygon, [f"cell-{n + k}" for k in range(1, want + 1)])
+    polygons = [inst.polygon for inst in instances]
+    counts = [c for _, _, cell_counts, _ in plan for c in cell_counts]
+    planted = _plant(rng, polygons, counts, [f"cell-{k}" for k in range(1, sum(counts) + 1)])
     # The background stream is a sequence of pairs of doubles: an attempt's
     # x and y, mapped as rng.uniform maps a double, and after a free attempt
     # that cell's class and confidence.  It is read and tested a block at a
     # time.  The background is the scene stream's last stage, so the pairs
     # the walk leaves unread in the last block need no rewind.
     index = build_index(instances)
-    polygons = [inst.polygon for inst in instances]
-    j, point, misses = 0, None, 0
-    while j < spec.background_cells:
-        u = rng.random((min(_BLOCK_PAIRS, 2 * (spec.background_cells - j)), 2))
+    background: List[Tuple[float, float, float, float]] = []
+    point, misses = None, 0
+    while len(background) < spec.background_cells:
+        u = rng.random((min(_BLOCK_PAIRS, 2 * (spec.background_cells - len(background))), 2))
         xs, ys = x0 + (x1 - x0) * u[:, 0], y0 + (y1 - y0) * u[:, 1]
         busy = np.zeros(len(u), dtype=bool)
         busy[contained_pairs(index, polygons, xs, ys)[0]] = True
         walk = zip(u.tolist(), xs.tolist(), ys.tolist(), busy.tolist())
         for (u_class, u_confidence), x, y, hit in walk:
             if point is not None:
-                j += 1
-                detections.append(_cell(f"bg-{j}", point, u_class, u_confidence))
+                background.append((*point, u_class, u_confidence))
                 point = None
-                if j == spec.background_cells:
+                if len(background) == spec.background_cells:
                     break
             elif not hit:
                 point, misses = (x, y), 0
             elif (misses := misses + 1) == _PLACEMENT_ATTEMPTS:
-                raise PlacementFailure(f"background cell {j + 1}: no free canvas space")
+                raise PlacementFailure(f"background cell {len(background) + 1}: no free canvas space")
+    bg_ids = [f"bg-{j}" for j in range(1, len(background) + 1)]
+    detections = planted + _cells(bg_ids, *np.array(background, dtype=np.float64).reshape(-1, 4).T)
     scene = SectionScene(
         section_id=spec.section_id,
         instances=instances,
@@ -451,7 +511,7 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
             continue
         rng = np.random.default_rng(derive_seed(pspec.seed, f"hallucinate:{kind}"))
         canvas = scene_canvas(scene)
-        occupied = [_bounding_circle(inst.polygon) for inst in instances]
+        occupied = [inst.polygon.bounding_circle for inst in instances]
         radius_range = hspec.radius if hspec.radius is not None else DEFAULT_RADIUS_RANGES[kind]
         for j in range(hspec.count):
             iid = f"hall-{kind}-{j + 1}"
@@ -461,7 +521,7 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
             # planting draws before the next placement, so each ring is checked alone
             _check_rings(instances[-1:])
             cell_ids = [f"{iid}-cell-{c}" for c in range(1, hspec.cells_per_instance + 1)]
-            detections = detections + _plant(rng, poly, cell_ids)
+            detections = detections + _plant(rng, [poly], [hspec.cells_per_instance], cell_ids)
 
     if pspec.detection_fn_prob > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "fn"))

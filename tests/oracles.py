@@ -22,11 +22,15 @@ per-object loops (an all-instance scan per background draw, a
 triangulation per planted cell, one scalar draw per detection or
 coordinate): they must consume the random streams in exactly the
 package's order, since the suite asserts identical scenes.  The scene
-detection reader builds one row per entry, as the package once did.
+detection reader builds one row per entry, as the package once did, and
+the scene document is built as objects for the stdlib's ``json.dumps``, as
+the package's writer once built it; the planting loop draws one cell at a
+time, as the package did before it drew cells in blocks.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -411,6 +415,19 @@ def per_call_point_inside(rng: np.random.Generator, poly) -> Tuple[float, float]
     raise PlacementFailure("interior sampling failed")  # pragma: no cover
 
 
+def per_cell_plant(rng: np.random.Generator, polygons, counts, ids) -> List[Detection]:
+    """``synth._plant`` one cell at a time: a point by :func:`per_call_point_inside`,
+    then the cell's class and confidence doubles."""
+    owners = [poly for poly, count in zip(polygons, counts) for _ in range(count)]
+    cells = []
+    for cell_id, poly in zip(ids, owners):
+        point = per_call_point_inside(rng, poly)
+        u_class, u_confidence = rng.random(2).tolist()
+        cls = CellClass(LYMPHOCYTE if u_class < 0.5 else MONOCYTE)
+        cells.append(Detection(cell_id, point, cls, round(0.6 + (1.0 - 0.6) * u_confidence, 4)))
+    return cells
+
+
 def all_instance_scan_generate_scene(spec):
     """``synth.generate_scene`` with every background draw tested against
     every instance and the fan triangulation rebuilt for every planted cell."""
@@ -527,3 +544,35 @@ def per_entry_scene_detections(entries) -> List[Detection]:
         )
         for e in entries
     ]
+
+
+def json_dumps_bytes(obj) -> bytes:
+    """The stdlib's canonical text of ``obj``: what ``canonical_json_bytes`` must write."""
+    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8")
+
+
+def generic_scene_document(scene) -> dict:
+    """The scene document ``write_scene`` writes, as plain objects."""
+    table = scene.detections
+    names = [c.to_string() for c in table.classes]
+    columns = (table.ids, table.codes, table.xs, table.ys, table.confidences)
+    return {
+        "section_id": scene.section_id,
+        "instances": [
+            {
+                "id": inst.id,
+                "class": inst.cls.to_string(),
+                "polygon": {
+                    "exterior": [[x, y] for x, y in inst.polygon.exterior],
+                    "holes": [[[x, y] for x, y in hole] for hole in inst.polygon.holes],
+                },
+                "properties": inst.properties,
+            }
+            for inst in scene.instances
+        ],
+        "detections": [
+            {"id": did, "class": names[code], "point": [x, y], "confidence": confidence}
+            for did, code, x, y, confidence in zip(*(column.tolist() for column in columns))
+        ],
+        "metadata": scene.metadata,
+    }

@@ -590,6 +590,99 @@ class TestSynthAndSensitivityCommands:
         assert rows["10"] == rows["30"][:10]
 
 
+class TestSectionIdTooLongForAFileName:
+    """A section id too long for the temp file names of its outputs exits 2
+    naming ``section_id`` before any directory is made; ``tempfile.mkstemp``
+    raised ``OSError: [Errno 36] File name too long`` with exit 1."""
+
+    # "." + id + ".sensitivity.json." + 8 characters + ".tmp" is 31 bytes
+    # longer than the id, and a file name holds 255 bytes.
+    LONGEST = "a" * 224
+    TOO_LONG = [
+        pytest.param("a" * 225, id="225-bytes"),
+        pytest.param("a" * 240, id="240-bytes"),
+        pytest.param("\u00e9" * 113, id="226-bytes-in-utf8"),
+    ]
+
+    @staticmethod
+    def assert_rejected(code, err, out_root):
+        assert code == 2
+        assert err.startswith("error: section_id ") and "too long" in err
+        assert not out_root.exists()
+
+    @pytest.mark.parametrize("section_id", TOO_LONG)
+    def test_score_section_id_flag(self, section_id, section_files, tmp_path, capsys):
+        structures, detections = section_files
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        code = main(argv + ["--section-id", section_id, "--out-dir", str(tmp_path / "out" / "inner")])
+        self.assert_rejected(code, capsys.readouterr().err, tmp_path / "out")
+
+    @pytest.mark.parametrize("section_id", TOO_LONG)
+    def test_spec_section_id(self, section_id, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {**SCENE_SPEC, "section_id": section_id})
+        code = main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "out" / "inner")])
+        self.assert_rejected(code, capsys.readouterr().err, tmp_path / "out")
+
+    @pytest.mark.parametrize("section_id", TOO_LONG)
+    def test_scene_section_id(self, section_id, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        scene_path = tmp_path / "synth-x.scene.json"
+        write_json(scene_path, {**json.loads(scene_path.read_text()), "section_id": section_id})
+        pspec = write_json(tmp_path / "p.json", {"seed": 3})
+        argv = ["sensitivity", "--scene", str(scene_path), "--perturb", str(pspec), "--trials", "2"]
+        code = main(argv + ["--out-dir", str(tmp_path / "out" / "inner")])
+        self.assert_rejected(code, capsys.readouterr().err, tmp_path / "out")
+
+    def test_longest_id_writes_every_output(self, tmp_path):
+        spec = write_json(tmp_path / "spec.json", {**SCENE_SPEC, "section_id": self.LONGEST})
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 0
+        pspec = write_json(tmp_path / "p.json", {"seed": 3})
+        argv = ["sensitivity", "--scene", str(out / f"{self.LONGEST}.scene.json"), "--perturb", str(pspec)]
+        assert main(argv + ["--trials", "2", "--out-dir", str(out)]) == 0
+        assert (out / f"{self.LONGEST}.sensitivity.json").is_file()
+
+    def test_lone_surrogate_exits_2(self, tmp_path, capsys):
+        # JSON text can hold one; a file name cannot
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SCENE_SPEC, "section_id": "a\ud800b"}), encoding="ascii")
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: section_id 'a\\ud800b' cannot name an output file")
+        assert not (tmp_path / "out").exists()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(section_files, tmp_path):
+    """``synth``, ``sensitivity``, ``score`` and ``render`` write the same
+    bytes under two string-hash seeds: no output follows set or hash order."""
+    structures, detections = section_files
+    spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+    pspec = write_json(tmp_path / "p.json", {
+        "omit_instance_prob": {"glomerulus": 0.3}, "hallucinate_instances": {"artery": {"count": 1}},
+        "detection_fn_prob": 0.2, "detection_fp_count": 3, "jitter_sigma": 1.0, "seed": 5,
+    })
+    src = str(Path(banffscore.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"out-{hash_seed}"
+        scene = out / "synth-x.scene.json"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for argv in (
+            ["synth", "--spec", str(spec)],
+            ["sensitivity", "--scene", str(scene), "--perturb", str(pspec), "--trials", "5"],
+            ["score", "--structures", str(structures), "--detections", str(detections),
+             "--classes", "monocyte,lymphocyte", "--dedup-radius", "1"],
+            ["render", "--scene", str(scene), "--report", str(out / "sec1.score.json")],
+        ):
+            done = subprocess.run([sys.executable, "-m", "banffscore", *argv, "--out-dir", str(out)],
+                                  capture_output=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]
+
+
 class TestRenderCommand:
     def test_render_scene_and_report(self, section_files, tmp_path):
         spec = write_json(tmp_path / "spec.json", SCENE_SPEC)

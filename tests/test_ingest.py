@@ -20,6 +20,7 @@ from banffscore.errors import (
 from banffscore import geometry
 from banffscore.ingest import (
     _clean_ring,
+    canonical_json_bytes,
     _first_self_intersecting_ring,
     as_number,
     checked_integer,
@@ -44,12 +45,15 @@ from banffscore.model import (
     GroundTruthGrades,
     SectionScene,
 )
+from banffscore.scoring import report_to_json, score_section
 from banffscore.synth import SceneSpec, generate_scene
 
 from conftest import mk_detection, mk_instance, square
 from oracles import (
     bucket_dedup,
+    generic_scene_document,
     greedy_dedup_quadratic,
+    json_dumps_bytes,
     naive_ring_self_intersects,
     per_entry_scene_detections,
 )
@@ -608,6 +612,134 @@ class TestDetectionTable:
             assert type(table) is DetectionTable
             assert list(table) == per_entry_scene_detections(dets)
             assert len(table.classes) == n_classes  # one per distinct class
+
+
+# Strings and keys that stress the string encoder: non-ASCII, astral,
+# control, line-separator and lone-surrogate characters, quotes, backslashes
+# and format specifiers.
+ODD_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "\x00\x1f\x7f", "caf\u00e9", "\U0001d11e", "\u2028\u2029\x85", "\ud800", 'a"b\\c',
+                     "%s%r%%", "\n\t"]),
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**30, -(10**40), 2**63, 0, -1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1]),
+    ODD_TEXT,
+)
+# Keys of one dict that are not all strings: the stdlib sorts them before it
+# converts them, and keys of mixed types that cannot be sorted raise TypeError.
+ODD_KEYS = st.one_of(ODD_TEXT, st.integers(-5, 5), st.floats(allow_nan=False), st.booleans(), st.none())
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(ODD_TEXT, inner, max_size=4),
+        st.dictionaries(ODD_KEYS, inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+def _written(write, obj):
+    """The bytes ``write`` gives ``obj``, or the type and text of its error."""
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalJson:
+    """``canonical_json_bytes`` writes what the stdlib's indented ``json.dumps`` writes."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(doc=JSON_DOCUMENTS)
+    def test_bytes_equal_json_dumps(self, doc):
+        assert _written(canonical_json_bytes, doc) == _written(json_dumps_bytes, doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"a": [1, {"b": {}, "c": []}], "B": ((),), "": None},
+            {1: "one", 2.5: [1, {"x": {3: 4}}], 0: {}, -3: [{None: []}, {False: 1, True: 2}]},
+            {"nested": {10: "ten", 9: "nine"}},
+            [[[[]]], [{}], {"k": [{"z": 0, "a": -0.0}]}],
+            {"big": 10**300, "tiny": 5e-324, "huge": 1e308, "neg": -0.0},
+        ],
+        ids=["nested", "non-string-keys", "non-string-keys-nested", "empty-containers", "numbers"],
+    )
+    def test_named_documents(self, doc):
+        assert canonical_json_bytes(doc) == json_dumps_bytes(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["top", "list", "value", "key", "non-string-key-dict"])
+    def test_non_finite_float_raises_value_error(self, bad, where):
+        doc = {"top": bad, "list": [1, [bad]], "value": {"a": {"b": bad}}, "key": {bad: 1},
+               "non-string-key-dict": {"k": {1: bad}}}[where]
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            canonical_json_bytes(doc)
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            json_dumps_bytes(doc)
+
+    def test_type_without_a_json_value_raises_type_error(self):
+        for doc in ({"a": [object()]}, {"a": np.float32(1.0)}, {"a": {1: np.int64(2)}}):
+            assert _written(canonical_json_bytes, doc) == _written(json_dumps_bytes, doc)
+            assert _written(canonical_json_bytes, doc)[0] is TypeError
+
+
+class TestWriteSceneTemplates:
+    """``write_scene`` writes detection rows and ring vertices from templates,
+    with the bytes the stdlib gives the same scene as plain objects."""
+
+    ODD_IDS = ["", "quote\"back\\slash", "caf\u00e9 \U0001d11e", "\x00ctrl\x1f", "%s %r %%", "\u2028", "\ud800"]
+
+    def scenes(self):
+        holed = mk_instance("art \u00e9", ARTERY, square(50.0, 50.0, 20.0), holes=(square(50.0, 50.0, 5.0),))
+        ints = mk_instance("ints", GLOMERULUS, ((0, 0), (10, 0), (10, 10)))
+        odd = [mk_detection(did, 0.1 * k, -1e-300 * k, MONOCYTE if k % 2 else LYMPHOCYTE, 0.5)
+               for k, did in enumerate(self.ODD_IDS)]
+        odd.append(Detection("other", (1e308, -0.0), CellClass(OTHER, "mast \u00e9"), 1.0))
+        ints_table = DetectionTable.from_labels(["i0", "i1"], np.array([1, 2]), np.array([3, 4]),
+                                                np.array([1, 0]), [LYMPHOCYTE] * 2, CellClass)
+        spec = SceneSpec(section_id="syn", glomerulus_cells=(3, 1), ptc_cells=(2,), background_cells=10, seed=4)
+        return [
+            SectionScene(section_id="empty"),
+            SectionScene(section_id="holes", instances=[holed, ints], metadata={"canvas": [0, 0, 100, 100]}),
+            SectionScene(section_id="\u00e9\x01", detections=odd, metadata={"k": {"nested": [1.5, None]}}),
+            SectionScene(section_id="int columns", detections=ints_table),
+            SectionScene(section_id="non-string id", detections=[Detection(7, (1.0, 2.0), CellClass(LYMPHOCYTE))]),
+            generate_scene(spec)[0],
+        ]
+
+    def test_bytes_equal_the_generic_document(self):
+        for scene in self.scenes():
+            assert write_scene(scene) == json_dumps_bytes(generic_scene_document(scene)), scene.section_id
+
+    def test_scene_and_report_skip_the_pure_python_encoder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stdlib's pure-Python encoder ran")
+
+        scene = self.scenes()[-1]
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert read_scene(write_scene(scene)) == scene
+        assert report_to_json(score_section(scene)).endswith(b"}\n")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["x", "confidence", "vertex", "hole"])
+    def test_non_finite_float_raises_value_error(self, bad, where):
+        ring = ((0.0, 0.0), (bad if where == "vertex" else 10.0, 0.0), (10.0, 10.0))
+        hole = ((1.0, 1.0), (2.0, bad if where == "hole" else 1.0), (2.0, 2.0))
+        detection = Detection("d", (bad if where == "x" else 1.0, 2.0), CellClass(LYMPHOCYTE),
+                              bad if where == "confidence" else 1.0)
+        scene = SectionScene("s", instances=[mk_instance("i", GLOMERULUS, ring, holes=(hole,))],
+                             detections=[detection])
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            write_scene(scene)
 
 
 class TestSceneRoundTrip:

@@ -7,6 +7,7 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,6 +219,23 @@ class TestPerturbScene:
         perturbed = perturb_scene(scene, pspec)
         assert len(perturbed.instances) == len(scene.instances) + 1
         assert score_section(perturbed).grade("v") == 1
+
+    def test_bounding_circles_are_computed_once_per_polygon(self, monkeypatch):
+        scene = base_scene()
+        pspec = PerturbationSpec(hallucinate_instances={ARTERY: HallucinationSpec(count=1)})
+        calls = []
+        hypot = math.hypot
+        monkeypatch.setattr(math, "hypot", lambda *xy: calls.append(xy) or hypot(*xy))
+        first = perturb_scene(scene, pspec)
+        circle_calls = len(calls)
+        assert perturb_scene(scene, replace(pspec, seed=1)).instances != first.instances
+        # the second trial places its polygon against the cached circles only
+        assert len(calls) - circle_calls < circle_calls
+        for inst in scene.instances:
+            cx, cy, radius = inst.polygon.bounding_circle
+            b = inst.polygon.bounds
+            assert (cx, cy) == ((b.min_x + b.max_x) / 2.0, (b.min_y + b.max_y) / 2.0)
+            assert radius == max(hypot(x - cx, y - cy) for x, y in inst.polygon.exterior)
 
     def test_fn_dropout_rate(self):
         scene = base_scene()
@@ -517,6 +535,83 @@ class TestAgainstPerObjectOracles:
         out = perturb_scene(scene, pspec)
         assert out.instances == structural.instances
         assert out.detections == expected
+
+
+def _notched_ring(depth: float):
+    """A non-convex hexagon: the fan from vertex 0 covers its notch, so
+    points drawn in the fan land outside it and are redrawn."""
+    return ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (5.0, 10.0 - depth), (0.0, 10.0), (-0.5, 5.0))
+
+
+class TestBlockPlanting:
+    """``synth._plant`` draws cells in blocks with exactly the doubles, points
+    and generator state of the one-cell loop, rejections included."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        depths=st.lists(st.floats(0.0, 9.0), min_size=1, max_size=4),
+        counts=st.lists(st.integers(0, 30), min_size=4, max_size=4),
+        block=st.sampled_from([1, 2, 7, synth._BLOCK_PAIRS]),
+    )
+    def test_matches_one_cell_loop(self, seed, depths, counts, block):
+        polygons = [synth.Polygon(exterior=_notched_ring(d)) for d in depths]
+        counts = counts[:len(polygons)]
+        ids = [f"c{k}" for k in range(sum(counts))]
+        rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # a bounded integer draw leaves half of a 64-bit output buffered,
+        # which the block path must keep across its rewinds
+        assert rng.integers(12, 25) == expected_rng.integers(12, 25)
+        original = synth._BLOCK_PAIRS
+        synth._BLOCK_PAIRS = block
+        try:
+            cells = synth._plant(rng, polygons, counts, ids)
+        finally:
+            synth._BLOCK_PAIRS = original
+        assert cells == oracles.per_cell_plant(expected_rng, polygons, counts, ids)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        assert rng.integers(0, 2**31, 3).tolist() == expected_rng.integers(0, 2**31, 3).tolist()
+
+    def test_rejections_take_the_one_cell_path(self, monkeypatch):
+        polygons = [synth.Polygon(exterior=_notched_ring(8.0))]
+        calls = []
+
+        def counting(rng, poly, fan):
+            calls.append(poly)
+            return one_cell(rng, poly, fan)
+
+        one_cell = synth._point_inside
+        monkeypatch.setattr(synth, "_point_inside", counting)
+        ids = [f"c{k}" for k in range(200)]
+        cells = synth._plant(np.random.default_rng(9), polygons, [200], ids)
+        assert cells == oracles.per_cell_plant(np.random.default_rng(9), polygons, [200], ids)
+        # the notch is about a fifth of the fan's area
+        assert 10 <= len(calls) <= 100
+
+    def test_confidence_is_rounded_by_python_round(self):
+        # the confidence double is just above 0.72345, so round, which rounds
+        # the exact double, gives 0.7235; np.round scales by 10**4 first,
+        # lands on the tie 7234.5 and rounds it to even, 0.7234
+        u = (0.72345 - 0.6) / 0.4
+        assert 0.6 + (1.0 - 0.6) * u == 0.72345
+        cells = synth._cells(["c"], np.zeros(1), np.zeros(1), np.zeros(1), np.array([u]))
+        assert cells.confidences.tolist() == [round(0.72345, 4)] == [0.7235]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_choice_with_weights_is_a_searchsorted_of_one_double(self, seed):
+        # _plant's triangle pick relies on this identity of numpy's Generator.choice
+        picker = np.random.default_rng([seed, 1])
+        weights = picker.random(int(picker.integers(1, 30))) ** 3
+        weights /= weights.sum()
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        chosen, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            u = drawn.random()
+            expected = int(cdf.searchsorted(u, side="right"))
+            assert int(chosen.choice(len(weights), p=weights)) == expected
+            assert np.count_nonzero(cdf <= u) == expected
+        assert chosen.bit_generator.state == drawn.bit_generator.state
 
 
 class TestFalsePositiveInsertion:
