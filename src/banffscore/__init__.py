@@ -59,8 +59,6 @@ from .scoring import (
     MaxCountDetail,
     ScoreReport,
     Unscorable,
-    grade_from_inflamed_fraction,
-    grade_from_max_count,
     score_g,
     score_ptc,
     score_section,

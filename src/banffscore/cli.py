@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 import tempfile
@@ -32,7 +33,7 @@ from .ingest import (
     write_ground_truth,
     write_scene,
 )
-from .model import SectionScene
+from .model import INDICATORS, SectionScene
 from .render import render_svg
 from .scoring import report_from_dict, report_to_dict, score_section
 from .synth import PerturbationSpec, SceneSpec, generate_scene, sensitivity_run
@@ -41,9 +42,11 @@ Output = Tuple[Path, bytes]
 
 
 # An output's temp file is "." + its name + "." + 8 random characters +
-# ".tmp" (see _write_atomic), ".sensitivity.json" is the longest output
-# suffix, and a file name holds at most 255 bytes on common file systems.
-_LONGEST_TEMP_NAME = ".{}.sensitivity.json.XXXXXXXX.tmp"
+# ".tmp" (see _write_atomic), and a file name holds at most 255 bytes on
+# common file systems.  ".sensitivity.json" is the longest suffix a section
+# id gets.
+_TEMP_NAME = ".{}.XXXXXXXX.tmp"
+_LONGEST_SECTION_OUTPUT = "{}.sensitivity.json"
 _NAME_MAX = 255
 
 
@@ -79,16 +82,23 @@ def _file_name(section_id: str) -> str:
             "or contains '/', '\\', a control character or a line break)"
         )
     try:
-        size = len(os.fsencode(_LONGEST_TEMP_NAME.format(section_id)))
+        os.fsencode(section_id)
     except UnicodeEncodeError:  # a lone surrogate, which JSON text can hold
         raise BanffScoreError(f"section_id {echo(section_id)} cannot name an output file (it is not "
                               "valid Unicode text)") from None
+    _check_name_length(_LONGEST_SECTION_OUTPUT.format(section_id), f"section_id {echo(section_id)}")
+    return section_id
+
+
+def _check_name_length(name: str, what: str) -> None:
+    """Raise naming ``what`` when the temp file of an output named ``name``
+    would not fit in a file name; run before anything is written."""
+    size = len(os.fsencode(_TEMP_NAME.format(name)))
     if size > _NAME_MAX:
         raise BanffScoreError(
-            f"section_id {echo(section_id)} is too long to name an output file (its longest temporary "
-            f"file name would be {size} bytes, over {_NAME_MAX})"
+            f"{what} is too long to name an output file (a temporary file name would be {size} bytes, "
+            f"over {_NAME_MAX})"
         )
-    return section_id
 
 
 def _require_file(path: Path) -> Path:
@@ -97,10 +107,18 @@ def _require_file(path: Path) -> Path:
     return path
 
 
+def _read_text(path: Path) -> str:
+    """The text of the file at ``path``, which must be UTF-8."""
+    try:
+        return _require_file(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BanffScoreError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     file_overrides = None
     if args.config is not None:
-        file_overrides = parse_config_text(_require_file(Path(args.config)).read_text("utf-8"))
+        file_overrides = parse_config_text(_read_text(Path(args.config)))
     flag_overrides = {
         "min_confidence": args.min_confidence,
         "cell_classes": None if args.classes is None else tuple(args.classes.split(",")),
@@ -130,7 +148,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     doc = report_to_dict(score_section(scene, config))
     if gt_path is not None:
         gt = parse_ground_truth(gt_path.read_bytes())
-        doc["ground_truth"] = {"g": gt.g, "ptc": gt.ptc, "v": gt.v}
+        doc["ground_truth"] = {name: getattr(gt, name) for name in INDICATORS}
     out_dir = Path(args.out_dir)
     _write_all([(out_dir / f"{section_id}.score.json", canonical_json_bytes(doc))])
     return 0
@@ -139,8 +157,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _read_manifest(path: Path) -> List[Tuple[Path, Path]]:
     rows: List[Tuple[Path, Path]] = []
     base = path.parent
-    with path.open(newline="", encoding="utf-8") as handle:
-        for i, row in enumerate(csv.reader(handle)):
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        for i, row in enumerate(reader):
             if not row or (row[0].strip().startswith("#")):
                 continue
             if i == 0 and [c.strip().lower() for c in row[:2]] == ["report", "ground_truth"]:
@@ -148,6 +167,8 @@ def _read_manifest(path: Path) -> List[Tuple[Path, Path]]:
             if len(row) < 2:
                 raise BanffScoreError(f"manifest row {i + 1}: expected 'report,ground_truth'")
             rows.append((base / row[0].strip(), base / row[1].strip()))
+    except csv.Error as exc:
+        raise BanffScoreError(f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
         raise BanffScoreError("manifest lists no report/ground-truth pairs")
     return rows
@@ -155,12 +176,12 @@ def _read_manifest(path: Path) -> List[Tuple[Path, Path]]:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
-    manifest = _read_manifest(_require_file(Path(args.manifest)))
-    pairs: Dict[str, list] = {"g": [], "ptc": [], "v": []}
+    manifest = _read_manifest(Path(args.manifest))
+    pairs: Dict[str, list] = {name: [] for name in INDICATORS}
     for report_path, gt_path in manifest:
         report = report_from_dict(load_json_bytes(_require_file(report_path).read_bytes()))
         gt = parse_ground_truth(_require_file(gt_path).read_bytes())
-        for name in ("g", "ptc", "v"):
+        for name in INDICATORS:
             pairs[name].append((report.grade(name), getattr(gt, name)))
     comment = f"banffscore {__version__} rows=expert columns=predicted"
     outputs: List[Output] = []
@@ -168,7 +189,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     summary_doc: dict = {
         "schema": "banffscore.evaluation/1", "config": config.snapshot(), "indicators": {}
     }
-    for name in ("g", "ptc", "v"):
+    for name in INDICATORS:
         matrix = accumulate(pairs[name], name)
         try:
             summary = summarize(matrix)
@@ -227,13 +248,15 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     scene_path = _require_file(Path(args.scene))
+    svg_name = f"{scene_path.stem}.svg"
+    _check_name_length(svg_name, f"scene file name {echo(scene_path.name)}")
     scene = read_scene(scene_path.read_bytes())
     report = None
     if args.report:
         report = report_from_dict(load_json_bytes(_require_file(Path(args.report)).read_bytes()))
     svg = render_svg(scene, report)
     out_dir = Path(args.out_dir)
-    _write_all([(out_dir / f"{scene_path.stem}.svg", svg)])
+    _write_all([(out_dir / svg_name, svg)])
     return 0
 
 
@@ -251,7 +274,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="banffscore",
-        description="Banff lesion grading (g, ptc, v) from structure and cell annotations",
+        description=f"Banff lesion grading ({', '.join(INDICATORS)}) from structure and cell annotations",
     )
     parser.add_argument("--version", action="version", version=f"banffscore {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)

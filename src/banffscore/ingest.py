@@ -66,6 +66,7 @@ from .geometry import (
     ring_area,
 )
 from .model import (
+    INDICATORS,
     KNOWN_CELL_KINDS,
     CellClass,
     Detection,
@@ -76,7 +77,7 @@ from .model import (
     StructureClass,
 )
 
-GRADE_KEYS = {"g": "banff_g", "ptc": "banff_ptc", "v": "banff_v"}
+GRADE_KEYS = {name: f"banff_{name}" for name in INDICATORS}
 
 
 def load_json_bytes(data: bytes):

@@ -18,7 +18,11 @@ OTHER = "other"
 LYMPHOCYTE = "lymphocyte"
 MONOCYTE = "monocyte"
 
-SCORABLE_STRUCTURE_KINDS = (GLOMERULUS, PERITUBULAR_CAPILLARY, ARTERY)
+# The Banff indicators in report order, each with the structure kind it
+# grades: the one place the indicator set is written down.
+INDICATORS: Dict[str, str] = {"g": GLOMERULUS, "ptc": PERITUBULAR_CAPILLARY, "v": ARTERY}
+
+SCORABLE_STRUCTURE_KINDS = tuple(INDICATORS.values())
 KNOWN_CELL_KINDS = (LYMPHOCYTE, MONOCYTE)
 
 # Annotation tools vary in label vocabulary; these defaults are overridable
@@ -230,7 +234,8 @@ class SectionScene:
 
 @dataclass(frozen=True)
 class GroundTruthGrades:
-    """Expert grades for one section; ``None`` marks an un-annotated indicator."""
+    """Expert grades for one section, one field per indicator of
+    :data:`INDICATORS`; ``None`` marks an un-annotated indicator."""
 
     section_id: str
     g: Optional[int] = None

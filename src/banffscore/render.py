@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from . import __version__
 from .ingest import scene_canvas
-from .model import SectionScene
+from .model import INDICATORS, SectionScene
 from .scoring import ScoreReport, Unscorable
 
 STRUCTURE_COLORS: Dict[str, str] = {
@@ -69,7 +69,8 @@ def _polygon_path(polygon) -> str:
 
 def _instance_counts(report: ScoreReport) -> Dict[str, int]:
     counts: Dict[str, int] = {}
-    for detail in (report.g, report.ptc, report.v):
+    for name in INDICATORS:
+        detail = getattr(report, name)
         if isinstance(detail, Unscorable):
             continue
         for entry in detail.per_instance:

@@ -1,16 +1,10 @@
-"""Banff lesion grades g, ptc, v from per-instance inflammatory-cell counts.
+"""Banff lesion grades from per-instance inflammatory-cell counts.
 
-Grading rules
--------------
-g (glomerulitis): a glomerulus is inflamed when it contains more than
-``GLOMERULUS_CELL_THRESHOLD`` (= 3) cells.  With ``rho`` the inflamed
-fraction over all N glomeruli: grade 0 when rho = 0, 1 when 0 < rho < 1/4,
-2 when 1/4 <= rho <= 1/2, 3 when rho > 1/2.  ``rho`` is kept as an exact
-rational so the 1/4 and 1/2 edges never suffer floating-point
-misclassification.
-
-ptc (peritubular capillaritis) and v (intimal arteritis): graded from the
-maximum per-instance count: 0 at 0, 1 for 1..4, 2 for 5..10, 3 above 10.
+The rules are the README's "Grading rules" table: each indicator of
+:data:`~banffscore.model.INDICATORS` grades its structure kind, and its
+grade is the number of :data:`GRADE_EDGES` its statistic passes.  The
+inflamed fraction of g is an exact rational, so no edge is decided by
+floating point.
 
 A section with zero instances of the required structure class is
 ``Unscorable`` rather than grade 0: "no tissue to assess" must not be
@@ -32,6 +26,7 @@ from .ingest import canonical_json_bytes, checked_integer, dedup_detections
 from .model import (
     ARTERY,
     GLOMERULUS,
+    INDICATORS,
     PERITUBULAR_CAPILLARY,
     SCORABLE_STRUCTURE_KINDS,
     SectionScene,
@@ -39,30 +34,26 @@ from .model import (
 
 GLOMERULUS_CELL_THRESHOLD = 3  # a glomerulus is inflamed when count is strictly greater
 
-_ONE_QUARTER = Fraction(1, 4)
-_ONE_HALF = Fraction(1, 2)
+# Per indicator, its ordered edges over the inflamed fraction of glomeruli
+# (g) or the maximum per-instance count (the others).  A statistic passes
+# an open edge (">") above its value and a closed one (">=") also at it.
+GRADE_EDGES: Dict[str, Tuple[Tuple[str, Union[int, Fraction]], ...]] = {
+    "g": ((">", Fraction(0)), (">=", Fraction(1, 4)), (">", Fraction(1, 2))),
+    "ptc": ((">", 0), (">", 4), (">", 10)),
+    "v": ((">", 0), (">", 4), (">", 10)),
+}
+
+_UNSCORABLE_REASON = {
+    GLOMERULUS: "no glomeruli",
+    PERITUBULAR_CAPILLARY: "no peritubular capillaries",
+    ARTERY: "no arteries",
+}
 
 
-def grade_from_inflamed_fraction(fraction: Fraction) -> int:
-    """Map the inflamed-glomeruli fraction to grade 0-3 (exact rational compare)."""
-    if fraction == 0:
-        return 0
-    if fraction < _ONE_QUARTER:
-        return 1
-    if fraction <= _ONE_HALF:
-        return 2
-    return 3
-
-
-def grade_from_max_count(count: int) -> int:
-    """Map a maximum per-instance cell count to grade 0-3."""
-    if count == 0:
-        return 0
-    if count <= 4:
-        return 1
-    if count <= 10:
-        return 2
-    return 3
+def _grade(indicator: str, statistic: Union[int, Fraction]) -> int:
+    """The number of the indicator's edges that ``statistic`` passes."""
+    edges = GRADE_EDGES[indicator]
+    return sum(statistic > value or (op == ">=" and statistic == value) for op, value in edges)
 
 
 @dataclass(frozen=True)
@@ -96,47 +87,43 @@ class MaxCountDetail:
 GradeDetail = Union[GScoreDetail, MaxCountDetail, Unscorable]
 
 
-def score_g(counts: Mapping[str, int]) -> Union[GScoreDetail, Unscorable]:
-    """Glomerulitis grade from per-glomerulus cell counts."""
+def score_indicator(indicator: str, counts: Mapping[str, int]) -> GradeDetail:
+    """The grade detail of ``indicator`` from the cell counts of the
+    instances of its structure kind, keyed by instance id."""
+    kind = INDICATORS[indicator]
     if not counts:
-        return Unscorable("no glomeruli")
-    items = tuple(
-        (iid, count, count > GLOMERULUS_CELL_THRESHOLD) for iid, count in sorted(counts.items())
-    )
-    inflamed = sum(1 for _, _, flag in items if flag)
-    fraction = Fraction(inflamed, len(items))
-    return GScoreDetail(
-        per_instance=items,
-        n_structures=len(items),
-        inflamed_fraction=fraction,
-        grade=grade_from_inflamed_fraction(fraction),
-    )
-
-
-def _score_max(counts: Mapping[str, int], empty_reason: str) -> Union[MaxCountDetail, Unscorable]:
-    if not counts:
-        return Unscorable(empty_reason)
+        return Unscorable(_UNSCORABLE_REASON[kind])
+    if kind == GLOMERULUS:
+        flagged = tuple(
+            (iid, count, count > GLOMERULUS_CELL_THRESHOLD) for iid, count in sorted(counts.items())
+        )
+        fraction = Fraction(sum(1 for _, _, flag in flagged if flag), len(flagged))
+        return GScoreDetail(per_instance=flagged, n_structures=len(flagged), inflamed_fraction=fraction,
+                            grade=_grade(indicator, fraction))
     items = tuple(sorted(counts.items()))
     max_count = max(count for _, count in items)
-    return MaxCountDetail(per_instance=items, max_count=max_count, grade=grade_from_max_count(max_count))
+    return MaxCountDetail(per_instance=items, max_count=max_count, grade=_grade(indicator, max_count))
+
+
+def score_g(counts: Mapping[str, int]) -> Union[GScoreDetail, Unscorable]:
+    """Glomerulitis grade from per-glomerulus cell counts."""
+    return score_indicator("g", counts)
 
 
 def score_ptc(counts: Mapping[str, int]) -> Union[MaxCountDetail, Unscorable]:
     """Peritubular capillaritis grade from per-capillary cell counts."""
-    return _score_max(counts, "no peritubular capillaries")
+    return score_indicator("ptc", counts)
 
 
 def score_v(counts: Mapping[str, int]) -> Union[MaxCountDetail, Unscorable]:
     """Intimal arteritis grade from per-artery cell counts."""
-    return _score_max(counts, "no arteries")
-
-
-_REGRADE = {"g": score_g, "ptc": score_ptc, "v": score_v}
+    return score_indicator("v", counts)
 
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Grades plus full intermediates for one section."""
+    """Grades plus full intermediates for one section, one field per
+    indicator of :data:`~banffscore.model.INDICATORS`."""
 
     section_id: str
     g: Union[GScoreDetail, Unscorable]
@@ -163,13 +150,8 @@ def score_section(scene: SectionScene, config: RunConfig = RunConfig()) -> Score
     by_kind: Dict[str, Dict[str, int]] = {kind: {} for kind in SCORABLE_STRUCTURE_KINDS}
     for inst in scorable:
         by_kind[inst.cls.kind][inst.id] = table.counts[inst.id]
-    return ScoreReport(
-        section_id=scene.section_id,
-        g=score_g(by_kind[GLOMERULUS]),
-        ptc=score_ptc(by_kind[PERITUBULAR_CAPILLARY]),
-        v=score_v(by_kind[ARTERY]),
-        config=config.snapshot(),
-    )
+    details = {name: score_indicator(name, by_kind[kind]) for name, kind in INDICATORS.items()}
+    return ScoreReport(section_id=scene.section_id, config=config.snapshot(), **details)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +189,7 @@ def report_to_dict(report: ScoreReport) -> dict:
         "tool_version": __version__,
         "section_id": report.section_id,
         "config": report.config,
-        "g": _detail_to_dict(report.g),
-        "ptc": _detail_to_dict(report.ptc),
-        "v": _detail_to_dict(report.v),
+        **{name: _detail_to_dict(getattr(report, name)) for name in INDICATORS},
     }
 
 
@@ -238,7 +218,7 @@ def _detail_from_dict(doc: dict, indicator: str) -> GradeDetail:
                     f"{where}.count: expected an integer >= 0, got {echo(count)}"
                 )
             counts[iid] = count
-    detail = _REGRADE[indicator](counts)
+    detail = score_indicator(indicator, counts)
     for key, value in _detail_to_dict(detail).items():
         if json.dumps(doc.get(key), sort_keys=True) != json.dumps(value, sort_keys=True):
             raise MalformedDocument(f"{indicator}.{key}: does not match the re-graded per_instance counts")
@@ -249,7 +229,7 @@ def report_from_dict(doc: dict) -> ScoreReport:
     if not isinstance(doc, dict) or doc.get("schema") != "banffscore.score_report/1":
         raise MalformedDocument("not a banffscore score report")
     details: Dict[str, GradeDetail] = {}
-    for indicator in ("g", "ptc", "v"):
+    for indicator in INDICATORS:
         entry = doc.get(indicator)
         if not isinstance(entry, dict):
             raise MalformedDocument(f"score report missing {indicator!r}")
@@ -258,10 +238,4 @@ def report_from_dict(doc: dict) -> ScoreReport:
     section_id = doc.get("section_id", "")
     if not isinstance(section_id, str):
         raise MalformedDocument(f"section_id: expected a string, got {echo(section_id)}")
-    return ScoreReport(
-        section_id=section_id,
-        g=details["g"],
-        ptc=details["ptc"],
-        v=details["v"],
-        config=config if isinstance(config, dict) else {},
-    )
+    return ScoreReport(section_id=section_id, config=config if isinstance(config, dict) else {}, **details)

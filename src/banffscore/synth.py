@@ -2,23 +2,16 @@
 
 Scenes are built from explicit per-instance planted cell counts, so the
 ground-truth grades come straight from the grading rules applied to those
-counts -- :func:`~banffscore.scoring.score_g`, ``score_ptc`` and ``score_v``
-graded without the geometry pipeline, which the test suite cross-checks
-against it.  Instances are convex polygons (randomized 12-24-gon
-approximations of ellipses) placed without overlap via bounding-circle
-rejection sampling; convexity keeps uniform interior sampling cheap and
-grades depend only on containment counts, not boundary realism.
+counts -- :func:`~banffscore.scoring.score_indicator` without the geometry
+pipeline, which the test suite cross-checks against it.  Instances are
+convex polygons (randomized 12-24-gon approximations of ellipses) placed
+without overlap via bounding-circle rejection sampling; convexity keeps
+uniform interior sampling cheap and grades depend only on containment
+counts, not boundary realism.
 
 The scene stream is read in a fixed order: every placement, then every
-planted cell, then the background.  A planted cell reads five doubles --
-its fan triangle (``rng.choice`` with the triangles' area weights), ``u``
-and ``w`` of its point in that triangle, its class and its confidence --
-and :func:`_plant` draws them for many cells at once as one ``(k, 5)``
-block, with one containment call over the block's points.  At the first
-point the polygon does not hold, the generator's saved state is restored,
-the accepted cells' doubles are read again, that one cell redraws its
-point one draw at a time until one is inside, and a new block starts after
-it; so the stream is read exactly as a one-cell-at-a-time loop reads it.
+planted cell (read in blocks as :func:`_plant` describes), then the
+background.
 
 Perturbations run in a fixed order -- instance omission, instance
 hallucination, detection false-negative dropout, false-positive insertion,
@@ -41,13 +34,11 @@ from .config import RunConfig
 from .errors import ConfigError, DegenerateGeometry, PlacementFailure, echo
 from .geometry import (
     _BLOCK_PAIRS,
-    Point,
     Polygon,
     _contains,
     _EdgeTable,
     build_index,
     contained_pairs,
-    point_in_polygon,
 )
 from .ingest import (
     _clean_ring,
@@ -62,6 +53,7 @@ from .ingest import (
 from .model import (
     ARTERY,
     GLOMERULUS,
+    INDICATORS,
     KNOWN_CELL_KINDS,
     LYMPHOCYTE,
     MONOCYTE,
@@ -75,7 +67,7 @@ from .model import (
     SectionScene,
     StructureClass,
 )
-from .scoring import ScoreReport, Unscorable, score_g, score_ptc, score_section, score_v
+from .scoring import ScoreReport, Unscorable, score_indicator, score_section
 from .seeds import derive_seed
 
 DEFAULT_RADIUS_RANGES: Dict[str, Tuple[float, float]] = {
@@ -182,17 +174,23 @@ class SceneSpec(_Spec):
         object.__setattr__(self, "background_cells", _count("background_cells", self.background_cells))
         _check_seed(self.seed)
 
+    def plan(self) -> Tuple[Tuple[str, str, Tuple[int, ...], Tuple[float, float]], ...]:
+        """Per structure kind, in scene order: the kind, its instance id
+        prefix, its planted cell counts and its radius range."""
+        return (
+            (GLOMERULUS, "glom", self.glomerulus_cells, self.glomerulus_radius),
+            (PERITUBULAR_CAPILLARY, "ptc", self.ptc_cells, self.ptc_radius),
+            (ARTERY, "art", self.artery_cells, self.artery_radius),
+        )
+
 
 def planted_grades(spec: SceneSpec) -> GroundTruthGrades:
     """Grades implied by the planted counts alone (no geometry involved),
     graded by the scorer; an unscorable indicator is None."""
+    cells = {kind: counts for kind, _, counts, _ in spec.plan()}
     grades = {}
-    for name, score, counts in (
-        ("g", score_g, spec.glomerulus_cells),
-        ("ptc", score_ptc, spec.ptc_cells),
-        ("v", score_v, spec.artery_cells),
-    ):
-        detail = score(dict(enumerate(counts)))
+    for name, kind in INDICATORS.items():
+        detail = score_indicator(name, dict(enumerate(cells[kind])))
         grades[name] = None if isinstance(detail, Unscorable) else detail.grade
     return GroundTruthGrades(section_id=spec.section_id, **grades)
 
@@ -239,34 +237,11 @@ def _place_polygon(
     raise PlacementFailure(f"{what}: no non-overlapping placement in {_PLACEMENT_ATTEMPTS} attempts")
 
 
-_Fan = Tuple[List[Tuple[Point, Point, Point]], np.ndarray]
-
-
-def _fan(poly: Polygon) -> _Fan:
-    """Fan triangulation of a convex polygon and each triangle's area share."""
-    verts = poly.exterior
-    tris = [(verts[0], verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)]
-    areas = np.array(
-        [
-            abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])) / 2.0
-            for a, b, c in tris
-        ]
-    )
-    return tris, areas / areas.sum()
-
-
-def _point_inside(rng: np.random.Generator, poly: Polygon, fan: _Fan) -> Point:
-    """Uniform point inside a convex polygon, given its :func:`_fan`."""
-    tris, weights = fan
-    for _ in range(100):
-        a, b, c = tris[int(rng.choice(len(tris), p=weights))]
-        u = math.sqrt(rng.random())
-        w = rng.random()
-        x = (1 - u) * a[0] + u * (1 - w) * b[0] + u * w * c[0]
-        y = (1 - u) * a[1] + u * (1 - w) * b[1] + u * w * c[1]
-        if point_in_polygon((x, y), poly):
-            return (x, y)
-    raise PlacementFailure("interior sampling failed")  # pragma: no cover
+def _fan_weights(poly: Polygon) -> np.ndarray:
+    """The area share of each triangle of a convex polygon's fan from vertex 0."""
+    x, y = np.array(poly.exterior).T
+    areas = np.abs((x[1:-1] - x[0]) * (y[2:] - y[0]) - (x[2:] - x[0]) * (y[1:-1] - y[0])) / 2.0
+    return areas / areas.sum()
 
 
 def _cells(ids: List[str], xs: np.ndarray, ys: np.ndarray, u_class: np.ndarray,
@@ -287,31 +262,31 @@ def _plant(rng: np.random.Generator, polygons: Sequence[Polygon], counts: Sequen
     ``counts[0]`` ids in ``polygons[0]``, the next ``counts[1]`` in
     ``polygons[1]``, and so on.
 
-    Each cell reads five doubles: its :func:`_fan` triangle, ``u`` and ``w``
-    of the point, its class and its confidence, which are the draws of one
-    accepted :func:`_point_inside` call and of the pair after it.  The cells
-    are drawn as ``(k, 5)`` blocks: the triangle pick is ``rng.choice``'s
-    own ``searchsorted`` over the normalized cumulative weights (a count of
-    the entries ``<=`` the double), the points are computed in
-    :func:`_point_inside`'s operation order, and one kernel call tests them
-    all.  At a block's first rejected point, the generator goes back to its
-    state before the block and reads the accepted cells' doubles again; the
-    rejected cell then takes the one-cell path, retries included, and a new
-    block starts after it.  The state is restored rather than rewound with
-    ``advance()``, which would drop the buffered 32-bit half that
-    ``rng.integers`` leaves behind.
+    Each cell reads five doubles: its fan triangle ``(a, b, c)``
+    (``rng.choice`` with the triangles' area weights), ``u`` and ``w`` of its
+    point ``(1 - sqrt(u)) * a + sqrt(u) * (1 - w) * b + sqrt(u) * w * c``,
+    its class and its confidence.  The cells are drawn as ``(k, 5)``
+    blocks: the triangle pick is ``rng.choice``'s own ``searchsorted`` over
+    the normalized cumulative weights (a count of the entries ``<=`` the
+    double), and one kernel call tests all the points.  At a block's first
+    rejected point, the generator goes back to its state before the block
+    and reads the accepted cells' doubles and the rejected point's three
+    again, and the next block starts at the rejected cell.  The state is
+    restored rather than rewound with ``advance()``, which would drop the
+    buffered 32-bit half that ``rng.integers`` leaves behind.  A cell whose
+    point is rejected 100 times in a row is a PlacementFailure.
     """
     owner = np.repeat(np.arange(len(polygons)), counts)
-    fans = [_fan(poly) for poly in polygons]
-    cdf = np.full((len(polygons), max((len(tris) for tris, _ in fans), default=0)), np.inf)
-    for k, (_, weights) in enumerate(fans):
+    fans = [_fan_weights(poly) for poly in polygons]
+    cdf = np.full((len(polygons), max((weights.size for weights in fans), default=0)), np.inf)
+    for k, weights in enumerate(fans):
         cumulative = weights.cumsum()
         cumulative /= cumulative[-1]  # as rng.choice normalizes its p
         cdf[k, :cumulative.size] = cumulative
     edges = _EdgeTable(polygons)
     apex = edges.ring_start[edges.first_ring]  # vertex 0 of each exterior, every fan triangle's first corner
     columns = np.empty((4, owner.size))  # x, y, class double, confidence double
-    i = 0
+    i = misses = 0
     while i < owner.size:
         state = rng.bit_generator.state
         block = rng.random((min(_BLOCK_PAIRS, owner.size - i), 5))
@@ -324,12 +299,14 @@ def _plant(rng: np.random.Generator, polygons: Sequence[Polygon], counts: Sequen
         inside = _contains(edges, xs, ys, own)
         good = int(np.argmin(inside)) if not inside.all() else len(block)
         columns[:, i:i + good] = (xs[:good], ys[:good], block[:good, 3], block[:good, 4])
+        if good:
+            misses = 0
         if good < len(block):
+            misses += 1
+            if misses == 100:
+                raise PlacementFailure("interior sampling failed")
             rng.bit_generator.state = state
-            rng.random(5 * good)
-            k = int(own[good])
-            columns[:, i + good] = (*_point_inside(rng, polygons[k], fans[k]), *rng.random(2))
-            good += 1
+            rng.random(5 * good + 3)
         i += good
     return _cells(ids, *columns)
 
@@ -359,12 +336,7 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
     x0, y0, x1, y1 = spec.canvas
     occupied: List[Tuple[float, float, float]] = []
     instances: List[Instance] = []
-    plan = (
-        (GLOMERULUS, "glom", spec.glomerulus_cells, spec.glomerulus_radius),
-        (PERITUBULAR_CAPILLARY, "ptc", spec.ptc_cells, spec.ptc_radius),
-        (ARTERY, "art", spec.artery_cells, spec.artery_radius),
-    )
-    for kind, prefix, cell_counts, radius_range in plan:
+    for kind, prefix, cell_counts, radius_range in spec.plan():
         for j in range(len(cell_counts)):
             poly, circle = _place_polygon(
                 rng, spec.canvas, radius_range, occupied, f"{prefix}-{j + 1}"
@@ -375,7 +347,7 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
             )
     _check_rings(instances)
     polygons = [inst.polygon for inst in instances]
-    counts = [c for _, _, cell_counts, _ in plan for c in cell_counts]
+    counts = [c for _, _, cell_counts, _ in spec.plan() for c in cell_counts]
     planted = _plant(rng, polygons, counts, [f"cell-{k}" for k in range(1, sum(counts) + 1)])
     # The background stream is a sequence of pairs of doubles: an attempt's
     # x and y, mapped as rng.uniform maps a double, and after a free attempt
@@ -579,7 +551,7 @@ class SensitivityReport:
 
     trials: int
     per_indicator: Dict[str, IndicatorSensitivity]
-    rows: Tuple[Tuple[str, str, str], ...]  # per-trial (g, ptc, v) grade keys
+    rows: Tuple[Tuple[str, ...], ...]  # per-trial grade keys, one per indicator
 
     def to_dict(self) -> dict:
         return {
@@ -599,18 +571,14 @@ class SensitivityReport:
         lines = []
         if comment:
             lines.append(f"# {comment}")
-        lines.append("trial,g,ptc,v")
+        lines.append(",".join(("trial", *INDICATORS)))
         for i, row in enumerate(self.rows):
-            lines.append(f"{i},{row[0]},{row[1]},{row[2]}")
+            lines.append(",".join((str(i), *row)))
         return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _trial_grades(report: ScoreReport) -> Tuple[str, str, str]:
-    return (
-        _grade_key(report.grade("g")),
-        _grade_key(report.grade("ptc")),
-        _grade_key(report.grade("v")),
-    )
+def _trial_grades(report: ScoreReport) -> Tuple[str, ...]:
+    return tuple(_grade_key(report.grade(name)) for name in INDICATORS)
 
 
 def sensitivity_run(
@@ -626,14 +594,14 @@ def sensitivity_run(
         raise ConfigError("trials must be >= 1")
     baseline = _trial_grades(score_section(scene, config))
 
-    def run_trial(i: int) -> Tuple[str, str, str]:
+    def run_trial(i: int) -> Tuple[str, ...]:
         tspec = replace(pspec, seed=derive_seed(pspec.seed, f"trial:{i}"))
         return _trial_grades(score_section(perturb_scene(scene, tspec), config))
 
     rows = tuple(run_trial(i) for i in range(trials))
 
     per_indicator: Dict[str, IndicatorSensitivity] = {}
-    for pos, name in enumerate(("g", "ptc", "v")):
+    for pos, name in enumerate(INDICATORS):
         values = [row[pos] for row in rows]
         histogram = {b: 0 for b in GRADE_BINS}
         for v in values:

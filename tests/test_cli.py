@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -384,6 +385,38 @@ class TestEvaluateCommand:
         assert not out.exists() or not list(out.iterdir())
 
 
+class TestUnreadableTextInputs:
+    """Text inputs that raised ``UnicodeDecodeError`` or ``_csv.Error`` with
+    exit 1 now exit 2 naming the file, before any output is made."""
+
+    def test_config_file_not_utf8(self, section_files, tmp_path, capsys):
+        structures, detections = section_files
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"min_confidence = 0.5\n# caf\xe9\n")
+        out = tmp_path / "out"
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        assert main(argv + ["--config", str(config), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: not UTF-8 text") and "at byte 26" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param(b"report,ground_truth\n\xff.json,gt.json\n", ": not UTF-8 text", id="not-utf8"),
+            pytest.param(b"a" * (csv.field_size_limit() + 1) + b",gt.json\n", ": row 1: field larger than",
+                         id="field-over-csv-limit"),
+        ],
+    )
+    def test_manifest(self, text, expected, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(text)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--manifest", str(manifest), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {manifest}{expected}")
+        assert not out.exists()
+
+
 SCENE_SPEC = {
     "section_id": "synth-x",
     "glomerulus_cells": [5, 0, 0, 0, 0],
@@ -712,6 +745,25 @@ class TestRenderCommand:
         bad = tmp_path / "scene.json"
         bad.write_text("{broken")
         assert main(["render", "--scene", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+    def test_scene_stem_too_long_for_the_svg_exits_2(self, tmp_path, capsys):
+        """The SVG's temp file ".<stem>.svg.XXXXXXXX.tmp" is 18 bytes longer
+        than the scene file's stem; a 238-byte stem made ``tempfile.mkstemp``
+        raise ``OSError: [Errno 36] File name too long`` with exit 1 after
+        ``--out-dir`` was made."""
+        spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        scene = (tmp_path / "synth-x.scene.json").read_bytes()
+        for stem, code in (("b" * 237, 0), ("b" * 238, 2), ("b" * 240, 2)):
+            scene_path = tmp_path / f"{stem}.json"
+            scene_path.write_bytes(scene)
+            out = tmp_path / f"out-{len(stem)}" / "inner"
+            assert main(["render", "--scene", str(scene_path), "--out-dir", str(out)]) == code
+            if code == 2:
+                assert "error: scene file name " in capsys.readouterr().err
+                assert not out.parent.exists()
+            else:
+                assert (out / f"{stem}.svg").read_bytes().startswith(b"<?xml")
 
 
 def scene_doc(instances, metadata):

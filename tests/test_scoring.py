@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,15 +17,18 @@ from banffscore.model import (
     DEFAULT_CELL_ALIASES,
     DEFAULT_STRUCTURE_ALIASES,
     GLOMERULUS,
+    INDICATORS,
     MONOCYTE,
     PERITUBULAR_CAPILLARY,
+    GroundTruthGrades,
     SectionScene,
 )
 from banffscore.scoring import (
+    GLOMERULUS_CELL_THRESHOLD,
+    GRADE_EDGES,
     GScoreDetail,
+    ScoreReport,
     Unscorable,
-    grade_from_inflamed_fraction,
-    grade_from_max_count,
     report_from_dict,
     report_to_dict,
     report_to_json,
@@ -119,15 +124,52 @@ class TestScorePtcAndV:
         for n in range(101):
             assert score_ptc({"only": n}).grade == max_count_band(n)
             assert score_v({"only": n}).grade == max_count_band(n)
-            assert grade_from_max_count(n) == max_count_band(n)
+
+
+class TestGradeEdges:
+    """Boundary cases generated from ``GRADE_EDGES``, checked against the
+    piecewise definitions in ``oracles``, and the tables against the README."""
+
+    def test_one_field_per_indicator(self):
+        assert list(GRADE_EDGES) == list(INDICATORS)
+        assert [f.name for f in fields(ScoreReport)] == ["section_id", *INDICATORS, "config"]
+        assert [f.name for f in fields(GroundTruthGrades)] == ["section_id", *INDICATORS]
+
+    def test_readme_table_matches(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Grading rules\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+) \| ([^|]+) \|$", section, re.M)
+        assert [(name, kind) for name, kind, _, _ in rows] == list(INDICATORS.items())
+        for name, _, _, edges in rows:
+            parsed = [(op, Fraction(value)) for op, value in re.findall(r"`(>=?) ([\d/]+)`", edges)]
+            assert parsed == list(GRADE_EDGES[name]), name
+        statistic = {kind: statistic for _, kind, statistic, _ in rows}[GLOMERULUS]
+        assert f"more than {GLOMERULUS_CELL_THRESHOLD} cells" in statistic
+
+    @pytest.mark.parametrize("name,score", [("ptc", score_ptc), ("v", score_v)])
+    def test_max_count_edges(self, name, score):
+        for _, edge in GRADE_EDGES[name]:
+            assert isinstance(edge, int)
+            for count in range(max(edge - 1, 0), edge + 2):
+                assert score({"only": count}).grade == max_count_band(count), (name, count)
+
+    def test_inflamed_fraction_edges(self):
+        for n in range(1, 61):
+            for _, edge in GRADE_EDGES["g"]:
+                assert isinstance(edge, Fraction)
+                at = edge * n
+                for inflamed in {at.numerator // at.denominator + k for k in (-1, 0, 1, 2)}:
+                    if 0 <= inflamed <= n:
+                        detail = score_g(counts([4] * inflamed + [0] * (n - inflamed)))
+                        assert detail.grade == g_band(inflamed, n), (n, inflamed)
 
 
 class TestBandProperties:
     @given(st.integers(0, 500), st.integers(0, 50))
     @settings(max_examples=200, deadline=None)
     def test_max_band_monotone_and_in_range(self, count, bump):
-        low = grade_from_max_count(count)
-        high = grade_from_max_count(count + bump)
+        low = score_ptc({"only": count}).grade
+        high = score_ptc({"only": count + bump}).grade
         assert low in (0, 1, 2, 3)
         assert high >= low
 
@@ -135,10 +177,10 @@ class TestBandProperties:
     @settings(max_examples=200, deadline=None)
     def test_fraction_band_monotone_and_in_range(self, den, num):
         num = min(num, den)
-        grade = grade_from_inflamed_fraction(Fraction(num, den))
+        grade = score_g(counts([4] * num + [0] * (den - num))).grade
         assert grade in (0, 1, 2, 3)
         if num < den:
-            assert grade_from_inflamed_fraction(Fraction(num + 1, den)) >= grade
+            assert score_g(counts([4] * (num + 1) + [0] * (den - num - 1))).grade >= grade
 
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=30), st.integers(0, 29))
     @settings(max_examples=150, deadline=None)

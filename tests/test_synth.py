@@ -537,6 +537,12 @@ class TestAgainstPerObjectOracles:
         assert out.detections == expected
 
 
+def _state_after(seed: int, doubles: int) -> dict:
+    rng = np.random.default_rng(seed)
+    rng.random(doubles)
+    return rng.bit_generator.state
+
+
 def _notched_ring(depth: float):
     """A non-convex hexagon: the fan from vertex 0 covers its notch, so
     points drawn in the fan land outside it and are redrawn."""
@@ -572,21 +578,37 @@ class TestBlockPlanting:
         assert rng.bit_generator.state == expected_rng.bit_generator.state
         assert rng.integers(0, 2**31, 3).tolist() == expected_rng.integers(0, 2**31, 3).tolist()
 
-    def test_rejections_take_the_one_cell_path(self, monkeypatch):
+    def test_rejections_redraw_the_same_cell(self):
         polygons = [synth.Polygon(exterior=_notched_ring(8.0))]
-        calls = []
-
-        def counting(rng, poly, fan):
-            calls.append(poly)
-            return one_cell(rng, poly, fan)
-
-        one_cell = synth._point_inside
-        monkeypatch.setattr(synth, "_point_inside", counting)
         ids = [f"c{k}" for k in range(200)]
-        cells = synth._plant(np.random.default_rng(9), polygons, [200], ids)
-        assert cells == oracles.per_cell_plant(np.random.default_rng(9), polygons, [200], ids)
-        # the notch is about a fifth of the fan's area
-        assert 10 <= len(calls) <= 100
+        rng, expected_rng = np.random.default_rng(9), np.random.default_rng(9)
+        cells = synth._plant(rng, polygons, [200], ids)
+        assert cells == oracles.per_cell_plant(expected_rng, polygons, [200], ids)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        # each cell reads 5 doubles and each rejected point 3 more; the notch
+        # is about a fifth of the fan's area
+        read = next(n for n in range(1000, 2000) if _state_after(9, n) == rng.bit_generator.state)
+        assert (read - 1000) % 3 == 0 and 10 <= (read - 1000) // 3 <= 100
+
+    @pytest.mark.parametrize(
+        "script,fails",
+        [
+            pytest.param([0] * 100, True, id="100-rejections"),
+            pytest.param([0] * 99 + [1] + [0] * 98 + [1], False, id="99-rejections-of-each-cell"),
+        ],
+    )
+    def test_a_cells_100th_rejection_in_a_row_fails(self, monkeypatch, script, fails):
+        # kernel call k accepts the first script[k] points of its block; the
+        # second cell's first rejection comes with the first cell's acceptance
+        calls = iter(script)
+        monkeypatch.setattr(synth, "_contains", lambda edges, xs, ys, own: np.arange(xs.size) < next(calls))
+        args = (np.random.default_rng(2), [synth.Polygon(exterior=square(0, 0, 5))], [2], ["a", "b"])
+        if fails:
+            with pytest.raises(PlacementFailure, match="interior sampling failed"):
+                synth._plant(*args)
+        else:
+            assert len(synth._plant(*args)) == 2
+        assert next(calls, None) is None
 
     def test_confidence_is_rounded_by_python_round(self):
         # the confidence double is just above 0.72345, so round, which rounds
