@@ -17,7 +17,7 @@ import tempfile
 import traceback
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from . import __version__
 from .config import RunConfig, merge_config, parse_config_text
@@ -39,6 +39,7 @@ from .scoring import report_from_dict, report_to_dict, score_section
 from .synth import PerturbationSpec, SceneSpec, generate_scene, sensitivity_run
 
 Output = Tuple[Path, bytes]
+T = TypeVar("T")
 
 
 # An output's temp file is "." + its name + "." + 8 random characters +
@@ -115,6 +116,16 @@ def _read_text(path: Path) -> str:
         raise BanffScoreError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _read_document(path: Path, parse: Callable[[bytes], T]) -> T:
+    """``parse`` of the bytes of the data file at ``path``; a package error
+    it raises is raised again with its message prefixed by the path."""
+    data = _require_file(path).read_bytes()
+    try:
+        return parse(data)
+    except BanffScoreError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     file_overrides = None
     if args.config is not None:
@@ -140,14 +151,15 @@ def _cmd_score(args: argparse.Namespace) -> int:
     section_id = _file_name(
         structures_path.stem if config.section_id is None else config.section_id
     )
-    instances = parse_structures(structures_path.read_bytes(), config.structure_aliases)
-    detections = parse_detections(
-        detections_path.read_bytes(), min_confidence=0.0, classes=None, aliases=config.cell_aliases
+    instances = _read_document(structures_path, lambda data: parse_structures(data, config.structure_aliases))
+    detections = _read_document(
+        detections_path,
+        lambda data: parse_detections(data, min_confidence=0.0, classes=None, aliases=config.cell_aliases),
     )
     scene = SectionScene(section_id=section_id, instances=instances, detections=detections)
     doc = report_to_dict(score_section(scene, config))
     if gt_path is not None:
-        gt = parse_ground_truth(gt_path.read_bytes())
+        gt = _read_document(gt_path, parse_ground_truth)
         doc["ground_truth"] = {name: getattr(gt, name) for name in INDICATORS}
     out_dir = Path(args.out_dir)
     _write_all([(out_dir / f"{section_id}.score.json", canonical_json_bytes(doc))])
@@ -179,8 +191,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     manifest = _read_manifest(Path(args.manifest))
     pairs: Dict[str, list] = {name: [] for name in INDICATORS}
     for report_path, gt_path in manifest:
-        report = report_from_dict(load_json_bytes(_require_file(report_path).read_bytes()))
-        gt = parse_ground_truth(_require_file(gt_path).read_bytes())
+        report = _read_document(report_path, lambda data: report_from_dict(load_json_bytes(data)))
+        gt = _read_document(gt_path, parse_ground_truth)
         for name in INDICATORS:
             pairs[name].append((report.grade(name), getattr(gt, name)))
     comment = f"banffscore {__version__} rows=expert columns=predicted"
@@ -204,7 +216,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
-    spec = SceneSpec.from_dict(load_json_bytes(_require_file(Path(args.spec)).read_bytes()))
+    spec = _read_document(Path(args.spec), lambda data: SceneSpec.from_dict(load_json_bytes(data)))
     if config.seed is not None:
         spec = replace(spec, seed=config.seed)
     stem = _file_name(spec.section_id)
@@ -222,9 +234,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
-    scene = read_scene(_require_file(Path(args.scene)).read_bytes())
+    scene = _read_document(Path(args.scene), read_scene)
     stem = _file_name(scene.section_id)
-    pspec = PerturbationSpec.from_dict(load_json_bytes(_require_file(Path(args.perturb)).read_bytes()))
+    pspec = _read_document(Path(args.perturb), lambda data: PerturbationSpec.from_dict(load_json_bytes(data)))
     if config.seed is not None:
         pspec = replace(pspec, seed=config.seed)
     report = sensitivity_run(scene, pspec, trials=args.trials, config=config)
@@ -250,10 +262,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
     scene_path = _require_file(Path(args.scene))
     svg_name = f"{scene_path.stem}.svg"
     _check_name_length(svg_name, f"scene file name {echo(scene_path.name)}")
-    scene = read_scene(scene_path.read_bytes())
+    scene = _read_document(scene_path, read_scene)
     report = None
     if args.report:
-        report = report_from_dict(load_json_bytes(_require_file(Path(args.report)).read_bytes()))
+        report = _read_document(Path(args.report), lambda data: report_from_dict(load_json_bytes(data)))
     svg = render_svg(scene, report)
     out_dir = Path(args.out_dir)
     _write_all([(out_dir / svg_name, svg)])

@@ -31,6 +31,14 @@ point with its own polygon);
 :func:`point_in_polygon` is its one-point call.  See Hormann & Agathos,
 "The point in polygon problem for arbitrary polygons", Comput. Geom. 20(3),
 2001.
+
+Both run a validity gate first: a polygon with a zero-area ring, by
+:func:`ring_area`'s float shoelace sum in vertex order, raises
+DegenerateGeometry.  The gate is banded (:func:`_nonzero_areas`): one
+vector sum per ring of the edge table vouches for every ring whose sum is
+far enough from zero that no order of adding its terms could make it halve
+to 0.0, and :attr:`Polygon.area` decides only the polygons with a ring
+left in the band.
 """
 from __future__ import annotations
 
@@ -90,6 +98,37 @@ def ring_area(vertices: Sequence[Point]) -> float:
         x2, y2 = vertices[(i + 1) % n]
         acc += x1 * y2 - x2 * y1
     return abs(acc) / 2.0 if math.isfinite(acc) else _rounded(_exact_area(vertices))
+
+
+def _nonzero_areas(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray, ring_start: np.ndarray,
+                   ring_size: np.ndarray) -> np.ndarray:
+    """Per ring, whether :func:`ring_area` certainly gives it a non-zero area,
+    from one vector sum of its shoelace terms; edge ``e`` runs from ``(x1[e],
+    y1[e])`` to ``(x2[e], y2[e])`` and ring ``r`` owns edges ``ring_start[r]``
+    to ``ring_start[r] + ring_size[r] - 1``.
+
+    The terms ``t = x1*y2 - x2*y1`` are bit-identical to those that
+    :func:`ring_area` adds in vertex order, but ``np.add.reduceat`` may add
+    them in another order, giving ``s``.  Any two orders of adding the same n
+    floats differ by at most ``2*gamma(n-1)*sum|t|``, with ``gamma(k) =
+    k*eps/(1 - k*eps)`` and ``eps = 2**-53`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 2002, section 4.2).  So
+    where ``|s| > 4*n*eps*sum|t|`` (for ``n < 2**24``), the sequential sum is
+    within ``|s|/2`` of ``s``; where ``|s|`` is also at least the least
+    normal float, that sum halves to a non-zero area; and where ``2*sum|t|``
+    is finite, no partial sum overflows.  A ring that fails any of these
+    tests, or has fewer than 3 vertices, is left to :func:`ring_area`.
+    """
+    eps = sys.float_info.epsilon / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = x1 * y2 - x2 * y1
+        # a trailing zero keeps the start of an empty last ring in range
+        s = np.abs(np.add.reduceat(np.append(terms, 0.0), ring_start))
+        scale = np.add.reduceat(np.append(np.abs(terms), 0.0), ring_start)
+        return (
+            (ring_size >= 3) & (ring_size < 1 << 24) & np.isfinite(scale + scale)
+            & (s >= sys.float_info.min) & (s > 4 * eps * ring_size * scale)
+        )
 
 
 def _exact_area(vertices: Sequence[Point]) -> Fraction:
@@ -184,9 +223,17 @@ class _EdgeTable:
         vertices = chain.from_iterable(chain.from_iterable(rings))
         xy = np.fromiter(vertices, dtype=np.float64, count=2 * sums[-1])
         nxt = np.arange(1, sums[-1] + 1)
-        nxt[self.ring_start + self.ring_size - 1] = self.ring_start
+        filled = self.ring_size > 0  # an empty ring is left to the validity gate
+        nxt[(self.ring_start + self.ring_size - 1)[filled]] = self.ring_start[filled]
         self.x1, self.y1 = xy[0::2], xy[1::2]
         self.x2, self.y2 = self.x1[nxt], self.y1[nxt]
+
+    @cached_property
+    def unsure(self) -> np.ndarray:
+        """Positions of the polygons with a ring whose area
+        :func:`_nonzero_areas` cannot vouch for."""
+        sure = _nonzero_areas(self.x1, self.y1, self.x2, self.y2, self.ring_start, self.ring_size)
+        return np.flatnonzero(~np.logical_and.reduceat(sure, self.first_ring))
 
 
 def _contains(edges: _EdgeTable, px: np.ndarray, py: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -230,7 +277,8 @@ def _contains(edges: _EdgeTable, px: np.ndarray, py: np.ndarray, owner: np.ndarr
 
 def contains_points(poly: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Boundary-inclusive containment of many points in one polygon."""
-    poly.area  # validity gate: raises DegenerateGeometry on invalid rings
+    if poly._edges.unsure.size:
+        poly.area  # validity gate: raises DegenerateGeometry on a zero-area ring
     return _contains(poly._edges, xs, ys, np.zeros(np.size(xs), dtype=np.intp))
 
 
@@ -313,9 +361,11 @@ def contained_pairs(index: SpatialIndex, polygons: Sequence[Polygon], xs: np.nda
     holds the point, ordered by point, then by polygon: one kernel call over
     the candidates of ``index``, built over the bounds of ``polygons``."""
     pt, k = index.pairs(xs, ys)
-    for j in np.flatnonzero(np.bincount(k, minlength=len(polygons))).tolist():
+    edges = _EdgeTable(polygons)
+    used = np.bincount(k, minlength=len(polygons)) > 0
+    for j in edges.unsure[used[edges.unsure]].tolist():
         polygons[j].area  # validity gate, as in contains_points
-    hit = _contains(_EdgeTable(polygons), xs[pt], ys[pt], k)
+    hit = _contains(edges, xs[pt], ys[pt], k)
     return pt[hit], k[hit]
 
 

@@ -12,13 +12,21 @@ are holes.  Degenerate rings (fewer than 3 distinct vertices, zero area,
 self-intersecting) are rejected, never repaired: silent repair would hide
 the upstream segmentation defects this tool exists to expose.
 
-Each ring gets its cheap checks (shape, finite numbers, 3 distinct vertices,
-non-zero area) as it is read.  Self-intersection is decided once per
-document, by one batched sweep over the edges of every ring read so far
-(:func:`_first_self_intersecting_ring`); two edges whose closed bounding
-boxes are disjoint never count as meeting.  The sweep also runs before any
-later error of the document propagates, so the first defect in document
-order is the one reported, as if each ring were checked as it was read.
+A document's rings are checked together.  One gather pass reads each
+feature or scene instance (id, class, geometry shape), then one columnar
+pass (:func:`_ring_columns`) checks every ring at once with array
+operations: vertex shape and number types, finite coordinates, consecutive
+duplicates and the closing vertex, 3 distinct vertices, and non-zero area
+(the float shoelace sum in vertex order, decided by
+:func:`~banffscore.geometry.ring_area` wherever one vector sum cannot vouch
+for it).  Self-intersection is decided by one batched sweep over the edges
+of every ring (:func:`_first_self_intersecting_ring`); two edges whose
+closed bounding boxes are disjoint never count as meeting.  Then each
+polygon's holes are checked.  If any of these rejects the document, it is
+read again one entry and one ring at a time (:func:`_clean_ring`), which
+only finds and raises the first defect in document order; the sweep runs
+over the rings read so far before any later error propagates, so the error
+is the one a reader that checked each ring as it read it would raise.
 
 Detections: ``{"points": [{"name": str, "point": [x, y],
 "probability": float}, ...]}``; ``probability`` is optional and defaults
@@ -41,8 +49,8 @@ import json
 import math
 import numbers
 from contextlib import contextmanager, suppress
-from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import chain, islice
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -60,6 +68,7 @@ from .geometry import (
     Point,
     Polygon,
     SpatialIndex,
+    _nonzero_areas,
     contained_pairs,
     contains_points,
     orient,
@@ -205,17 +214,25 @@ def checked_canvas(value, where: str, error: type) -> Tuple[float, float, float,
 # (cleaned ring, owner) pairs of one document, in document order
 _CleanedRings = List[Tuple[Tuple[Point, ...], str]]
 
+# A document's instances before their rings are checked: (id, class, raw
+# rings with the exterior first, properties).
+_Entry = Tuple[str, StructureClass, object, dict]
+
+# A ring and a vertex are JSON arrays (lists), or tuples in a generated scene.
+_ARRAYS = {list, tuple}
+
 
 def _within(lo_x, hi_x, lo_y, hi_y, px, py):
     return (lo_x <= px) & (px <= hi_x) & (lo_y <= py) & (py <= hi_y)
 
 
-def _first_self_intersecting_ring(rings: Sequence[Sequence[Point]]) -> int:
+def _first_self_intersecting_ring(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> int:
     """Index of the first ring that touches or crosses itself, or -1.
 
-    Every ring must already be clean (at least 3 vertices, no repeated
-    consecutive vertex, implicitly closed).  All rings go into one edge
-    table, edge ``e`` running from vertex ``e`` to the next vertex of its
+    Ring ``r`` is the ``sizes[r]`` vertices of the columns ``x`` and ``y``
+    that follow those of ring ``r - 1``.  Every ring must already be clean
+    (at least 3 vertices, no repeated consecutive vertex, implicitly
+    closed).  Edge ``e`` runs from vertex ``e`` to the next vertex of its
     ring.  Adjacent edges share a vertex and are rejected only for a
     zero-width spike through it (collinear and pointing back).  Any other
     pair of edges is rejected when the closed segments meet, decided by
@@ -226,13 +243,10 @@ def _first_self_intersecting_ring(rings: Sequence[Sequence[Point]]) -> int:
     ``lo_x``: an edge's candidates are the later edges of its ring whose
     ``lo_x`` is at most its ``hi_x``, generated ``_BLOCK_PAIRS`` at a time.
     """
-    if not rings:
+    if not sizes.size:
         return -1
-    sizes = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
-    nv = int(sizes.sum())
-    xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), dtype=np.float64, count=2 * nv)
-    x, y = xy[0::2], xy[1::2]
-    ring = np.repeat(np.arange(len(rings)), sizes)
+    nv = x.size
+    ring = np.repeat(np.arange(sizes.size), sizes)
     start = np.repeat(np.cumsum(sizes) - sizes, sizes)
     last = start + np.repeat(sizes, sizes) - 1
     vertex = np.arange(nv)
@@ -246,18 +260,18 @@ def _first_self_intersecting_ring(rings: Sequence[Sequence[Point]]) -> int:
         spike = (orient(px, py, x, y, ax, ay) == 0.0) & (
             (px - x) * (ax - x) + (py - y) * (ay - y) > 0
         )
-    first = int(ring[spike][0]) if spike.any() else len(rings)
+    first = int(ring[spike][0]) if spike.any() else sizes.size
 
     x2, y2 = x[nxt], y[nxt]
     lo_x, hi_x = np.minimum(x, x2), np.maximum(x, x2)
     lo_y, hi_y = np.minimum(y, y2), np.maximum(y, y2)
-    order = np.lexsort((lo_x, ring))
     # Candidates of the edge at sorted position p are positions p+1 .. end-1,
     # where end is found on keys that order (ring, x rank) as one integer.
     _, rank = np.unique(np.concatenate((lo_x, hi_x)), return_inverse=True)
     base = ring * (int(rank.max()) + 1)
-    keys_lo = (base + rank[:nv])[order]
-    ends = np.searchsorted(keys_lo, (base + rank[nv:])[order], side="right")
+    keys_lo = base + rank[:nv]
+    order = np.argsort(keys_lo, kind="stable")
+    ends = np.searchsorted(keys_lo[order], (base + rank[nv:])[order], side="right")
     counts = ends - np.arange(1, nv + 1)
     cum = np.cumsum(counts)
     total = int(cum[-1])
@@ -288,11 +302,87 @@ def _first_self_intersecting_ring(rings: Sequence[Sequence[Point]]) -> int:
         hit |= (d4 == 0) & _within(lo_x[i], hi_x[i], lo_y[i], hi_y[i], b2x, b2y)
         if hit.any():
             first = min(first, int(ring[i[hit]].min()))
-    return first if first < len(rings) else -1
+    return first if first < sizes.size else -1
+
+
+class _RingColumns(NamedTuple):
+    """Cleaned rings as flat columns: ring ``r`` is the ``sizes[r]`` vertices
+    of ``x`` and ``y`` after those of ring ``r - 1``, and ``rings[r]`` is the
+    same ring as vertex tuples."""
+
+    x: np.ndarray
+    y: np.ndarray
+    sizes: np.ndarray
+    rings: List[Tuple[Point, ...]]
+
+
+def _ring_columns(rings: list) -> Optional[_RingColumns]:
+    """The rings as :func:`_clean_ring` cleans them, in one columnar pass, or
+    None if :func:`_clean_ring` might reject one of them.
+
+    1. Every ring and vertex is an array, every vertex has at least 2 items
+       and only its first two are read, and each of those is an int or a
+       float, never a bool.
+    2. ``np.array`` converts the coordinates as ``float()`` does; an int
+       beyond the float range raises OverflowError there, which rejects.
+    3. Every coordinate is finite.  A vertex equal to the one before it in
+       its ring is dropped, then a last vertex equal to the first, and every
+       ring keeps at least 3 vertices.
+    4. No ring has zero area by :func:`ring_area`: one vector sum vouches
+       for most rings (:func:`~banffscore.geometry._nonzero_areas`), and
+       :func:`ring_area` itself decides the rest.
+    """
+    if not set(map(type, rings)) <= _ARRAYS or min(map(len, rings), default=3) < 3:
+        return None
+    vertices = list(chain.from_iterable(rings))
+    if not set(map(type, vertices)) <= _ARRAYS:
+        return None
+    lengths = set(map(len, vertices))
+    if min(lengths, default=2) < 2:
+        return None
+    if lengths == {2}:
+        flat = list(chain.from_iterable(vertices))
+    else:
+        flat = [v[k] for v in vertices for k in (0, 1)]
+    if not set(map(type, flat)) <= {float, int}:
+        return None
+    try:
+        xy = np.array(flat, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(xy).all():
+        return None
+    x, y = xy[0::2], xy[1::2]
+    sizes = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
+    start = np.cumsum(sizes) - sizes
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    keep[start] = True
+    kept = np.add.reduceat(keep, start, dtype=np.intp)
+    last = np.flatnonzero(keep)[np.cumsum(kept) - 1]
+    closed = (kept > 1) & (x[last] == x[start]) & (y[last] == y[start])
+    keep[last[closed]] = False
+    sizes = kept - closed
+    if (sizes < 3).any():
+        return None
+    x, y = x[keep], y[keep]
+    start = np.cumsum(sizes) - sizes
+    nxt = np.arange(1, x.size + 1)
+    nxt[start + sizes - 1] = start
+    points = list(zip(x.tolist(), y.tolist()))
+    cuts = np.cumsum(sizes).tolist()
+    cleaned = [tuple(points[a:b]) for a, b in zip([0, *cuts], cuts)]
+    unsure = np.flatnonzero(~_nonzero_areas(x, y, x[nxt], y[nxt], start, sizes)).tolist()
+    if any(ring_area(cleaned[r]) == 0.0 for r in unsure):
+        return None
+    return _RingColumns(x, y, sizes, cleaned)
 
 
 def _reject_self_intersecting(cleaned: _CleanedRings) -> None:
-    bad = _first_self_intersecting_ring([ring for ring, _ in cleaned])
+    rings = [ring for ring, _ in cleaned]
+    sizes = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
+    xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), dtype=np.float64, count=2 * sizes.sum())
+    bad = _first_self_intersecting_ring(xy[0::2], xy[1::2], sizes)
     if bad >= 0:
         raise DegenerateGeometry(f"{cleaned[bad][1]}: self-intersecting ring")
 
@@ -378,6 +468,104 @@ def _check_holes(exterior: Tuple[Point, ...], holes: Tuple[Tuple[Point, ...], ..
         raise DegenerateGeometry(f"{owner}: holes {other[0]} and {h[0]} are nested")
 
 
+def _polygons(entries: List[_Entry], kind: str) -> Optional[List[Polygon]]:
+    """The polygons of the entries, or None if an entry might be rejected:
+    one columnar pass over every ring (:func:`_ring_columns`), one sweep,
+    each polygon's hole check, and unique ids."""
+    ids = [iid for iid, _, _, _ in entries]
+    ring_lists = [rings for _, _, rings, _ in entries]
+    if len(set(ids)) < len(ids) or not (set(map(type, ring_lists)) <= _ARRAYS and all(ring_lists)):
+        return None
+    columns = _ring_columns(list(chain.from_iterable(ring_lists)))
+    if columns is None or _first_self_intersecting_ring(columns.x, columns.y, columns.sizes) >= 0:
+        return None
+    polygons = []
+    rings = iter(columns.rings)
+    for iid, raw in zip(ids, ring_lists):
+        exterior, holes = next(rings), tuple(islice(rings, len(raw) - 1))
+        if holes:
+            try:
+                _check_holes(exterior, holes, f"{kind} {echo_id(iid)}")
+            except DegenerateGeometry:
+                return None
+        polygons.append(Polygon(exterior=exterior, holes=holes))
+    return polygons
+
+
+def _instances(entries: Callable[[], Iterator[_Entry]], kind: str) -> List[Instance]:
+    """The instances of a document's entries, which ``entries()`` yields in
+    document order, raising a package error at an entry that is malformed
+    apart from its rings; ``kind`` names an entry in an error.
+
+    Every ring is checked at once (:func:`_polygons`).  When any check
+    rejects the document, its entries are read again and checked one by one
+    in document order, each ring by :func:`_clean_ring`, so the error raised
+    is the document's first.
+    """
+    try:
+        listed = list(entries())
+    except BanffScoreError:
+        listed = None
+    polygons = None if listed is None else _polygons(listed, kind)
+    if polygons is None:
+        seen: Set[str] = set()
+        with _self_intersection_sweep() as cleaned:
+            for iid, _, rings, _ in entries():
+                _polygon_from_coords(rings, f"{kind} {echo_id(iid)}", cleaned)
+                if iid in seen:
+                    raise MalformedDocument(f"duplicate instance id {echo(iid)}")
+                seen.add(iid)
+        raise AssertionError(f"a {kind} failed a column check but no per-ring check")
+    return [
+        Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props))
+        for (iid, cls, _, props), polygon in zip(listed, polygons)
+    ]
+
+
+def _feature_id(i: int, feature: dict, props: dict) -> str:
+    """The id of feature ``i``: its ``id``, else its ``properties.id``, else
+    ``f<i + 1>``.  An id is a string or a number (RFC 7946), and a number
+    reads as ``str()`` writes it."""
+    where, fid = (f"features[{i}].id", feature["id"]) if "id" in feature else (
+        f"features[{i}].properties.id", props.get("id"))
+    if fid is None:
+        return f"f{i + 1}"
+    if type(fid) in (str, int, float):
+        return str(fid)
+    raise MalformedDocument(f"{where}: expected a string or a number, got {echo(fid)}")
+
+
+def _feature_entries(features: list, aliases: Optional[Dict[str, str]]) -> Iterator[_Entry]:
+    """The entries of the features, one per member polygon."""
+    for i, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise MalformedDocument(f"features[{i}] is not an object")
+        props = feature.get("properties")
+        props = props if isinstance(props, dict) else {}
+        fid = _feature_id(i, feature, props)
+        label = None
+        classification = props.get("classification")
+        if isinstance(classification, dict) and classification.get("name") is not None:
+            label = classification["name"]
+        elif props.get("class") is not None:
+            label = props["class"]
+        cls = StructureClass.from_label(label, aliases)
+        geom = feature.get("geometry")
+        if not isinstance(geom, dict):
+            raise MalformedDocument(f"feature {echo_id(fid)}: missing geometry")
+        gtype = geom.get("type")
+        coords = geom.get("coordinates")
+        if gtype == "Polygon":
+            yield fid, cls, coords, props
+        elif gtype == "MultiPolygon":
+            if not isinstance(coords, (list, tuple)) or not coords:
+                raise MalformedDocument(f"feature {echo_id(fid)}: empty MultiPolygon")
+            for j, pcoords in enumerate(coords):
+                yield f"{fid}#{j}", cls, pcoords, props
+        else:
+            raise MalformedDocument(f"feature {echo_id(fid)}: unsupported geometry type {echo(gtype)}")
+
+
 def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> List[Instance]:
     """Parse a GeoJSON FeatureCollection of segmented structures.
 
@@ -390,46 +578,7 @@ def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> L
     features = doc.get("features")
     if not isinstance(features, list):
         raise MalformedDocument("FeatureCollection has no features array")
-    out: List[Instance] = []
-    seen: Set[str] = set()
-    with _self_intersection_sweep() as cleaned:
-        for i, feature in enumerate(features):
-            if not isinstance(feature, dict):
-                raise MalformedDocument(f"features[{i}] is not an object")
-            props = feature.get("properties")
-            props = props if isinstance(props, dict) else {}
-            fid = feature.get("id", props.get("id"))
-            fid = str(fid) if fid is not None else f"f{i + 1}"
-            label = None
-            classification = props.get("classification")
-            if isinstance(classification, dict) and classification.get("name") is not None:
-                label = classification["name"]
-            elif props.get("class") is not None:
-                label = props["class"]
-            cls = StructureClass.from_label(label, aliases)
-            geom = feature.get("geometry")
-            if not isinstance(geom, dict):
-                raise MalformedDocument(f"feature {echo_id(fid)}: missing geometry")
-            gtype = geom.get("type")
-            coords = geom.get("coordinates")
-            if gtype == "Polygon":
-                member_coords = [coords]
-                multi = False
-            elif gtype == "MultiPolygon":
-                if not isinstance(coords, (list, tuple)) or not coords:
-                    raise MalformedDocument(f"feature {echo_id(fid)}: empty MultiPolygon")
-                member_coords = list(coords)
-                multi = True
-            else:
-                raise MalformedDocument(f"feature {echo_id(fid)}: unsupported geometry type {echo(gtype)}")
-            for j, pcoords in enumerate(member_coords):
-                iid = f"{fid}#{j}" if multi else fid
-                polygon = _polygon_from_coords(pcoords, f"feature {echo_id(iid)}", cleaned)
-                if iid in seen:
-                    raise MalformedDocument(f"duplicate instance id {echo(iid)}")
-                seen.add(iid)
-                out.append(Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props)))
-    return out
+    return _instances(lambda: _feature_entries(features, aliases), "feature")
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +611,12 @@ def _check_entry(entry, where: str) -> None:
 
 
 def _number_column(values: list) -> Optional[np.ndarray]:
-    """``values`` as float64 by :func:`as_number`, or None if one is not a number."""
+    """``values`` as float64 by :func:`as_number`, or None if one is not a number.
+    Ints and floats convert at once, as ``float()`` converts them; other
+    types and an int beyond the float range go through :func:`as_number`."""
+    if set(map(type, values)) <= {float, int}:
+        with suppress(OverflowError):
+            return np.array(values, dtype=np.float64)
     column = list(map(as_number, values))
     return None if None in column else np.array(column, dtype=np.float64)
 
@@ -795,6 +949,20 @@ def _scene_detections(entries: list) -> DetectionTable:
     raise AssertionError("a scene detection failed a column check but no entry check")
 
 
+def _scene_instance_entries(entries: list) -> Iterator[_Entry]:
+    """The entries of a scene's instances; the rings of each are its
+    exterior, then its holes."""
+    for i, entry in enumerate(entries):
+        where = f"instances[{i}]"
+        iid, cls = _scene_entry(entry, where, StructureClass.from_string)
+        polygon, properties = entry.get("polygon"), entry.get("properties", {})
+        if not (isinstance(polygon, dict) and isinstance(polygon.get("holes", []), list)):
+            raise MalformedDocument(f"{where}.polygon: expected an object with 'exterior' and 'holes'")
+        if not isinstance(properties, dict):
+            raise MalformedDocument(f"{where}.properties: expected an object")
+        yield iid, cls, [polygon.get("exterior"), *polygon.get("holes", [])], properties
+
+
 def read_scene(data: bytes) -> SectionScene:
     doc = load_json_bytes(data)
     if not isinstance(doc, dict):
@@ -806,23 +974,7 @@ def read_scene(data: bytes) -> SectionScene:
         raise MalformedDocument("scene instances/detections must be arrays")
     if not isinstance(doc["section_id"], str):
         raise MalformedDocument(f"section_id: expected a string, got {echo(doc['section_id'])}")
-    instances: List[Instance] = []
-    seen: Set[str] = set()
-    with _self_intersection_sweep() as cleaned:
-        for i, entry in enumerate(doc["instances"]):
-            where = f"instances[{i}]"
-            iid, cls = _scene_entry(entry, where, StructureClass.from_string)
-            polygon, properties = entry.get("polygon"), entry.get("properties", {})
-            if not (isinstance(polygon, dict) and isinstance(polygon.get("holes", []), list)):
-                raise MalformedDocument(f"{where}.polygon: expected an object with 'exterior' and 'holes'")
-            if not isinstance(properties, dict):
-                raise MalformedDocument(f"{where}.properties: expected an object")
-            rings = [polygon.get("exterior"), *polygon.get("holes", [])]
-            poly = _polygon_from_coords(rings, f"instance {echo_id(iid)}", cleaned)
-            if iid in seen:
-                raise MalformedDocument(f"duplicate instance id {echo(iid)}")
-            seen.add(iid)
-            instances.append(Instance(id=iid, cls=cls, polygon=poly, properties=dict(properties)))
+    instances = _instances(lambda: _scene_instance_entries(doc["instances"]), "instance")
     detections = _scene_detections(doc["detections"])
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

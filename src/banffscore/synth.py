@@ -42,6 +42,8 @@ from .geometry import (
 )
 from .ingest import (
     _clean_ring,
+    _first_self_intersecting_ring,
+    _ring_columns,
     _self_intersection_sweep,
     as_number,
     checked_canvas,
@@ -314,7 +316,17 @@ def _plant(rng: np.random.Generator, polygons: Sequence[Polygon], counts: Sequen
 def _check_rings(instances: List[Instance]) -> None:
     """Raise PlacementFailure naming the first instance whose ring
     :func:`~banffscore.ingest.read_scene` would reject or change, as a tiny
-    radius can make it: one self-intersection sweep over all the rings."""
+    radius can make it: the columnar pass and one self-intersection sweep
+    over all the rings, then, only if they reject, one ring at a time to
+    name the first."""
+    rings = [inst.polygon.exterior for inst in instances]
+    columns = _ring_columns(rings)
+    if (
+        columns is not None
+        and columns.sizes.tolist() == list(map(len, rings))
+        and _first_self_intersecting_ring(columns.x, columns.y, columns.sizes) < 0
+    ):
+        return
     try:
         with _self_intersection_sweep() as cleaned:
             for inst in instances:
@@ -324,6 +336,7 @@ def _check_rings(instances: List[Instance]) -> None:
                 cleaned.append((ring, inst.id))
     except DegenerateGeometry as exc:
         raise PlacementFailure(str(exc)) from None
+    raise AssertionError("a generated ring failed a column check but no per-ring check")
 
 
 def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:

@@ -25,7 +25,9 @@ package's order, since the suite asserts identical scenes.  The scene
 detection reader builds one row per entry, as the package once did, and
 the scene document is built as objects for the stdlib's ``json.dumps``, as
 the package's writer once built it; the planting loop draws one cell at a
-time, as the package did before it drew cells in blocks.
+time, as the package did before it drew cells in blocks.  The structure
+parser cleans each ring as it reads it and returns what it built, as the
+package did before it checked a document's rings as columns.
 """
 
 from __future__ import annotations
@@ -38,9 +40,15 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from banffscore.errors import PlacementFailure
+from banffscore.errors import MalformedDocument, PlacementFailure
 from banffscore.geometry import AssignmentTable, contains_points, point_in_polygon
-from banffscore.ingest import scene_canvas
+from banffscore.ingest import (
+    _feature_entries,
+    _polygon_from_coords,
+    _self_intersection_sweep,
+    load_json_bytes,
+    scene_canvas,
+)
 from banffscore.model import (
     ARTERY,
     GLOMERULUS,
@@ -576,3 +584,20 @@ def generic_scene_document(scene) -> dict:
         ],
         "metadata": scene.metadata,
     }
+
+
+def per_ring_parse_structures(data: bytes) -> List[Instance]:
+    """The instances of a FeatureCollection, each ring cleaned by
+    ``_clean_ring`` as it is read, each polygon's holes checked as it is
+    built and one self-intersection sweep per document."""
+    features = load_json_bytes(data)["features"]
+    out: List[Instance] = []
+    seen: Set[str] = set()
+    with _self_intersection_sweep() as cleaned:
+        for iid, cls, rings, props in _feature_entries(features, None):
+            polygon = _polygon_from_coords(rings, f"feature {iid}", cleaned)
+            if iid in seen:
+                raise MalformedDocument(f"duplicate instance id {iid!r}")
+            seen.add(iid)
+            out.append(Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props)))
+    return out

@@ -487,7 +487,7 @@ class TestSynthAndSensitivityCommands:
         spec = write_json(tmp_path / "spec.json", {**SCENE_SPEC, key: value})
         out = tmp_path / "o"
         assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 2
-        assert f"error: {key}" in capsys.readouterr().err
+        assert f"error: {spec}: {key}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -529,7 +529,7 @@ class TestSynthAndSensitivityCommands:
         out = tmp_path / "sens"
         argv = ["sensitivity", "--scene", str(tmp_path / "synth-x.scene.json"), "--perturb", str(pspec)]
         assert main(argv + ["--trials", "3", "--out-dir", str(out)]) == 2
-        assert f"error: {key}" in capsys.readouterr().err
+        assert f"error: {pspec}: {key}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("cells", [pytest.param([4], id="with-cells"), pytest.param([0], id="empty")])
@@ -808,6 +808,8 @@ class TestSceneCanvasWithoutFiniteWidth:
             argv = ["sensitivity", "--scene", str(scene), "--perturb", str(pspec), "--trials", "2"]
         assert main(argv + ["--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
+        if metadata:  # read_scene checks metadata.canvas, so the error names the scene file
+            field = field.replace("error: ", f"error: {scene}: ", 1)
         assert err.startswith(field) and "finite width and height" in err
         assert not out.exists()
 
@@ -944,8 +946,9 @@ def test_long_bad_value_is_echoed_abbreviated(key, value, section_files, tmp_pat
     argv = ["score", "--structures", str(structures), "--detections", str(detections)]
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: points[0].{key}: expected ") and err.count("\n") == 1
-    assert len(err) < 200
+    prefix = f"error: {detections}: "
+    assert err.startswith(f"{prefix}points[0].{key}: expected ") and err.count("\n") == 1
+    assert len(err) - len(prefix) < 200
 
 
 LONG_ID = "g" * 5000
@@ -996,8 +999,57 @@ def test_long_id_or_value_is_echoed_abbreviated(command, role, edits, start, sec
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {start}") and err.count("\n") == 1
-    assert len(err) < 200
+    prefix = f"error: {files[role]}: "
+    assert err.startswith(f"{prefix}{start}") and err.count("\n") == 1
+    assert len(err) - len(prefix) < 200
+
+
+@pytest.mark.parametrize(
+    "command, role, path, value, message",
+    [
+        pytest.param("score", "structures", ("features", 0, "geometry", "coordinates", 0), FLAT_RING,
+                     "feature glom-a: ring has zero area", id="structures-ring"),
+        pytest.param("score", "structures", ("features", 0, "id"), {"a": 1},
+                     "features[0].id: expected a string or a number, got {'a': 1}", id="structures-feature-id"),
+        pytest.param("score", "detections", ("points", 0, "point"), [1, "x"],
+                     "points[0].point: expected [x, y] of numbers, got [1, 'x']", id="detections-point"),
+        pytest.param("score", "gt", ("properties", "banff_g"), 7, "banff_g=7 outside 0-3", id="ground-truth"),
+        pytest.param("sensitivity", "scene", ("instances", 0, "id"), 5, "instances[0].id: expected a string, got 5",
+                     id="scene"),
+        pytest.param("evaluate", "report", ("section_id",), 12, "section_id: expected a string, got 12",
+                     id="score-report"),
+    ],
+)
+def test_parse_error_names_its_file(command, role, path, value, message, section_files, tmp_path, capsys):
+    files, argv = bad_number_inputs(command, section_files, tmp_path)
+    doc = json.loads(files[role].read_text(encoding="utf-8"))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    write_json(files[role], doc)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {files[role]}: {message}\n"
+
+
+def test_spec_and_render_parse_errors_name_their_file(section_files, tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", {**SCENE_SPEC, "seed": 1.5})
+    assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {spec}: seed: ")
+    write_json(spec, SCENE_SPEC)
+    assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+    scene = tmp_path / "synth-x.scene.json"
+    pspec = write_json(tmp_path / "p.json", {"seed": "x"})
+    argv = ["sensitivity", "--scene", str(scene), "--perturb", str(pspec), "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {pspec}: seed: ")
+    report = write_json(tmp_path / "r.json", {"section_id": 12})
+    assert main(["render", "--scene", str(scene), "--report", str(report), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {report}: not a banffscore score report\n"
+    write_json(scene, {"section_id": "s", "instances": [], "detections": [], "metadata": []})
+    assert main(["render", "--scene", str(scene), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {scene}: scene metadata must be an object\n"
 
 
 @pytest.mark.parametrize(

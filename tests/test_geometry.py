@@ -17,6 +17,9 @@ from banffscore.geometry import (
     Polygon,
     assign_detections,
     build_index,
+    _EdgeTable,
+    _nonzero_areas,
+    contained_pairs,
     contains_points,
     orient,
     point_in_polygon,
@@ -96,6 +99,47 @@ class TestPolygonArea:
         assert ring_area(poly.exterior) == math.inf
         exact = (2 * Fraction(7e153)) ** 2 - (2 * Fraction(5e153)) ** 2
         assert poly.area == float(exact) and math.isfinite(poly.area)
+
+
+BAND_COORDS = st.one_of(
+    st.integers(-3000, 3000).map(lambda k: k / 1000),
+    st.integers(-5, 5),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e154, 1e200, -1e308, 1e308]),
+)
+
+
+class TestNonzeroAreaBand:
+    """The vector test vouches for a ring only where :func:`ring_area`
+    gives it a non-zero area, and does so for ordinary rings."""
+
+    @given(st.lists(st.lists(st.tuples(BAND_COORDS, BAND_COORDS), min_size=1, max_size=7), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_never_vouches_for_a_zero_area(self, rings):
+        edges = _EdgeTable([Polygon(exterior=tuple(ring)) for ring in rings])
+        sure = _nonzero_areas(edges.x1, edges.y1, edges.x2, edges.y2, edges.ring_start, edges.ring_size)
+        for ring, vouched in zip(rings, sure.tolist()):
+            if vouched:
+                assert ring_area(ring) != 0.0
+
+    def test_vouches_for_ordinary_rings(self, rng):
+        rings = [star_ring(rng, rng.uniform(-50, 50), rng.uniform(-50, 50), 5.0, 40.0, 20) for _ in range(20)]
+        edges = _EdgeTable([Polygon(exterior=ring, holes=(square(0.0, 0.0, 1.0),)) for ring in rings])
+        assert edges.unsure.size == 0
+
+    def test_polygons_in_the_band_alone_compute_their_area(self, monkeypatch):
+        sliver = Polygon(exterior=((0.0, 0.0), (1.0, 0.0), (0.0, 5e-324)))  # its sum 5e-324 halves to 0.0
+        good = [Polygon(exterior=square(3.0 * k, 0.0, 1.0)) for k in range(3)]
+        polygons = good + [sliver]
+        computed = []
+        area = Polygon.area
+        monkeypatch.setattr(Polygon, "area", property(lambda poly: computed.append(poly) or area.func(poly)))
+        index = build_index([mk_instance(f"p{k}", GLOMERULUS, p.exterior) for k, p in enumerate(polygons)])
+        xs, ys = np.array([0.0, 3.0, 6.0]), np.array([0.5, 0.5, 0.5])
+        pt, k = contained_pairs(index, polygons, xs, ys)
+        assert (pt.tolist(), k.tolist(), computed) == ([0, 1, 2], [0, 1, 2], [])
+        with pytest.raises(DegenerateGeometry, match="exterior ring has zero area"):
+            contained_pairs(index, polygons, np.array([0.1]), np.array([0.0]))
+        assert computed == [sliver]
 
 
 def test_orient_gives_the_exact_sign_where_the_float_value_is_not_finite():

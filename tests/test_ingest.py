@@ -18,8 +18,11 @@ from banffscore.errors import (
     SchemaViolation,
 )
 from banffscore import geometry
+from banffscore import ingest, synth
 from banffscore.ingest import (
     _clean_ring,
+    _number_column,
+    _ring_columns,
     canonical_json_bytes,
     _first_self_intersecting_ring,
     as_number,
@@ -56,6 +59,7 @@ from oracles import (
     json_dumps_bytes,
     naive_ring_self_intersects,
     per_entry_scene_detections,
+    per_ring_parse_structures,
 )
 
 
@@ -186,6 +190,26 @@ class TestParseStructures:
         features[1]["geometry"]["coordinates"] = [FAR_SQUARE_RING]
         instances = parse_structures(feature_collection(*features))
         assert [i.id for i in instances] == ["f1", "f2"]
+
+    @pytest.mark.parametrize("fid", [{"a": 1}, True, [1, 2]], ids=["object", "bool", "array"])
+    def test_feature_id_must_be_a_string_or_a_number(self, fid):
+        feature = polygon_feature(fid, "glomerulus", [SQUARE_RING])
+        with pytest.raises(MalformedDocument) as info:
+            parse_structures(feature_collection(polygon_feature("ok", "ptc", [FAR_SQUARE_RING]), feature))
+        assert str(info.value) == f"features[1].id: expected a string or a number, got {fid!r}"
+
+    def test_fallback_properties_id_must_be_a_string_or_a_number(self):
+        feature = polygon_feature(None, "glomerulus", [SQUARE_RING], extra_properties={"id": False})
+        del feature["id"]
+        with pytest.raises(MalformedDocument) as info:
+            parse_structures(feature_collection(feature))
+        assert str(info.value) == "features[0].properties.id: expected a string or a number, got False"
+
+    def test_number_ids_read_as_str_writes_them(self):
+        first = polygon_feature(7, "glomerulus", [SQUARE_RING])
+        second = polygon_feature(None, "ptc", [FAR_SQUARE_RING], extra_properties={"id": 2.5})
+        del second["id"]
+        assert [i.id for i in parse_structures(feature_collection(first, second))] == ["7", "2.5"]
 
     def test_unsupported_geometry_named_in_error(self):
         feature = {
@@ -862,6 +886,26 @@ class TestNumberRule:
         with pytest.raises(MalformedDocument, match="^k: expected an integer"):
             checked_integer(value, "k", MalformedDocument)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.5, -0.0, 5e-324, 1e308],
+            [3, -7, 0, 2**53 + 1],
+            [2**63 + 1, -(2**63) - 1, 2**64 + 3, 0.25],
+            pytest.param([2**1024, -(2**1024), 1.0], id="ints-beyond-the-float-range"),
+            pytest.param([10**400, 2.0], id="int-of-401-digits"),
+            pytest.param([np.float64(2.5), 1], id="numpy-scalar"),
+            [],
+        ],
+    )
+    def test_number_column_is_bit_equal_to_as_number(self, values):
+        expected = np.array(list(map(as_number, values)), dtype=np.float64)
+        assert _number_column(values).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("values", [[1.0, True], [False], [1, "2"], [None, 1.0]])
+    def test_number_column_rejects_what_as_number_rejects(self, values):
+        assert _number_column(values) is None
+
     def test_probability_rule_is_the_scene_confidence_rule(self):
         for value in ("0.7", True, 10**400, float("nan"), -0.1):
             with pytest.raises(SchemaViolation, match=r"points\[0\]\.probability"):
@@ -913,6 +957,13 @@ def comb_ring(teeth, crossing_tooth=None):
     return tuple(pts)
 
 
+def first_self_intersecting_ring(rings):
+    """The sweep over clean rings given as vertex tuples, flattened to its columns."""
+    sizes = np.array([len(r) for r in rings], dtype=np.intp)
+    xy = np.array([c for r in rings for p in r for c in p], dtype=np.float64)
+    return _first_self_intersecting_ring(xy[0::2], xy[1::2], sizes)
+
+
 def clean_or_none(coords):
     try:
         return _clean_ring(coords, "r")
@@ -951,13 +1002,13 @@ class TestRingValidation:
     def test_fixed_rings_match_oracle(self, coords, bad):
         ring = _clean_ring(coords, "r")
         assert naive_ring_self_intersects(ring) is bad
-        assert _first_self_intersecting_ring([ring]) == (0 if bad else -1)
+        assert first_self_intersecting_ring([ring]) == (0 if bad else -1)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 17, 200, 2000])
     def test_simple_star_rings_accepted(self, n):
         ring = star_ring(n, seed=n)
         assert not naive_ring_self_intersects(ring)
-        assert _first_self_intersecting_ring([ring]) == -1
+        assert first_self_intersecting_ring([ring]) == -1
 
     def test_comb_ring_spans_several_pair_blocks(self):
         good = comb_ring(400)
@@ -968,20 +1019,20 @@ class TestRingValidation:
         bad = comb_ring(400, crossing_tooth=399)
         assert not naive_ring_self_intersects(good)
         assert naive_ring_self_intersects(bad)
-        assert _first_self_intersecting_ring([good]) == -1
-        assert _first_self_intersecting_ring([good, bad, good]) == 1
-        assert _first_self_intersecting_ring([good, good, bad, bad]) == 2
+        assert first_self_intersecting_ring([good]) == -1
+        assert first_self_intersecting_ring([good, bad, good]) == 1
+        assert first_self_intersecting_ring([good, good, bad, bad]) == 2
 
     @given(grid_coords.map(clean_or_none))
     @settings(max_examples=400, deadline=None)
     def test_grid_rings_match_oracle(self, ring):
         assume(ring is not None)
-        assert _first_self_intersecting_ring([ring]) == expected_first_bad([ring])
+        assert first_self_intersecting_ring([ring]) == expected_first_bad([ring])
 
     @given(batch_rings)
     @settings(max_examples=200, deadline=None)
     def test_mixed_batches_report_first_bad_ring(self, rings):
-        assert _first_self_intersecting_ring(rings) == expected_first_bad(rings)
+        assert first_self_intersecting_ring(rings) == expected_first_bad(rings)
 
     @pytest.mark.parametrize(
         "ring, message",
@@ -1004,7 +1055,7 @@ class TestRingValidation:
     def test_sweep_decides_overflowing_orientations_exactly(self):
         bow_tie = ((-1e308, -1e308), (1e308, 1e308), (1e308, -1e308), (-1e308, 1e308))
         wide_square = ((-1e308, -1e308), (1e308, -1e308), (1e308, 1e308), (-1e308, 1e308))
-        assert _first_self_intersecting_ring([wide_square, bow_tie]) == 1
+        assert first_self_intersecting_ring([wide_square, bow_tie]) == 1
         (inst,) = parse_structures(feature_collection(polygon_feature("wide", "glomerulus", [wide_square])))
         assert inst.polygon.area == math.inf
 
@@ -1086,3 +1137,149 @@ class TestErrorPrecedence:
         with pytest.raises(DegenerateGeometry) as info:
             parse(build(entries))
         assert str(info.value) == f"{kind} {owner}: self-intersecting ring"
+
+
+# ---------------------------------------------------------------------------
+# the columnar ring pass against the per-ring path
+
+GOOD_COORDS = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-4000, 4000).map(lambda k: k / 1000),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 1e-323, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+ODD_COORDS = st.sampled_from(
+    [2**1024, -(2**1024), 10**400, 2**63 + 1, math.nan, math.inf, -math.inf, True, False, "1", None]
+)
+COORDS = st.one_of(GOOD_COORDS, GOOD_COORDS, GOOD_COORDS, ODD_COORDS)
+VERTICES = st.one_of(
+    st.lists(COORDS, min_size=2, max_size=2),
+    st.lists(COORDS, min_size=2, max_size=2),
+    st.lists(COORDS, min_size=3, max_size=3),
+    st.lists(COORDS, max_size=1),
+    st.sampled_from(["xy", None, 3, {"x": 1}]),
+)
+
+
+def with_repeats(ring, repeats, close):
+    """``ring`` with the vertices at ``repeats`` written twice in a row,
+    and its first vertex again at the end if ``close``."""
+    out = []
+    for k, vertex in enumerate(ring):
+        out += [vertex] * (1 + repeats.count(k))
+    return out + ring[:1] if close else out
+
+
+def near_line_triangle(x0, y0, x1, y1, t, offset):
+    """Three vertices with 3 decimals whose third lies on the line through
+    the first two, nudged ``offset`` thousandths off it."""
+    return [[x0 / 1000, y0 / 1000], [x1 / 1000, y1 / 1000],
+            [round((x0 + t * (x1 - x0)) / 1000, 3), round((y0 + t * (y1 - y0) + offset) / 1000, 3)]]
+
+
+GRID = st.integers(-3000, 3000)
+RINGS = st.one_of(
+    st.builds(with_repeats, st.lists(VERTICES, max_size=7), st.lists(st.integers(0, 6), max_size=3),
+              st.booleans()),
+    st.builds(with_repeats, st.lists(st.lists(GOOD_COORDS, min_size=2, max_size=2), min_size=3, max_size=6),
+              st.lists(st.integers(0, 5), max_size=3), st.booleans()),
+    st.builds(near_line_triangle, GRID, GRID, GRID, GRID, st.integers(-3, 3), st.integers(-1, 1)),
+    st.lists(st.lists(st.sampled_from([0.0, 5e-324, 1e-323, 1.5e-323, 1.0, 2.0]), min_size=2, max_size=2),
+             min_size=3, max_size=4),
+    st.sampled_from([[], "ring", None]),
+)
+TRIANGLES = st.one_of(
+    st.builds(near_line_triangle, GRID, GRID, GRID, GRID, st.integers(-3, 3), st.integers(-1, 1)),
+    st.builds(with_repeats, st.lists(st.lists(GOOD_COORDS, min_size=2, max_size=2), min_size=3, max_size=3),
+              st.lists(st.integers(0, 2), max_size=2), st.booleans()),
+    st.builds(lambda n, seed: [list(p) for p in star_ring(n, seed)], st.integers(3, 30), st.integers(0, 99)),
+)
+DOCUMENTS = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]), st.lists(RINGS, min_size=1, max_size=3)),
+        min_size=1,
+        max_size=4,
+    ),
+    # mostly accepted: one simple ring per instance, few of zero area
+    st.lists(TRIANGLES, min_size=1, max_size=5).map(lambda rings: [(f"i{k}", [r]) for k, r in enumerate(rings)]),
+)
+
+
+def outcome(parse, data):
+    """What ``parse`` makes of ``data``: the instances, with the exact
+    reprs of their coordinates, or the type and text of its error."""
+    try:
+        return [(i.id, i.cls, repr(i.polygon), i.properties) for i in parse(data)]
+    except (MalformedDocument, DegenerateGeometry) as exc:
+        return (type(exc), str(exc))
+
+
+class TestColumnarRingPass:
+    @given(DOCUMENTS)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_agrees_with_the_per_ring_path(self, entries):
+        data = structures_doc(entries)
+        assert outcome(parse_structures, data) == outcome(per_ring_parse_structures, data)
+
+    @given(st.lists(st.one_of(RINGS, TRIANGLES), min_size=1, max_size=4))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_columns_are_the_cleaned_rings(self, rings):
+        try:
+            cleaned = [_clean_ring(ring, "r") for ring in rings]
+        except (MalformedDocument, DegenerateGeometry):
+            cleaned = None
+        columns = _ring_columns(rings)
+        assert (columns is None) == (cleaned is None)
+        if columns is not None:
+            assert repr(columns.rings) == repr(cleaned)
+            flat = [c for ring in cleaned for vertex in ring for c in vertex]
+            assert np.array_equal(np.column_stack((columns.x, columns.y)).ravel(), flat)
+            assert columns.sizes.tolist() == [len(ring) for ring in cleaned]
+
+    @pytest.mark.parametrize(
+        "top, accepted",
+        [
+            # the shoelace sum is 5e-324, which halves to 0.0
+            pytest.param(5e-324, False, id="sum-of-the-least-subnormal"),
+            pytest.param(1e-323, True, id="sum-of-twice-the-least-subnormal"),
+        ],
+    )
+    def test_subnormal_triangle_area_is_the_float_rule(self, top, accepted):
+        data = feature_collection(polygon_feature("t", "ptc", [[[0, 0], [1, 0], [0, top]]]))
+        if accepted:
+            (inst,) = parse_structures(data)
+            assert inst.polygon.exterior == ((0.0, 0.0), (1.0, 0.0), (0.0, top))
+        else:
+            with pytest.raises(DegenerateGeometry) as info:
+                parse_structures(data)
+            assert str(info.value) == "feature t: ring has zero area"
+
+    def test_zero_sequential_sum_with_a_non_zero_vector_sum_is_rejected(self):
+        # 20 collinear vertices: ring_area's sum in vertex order is 0.0, the
+        # vector sum of the same terms -5.55e-17, inside the band
+        ring = [[1.29, 0.321], [1.182, 0.366], [0.654, 0.586], [1.47, 0.246], [1.482, 0.241],
+                [1.602, 0.191], [1.59, 0.196], [1.158, 0.376], [1.35, 0.296], [1.566, 0.206],
+                [0.69, 0.571], [1.002, 0.441], [0.918, 0.476], [1.494, 0.236], [1.542, 0.216],
+                [0.93, 0.471], [0.786, 0.531], [1.494, 0.236], [1.038, 0.426], [0.702, 0.566]]
+        terms = [x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1])]
+        assert geometry.ring_area(ring) == 0.0 and np.add.reduceat(terms, [0])[0] != 0.0
+        assert _ring_columns([ring]) is None
+        with pytest.raises(DegenerateGeometry, match="^r: ring has zero area$"):
+            _clean_ring(ring, "r")
+
+    def test_valid_documents_never_clean_ring_by_ring(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_clean_ring called on a valid document")
+
+        monkeypatch.setattr(ingest, "_clean_ring", refuse)
+        monkeypatch.setattr(synth, "_clean_ring", refuse)
+        hole = [[2, 2], [4, 2], [4, 4], [2, 4]]
+        data = feature_collection(
+            polygon_feature("f1", "glomerulus", [SQUARE_RING, hole]),
+            polygon_feature("f2", "artery", [[FAR_SQUARE_RING], [NEAR_COLLINEAR_RING]], "MultiPolygon"),
+        )
+        instances = parse_structures(data)
+        assert [i.id for i in instances] == ["f1", "f2#0", "f2#1"]
+        spec = SceneSpec(seed=3, glomerulus_cells=[2, 5], ptc_cells=[1], artery_cells=[0], background_cells=20)
+        scene, _ = generate_scene(spec)
+        assert read_scene(write_scene(scene)) == scene
+        assert read_scene(write_scene(SectionScene("s", instances=instances))).instances == instances
