@@ -28,8 +28,6 @@ from .geometry import (
     SpatialIndex,
     assign_detections,
     build_index,
-    contains_points,
-    point_in_polygon,
 )
 from .model import (
     ARTERY,

@@ -46,7 +46,8 @@ class GradeOutOfRange(BanffScoreError):
 
 
 class IndexMismatch(BanffScoreError):
-    """Spatial index was built over a different instance set than supplied."""
+    """Spatial index was built over a different instance set than supplied,
+    or instance ids repeat."""
 
 
 class PlacementFailure(BanffScoreError):

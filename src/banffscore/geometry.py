@@ -22,17 +22,15 @@ upward edge or ``d < 0`` for a downward edge; an odd crossing count per row
 means inside the ring.  ``d == 0`` with the point
 inside the edge's bounding box means the point sits on the segment itself.
 A pair holds when the point is inside the exterior and strictly inside no
-hole, or on any ring.  :func:`contained_pairs` runs the kernel once over
-every candidate pair from a :class:`SpatialIndex`, for
+hole, or on any ring.  A :class:`SpatialIndex` holds its polygons and their
+edge table, and :func:`contained_pairs`, the one entry point, runs the
+kernel once over every candidate pair the index finds, for
 :func:`assign_detections`, the parsers' hole checks and the synthetic
 background draws (synthetic planted cells call the kernel directly, each
-point with its own polygon);
-:func:`contains_points` runs it over every point and one polygon, and
-:func:`point_in_polygon` is its one-point call.  See Hormann & Agathos,
-"The point in polygon problem for arbitrary polygons", Comput. Geom. 20(3),
-2001.
+point with its own polygon).  See Hormann & Agathos, "The point in polygon
+problem for arbitrary polygons", Comput. Geom. 20(3), 2001.
 
-Both run a validity gate first: a polygon with a zero-area ring, by
+It runs a validity gate first: a candidate polygon with a zero-area ring, by
 :func:`ring_area`'s float shoelace sum in vertex order, raises
 DegenerateGeometry.  The gate is banded (:func:`_nonzero_areas`): one
 vector sum per ring of the edge table vouches for every ring whose sum is
@@ -44,6 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,7 +51,7 @@ from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateGeometry, IndexMismatch
+from .errors import DegenerateGeometry, IndexMismatch, echo
 
 Point = Tuple[float, float]
 
@@ -189,10 +188,6 @@ class Polygon:
             return outer - inner
         return _rounded(_exact_area(self.exterior) - sum(map(_exact_area, self.holes)))
 
-    @cached_property
-    def _edges(self) -> "_EdgeTable":
-        return _EdgeTable([self])
-
 
 # (point, edge) evaluations at once in the containment kernel; bounds its
 # temporaries so peak memory stays flat however many pairs and vertices a
@@ -206,8 +201,8 @@ class _EdgeTable:
     Polygon ``k`` owns rings ``first_ring[k]`` to ``first_ring[k] +
     n_rings[k] - 1``, its exterior first; ring ``r`` owns edges
     ``ring_start[r]`` to ``ring_start[r] + ring_size[r] - 1``, and edge ``e``
-    runs from vertex ``e`` to the next vertex of its ring.  ``n_edges[k]``
-    is the edge count over all rings of polygon ``k``.
+    runs from vertex ``e``, row ``e`` of ``xy``, to the next vertex of its
+    ring.  ``n_edges[k]`` is the edge count over all rings of polygon ``k``.
     """
 
     def __init__(self, polygons: Sequence[Polygon]):
@@ -221,11 +216,11 @@ class _EdgeTable:
         sums = np.concatenate(([0], np.cumsum(self.ring_size)))
         self.n_edges = sums[self.first_ring + self.n_rings] - sums[self.first_ring]
         vertices = chain.from_iterable(chain.from_iterable(rings))
-        xy = np.fromiter(vertices, dtype=np.float64, count=2 * sums[-1])
+        self.xy = np.fromiter(vertices, dtype=np.float64, count=2 * sums[-1]).reshape(-1, 2)
         nxt = np.arange(1, sums[-1] + 1)
         filled = self.ring_size > 0  # an empty ring is left to the validity gate
         nxt[(self.ring_start + self.ring_size - 1)[filled]] = self.ring_start[filled]
-        self.x1, self.y1 = xy[0::2], xy[1::2]
+        self.x1, self.y1 = self.xy.T
         self.x2, self.y2 = self.x1[nxt], self.y1[nxt]
 
     @cached_property
@@ -275,37 +270,33 @@ def _contains(edges: _EdgeTable, px: np.ndarray, py: np.ndarray, owner: np.ndarr
     return hit
 
 
-def contains_points(poly: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Boundary-inclusive containment of many points in one polygon."""
-    if poly._edges.unsure.size:
-        poly.area  # validity gate: raises DegenerateGeometry on a zero-area ring
-    return _contains(poly._edges, xs, ys, np.zeros(np.size(xs), dtype=np.intp))
-
-
-def point_in_polygon(point: Point, poly: Polygon) -> bool:
-    """True iff the point is inside the polygon; ring boundaries count as inside."""
-    xs = np.array([point[0]], dtype=np.float64)
-    ys = np.array([point[1]], dtype=np.float64)
-    return bool(contains_points(poly, xs, ys)[0])
-
-
 class SpatialIndex:
-    """Uniform grid over the bounds of a set of instances.
+    """Uniform grid over the exterior bounds of a set of polygons, which it
+    holds together with their edge table (:class:`_EdgeTable`) for
+    :func:`contained_pairs`.
 
     One table backs its one query, :meth:`pairs`: for each grid cell, the
-    ascending positions of the instances whose bbox cell range covers that
+    ascending positions of the polygons whose bbox cell range covers that
     cell, stored as CSR arrays (``_offsets`` into ``_members``).  Points and
     bbox corners map to cells through the same monotone arithmetic, so a
-    cell's list is a superset of the instances whose bbox holds any point of
+    cell's list is a superset of the polygons whose bbox holds any point of
     that cell, and :meth:`pairs` filters it to the exact closed-bbox hits.
     The answers never change after construction.  An empty index has empty
     bounds (+inf minima, -inf maxima), which hold no point.
     """
 
-    def __init__(self, ids: Sequence[str], bboxes: Sequence[BoundingBox]):
+    def __init__(self, ids: Sequence[str], polygons: Sequence[Polygon]):
         self._ids: Tuple[str, ...] = tuple(ids)
+        self._polygons: Tuple[Polygon, ...] = tuple(polygons)
+        if len(self._ids) != len(self._polygons):
+            raise IndexMismatch(f"{len(self._ids)} ids for {len(self._polygons)} polygons")
         n = len(self._ids)
-        self._boxes = np.asarray(bboxes, dtype=np.float64).reshape(n, 4)
+        self._edges = edges = _EdgeTable(self._polygons)
+        # each polygon's bbox is that of its exterior ring; the last vertex,
+        # repeated, keeps the start of an empty last ring in range
+        xy, starts = np.concatenate((edges.xy, edges.xy[-1:])), edges.ring_start
+        boxes = np.hstack((np.minimum.reduceat(xy, starts), np.maximum.reduceat(xy, starts)))
+        self._boxes = boxes[edges.first_ring]
         self._side = max(1, min(128, 2 * math.isqrt(n)))
         lo = self._boxes[:, :2].min(axis=0, initial=math.inf).tolist()
         hi = self._boxes[:, 2:].max(axis=0, initial=-math.inf).tolist()
@@ -355,25 +346,25 @@ class SpatialIndex:
         return pt[hit], inst[hit]
 
 
-def contained_pairs(index: SpatialIndex, polygons: Sequence[Polygon], xs: np.ndarray,
-                    ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every (point position, polygon position) pair in which the polygon
-    holds the point, ordered by point, then by polygon: one kernel call over
-    the candidates of ``index``, built over the bounds of ``polygons``."""
+def contained_pairs(index: SpatialIndex, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every (point position, polygon position) pair in which a polygon of
+    ``index`` holds the point, ordered by point, then by polygon: the
+    validity gate over the polygons that have candidates, then one kernel
+    call over the candidate pairs."""
     pt, k = index.pairs(xs, ys)
-    edges = _EdgeTable(polygons)
-    used = np.bincount(k, minlength=len(polygons)) > 0
+    edges = index._edges
+    used = np.bincount(k, minlength=len(index.ids)) > 0
     for j in edges.unsure[used[edges.unsure]].tolist():
-        polygons[j].area  # validity gate, as in contains_points
+        index._polygons[j].area  # validity gate: raises DegenerateGeometry on a zero-area ring
     hit = _contains(edges, xs[pt], ys[pt], k)
     return pt[hit], k[hit]
 
 
 def build_index(instances: Sequence) -> SpatialIndex:
-    """Grid index over the bounding boxes of ``instances`` (objects with
-    ``.id`` and ``.polygon``).  An empty list yields an index that returns
-    no candidates."""
-    return SpatialIndex([inst.id for inst in instances], [inst.polygon.bounds for inst in instances])
+    """Grid index over the polygons of ``instances`` (objects with ``.id``
+    and ``.polygon``).  An empty list yields an index that returns no
+    candidates."""
+    return SpatialIndex([inst.id for inst in instances], [inst.polygon for inst in instances])
 
 
 @dataclass(frozen=True)
@@ -391,7 +382,8 @@ def assign_detections(detections: Sequence, instances: Sequence, index: SpatialI
 
     A detection inside several instances counts toward each of them.
     Raises IndexMismatch unless ``index`` was built over the same instances
-    in the same order.
+    in the same order, or if two instances share an id, since the counts are
+    keyed by id.
     """
     from .model import DetectionTable  # model imports this module
 
@@ -400,8 +392,11 @@ def assign_detections(detections: Sequence, instances: Sequence, index: SpatialI
         raise IndexMismatch(
             f"index covers {len(index.ids)} instances, got {len(inst_ids)} with different ids or order"
         )
+    repeated = [i for i, n in Counter(inst_ids).items() if n > 1]
+    if repeated:
+        raise IndexMismatch(f"duplicate instance id {echo(repeated[0])}")
     table = DetectionTable.from_rows(detections)
-    pt, inst = contained_pairs(index, [i.polygon for i in instances], table.xs, table.ys)
+    pt, inst = contained_pairs(index, table.xs, table.ys)
     counts = np.bincount(inst, minlength=len(inst_ids)).tolist()
     assigned = np.zeros(len(table), dtype=bool)
     assigned[pt] = True

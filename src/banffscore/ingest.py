@@ -70,7 +70,6 @@ from .geometry import (
     SpatialIndex,
     _nonzero_areas,
     contained_pairs,
-    contains_points,
     orient,
     ring_area,
 )
@@ -448,19 +447,20 @@ def _check_holes(exterior: Tuple[Point, ...], holes: Tuple[Tuple[Point, ...], ..
     """Reject the first hole ``h`` that is not inside the exterior ring or
     whose first vertex some other hole holds (nested holes), as a loop over
     ``h`` would: lowest ``h``, its "not inside" check first, then the lowest
-    other hole.  Two kernel calls: every hole vertex against the exterior,
-    and each first vertex against the holes whose bounding boxes hold it."""
+    other hole.  Two indexes, one over the exterior and one over the holes:
+    every hole vertex against the exterior, and each first vertex against
+    the holes."""
     sizes = np.fromiter(map(len, holes), dtype=np.intp, count=len(holes))
     starts = np.cumsum(sizes) - sizes
     xy = np.fromiter(chain.from_iterable(chain.from_iterable(holes)), dtype=np.float64, count=2 * sizes.sum())
     xs, ys = xy[0::2], xy[1::2]
-    inside = contains_points(Polygon(exterior=exterior), xs, ys)
+    inside = np.zeros(xs.size, dtype=bool)
+    inside[contained_pairs(SpatialIndex(["exterior"], [Polygon(exterior=exterior)]), xs, ys)[0]] = True
     outside = np.flatnonzero(~np.logical_and.reduceat(inside, starts))
     h = other = np.zeros(0, dtype=np.intp)
     if len(holes) > 1:  # a lone hole has no other hole to nest in
-        rings = [Polygon(exterior=hole) for hole in holes]
-        index = SpatialIndex(range(len(rings)), [ring.bounds for ring in rings])
-        h, other = contained_pairs(index, rings, xs[starts], ys[starts])
+        index = SpatialIndex(range(len(holes)), [Polygon(exterior=hole) for hole in holes])
+        h, other = contained_pairs(index, xs[starts], ys[starts])
         h, other = h[h != other], other[h != other]
     if outside.size and (not h.size or outside[0] <= h[0]):
         raise DegenerateGeometry(f"{owner}: hole {outside[0]} is not inside the exterior ring")

@@ -24,6 +24,7 @@ instance; there is deliberately no clamping.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -374,7 +375,7 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
         u = rng.random((min(_BLOCK_PAIRS, 2 * (spec.background_cells - len(background))), 2))
         xs, ys = x0 + (x1 - x0) * u[:, 0], y0 + (y1 - y0) * u[:, 1]
         busy = np.zeros(len(u), dtype=bool)
-        busy[contained_pairs(index, polygons, xs, ys)[0]] = True
+        busy[contained_pairs(index, xs, ys)[0]] = True
         walk = zip(u.tolist(), xs.tolist(), ys.tolist(), busy.tolist())
         for (u_class, u_confidence), x, y, hit in walk:
             if point is not None:
@@ -475,7 +476,9 @@ class PerturbationSpec(_Spec):
 def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
     """Apply omission, hallucination, FN dropout, FP insertion, and jitter,
     in that fixed order; an all-zero spec returns a scene equal to the input.
-    Only hallucination and FP insertion read the scene's canvas."""
+    Only hallucination and FP insertion read the scene's canvas.  The
+    hallucinated instances of a kind take the ids ``hall-<kind>-<n>`` for
+    n = 1, 2, ... that no instance of the input scene has."""
     instances = list(scene.instances)
     detections = scene.detections
 
@@ -498,8 +501,9 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
         canvas = scene_canvas(scene)
         occupied = [inst.polygon.bounding_circle for inst in instances]
         radius_range = hspec.radius if hspec.radius is not None else DEFAULT_RADIUS_RANGES[kind]
-        for j in range(hspec.count):
-            iid = f"hall-{kind}-{j + 1}"
+        taken = {inst.id for inst in scene.instances}
+        names = (f"hall-{kind}-{n}" for n in itertools.count(1))
+        for iid in itertools.islice((name for name in names if name not in taken), hspec.count):
             poly, circle = _place_polygon(rng, canvas, radius_range, occupied, iid)
             occupied.append(circle)
             instances.append(Instance(id=iid, cls=StructureClass(kind), polygon=poly))

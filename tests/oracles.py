@@ -41,7 +41,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 import numpy as np
 
 from banffscore.errors import MalformedDocument, PlacementFailure
-from banffscore.geometry import AssignmentTable, contains_points, point_in_polygon
+from banffscore.geometry import AssignmentTable, SpatialIndex, contained_pairs
 from banffscore.ingest import (
     _feature_entries,
     _polygon_from_coords,
@@ -164,6 +164,19 @@ def brute_contains_many(exterior, holes, xs: np.ndarray, ys: np.ndarray) -> np.n
         boundary |= h_boundary
         result &= ~(h_parity & ~h_boundary)
     return result | boundary
+
+
+# ---------------------------------------------------------------------------
+# the package's answer for one polygon, not an oracle
+
+def package_contains(poly, points) -> np.ndarray:
+    """Per point of ``points`` (``(x, y)`` pairs or an ``(n, 2)`` array),
+    whether ``poly`` holds it, by the package's one containment entry point,
+    :func:`banffscore.geometry.contained_pairs`, over a one-polygon index."""
+    xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    hit = np.zeros(len(xy), dtype=bool)
+    hit[contained_pairs(SpatialIndex(["polygon"], [poly]), xy[:, 0].copy(), xy[:, 1].copy())[0]] = True
+    return hit
 
 
 def brute_bbox_hits(instances, xs, ys) -> List[set]:
@@ -357,7 +370,7 @@ def bucket_dedup(detections, radius: float) -> List:
 
 def per_instance_assign(detections: Sequence, instances: Sequence, index) -> AssignmentTable:
     """Groups the index's (point, instance) pairs by instance and calls
-    ``contains_points`` once per instance that has a pair."""
+    :func:`package_contains` once per instance that has a pair."""
     inst_ids = tuple(inst.id for inst in instances)
     counts: Dict[str, int] = {i: 0 for i in inst_ids}
     m = len(detections)
@@ -370,7 +383,7 @@ def per_instance_assign(detections: Sequence, instances: Sequence, index) -> Ass
     cuts = np.flatnonzero(np.diff(inst, prepend=-1, append=len(inst_ids)))
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         k, cand = int(inst[lo]), pt[lo:hi]
-        sel = cand[contains_points(instances[k].polygon, xs[cand], ys[cand])]
+        sel = cand[package_contains(instances[k].polygon, np.stack((xs[cand], ys[cand]), axis=1))]
         if sel.size:
             counts[inst_ids[k]] = int(sel.size)
             assigned[sel] = True
@@ -418,7 +431,7 @@ def per_call_point_inside(rng: np.random.Generator, poly) -> Tuple[float, float]
         w = rng.random()
         x = (1 - u) * a[0] + u * (1 - w) * b[0] + u * w * c[0]
         y = (1 - u) * a[1] + u * (1 - w) * b[1] + u * w * c[1]
-        if point_in_polygon((x, y), poly):
+        if package_contains(poly, [(x, y)])[0]:
             return (x, y)
     raise PlacementFailure("interior sampling failed")  # pragma: no cover
 
@@ -477,7 +490,7 @@ def all_instance_scan_generate_scene(spec):
             if not any(
                 inst.polygon.bounds.min_x <= x <= inst.polygon.bounds.max_x
                 and inst.polygon.bounds.min_y <= y <= inst.polygon.bounds.max_y
-                and point_in_polygon((x, y), inst.polygon)
+                and package_contains(inst.polygon, [(x, y)])[0]
                 for inst in instances
             ):
                 break

@@ -595,6 +595,24 @@ class TestSynthAndSensitivityCommands:
         assert csv_lines[1] == "trial,g,ptc,v"
         assert len(csv_lines) == 27  # comment + header + 25 trials
 
+    def test_hallucinated_instance_never_takes_a_scene_instance_id(self, tmp_path):
+        # an empty hallucinated artery named like the scene's 20-cell artery
+        # used to replace that artery's count, flipping v from 3 to 0
+        spec = write_json(tmp_path / "spec.json", {**SCENE_SPEC, "artery_cells": [20]})
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        scene_path = tmp_path / "synth-x.scene.json"
+        doc = json.loads(scene_path.read_text())
+        (artery,) = [inst for inst in doc["instances"] if inst["id"] == "art-1"]
+        artery["id"] = "hall-artery-1"
+        write_json(scene_path, doc)
+        hallucinate = {"artery": {"count": 1, "cells_per_instance": 0}}
+        pspec = write_json(tmp_path / "p.json", {"hallucinate_instances": hallucinate})
+        out = tmp_path / "sens"
+        argv = ["sensitivity", "--scene", str(scene_path), "--perturb", str(pspec), "--trials", "5"]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        v = json.loads((out / "synth-x.sensitivity.json").read_text())["per_indicator"]["v"]
+        assert (v["baseline"], v["flip_rate"], v["histogram"]["3"]) == ("3", 0.0, 5)
+
     def test_sensitivity_rows_do_not_depend_on_trial_count(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
         assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banffscore import geometry
@@ -15,14 +15,13 @@ from banffscore.errors import DegenerateGeometry, IndexMismatch
 from banffscore.geometry import (
     AssignmentTable,
     Polygon,
+    SpatialIndex,
     assign_detections,
     build_index,
     _EdgeTable,
     _nonzero_areas,
     contained_pairs,
-    contains_points,
     orient,
-    point_in_polygon,
     ring_area,
 )
 from banffscore.model import GLOMERULUS
@@ -41,6 +40,7 @@ from oracles import (
     brute_bbox_hits,
     brute_members,
     naive_point_in_polygon,
+    package_contains,
     per_instance_assign,
     trapezoid_polygon_area,
 )
@@ -135,10 +135,10 @@ class TestNonzeroAreaBand:
         monkeypatch.setattr(Polygon, "area", property(lambda poly: computed.append(poly) or area.func(poly)))
         index = build_index([mk_instance(f"p{k}", GLOMERULUS, p.exterior) for k, p in enumerate(polygons)])
         xs, ys = np.array([0.0, 3.0, 6.0]), np.array([0.5, 0.5, 0.5])
-        pt, k = contained_pairs(index, polygons, xs, ys)
+        pt, k = contained_pairs(index, xs, ys)
         assert (pt.tolist(), k.tolist(), computed) == ([0, 1, 2], [0, 1, 2], [])
         with pytest.raises(DegenerateGeometry, match="exterior ring has zero area"):
-            contained_pairs(index, polygons, np.array([0.1]), np.array([0.0]))
+            contained_pairs(index, np.array([0.1]), np.array([0.0]))
         assert computed == [sliver]
 
 
@@ -154,34 +154,34 @@ def test_orient_gives_the_exact_sign_where_the_float_value_is_not_finite():
 
 class TestPointInPolygon:
     def test_interior_point(self):
-        assert point_in_polygon((0.5, 0.5), Polygon(exterior=UNIT_SQUARE)) is True
+        assert package_contains(Polygon(exterior=UNIT_SQUARE), [(0.5, 0.5)]).tolist() == [True]
 
     def test_point_inside_hole_is_outside(self):
         poly = Polygon(exterior=UNIT_SQUARE, holes=(square(0.5, 0.5, 0.1),))
-        assert point_in_polygon((0.5, 0.5), poly) is False
+        assert package_contains(poly, [(0.5, 0.5)]).tolist() == [False]
 
     def test_point_on_edge_counts_as_inside(self):
-        assert point_in_polygon((1.0, 0.5), Polygon(exterior=UNIT_SQUARE)) is True
+        assert package_contains(Polygon(exterior=UNIT_SQUARE), [(1.0, 0.5)]).tolist() == [True]
 
     def test_point_on_vertex_counts_as_inside(self):
-        assert point_in_polygon((0.0, 0.0), Polygon(exterior=UNIT_SQUARE)) is True
+        assert package_contains(Polygon(exterior=UNIT_SQUARE), [(0.0, 0.0)]).tolist() == [True]
 
     def test_point_on_hole_boundary_counts_as_inside(self):
         poly = Polygon(exterior=UNIT_SQUARE, holes=(CENTERED_HOLE,))
-        assert point_in_polygon((0.25, 0.5), poly) is True
+        assert package_contains(poly, [(0.25, 0.5)]).tolist() == [True]
 
     def test_point_outside(self):
-        assert point_in_polygon((1.5, 0.5), Polygon(exterior=UNIT_SQUARE)) is False
+        assert package_contains(Polygon(exterior=UNIT_SQUARE), [(1.5, 0.5)]).tolist() == [False]
 
     def test_degenerate_polygon_rejected(self):
         with pytest.raises(DegenerateGeometry):
-            point_in_polygon((0.0, 0.0), Polygon(exterior=((0.0, 0.0), (1.0, 0.0))))
+            package_contains(Polygon(exterior=((0.0, 0.0), (1.0, 0.0))), [(0.0, 0.0)])
 
     def test_deterministic(self, rng):
         poly = random_polygon(rng, 0.0, 0.0, 10.0, 30.0)
         p = (rng.uniform(-35, 35), rng.uniform(-35, 35))
-        first = point_in_polygon(p, poly)
-        assert all(point_in_polygon(p, poly) == first for _ in range(5))
+        first = package_contains(poly, [p]).tolist()
+        assert all(package_contains(poly, [p]).tolist() == first for _ in range(5))
 
     def test_matches_naive_oracle_on_random_scenes(self, rng):
         """10^4 random points against 50 random polygons, pairwise, exact."""
@@ -190,9 +190,8 @@ class TestPointInPolygon:
             for _ in range(50)
         ]
         points = rng.uniform(0.0, 4096.0, size=(10_000, 2))
-        xs, ys = points[:, 0].copy(), points[:, 1].copy()
         for poly in polys:
-            got = contains_points(poly, xs, ys)
+            got = package_contains(poly, points)
             expected = np.fromiter(
                 (naive_point_in_polygon((x, y), poly.exterior, poly.holes) for x, y in points),
                 dtype=bool,
@@ -210,9 +209,8 @@ class TestPointInPolygon:
         pts = np.concatenate([random_pts, np.array(exterior[::7]), np.array(hole[::7])])
         assert len(pts) > block and len(pts) % block != 0
         expected = np.array([naive_point_in_polygon(p, exterior, (hole,)) for p in pts])
-        got = contains_points(poly, pts[:, 0].copy(), pts[:, 1].copy())
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.array([point_in_polygon(p, poly) for p in pts]), expected)
+        assert np.array_equal(package_contains(poly, pts), expected)
+        assert np.array_equal(np.array([package_contains(poly, [p])[0] for p in pts]), expected)
         assert expected[len(random_pts) :].all()
         assert 0 < expected[: len(random_pts)].sum() < len(random_pts)
 
@@ -254,8 +252,7 @@ class TestBoundaryInclusionProperty:
         for i in range(n):
             x1, y1 = ring[i]
             x2, y2 = ring[(i + 1) % n]
-            assert point_in_polygon((x1, y1), poly)
-            assert point_in_polygon(((x1 + x2) / 2.0, (y1 + y2) / 2.0), poly)
+            assert package_contains(poly, [(x1, y1), ((x1 + x2) / 2.0, (y1 + y2) / 2.0)]).all()
 
 
 def bbox_hits_by_point(index, xs, ys):
@@ -265,6 +262,45 @@ def bbox_hits_by_point(index, xs, ys):
     for j, k in zip(pt.tolist(), inst.tolist()):
         hits[j].add(index.ids[k])
     return hits
+
+
+BOX_RINGS = st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=3, max_size=8)
+
+
+@st.composite
+def library_polygons(draw):
+    """Polygons as a library caller may build them: rings unchecked, holes
+    free to reach past the exterior, and, with ``shift``, every coordinate
+    positive."""
+    shift = draw(st.sampled_from((0.0, 2e6)))
+    exterior, *holes = draw(st.lists(BOX_RINGS, min_size=1, max_size=3))
+
+    def ring(r):
+        return tuple((x + shift, y + shift) for x, y in r)
+
+    return Polygon(exterior=ring(exterior), holes=tuple(map(ring, holes)))
+
+
+class TestIndexBoxes:
+    """The index takes each polygon's box from the columns of its exterior
+    ring, and that box is :attr:`Polygon.bounds`."""
+
+    @given(st.lists(library_polygons(), max_size=6))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example([])  # the empty index
+    @example([Polygon(exterior=((1.0, 2.0), (5.0, 2.0), (3.0, 7.0)))])  # one polygon, all positive
+    @example([  # the last polygon's hole reaches past its exterior
+        Polygon(exterior=((1.0, 1.0), (2.0, 1.0), (2.0, 2.0))),
+        Polygon(exterior=((3.0, 3.0), (4.0, 3.0), (4.0, 4.0)), holes=(((0.5, 0.5), (9.0, 0.5), (9.0, 9.0)),)),
+    ])
+    def test_box_is_the_exterior_bounds(self, polygons):
+        index = SpatialIndex([f"p{k}" for k in range(len(polygons))], polygons)
+        assert index._boxes.shape == (len(polygons), 4)
+        assert index._boxes.tolist() == [list(poly.bounds) for poly in polygons]
+
+    def test_ids_and_polygons_must_pair_up(self):
+        with pytest.raises(IndexMismatch, match="2 ids for 1 polygons"):
+            SpatialIndex(["a", "b"], [Polygon(exterior=UNIT_SQUARE)])
 
 
 class TestSpatialIndex:
@@ -394,6 +430,16 @@ class TestAssignDetections:
         ]
         with pytest.raises(IndexMismatch):
             assign_detections([mk_detection("d0", 0.5, 0.5)], instances, build_index(instances[::-1]))
+
+    def test_duplicate_instance_ids_rejected(self):
+        # counts are keyed by id: a second "a" must not replace the first one's count
+        instances = [
+            mk_instance("a", GLOMERULUS, UNIT_SQUARE),
+            mk_instance("b", GLOMERULUS, square(5.0, 5.0, 1.0)),
+            mk_instance("a", GLOMERULUS, square(9.0, 9.0, 1.0)),
+        ]
+        with pytest.raises(IndexMismatch, match="duplicate instance id 'a'"):
+            assign_detections([mk_detection("d0", 0.5, 0.5)], instances, build_index(instances))
 
     def test_matches_brute_force_oracle(self):
         instances, detections = random_assignment_scene(seed=77, n_instances=60, n_detections=5000)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from banffscore import synth
 from banffscore.errors import ConfigError, PlacementFailure
-from banffscore.geometry import contained_pairs, point_in_polygon
+from banffscore.geometry import contained_pairs
 from banffscore.ingest import read_scene, write_scene
 from banffscore.model import ARTERY, GLOMERULUS, PERITUBULAR_CAPILLARY, SectionScene
 from banffscore.scoring import Unscorable, score_section
@@ -88,8 +88,10 @@ class TestGenerateScene:
         )
         scene, _ = generate_scene(spec)
         by_id = {inst.id: inst for inst in scene.instances}
-        for det in scene.detections:
-            inside = [i.id for i in scene.instances if point_in_polygon(det.point, i.polygon)]
+        points = [det.point for det in scene.detections]
+        hits = {inst.id: oracles.package_contains(inst.polygon, points) for inst in scene.instances}
+        for j, det in enumerate(scene.detections):
+            inside = [iid for iid, hit in hits.items() if hit[j]]
             if det.id.startswith("bg-"):
                 assert inside == []
             else:
@@ -105,7 +107,7 @@ class TestGenerateScene:
         for a in scene.instances:
             for b in scene.instances:
                 if a.id < b.id:
-                    assert not any(point_in_polygon(p, b.polygon) for p in a.polygon.exterior)
+                    assert not oracles.package_contains(b.polygon, a.polygon.exterior).any()
 
     def test_generator_self_consistency_across_seeds(self):
         # The geometry pipeline must reproduce the planted-count grades.
@@ -219,6 +221,17 @@ class TestPerturbScene:
         perturbed = perturb_scene(scene, pspec)
         assert len(perturbed.instances) == len(scene.instances) + 1
         assert score_section(perturbed).grade("v") == 1
+
+    def test_hallucinated_ids_skip_the_ids_the_scene_has(self):
+        scene = base_scene()
+        taken = {"hall-artery-1", "hall-artery-3"}
+        renamed = iter(sorted(taken))
+        instances = [replace(i, id=next(renamed)) if i.cls.kind == ARTERY else i for i in scene.instances]
+        assert taken <= {i.id for i in instances}
+        pspec = PerturbationSpec(hallucinate_instances={ARTERY: HallucinationSpec(count=3)}, seed=4)
+        perturbed = perturb_scene(replace(scene, instances=instances), pspec)
+        added = [i.id for i in perturbed.instances[len(instances):]]
+        assert added == ["hall-artery-2", "hall-artery-4", "hall-artery-5"]
 
     def test_bounding_circles_are_computed_once_per_polygon(self, monkeypatch):
         scene = base_scene()
@@ -492,9 +505,9 @@ class TestAgainstPerObjectOracles:
         expected = write_scene(generate_scene(DENSE_BACKGROUND)[0])
         sizes = []
 
-        def counting(index, polygons, xs, ys):
+        def counting(index, xs, ys):
             sizes.append(len(xs))
-            return contained_pairs(index, polygons, xs, ys)
+            return contained_pairs(index, xs, ys)
 
         monkeypatch.setattr(synth, "_BLOCK_PAIRS", 64)
         monkeypatch.setattr(synth, "contained_pairs", counting)
