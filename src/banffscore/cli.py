@@ -2,8 +2,9 @@
 
 Subcommands: ``score``, ``evaluate``, ``synth``, ``sensitivity``, ``render``.
 Exit codes: 0 success, 2 input/validation error, 1 internal failure.
-All outputs are computed in memory first and then written atomically
-(write-to-temp + rename), so a failing run leaves no partial files.
+All outputs are computed in memory first, then written to temp files that
+are renamed into place only when all are written; a failed write exits 2
+naming the path and removes the temp files, so no partial files are left.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import sys
 import tempfile
 import traceback
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
@@ -43,7 +45,7 @@ T = TypeVar("T")
 
 
 # An output's temp file is "." + its name + "." + 8 random characters +
-# ".tmp" (see _write_atomic), and a file name holds at most 255 bytes on
+# ".tmp" (see _write_all), and a file name holds at most 255 bytes on
 # common file systems.  ".sensitivity.json" is the longest suffix a section
 # id gets.
 _TEMP_NAME = ".{}.XXXXXXXX.tmp"
@@ -51,24 +53,29 @@ _LONGEST_SECTION_OUTPUT = "{}.sensitivity.json"
 _NAME_MAX = 255
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 def _write_all(outputs: List[Output]) -> None:
-    for path, data in outputs:
-        _write_atomic(path, data)
+    """Write every output or none: refuse a directory in an output's place,
+    write every output to a temp file beside it, then rename each over it."""
+    temps: List[str] = []
+    try:
+        for path, _ in outputs:
+            if path.is_dir():
+                raise BanffScoreError(f"cannot write {path}: it is a directory")
+        for path, data in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+            temps.append(tmp_name)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+        for (path, _), tmp_name in zip(outputs, temps):
+            os.replace(tmp_name, path)
+    except BaseException as exc:
+        for tmp_name in temps:
+            with suppress(OSError):  # a renamed one is gone already
+                os.unlink(tmp_name)
+        if isinstance(exc, OSError):
+            raise BanffScoreError(f"cannot write {path}: {exc}") from None
+        raise
 
 
 def _file_name(section_id: str) -> str:

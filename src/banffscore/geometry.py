@@ -25,10 +25,11 @@ A pair holds when the point is inside the exterior and strictly inside no
 hole, or on any ring.  A :class:`SpatialIndex` holds its polygons and their
 edge table, and :func:`contained_pairs`, the one entry point, runs the
 kernel once over every candidate pair the index finds, for
-:func:`assign_detections`, the parsers' hole checks and the synthetic
-background draws (synthetic planted cells call the kernel directly, each
-point with its own polygon).  See Hormann & Agathos, "The point in polygon
-problem for arbitrary polygons", Comput. Geom. 20(3), 2001.
+:func:`assign_detections`, the parsers' nested-hole check and the synthetic
+background draws; the parsers' test of hole vertices against their exterior
+and the synthetic planted cells call the kernel directly, each point with
+its own polygon.  See Hormann & Agathos, "The point in polygon problem for
+arbitrary polygons", Comput. Geom. 20(3), 2001.
 
 It runs a validity gate first: a candidate polygon with a zero-area ring, by
 :func:`ring_area`'s float shoelace sum in vertex order, raises
@@ -99,12 +100,9 @@ def ring_area(vertices: Sequence[Point]) -> float:
     return abs(acc) / 2.0 if math.isfinite(acc) else _rounded(_exact_area(vertices))
 
 
-def _nonzero_areas(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray, ring_start: np.ndarray,
-                   ring_size: np.ndarray) -> np.ndarray:
-    """Per ring, whether :func:`ring_area` certainly gives it a non-zero area,
-    from one vector sum of its shoelace terms; edge ``e`` runs from ``(x1[e],
-    y1[e])`` to ``(x2[e], y2[e])`` and ring ``r`` owns edges ``ring_start[r]``
-    to ``ring_start[r] + ring_size[r] - 1``.
+def _nonzero_areas(edges: _EdgeTable) -> np.ndarray:
+    """Per ring of ``edges``, whether :func:`ring_area` certainly gives it a
+    non-zero area, from one vector sum of its shoelace terms.
 
     The terms ``t = x1*y2 - x2*y1`` are bit-identical to those that
     :func:`ring_area` adds in vertex order, but ``np.add.reduceat`` may add
@@ -120,13 +118,13 @@ def _nonzero_areas(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarra
     """
     eps = sys.float_info.epsilon / 2
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = x1 * y2 - x2 * y1
+        terms = edges.x1 * edges.y2 - edges.x2 * edges.y1
         # a trailing zero keeps the start of an empty last ring in range
-        s = np.abs(np.add.reduceat(np.append(terms, 0.0), ring_start))
-        scale = np.add.reduceat(np.append(np.abs(terms), 0.0), ring_start)
+        s = np.abs(np.add.reduceat(np.append(terms, 0.0), edges.ring_start))
+        scale = np.add.reduceat(np.append(np.abs(terms), 0.0), edges.ring_start)
         return (
-            (ring_size >= 3) & (ring_size < 1 << 24) & np.isfinite(scale + scale)
-            & (s >= sys.float_info.min) & (s > 4 * eps * ring_size * scale)
+            (edges.ring_size >= 3) & (edges.ring_size < 1 << 24) & np.isfinite(scale + scale)
+            & (s >= sys.float_info.min) & (s > 4 * eps * edges.ring_size * scale)
         )
 
 
@@ -196,39 +194,50 @@ _BLOCK_PAIRS = 1 << 16
 
 
 class _EdgeTable:
-    """Every ring of a list of polygons as one flat edge table.
+    """Rings as one flat edge table, the one place their layout is derived.
 
-    Polygon ``k`` owns rings ``first_ring[k]`` to ``first_ring[k] +
-    n_rings[k] - 1``, its exterior first; ring ``r`` owns edges
-    ``ring_start[r]`` to ``ring_start[r] + ring_size[r] - 1``, and edge ``e``
-    runs from vertex ``e``, row ``e`` of ``xy``, to the next vertex of its
-    ring.  ``n_edges[k]`` is the edge count over all rings of polygon ``k``.
+    ``xy`` holds the vertices ring after ring: ``ring_size[r]`` for ring
+    ``r``, and polygon ``k`` has the next ``n_rings[k]`` rings, its exterior
+    first, from ring ``first_ring[k]`` on.  Ring ``r`` owns edges
+    ``ring_start[r]`` on, and edge ``e`` runs from vertex ``e``, ``(x1[e],
+    y1[e])``, to the next vertex of its ring, ``nxt[e]`` at ``(x2[e],
+    y2[e])``.  ``n_edges[k]`` counts the edges of polygon ``k``.
     """
 
-    def __init__(self, polygons: Sequence[Polygon]):
-        rings = [r for poly in polygons for r in (poly.exterior, *poly.holes)]
-        self.n_rings = np.fromiter((1 + len(p.holes) for p in polygons), dtype=np.intp, count=len(polygons))
-        self.first_ring = np.cumsum(self.n_rings) - self.n_rings
-        self.ring_size = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
-        self.ring_start = np.cumsum(self.ring_size) - self.ring_size
-        self.is_hole = np.ones(len(rings), dtype=bool)
+    def __init__(self, xy: np.ndarray, ring_size: np.ndarray, n_rings: np.ndarray):
+        self.xy, self.ring_size, self.n_rings = xy, ring_size, n_rings
+        self.first_ring = np.cumsum(n_rings) - n_rings
+        self.ring_start = np.cumsum(ring_size) - ring_size
+        self.is_hole = np.ones(ring_size.size, dtype=bool)
         self.is_hole[self.first_ring] = False
-        sums = np.concatenate(([0], np.cumsum(self.ring_size)))
-        self.n_edges = sums[self.first_ring + self.n_rings] - sums[self.first_ring]
-        vertices = chain.from_iterable(chain.from_iterable(rings))
-        self.xy = np.fromiter(vertices, dtype=np.float64, count=2 * sums[-1]).reshape(-1, 2)
-        nxt = np.arange(1, sums[-1] + 1)
-        filled = self.ring_size > 0  # an empty ring is left to the validity gate
-        nxt[(self.ring_start + self.ring_size - 1)[filled]] = self.ring_start[filled]
-        self.x1, self.y1 = self.xy.T
-        self.x2, self.y2 = self.x1[nxt], self.y1[nxt]
+        self.n_edges = np.add.reduceat(ring_size, self.first_ring)  # every polygon has a ring
+        self.nxt = np.arange(1, len(xy) + 1)
+        filled = ring_size > 0  # an empty ring is left to the validity gate
+        self.nxt[(self.ring_start + ring_size - 1)[filled]] = self.ring_start[filled]
+        self.x1, self.y1 = xy.T
+        self.x2, self.y2 = self.x1[self.nxt], self.y1[self.nxt]
+
+    @classmethod
+    def of(cls, polygons: Sequence[Polygon]) -> _EdgeTable:
+        """The table of the rings of ``polygons``, the one place vertex tuples become columns."""
+        rings = [r for poly in polygons for r in (poly.exterior, *poly.holes)]
+        ring_size = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
+        n_rings = np.fromiter((1 + len(p.holes) for p in polygons), dtype=np.intp, count=len(polygons))
+        xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), dtype=np.float64, count=2 * ring_size.sum())
+        return cls(xy.reshape(-1, 2), ring_size, n_rings)
+
+    @cached_property
+    def boxes(self) -> np.ndarray:
+        """Per ring, the ``(min_x, min_y, max_x, max_y)`` of its vertices."""
+        # the last vertex, repeated, keeps the start of an empty last ring in range
+        xy = np.concatenate((self.xy, self.xy[-1:]))
+        return np.hstack((np.minimum.reduceat(xy, self.ring_start), np.maximum.reduceat(xy, self.ring_start)))
 
     @cached_property
     def unsure(self) -> np.ndarray:
         """Positions of the polygons with a ring whose area
         :func:`_nonzero_areas` cannot vouch for."""
-        sure = _nonzero_areas(self.x1, self.y1, self.x2, self.y2, self.ring_start, self.ring_size)
-        return np.flatnonzero(~np.logical_and.reduceat(sure, self.first_ring))
+        return np.flatnonzero(~np.logical_and.reduceat(_nonzero_areas(self), self.first_ring))
 
 
 def _contains(edges: _EdgeTable, px: np.ndarray, py: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -291,12 +300,8 @@ class SpatialIndex:
         if len(self._ids) != len(self._polygons):
             raise IndexMismatch(f"{len(self._ids)} ids for {len(self._polygons)} polygons")
         n = len(self._ids)
-        self._edges = edges = _EdgeTable(self._polygons)
-        # each polygon's bbox is that of its exterior ring; the last vertex,
-        # repeated, keeps the start of an empty last ring in range
-        xy, starts = np.concatenate((edges.xy, edges.xy[-1:])), edges.ring_start
-        boxes = np.hstack((np.minimum.reduceat(xy, starts), np.maximum.reduceat(xy, starts)))
-        self._boxes = boxes[edges.first_ring]
+        self._edges = edges = _EdgeTable.of(self._polygons)
+        self._boxes = edges.boxes[edges.first_ring]  # each polygon's bbox is that of its exterior ring
         self._side = max(1, min(128, 2 * math.isqrt(n)))
         lo = self._boxes[:, :2].min(axis=0, initial=math.inf).tolist()
         hi = self._boxes[:, 2:].max(axis=0, initial=-math.inf).tolist()

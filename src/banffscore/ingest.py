@@ -19,14 +19,16 @@ operations: vertex shape and number types, finite coordinates, consecutive
 duplicates and the closing vertex, 3 distinct vertices, and non-zero area
 (the float shoelace sum in vertex order, decided by
 :func:`~banffscore.geometry.ring_area` wherever one vector sum cannot vouch
-for it).  Self-intersection is decided by one batched sweep over the edges
-of every ring (:func:`_first_self_intersecting_ring`); two edges whose
-closed bounding boxes are disjoint never count as meeting.  Then each
-polygon's holes are checked.  If any of these rejects the document, it is
-read again one entry and one ring at a time (:func:`_clean_ring`), which
-only finds and raises the first defect in document order; the sweep runs
-over the rings read so far before any later error propagates, so the error
-is the one a reader that checked each ring as it read it would raise.
+for it), and leaves one edge table of the cleaned rings.  On that table,
+one batched sweep over the edges of every ring decides self-intersection
+(:func:`_first_self_intersecting_ring`), two edges whose closed bounding
+boxes are disjoint never counting as meeting, and one call checks every
+hole (:func:`_first_bad_hole`).  If any of these rejects the document, it
+is read again one entry and one ring at a time (:func:`_clean_ring`, and
+the hole call on each polygon's own table), which only finds and raises
+the first defect in document order; the sweep runs over the rings read so
+far before any later error propagates, so the error is the one a reader
+that checked each ring as it read it would raise.
 
 Detections: ``{"points": [{"name": str, "point": [x, y],
 "probability": float}, ...]}``; ``probability`` is optional and defaults
@@ -68,6 +70,8 @@ from .geometry import (
     Point,
     Polygon,
     SpatialIndex,
+    _contains,
+    _EdgeTable,
     _nonzero_areas,
     contained_pairs,
     orient,
@@ -225,43 +229,40 @@ def _within(lo_x, hi_x, lo_y, hi_y, px, py):
     return (lo_x <= px) & (px <= hi_x) & (lo_y <= py) & (py <= hi_y)
 
 
-def _first_self_intersecting_ring(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> int:
-    """Index of the first ring that touches or crosses itself, or -1.
+def _first_self_intersecting_ring(edges: _EdgeTable) -> int:
+    """Index of the first ring of ``edges`` that touches or crosses itself, or -1.
 
-    Ring ``r`` is the ``sizes[r]`` vertices of the columns ``x`` and ``y``
-    that follow those of ring ``r - 1``.  Every ring must already be clean
-    (at least 3 vertices, no repeated consecutive vertex, implicitly
-    closed).  Edge ``e`` runs from vertex ``e`` to the next vertex of its
-    ring.  Adjacent edges share a vertex and are rejected only for a
-    zero-width spike through it (collinear and pointing back).  Any other
-    pair of edges is rejected when the closed segments meet, decided by
-    :func:`~banffscore.geometry.orient` on the lower-numbered edge first;
-    pairs whose closed bounding boxes are disjoint never meet, and only the
-    others are tested.
+    Every ring must already be clean (at least 3 vertices, no repeated
+    consecutive vertex, implicitly closed).  Adjacent edges share a vertex
+    and are rejected only for a zero-width spike through it (collinear and
+    pointing back).  Any other pair of edges is rejected when the closed
+    segments meet, decided by :func:`~banffscore.geometry.orient` on the
+    lower-numbered edge first; pairs whose closed bounding boxes are
+    disjoint never meet, and only the others are tested.
     They are found by a sweep over the edges sorted by ring, then by
     ``lo_x``: an edge's candidates are the later edges of its ring whose
     ``lo_x`` is at most its ``hi_x``, generated ``_BLOCK_PAIRS`` at a time.
     """
-    if not sizes.size:
+    n_rings = edges.ring_size.size
+    if not n_rings:
         return -1
+    x, y, x2, y2, nxt = edges.x1, edges.y1, edges.x2, edges.y2, edges.nxt
     nv = x.size
-    ring = np.repeat(np.arange(sizes.size), sizes)
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    last = start + np.repeat(sizes, sizes) - 1
+    ring = np.repeat(np.arange(n_rings), edges.ring_size)
     vertex = np.arange(nv)
-    nxt = np.where(vertex == last, start, vertex + 1)
+    prev = np.empty_like(nxt)
+    prev[nxt] = vertex
     # The spike at vertex 0 is tested as (v1, v0, v[n-1]), every other one
     # as (v[k-1], v[k], v[k+1]).
-    prev = np.where(vertex == start, start + 1, vertex - 1)
-    after = np.where(vertex == start, last, nxt)
-    px, py, ax, ay = x[prev], y[prev], x[after], y[after]
+    at_start = vertex == edges.ring_start[ring]
+    before, after = np.where(at_start, nxt, prev), np.where(at_start, prev, nxt)
+    px, py, ax, ay = x[before], y[before], x[after], y[after]
     with np.errstate(over="ignore", invalid="ignore"):
         spike = (orient(px, py, x, y, ax, ay) == 0.0) & (
             (px - x) * (ax - x) + (py - y) * (ay - y) > 0
         )
-    first = int(ring[spike][0]) if spike.any() else sizes.size
+    first = int(ring[spike][0]) if spike.any() else n_rings
 
-    x2, y2 = x[nxt], y[nxt]
     lo_x, hi_x = np.minimum(x, x2), np.maximum(x, x2)
     lo_y, hi_y = np.minimum(y, y2), np.maximum(y, y2)
     # Candidates of the edge at sorted position p are positions p+1 .. end-1,
@@ -282,7 +283,7 @@ def _first_self_intersecting_ring(x: np.ndarray, y: np.ndarray, sizes: np.ndarra
             break
         keep = (lo_y[e] <= hi_y[f]) & (lo_y[f] <= hi_y[e])
         i, j = np.minimum(e[keep], f[keep]), np.maximum(e[keep], f[keep])
-        keep = (j - i != 1) & ((i != start[i]) | (j != last[i]))
+        keep = (nxt[i] != j) & (nxt[j] != i)  # not adjacent
         i, j = i[keep], j[keep]
         if not i.size:
             continue
@@ -301,23 +302,20 @@ def _first_self_intersecting_ring(x: np.ndarray, y: np.ndarray, sizes: np.ndarra
         hit |= (d4 == 0) & _within(lo_x[i], hi_x[i], lo_y[i], hi_y[i], b2x, b2y)
         if hit.any():
             first = min(first, int(ring[i[hit]].min()))
-    return first if first < sizes.size else -1
+    return first if first < n_rings else -1
 
 
 class _RingColumns(NamedTuple):
-    """Cleaned rings as flat columns: ring ``r`` is the ``sizes[r]`` vertices
-    of ``x`` and ``y`` after those of ring ``r - 1``, and ``rings[r]`` is the
-    same ring as vertex tuples."""
+    """Cleaned rings: their table, and ring ``r`` of it as vertex tuples at ``rings[r]``."""
 
-    x: np.ndarray
-    y: np.ndarray
-    sizes: np.ndarray
+    edges: _EdgeTable
     rings: List[Tuple[Point, ...]]
 
 
-def _ring_columns(rings: list) -> Optional[_RingColumns]:
-    """The rings as :func:`_clean_ring` cleans them, in one columnar pass, or
-    None if :func:`_clean_ring` might reject one of them.
+def _ring_columns(rings: list, n_rings: np.ndarray) -> Optional[_RingColumns]:
+    """The rings as :func:`_clean_ring` cleans them, for polygons of
+    ``n_rings[k]`` rings each, in one columnar pass, or None if
+    :func:`_clean_ring` might reject one of them.
 
     1. Every ring and vertex is an array, every vertex has at least 2 items
        and only its first two are read, and each of those is an int or a
@@ -346,14 +344,13 @@ def _ring_columns(rings: list) -> Optional[_RingColumns]:
     if not set(map(type, flat)) <= {float, int}:
         return None
     try:
-        xy = np.array(flat, dtype=np.float64)
+        xy = np.array(flat, dtype=np.float64).reshape(-1, 2)
     except OverflowError:
         return None
     if not np.isfinite(xy).all():
         return None
-    x, y = xy[0::2], xy[1::2]
-    sizes = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
-    start = np.cumsum(sizes) - sizes
+    raw = _EdgeTable(xy, np.fromiter(map(len, rings), dtype=np.intp, count=len(rings)), n_rings)
+    x, y, start = raw.x1, raw.y1, raw.ring_start
     keep = np.ones(x.size, dtype=bool)
     keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
     keep[start] = True
@@ -364,24 +361,17 @@ def _ring_columns(rings: list) -> Optional[_RingColumns]:
     sizes = kept - closed
     if (sizes < 3).any():
         return None
-    x, y = x[keep], y[keep]
-    start = np.cumsum(sizes) - sizes
-    nxt = np.arange(1, x.size + 1)
-    nxt[start + sizes - 1] = start
-    points = list(zip(x.tolist(), y.tolist()))
-    cuts = np.cumsum(sizes).tolist()
-    cleaned = [tuple(points[a:b]) for a, b in zip([0, *cuts], cuts)]
-    unsure = np.flatnonzero(~_nonzero_areas(x, y, x[nxt], y[nxt], start, sizes)).tolist()
+    edges = _EdgeTable(xy[keep], sizes, n_rings)
+    points = list(zip(edges.x1.tolist(), edges.y1.tolist()))
+    cleaned = [tuple(points[a:a + n]) for a, n in zip(edges.ring_start.tolist(), sizes.tolist())]
+    unsure = np.flatnonzero(~_nonzero_areas(edges)).tolist()
     if any(ring_area(cleaned[r]) == 0.0 for r in unsure):
         return None
-    return _RingColumns(x, y, sizes, cleaned)
+    return _RingColumns(edges, cleaned)
 
 
 def _reject_self_intersecting(cleaned: _CleanedRings) -> None:
-    rings = [ring for ring, _ in cleaned]
-    sizes = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
-    xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), dtype=np.float64, count=2 * sizes.sum())
-    bad = _first_self_intersecting_ring(xy[0::2], xy[1::2], sizes)
+    bad = _first_self_intersecting_ring(_EdgeTable.of([Polygon(exterior=ring) for ring, _ in cleaned]))
     if bad >= 0:
         raise DegenerateGeometry(f"{cleaned[bad][1]}: self-intersecting ring")
 
@@ -437,59 +427,66 @@ def _polygon_from_coords(coords, owner: str, cleaned: _CleanedRings) -> Polygon:
     for ring in coords:
         rings.append(_clean_ring(ring, owner))
         cleaned.append((rings[-1], owner))
-    exterior, holes = rings[0], tuple(rings[1:])
-    if holes:
-        _check_holes(exterior, holes, owner)
-    return Polygon(exterior=exterior, holes=holes)
+    polygon = Polygon(exterior=rings[0], holes=tuple(rings[1:]))
+    bad = _first_bad_hole(_EdgeTable.of([polygon]), [polygon])
+    if bad is not None:
+        raise DegenerateGeometry(f"{owner}: {bad[1]}")
+    return polygon
 
 
-def _check_holes(exterior: Tuple[Point, ...], holes: Tuple[Tuple[Point, ...], ...], owner: str) -> None:
-    """Reject the first hole ``h`` that is not inside the exterior ring or
-    whose first vertex some other hole holds (nested holes), as a loop over
-    ``h`` would: lowest ``h``, its "not inside" check first, then the lowest
-    other hole.  Two indexes, one over the exterior and one over the holes:
-    every hole vertex against the exterior, and each first vertex against
-    the holes."""
-    sizes = np.fromiter(map(len, holes), dtype=np.intp, count=len(holes))
-    starts = np.cumsum(sizes) - sizes
-    xy = np.fromiter(chain.from_iterable(chain.from_iterable(holes)), dtype=np.float64, count=2 * sizes.sum())
-    xs, ys = xy[0::2], xy[1::2]
-    inside = np.zeros(xs.size, dtype=bool)
-    inside[contained_pairs(SpatialIndex(["exterior"], [Polygon(exterior=exterior)]), xs, ys)[0]] = True
-    outside = np.flatnonzero(~np.logical_and.reduceat(inside, starts))
-    h = other = np.zeros(0, dtype=np.intp)
-    if len(holes) > 1:  # a lone hole has no other hole to nest in
-        index = SpatialIndex(range(len(holes)), [Polygon(exterior=hole) for hole in holes])
-        h, other = contained_pairs(index, xs[starts], ys[starts])
-        h, other = h[h != other], other[h != other]
-    if outside.size and (not h.size or outside[0] <= h[0]):
-        raise DegenerateGeometry(f"{owner}: hole {outside[0]} is not inside the exterior ring")
-    if h.size:
-        raise DegenerateGeometry(f"{owner}: holes {other[0]} and {h[0]} are nested")
+def _first_bad_hole(edges: _EdgeTable, polygons: Sequence[Polygon]) -> Optional[Tuple[int, str]]:
+    """The first hole of ``polygons`` (whose table is ``edges``) that is not
+    inside its exterior ring or whose first vertex another hole of its
+    polygon holds, as its ring in ``edges`` and the error message; None if
+    there is none.  First is as a loop over each polygon's holes finds it:
+    lowest hole, its "not inside" check first, then the lowest other hole.
+    One kernel call tests the hole vertices in their exterior's bbox, on a
+    table in which each ring is its own polygon; only polygons with two or
+    more holes put them in an index, which tests their first vertices."""
+    if not edges.is_hole.any():
+        return None
+    ring = np.repeat(np.arange(edges.ring_size.size), edges.ring_size)
+    polygon = np.repeat(np.arange(edges.n_rings.size), edges.n_rings)
+    v = np.flatnonzero(edges.is_hole[ring])
+    exterior, x, y = edges.first_ring[polygon[ring[v]]], edges.x1[v], edges.y1[v]
+    box = edges.boxes[exterior]
+    near = _within(box[:, 0], box[:, 2], box[:, 1], box[:, 3], x, y)
+    inside = ~edges.is_hole[ring]
+    each_ring = _EdgeTable(edges.xy, edges.ring_size, np.ones_like(edges.ring_size))
+    inside[v[near]] = _contains(each_ring, x[near], y[near], exterior[near])
+    outside = np.flatnonzero(~np.logical_and.reduceat(inside, edges.ring_start))
+    bad = [(int(r), 0, 0) for r in outside[:1]]
+    nests = np.flatnonzero(edges.is_hole & (edges.n_rings[polygon] > 2))
+    if nests.size:
+        index = SpatialIndex(nests, [Polygon(exterior=hole) for p in polygons if len(p.holes) > 1 for hole in p.holes])
+        first = edges.ring_start[nests]
+        h, other = (nests[k] for k in contained_pairs(index, edges.x1[first], edges.y1[first]))
+        pair = (h != other) & (polygon[h] == polygon[other])
+        bad += [(int(a), 1, int(b)) for a, b in zip(h[pair][:1], other[pair][:1])]
+    if not bad:
+        return None
+    r, nested, o = min(bad)
+    base = int(edges.first_ring[polygon[r]]) + 1  # the ring of the polygon's hole 0
+    if nested:
+        return r, f"holes {o - base} and {r - base} are nested"
+    return r, f"hole {r - base} is not inside the exterior ring"
 
 
-def _polygons(entries: List[_Entry], kind: str) -> Optional[List[Polygon]]:
+def _polygons(entries: List[_Entry]) -> Optional[List[Polygon]]:
     """The polygons of the entries, or None if an entry might be rejected:
     one columnar pass over every ring (:func:`_ring_columns`), one sweep,
-    each polygon's hole check, and unique ids."""
+    one hole check (:func:`_first_bad_hole`), and unique ids."""
     ids = [iid for iid, _, _, _ in entries]
     ring_lists = [rings for _, _, rings, _ in entries]
     if len(set(ids)) < len(ids) or not (set(map(type, ring_lists)) <= _ARRAYS and all(ring_lists)):
         return None
-    columns = _ring_columns(list(chain.from_iterable(ring_lists)))
-    if columns is None or _first_self_intersecting_ring(columns.x, columns.y, columns.sizes) >= 0:
+    n_rings = np.fromiter(map(len, ring_lists), dtype=np.intp, count=len(ring_lists))
+    columns = _ring_columns(list(chain.from_iterable(ring_lists)), n_rings)
+    if columns is None or _first_self_intersecting_ring(columns.edges) >= 0:
         return None
-    polygons = []
     rings = iter(columns.rings)
-    for iid, raw in zip(ids, ring_lists):
-        exterior, holes = next(rings), tuple(islice(rings, len(raw) - 1))
-        if holes:
-            try:
-                _check_holes(exterior, holes, f"{kind} {echo_id(iid)}")
-            except DegenerateGeometry:
-                return None
-        polygons.append(Polygon(exterior=exterior, holes=holes))
-    return polygons
+    polygons = [Polygon(exterior=next(rings), holes=tuple(islice(rings, n - 1))) for n in n_rings.tolist()]
+    return None if _first_bad_hole(columns.edges, polygons) else polygons
 
 
 def _instances(entries: Callable[[], Iterator[_Entry]], kind: str) -> List[Instance]:
@@ -506,7 +503,7 @@ def _instances(entries: Callable[[], Iterator[_Entry]], kind: str) -> List[Insta
         listed = list(entries())
     except BanffScoreError:
         listed = None
-    polygons = None if listed is None else _polygons(listed, kind)
+    polygons = None if listed is None else _polygons(listed)
     if polygons is None:
         seen: Set[str] = set()
         with _self_intersection_sweep() as cleaned:

@@ -43,8 +43,7 @@ from .geometry import (
 )
 from .ingest import (
     _clean_ring,
-    _first_self_intersecting_ring,
-    _ring_columns,
+    _polygons,
     _self_intersection_sweep,
     as_number,
     checked_canvas,
@@ -240,13 +239,6 @@ def _place_polygon(
     raise PlacementFailure(f"{what}: no non-overlapping placement in {_PLACEMENT_ATTEMPTS} attempts")
 
 
-def _fan_weights(poly: Polygon) -> np.ndarray:
-    """The area share of each triangle of a convex polygon's fan from vertex 0."""
-    x, y = np.array(poly.exterior).T
-    areas = np.abs((x[1:-1] - x[0]) * (y[2:] - y[0]) - (x[2:] - x[0]) * (y[1:-1] - y[0])) / 2.0
-    return areas / areas.sum()
-
-
 def _cells(ids: List[str], xs: np.ndarray, ys: np.ndarray, u_class: np.ndarray,
            u_confidence: np.ndarray) -> DetectionTable:
     """Synthetic cells at ``(xs, ys)``, each from two uniform doubles in [0,
@@ -280,14 +272,16 @@ def _plant(rng: np.random.Generator, polygons: Sequence[Polygon], counts: Sequen
     point is rejected 100 times in a row is a PlacementFailure.
     """
     owner = np.repeat(np.arange(len(polygons)), counts)
-    fans = [_fan_weights(poly) for poly in polygons]
-    cdf = np.full((len(polygons), max((weights.size for weights in fans), default=0)), np.inf)
-    for k, weights in enumerate(fans):
-        cumulative = weights.cumsum()
-        cumulative /= cumulative[-1]  # as rng.choice normalizes its p
-        cdf[k, :cumulative.size] = cumulative
-    edges = _EdgeTable(polygons)
+    edges = _EdgeTable.of(polygons)
     apex = edges.ring_start[edges.first_ring]  # vertex 0 of each exterior, every fan triangle's first corner
+    sizes = edges.ring_size[edges.first_ring]
+    cdf = np.full((len(polygons), int((sizes - 2).max(initial=0))), np.inf)
+    for k, (start, n) in enumerate(zip(apex.tolist(), sizes.tolist())):
+        x, y = edges.x1[start:start + n], edges.y1[start:start + n]
+        areas = np.abs((x[1:-1] - x[0]) * (y[2:] - y[0]) - (x[2:] - x[0]) * (y[1:-1] - y[0])) / 2.0
+        cumulative = (areas / areas.sum()).cumsum()
+        cumulative /= cumulative[-1]  # as rng.choice normalizes its p
+        cdf[k, :n - 2] = cumulative
     columns = np.empty((4, owner.size))  # x, y, class double, confidence double
     i = misses = 0
     while i < owner.size:
@@ -317,16 +311,12 @@ def _plant(rng: np.random.Generator, polygons: Sequence[Polygon], counts: Sequen
 def _check_rings(instances: List[Instance]) -> None:
     """Raise PlacementFailure naming the first instance whose ring
     :func:`~banffscore.ingest.read_scene` would reject or change, as a tiny
-    radius can make it: the columnar pass and one self-intersection sweep
-    over all the rings, then, only if they reject, one ring at a time to
-    name the first."""
-    rings = [inst.polygon.exterior for inst in instances]
-    columns = _ring_columns(rings)
-    if (
-        columns is not None
-        and columns.sizes.tolist() == list(map(len, rings))
-        and _first_self_intersecting_ring(columns.x, columns.y, columns.sizes) < 0
-    ):
+    radius can make it: the document check that ``read_scene`` runs
+    (:func:`~banffscore.ingest._polygons`), whose polygons must equal the
+    generated ones, then, only if it rejects or changes one, one ring at a
+    time to name the first."""
+    entries = [(inst.id, inst.cls, [inst.polygon.exterior], inst.properties) for inst in instances]
+    if _polygons(entries) == [inst.polygon for inst in instances]:
         return
     try:
         with _self_intersection_sweep() as cleaned:

@@ -14,9 +14,11 @@ that meaningful.  Where a predicate overflows, the package decides its sign
 exactly and these oracles do not; the inputs they are compared on never
 come near the float range, and the overflow cases are named tests.  The ring self-intersection
 oracle tests every pair of edges one at a time, as the reference for the
-package's batched sweep.  The bucket-scan dedup and the per-instance
-assignment loop are the package's earlier implementations, kept as
-references for its pair-based dedup and its batched containment kernel.
+package's batched sweep, and the hole oracle tests every hole vertex one
+at a time, as the reference for its batched hole check.  The bucket-scan
+dedup and the per-instance assignment loop are the package's earlier
+implementations, kept as references for its pair-based dedup and its
+batched containment kernel.
 The scene generator and the FN/FP/jitter stages are the package's earlier
 per-object loops (an all-instance scan per background draw, a
 triangulation per planted cell, one scalar draw per detection or
@@ -127,6 +129,21 @@ def naive_point_in_polygon(point, exterior, holes=()) -> bool:
         if h_in:
             return False
     return True
+
+
+def naive_first_bad_hole(exterior, holes):
+    """The error message for the first bad hole of a polygon, or None: each
+    hole in turn, one vertex at a time, must lie inside the exterior ring,
+    then its first vertex inside no other hole, lowest other hole first.
+    Inside counts the boundary, by :func:`naive_point_in_polygon`."""
+    for h, hole in enumerate(holes):
+        for vertex in hole:
+            if not naive_point_in_polygon(vertex, exterior):
+                return f"hole {h} is not inside the exterior ring"
+        for o, other in enumerate(holes):
+            if o != h and naive_point_in_polygon(hole[0], other):
+                return f"holes {o} and {h} are nested"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -641,6 +641,47 @@ class TestSynthAndSensitivityCommands:
         assert rows["10"] == rows["30"][:10]
 
 
+class TestFailedWrite:
+    """An output that cannot be written exits 2 naming its path, and no
+    output or temp file is left behind; these ended in a FileExistsError or
+    IsADirectoryError traceback with exit 1, the latter after the scene was
+    written."""
+
+    @staticmethod
+    def argv(command, section_files, tmp_path, out_dir):
+        if command == "synth":
+            return ["synth", "--spec", str(write_json(tmp_path / "spec.json", SCENE_SPEC)), "--out-dir", str(out_dir)]
+        structures, detections = section_files
+        return ["score", "--structures", str(structures), "--detections", str(detections), "--out-dir", str(out_dir)]
+
+    @staticmethod
+    def tree(root):
+        return sorted((str(p.relative_to(root)), p.is_dir() or p.read_bytes()) for p in root.rglob("*"))
+
+    @pytest.mark.parametrize("command", ["synth", "score"])
+    def test_out_dir_that_is_a_file(self, command, section_files, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        argv = self.argv(command, section_files, tmp_path, afile)
+        before = self.tree(tmp_path)
+        assert main(argv) == 2
+        assert str(afile) in capsys.readouterr().err
+        assert self.tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("synth", "synth-x.gt.geojson"), ("synth", "synth-x.scene.json"), ("score", "sec1.score.json")],
+    )
+    def test_output_path_that_is_a_directory(self, command, blocked, section_files, tmp_path, capsys):
+        out = tmp_path / "o2"
+        (out / blocked).mkdir(parents=True)
+        argv = self.argv(command, section_files, tmp_path, out)
+        before = self.tree(tmp_path)
+        assert main(argv) == 2
+        assert str(out / blocked) in capsys.readouterr().err
+        assert self.tree(tmp_path) == before
+
+
 class TestSectionIdTooLongForAFileName:
     """A section id too long for the temp file names of its outputs exits 2
     naming ``section_id`` before any directory is made; ``tempfile.mkstemp``

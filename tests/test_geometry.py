@@ -115,15 +115,14 @@ class TestNonzeroAreaBand:
     @given(st.lists(st.lists(st.tuples(BAND_COORDS, BAND_COORDS), min_size=1, max_size=7), min_size=1, max_size=6))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_never_vouches_for_a_zero_area(self, rings):
-        edges = _EdgeTable([Polygon(exterior=tuple(ring)) for ring in rings])
-        sure = _nonzero_areas(edges.x1, edges.y1, edges.x2, edges.y2, edges.ring_start, edges.ring_size)
+        sure = _nonzero_areas(_EdgeTable.of([Polygon(exterior=tuple(ring)) for ring in rings]))
         for ring, vouched in zip(rings, sure.tolist()):
             if vouched:
                 assert ring_area(ring) != 0.0
 
     def test_vouches_for_ordinary_rings(self, rng):
         rings = [star_ring(rng, rng.uniform(-50, 50), rng.uniform(-50, 50), 5.0, 40.0, 20) for _ in range(20)]
-        edges = _EdgeTable([Polygon(exterior=ring, holes=(square(0.0, 0.0, 1.0),)) for ring in rings])
+        edges = _EdgeTable.of([Polygon(exterior=ring, holes=(square(0.0, 0.0, 1.0),)) for ring in rings])
         assert edges.unsure.size == 0
 
     def test_polygons_in_the_band_alone_compute_their_area(self, monkeypatch):

@@ -19,6 +19,7 @@ from banffscore.errors import (
 )
 from banffscore import geometry
 from banffscore import ingest, synth
+from banffscore.geometry import Polygon, _EdgeTable
 from banffscore.ingest import (
     _clean_ring,
     _number_column,
@@ -57,6 +58,7 @@ from oracles import (
     generic_scene_document,
     greedy_dedup_quadratic,
     json_dumps_bytes,
+    naive_first_bad_hole,
     naive_ring_self_intersects,
     per_entry_scene_detections,
     per_ring_parse_structures,
@@ -148,6 +150,12 @@ class TestParseStructures:
         (inst,) = parse_structures(self.holey_square(holes))
         assert len(inst.polygon.holes) == 200
         assert len(calls) <= 4
+
+    def test_lone_holes_build_no_index(self, monkeypatch):
+        monkeypatch.setattr(ingest, "SpatialIndex", None)  # building one would raise
+        hole = [[2, 2], [4, 2], [4, 4], [2, 4]]
+        data = feature_collection(*(polygon_feature(f"f{k}", "artery", [SQUARE_RING, hole]) for k in range(3)))
+        assert [len(i.polygon.holes) for i in parse_structures(data)] == [1, 1, 1]
 
     def test_two_vertex_ring_names_feature(self):
         data = feature_collection(polygon_feature("bad-ring", "artery", [[[0, 0], [1, 1], [0, 0]]]))
@@ -958,10 +966,8 @@ def comb_ring(teeth, crossing_tooth=None):
 
 
 def first_self_intersecting_ring(rings):
-    """The sweep over clean rings given as vertex tuples, flattened to its columns."""
-    sizes = np.array([len(r) for r in rings], dtype=np.intp)
-    xy = np.array([c for r in rings for p in r for c in p], dtype=np.float64)
-    return _first_self_intersecting_ring(xy[0::2], xy[1::2], sizes)
+    """The sweep over clean rings given as vertex tuples, each ring its own polygon."""
+    return _first_self_intersecting_ring(_EdgeTable.of([Polygon(exterior=r) for r in rings]))
 
 
 def clean_or_none(coords):
@@ -1227,13 +1233,13 @@ class TestColumnarRingPass:
             cleaned = [_clean_ring(ring, "r") for ring in rings]
         except (MalformedDocument, DegenerateGeometry):
             cleaned = None
-        columns = _ring_columns(rings)
+        columns = _ring_columns(rings, np.ones(len(rings), dtype=np.intp))
         assert (columns is None) == (cleaned is None)
         if columns is not None:
             assert repr(columns.rings) == repr(cleaned)
-            flat = [c for ring in cleaned for vertex in ring for c in vertex]
-            assert np.array_equal(np.column_stack((columns.x, columns.y)).ravel(), flat)
-            assert columns.sizes.tolist() == [len(ring) for ring in cleaned]
+            table = _EdgeTable.of([Polygon(exterior=ring) for ring in cleaned])
+            for name in ("xy", "ring_size", "ring_start", "first_ring", "x2", "y2"):
+                assert np.array_equal(getattr(columns.edges, name), getattr(table, name)), name
 
     @pytest.mark.parametrize(
         "top, accepted",
@@ -1262,7 +1268,7 @@ class TestColumnarRingPass:
                 [0.93, 0.471], [0.786, 0.531], [1.494, 0.236], [1.038, 0.426], [0.702, 0.566]]
         terms = [x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1])]
         assert geometry.ring_area(ring) == 0.0 and np.add.reduceat(terms, [0])[0] != 0.0
-        assert _ring_columns([ring]) is None
+        assert _ring_columns([ring], np.ones(1, dtype=np.intp)) is None
         with pytest.raises(DegenerateGeometry, match="^r: ring has zero area$"):
             _clean_ring(ring, "r")
 
@@ -1283,3 +1289,58 @@ class TestColumnarRingPass:
         scene, _ = generate_scene(spec)
         assert read_scene(write_scene(scene)) == scene
         assert read_scene(write_scene(SectionScene("s", instances=instances))).instances == instances
+
+
+@st.composite
+def holey_polygon_holes(draw):
+    """Up to 4 hole rings, rectangles or diamonds on the integer grid, for
+    the exterior ``HOLE_EXTERIOR``: each inside it, placed anywhere around
+    it (outside or straddling it), inside the box of an earlier hole or
+    duplicating an earlier hole, and starting at any of its vertices."""
+    boxes, holes = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        place = draw(st.sampled_from(["inside", "anywhere", "nested", "duplicated"] if boxes else ["inside", "anywhere"]))
+        if place == "inside":
+            x, y = draw(st.integers(0, 99)), draw(st.integers(0, 99))
+            box = (x, y, draw(st.integers(1, 100 - x)), draw(st.integers(1, 100 - y)))
+        elif place == "anywhere":
+            box = (draw(st.integers(-30, 130)), draw(st.integers(-30, 130)), draw(st.integers(1, 60)),
+                   draw(st.integers(1, 60)))
+        else:
+            x, y, w, h = box = draw(st.sampled_from(boxes))
+            if place == "nested":
+                x0, y0 = draw(st.integers(x, x + w - 1)), draw(st.integers(y, y + h - 1))
+                box = (x0, y0, draw(st.integers(1, x + w - x0)), draw(st.integers(1, y + h - y0)))
+        x, y, w, h = box
+        if draw(st.booleans()):
+            ring = [[x, y], [x + w, y], [x + w, y + h], [x, y + h]]
+        else:
+            ring = [[x + w / 2, y], [x + w, y + h / 2], [x + w / 2, y + h], [x, y + h / 2]]
+        k = draw(st.integers(0, 3))
+        boxes.append(box)
+        holes.append(ring[k:] + ring[:k])
+    return holes
+
+
+HOLE_EXTERIOR = [[0, 0], [100, 0], [100, 100], [0, 100]]
+
+
+class TestHoleOracle:
+    @given(st.lists(holey_polygon_holes(), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_hole_errors_are_the_oracles(self, polygons):
+        """A document is rejected for its first polygon with a bad hole,
+        with the vertex-by-vertex oracle's message, and accepted when the
+        oracle finds no bad hole."""
+        data = feature_collection(
+            *(polygon_feature(f"p{k}", "artery", [HOLE_EXTERIOR, *holes]) for k, holes in enumerate(polygons))
+        )
+        errors = (naive_first_bad_hole(HOLE_EXTERIOR, holes) for holes in polygons)
+        expected = next((f"feature p{k}: {error}" for k, error in enumerate(errors) if error), None)
+        try:
+            instances = parse_structures(data)
+        except DegenerateGeometry as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert [len(i.polygon.holes) for i in instances] == list(map(len, polygons))
