@@ -24,11 +24,11 @@ one batched sweep over the edges of every ring decides self-intersection
 (:func:`_first_self_intersecting_ring`), two edges whose closed bounding
 boxes are disjoint never counting as meeting, and one call checks every
 hole (:func:`_first_bad_hole`).  If any of these rejects the document, it
-is read again one entry and one ring at a time (:func:`_clean_ring`, and
-the hole call on each polygon's own table), which only finds and raises
-the first defect in document order; the sweep runs over the rings read so
-far before any later error propagates, so the error is the one a reader
-that checked each ring as it read it would raise.
+is read again one entry and one ring at a time to find and raise its
+first defect in document order (:func:`_polygon_from_coords`): each ring
+is cleaned (:func:`_clean_ring`) and at once tested for self-intersection
+on its own, each polygon's holes are checked once its rings are read, and
+then its id is checked for a duplicate.
 
 Detections: ``{"points": [{"name": str, "point": [x, y],
 "probability": float}, ...]}``; ``probability`` is optional and defaults
@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from itertools import chain, islice
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -98,6 +98,8 @@ def load_json_bytes(data: bytes):
         return json.loads(data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data)
     except ValueError as exc:  # bad UTF-8, bad JSON, or an int literal too long to convert
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested deeper than the decoder recurses
+        raise MalformedDocument("not valid JSON: nested too deeply") from exc
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -213,9 +215,6 @@ def checked_canvas(value, where: str, error: type) -> Tuple[float, float, float,
 
 # ---------------------------------------------------------------------------
 # structures (GeoJSON)
-
-# (cleaned ring, owner) pairs of one document, in document order
-_CleanedRings = List[Tuple[Tuple[Point, ...], str]]
 
 # A document's instances before their rings are checked: (id, class, raw
 # rings with the exterior first, properties).
@@ -370,30 +369,6 @@ def _ring_columns(rings: list, n_rings: np.ndarray) -> Optional[_RingColumns]:
     return _RingColumns(edges, cleaned)
 
 
-def _reject_self_intersecting(cleaned: _CleanedRings) -> None:
-    bad = _first_self_intersecting_ring(_EdgeTable.of([Polygon(exterior=ring) for ring, _ in cleaned]))
-    if bad >= 0:
-        raise DegenerateGeometry(f"{cleaned[bad][1]}: self-intersecting ring")
-
-
-@contextmanager
-def _self_intersection_sweep() -> Iterator[_CleanedRings]:
-    """Yield a list for the (ring, owner) pairs cleaned in one document and
-    reject its first self-intersecting ring when the block ends.
-
-    If the block raises a package error, the rings cleaned before it are
-    checked first: a self-intersection earlier in document order wins, as
-    it would if each ring were checked as soon as it was cleaned.
-    """
-    cleaned: _CleanedRings = []
-    try:
-        yield cleaned
-    except BanffScoreError:
-        _reject_self_intersecting(cleaned)
-        raise
-    _reject_self_intersecting(cleaned)
-
-
 def _clean_ring(coords, owner: str) -> Tuple[Point, ...]:
     if not isinstance(coords, (list, tuple)):
         raise MalformedDocument(f"{owner}: ring is not a coordinate array")
@@ -418,31 +393,36 @@ def _clean_ring(coords, owner: str) -> Tuple[Point, ...]:
     return tuple(pts)
 
 
-def _polygon_from_coords(coords, owner: str, cleaned: _CleanedRings) -> Polygon:
-    """Polygon from GeoJSON-style rings; each cleaned ring is appended to
-    ``cleaned`` for the document's self-intersection sweep."""
+def _check_simple_ring(ring: Tuple[Point, ...], owner: str) -> None:
+    """Reject a ring that :func:`_clean_ring` returned if it touches or crosses itself."""
+    if _first_self_intersecting_ring(_EdgeTable.of([Polygon(exterior=ring)])) >= 0:
+        raise DegenerateGeometry(f"{owner}: self-intersecting ring")
+
+
+def _polygon_from_coords(coords, owner: str) -> Polygon:
+    """Polygon from GeoJSON-style rings, exterior first: each ring cleaned
+    and tested for self-intersection as it is read, then the holes checked."""
     if not isinstance(coords, (list, tuple)) or not coords:
         raise MalformedDocument(f"{owner}: polygon has no rings")
     rings = []
     for ring in coords:
         rings.append(_clean_ring(ring, owner))
-        cleaned.append((rings[-1], owner))
+        _check_simple_ring(rings[-1], owner)
     polygon = Polygon(exterior=rings[0], holes=tuple(rings[1:]))
-    bad = _first_bad_hole(_EdgeTable.of([polygon]), [polygon])
-    if bad is not None:
-        raise DegenerateGeometry(f"{owner}: {bad[1]}")
+    if polygon.holes and (bad := _first_bad_hole(_EdgeTable.of([polygon]), [polygon])):
+        raise DegenerateGeometry(f"{owner}: {bad}")
     return polygon
 
 
-def _first_bad_hole(edges: _EdgeTable, polygons: Sequence[Polygon]) -> Optional[Tuple[int, str]]:
-    """The first hole of ``polygons`` (whose table is ``edges``) that is not
-    inside its exterior ring or whose first vertex another hole of its
-    polygon holds, as its ring in ``edges`` and the error message; None if
-    there is none.  First is as a loop over each polygon's holes finds it:
-    lowest hole, its "not inside" check first, then the lowest other hole.
-    One kernel call tests the hole vertices in their exterior's bbox, on a
-    table in which each ring is its own polygon; only polygons with two or
-    more holes put them in an index, which tests their first vertices."""
+def _first_bad_hole(edges: _EdgeTable, polygons: Sequence[Polygon]) -> Optional[str]:
+    """The error message for the first hole of ``polygons`` (whose table is
+    ``edges``) that is not inside its exterior ring or whose first vertex
+    another hole of its polygon holds; None if there is none.  First is as
+    a loop over each polygon's holes finds it: lowest hole, its "not
+    inside" check first, then the lowest other hole.  One kernel call tests
+    the hole vertices in their exterior's bbox, on a table in which each
+    ring is its own polygon; only polygons with two or more holes put them
+    in an index, which tests their first vertices."""
     if not edges.is_hole.any():
         return None
     ring = np.repeat(np.arange(edges.ring_size.size), edges.ring_size)
@@ -468,8 +448,8 @@ def _first_bad_hole(edges: _EdgeTable, polygons: Sequence[Polygon]) -> Optional[
     r, nested, o = min(bad)
     base = int(edges.first_ring[polygon[r]]) + 1  # the ring of the polygon's hole 0
     if nested:
-        return r, f"holes {o - base} and {r - base} are nested"
-    return r, f"hole {r - base} is not inside the exterior ring"
+        return f"holes {o - base} and {r - base} are nested"
+    return f"hole {r - base} is not inside the exterior ring"
 
 
 def _polygons(entries: List[_Entry]) -> Optional[List[Polygon]]:
@@ -496,7 +476,7 @@ def _instances(entries: Callable[[], Iterator[_Entry]], kind: str) -> List[Insta
 
     Every ring is checked at once (:func:`_polygons`).  When any check
     rejects the document, its entries are read again and checked one by one
-    in document order, each ring by :func:`_clean_ring`, so the error raised
+    in document order (:func:`_polygon_from_coords`), so the error raised
     is the document's first.
     """
     try:
@@ -506,12 +486,11 @@ def _instances(entries: Callable[[], Iterator[_Entry]], kind: str) -> List[Insta
     polygons = None if listed is None else _polygons(listed)
     if polygons is None:
         seen: Set[str] = set()
-        with _self_intersection_sweep() as cleaned:
-            for iid, _, rings, _ in entries():
-                _polygon_from_coords(rings, f"{kind} {echo_id(iid)}", cleaned)
-                if iid in seen:
-                    raise MalformedDocument(f"duplicate instance id {echo(iid)}")
-                seen.add(iid)
+        for iid, _, rings, _ in entries():
+            _polygon_from_coords(rings, f"{kind} {echo_id(iid)}")
+            if iid in seen:
+                raise MalformedDocument(f"duplicate instance id {echo(iid)}")
+            seen.add(iid)
         raise AssertionError(f"a {kind} failed a column check but no per-ring check")
     return [
         Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props))
@@ -800,7 +779,7 @@ def dedup_detections(detections: Sequence[Detection], radius: float) -> Detectio
     few detections have a same-kind neighbour within ``radius``, visits
     only those few.
     """
-    if radius < 0:
+    if not radius >= 0:  # NaN too: it compares false with every distance
         raise ValueError("radius must be >= 0")
     table = DetectionTable.from_rows(detections)
     key, step = _cell_keys(table, radius)

@@ -42,9 +42,9 @@ from .geometry import (
     contained_pairs,
 )
 from .ingest import (
+    _check_simple_ring,
     _clean_ring,
     _polygons,
-    _self_intersection_sweep,
     as_number,
     checked_canvas,
     checked_integer,
@@ -314,17 +314,17 @@ def _check_rings(instances: List[Instance]) -> None:
     radius can make it: the document check that ``read_scene`` runs
     (:func:`~banffscore.ingest._polygons`), whose polygons must equal the
     generated ones, then, only if it rejects or changes one, one ring at a
-    time to name the first."""
+    time to name the first, each cleaned, compared with the generated ring
+    and tested for self-intersection in turn."""
     entries = [(inst.id, inst.cls, [inst.polygon.exterior], inst.properties) for inst in instances]
     if _polygons(entries) == [inst.polygon for inst in instances]:
         return
     try:
-        with _self_intersection_sweep() as cleaned:
-            for inst in instances:
-                ring = inst.polygon.exterior
-                if _clean_ring(ring, inst.id) != ring:
-                    raise DegenerateGeometry(f"{inst.id}: ring repeats a vertex")
-                cleaned.append((ring, inst.id))
+        for inst in instances:
+            ring = inst.polygon.exterior
+            if _clean_ring(ring, inst.id) != ring:
+                raise DegenerateGeometry(f"{inst.id}: ring repeats a vertex")
+            _check_simple_ring(ring, inst.id)
     except DegenerateGeometry as exc:
         raise PlacementFailure(str(exc)) from None
     raise AssertionError("a generated ring failed a column check but no per-ring check")

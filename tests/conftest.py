@@ -108,14 +108,11 @@ def random_assignment_scene(
             )
         )
     cls_cycle = (CellClass(LYMPHOCYTE), CellClass(MONOCYTE))
+    # one block of draws, x then y per detection, as scalar draws would give them
+    points = rng.uniform(0.0, canvas, size=(n_detections, 2)).tolist()
     detections = [
-        Detection(
-            id=f"d{j}",
-            point=(rng.uniform(0.0, canvas), rng.uniform(0.0, canvas)),
-            cls=cls_cycle[j % 2],
-            confidence=1.0,
-        )
-        for j in range(n_detections)
+        Detection(id=f"d{j}", point=(x, y), cls=cls_cycle[j % 2], confidence=1.0)
+        for j, (x, y) in enumerate(points)
     ]
     return instances, detections
 

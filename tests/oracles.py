@@ -47,7 +47,6 @@ from banffscore.geometry import AssignmentTable, SpatialIndex, contained_pairs
 from banffscore.ingest import (
     _feature_entries,
     _polygon_from_coords,
-    _self_intersection_sweep,
     load_json_bytes,
     scene_canvas,
 )
@@ -618,16 +617,15 @@ def generic_scene_document(scene) -> dict:
 
 def per_ring_parse_structures(data: bytes) -> List[Instance]:
     """The instances of a FeatureCollection, each ring cleaned by
-    ``_clean_ring`` as it is read, each polygon's holes checked as it is
-    built and one self-intersection sweep per document."""
+    ``_clean_ring`` and tested for self-intersection as it is read, each
+    polygon's holes checked as it is built."""
     features = load_json_bytes(data)["features"]
     out: List[Instance] = []
     seen: Set[str] = set()
-    with _self_intersection_sweep() as cleaned:
-        for iid, cls, rings, props in _feature_entries(features, None):
-            polygon = _polygon_from_coords(rings, f"feature {iid}", cleaned)
-            if iid in seen:
-                raise MalformedDocument(f"duplicate instance id {iid!r}")
-            seen.add(iid)
-            out.append(Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props)))
+    for iid, cls, rings, props in _feature_entries(features, None):
+        polygon = _polygon_from_coords(rings, f"feature {iid}")
+        if iid in seen:
+            raise MalformedDocument(f"duplicate instance id {iid!r}")
+        seen.add(iid)
+        out.append(Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props)))
     return out

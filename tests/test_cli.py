@@ -1112,6 +1112,27 @@ def test_spec_and_render_parse_errors_name_their_file(section_files, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "command, role",
+    [("score", "structures"), ("score", "detections"), ("score", "gt"), ("sensitivity", "scene"),
+     ("sensitivity", "perturb"), ("synth", "spec"), ("evaluate", "report")],
+)
+def test_json_nested_too_deeply_exits_2(command, role, section_files, tmp_path, capsys):
+    """Arrays nested deeper than the JSON decoder recurses raised RecursionError, exit 1."""
+    if command == "synth":
+        spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+        files, argv = {}, ["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]
+    else:
+        files, argv = bad_number_inputs(command, section_files, tmp_path)
+    path = files[role] if role in files else Path(argv[argv.index(f"--{role}") + 1])
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: not valid JSON: nested too deeply\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
     "flags, config_text, start",
     [
         pytest.param(["--classes", "x" * 5000], None, "--classes: cell_classes: unknown cell kind 'xxx",

@@ -453,6 +453,14 @@ class TestDedupDetections:
         assert dedup_detections([a, b], radius=8.0) == [a]
         assert dedup_detections([a, b], radius=7.9) == [a, b]
 
+    @pytest.mark.parametrize("radius", [-1.0, math.nan])
+    def test_radius_not_at_least_zero_is_rejected(self, radius):
+        """A NaN radius compared false with every distance: both points survived."""
+        a = mk_detection("a", 5.0, 5.0, confidence=0.9)
+        b = mk_detection("b", 5.0, 5.0, confidence=0.8)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            dedup_detections([a, b], radius)
+
     def test_matches_quadratic_oracle_on_clustered_scene(self):
         rng = np.random.default_rng(99)
         detections = []
@@ -1344,3 +1352,82 @@ class TestHoleOracle:
         else:
             assert expected is None
             assert [len(i.polygon.holes) for i in instances] == list(map(len, polygons))
+
+
+# ---------------------------------------------------------------------------
+# documents with a defect in several entries
+
+def hole_square(slot, inset=0):
+    """A square hole of side ``20 - 2 * inset`` in ``slot`` (0-2) of ``HOLE_EXTERIOR``."""
+    x0, y0, x1, y1 = 10 + 30 * slot + inset, 10 + inset, 30 + 30 * slot - inset, 30 - inset
+    return [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]
+
+
+# ring defect -> (ring, error type, message after "<kind> <id>: ")
+RING_DEFECTS = {
+    "non-numeric vertex": ([[0, 0], ["a", 1], [1, 1]], MalformedDocument, "non-numeric ring vertex ['a', 1]"),
+    "fewer than 3 distinct vertices": ([[5, 5], [6, 6], [6, 6], [5, 5]], DegenerateGeometry,
+                                       "ring has fewer than 3 distinct vertices"),
+    "zero area": ([[1, 1], [2, 2], [3, 3]], DegenerateGeometry, "ring has zero area"),
+    # as an exterior, its clean holes lie outside it: a later check that must not win
+    "bow-tie": (BOWTIE, DegenerateGeometry, "self-intersecting ring"),
+}
+
+
+@st.composite
+def defective_entries(draw):
+    """1-6 entries ``(id, rings, expected)``, each clean (``expected`` None)
+    or with one defect, ``expected`` being the error that defect raises as
+    ``(type, message)``; ``{kind}`` in a message is the parser's entry kind.
+    A defective ring may be followed by another in its entry."""
+    entries = []
+    for k in range(draw(st.integers(1, 6))):
+        iid = f"e{k}"
+        turn = draw(st.integers(0, 3))
+        rings = [HOLE_EXTERIOR[turn:] + HOLE_EXTERIOR[:turn]]
+        rings += [hole_square(slot) for slot in range(draw(st.integers(0, 2)))]
+        defect = draw(st.sampled_from([None, *RING_DEFECTS, "hole outside", "nested holes", "duplicate id"]))
+        expected = None
+        if defect in RING_DEFECTS:
+            r = draw(st.integers(0, len(rings) - 1))
+            rings[r], error, message = RING_DEFECTS[defect]
+            expected = (error, f"{{kind}} {iid}: {message}")
+            if r + 1 < len(rings) and draw(st.booleans()):  # a later ring's defect, which must not win
+                later = draw(st.sampled_from(sorted(RING_DEFECTS)))
+                rings[draw(st.integers(r + 1, len(rings) - 1))] = RING_DEFECTS[later][0]
+        elif defect == "hole outside":
+            h = draw(st.integers(0, len(rings) - 1))
+            rings.insert(1 + h, [[200, 200], [220, 200], [220, 220], [200, 220]])
+            expected = (DegenerateGeometry, f"{{kind}} {iid}: hole {h} is not inside the exterior ring")
+        elif defect == "nested holes":
+            outer, inner = draw(st.permutations([0, 1]))
+            pair = [None, None]
+            pair[outer], pair[inner] = hole_square(2), hole_square(2, inset=5)
+            h = draw(st.integers(0, len(rings) - 1))
+            rings[1 + h:1 + h] = pair
+            expected = (DegenerateGeometry, f"{{kind}} {iid}: holes {h + outer} and {h + inner} are nested")
+        elif defect == "duplicate id" and entries:
+            iid = draw(st.sampled_from([e[0] for e in entries]))
+            expected = (MalformedDocument, f"duplicate instance id {iid!r}")
+        entries.append((iid, rings, expected))
+    return entries
+
+
+class TestMultiDefectPrecedence:
+    @pytest.mark.parametrize("parser", sorted(PARSERS))
+    @given(entries=defective_entries())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_first_defect_in_document_order_is_raised(self, parser, entries):
+        """The model: the first defect in (entry, ring, check) order, a
+        ring's self-intersection checked as soon as that ring is cleaned."""
+        parse, build, kind = PARSERS[parser]
+        data = build([(iid, rings) for iid, rings, _ in entries])
+        expected = next((e for _, _, e in entries if e is not None), None)
+        if expected is None:
+            parse(data)
+            return
+        error, message = expected
+        with pytest.raises(error) as info:
+            parse(data)
+        assert type(info.value) is error
+        assert str(info.value) == message.format(kind=kind)
