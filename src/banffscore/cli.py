@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import os
 import sys
@@ -334,7 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command and return its exit code.  Cyclic garbage collection
+    is paused while it runs (and resumed only if it was on): its JSON trees,
+    columns, instances and reports hold no reference cycles, so reference
+    counting frees them, and collection passes over them reclaim nothing."""
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except BanffScoreError as exc:
@@ -346,6 +353,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Exception:  # pragma: no cover - internal failure path
         traceback.print_exc()
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entrypoint() -> None:  # console-script shim

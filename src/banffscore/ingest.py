@@ -512,7 +512,9 @@ def _feature_id(i: int, feature: dict, props: dict) -> str:
 
 
 def _feature_entries(features: list, aliases: Optional[Dict[str, str]]) -> Iterator[_Entry]:
-    """The entries of the features, one per member polygon."""
+    """The entries of the features, one per member polygon.  Each distinct
+    string label is parsed once; a label of another type is parsed each time."""
+    classes: Dict[str, StructureClass] = {}
     for i, feature in enumerate(features):
         if not isinstance(feature, dict):
             raise MalformedDocument(f"features[{i}] is not an object")
@@ -525,7 +527,10 @@ def _feature_entries(features: list, aliases: Optional[Dict[str, str]]) -> Itera
             label = classification["name"]
         elif props.get("class") is not None:
             label = props["class"]
-        cls = StructureClass.from_label(label, aliases)
+        if not isinstance(label, str):
+            cls = StructureClass.from_label(label, aliases)
+        elif (cls := classes.get(label)) is None:
+            cls = classes[label] = StructureClass.from_label(label, aliases)
         geom = feature.get("geometry")
         if not isinstance(geom, dict):
             raise MalformedDocument(f"feature {echo_id(fid)}: missing geometry")
@@ -735,11 +740,12 @@ def _maybe_close(table: DetectionTable, key: np.ndarray, step: int, radius: floa
     """Mask of the rows that may have a same-kind row within ``radius``.
 
     A row outside the mask has none.  The mask holds every row that shares
-    its cell, and every row alone in its cell that has a row of a
-    neighbouring cell with ``|dx|, |dy| <= nextafter(radius, inf)``, which
-    no pair within ``radius`` fails and which squares nothing.  Each cell
-    has eight neighbours, so at most ``8 * len(table)`` pairs are compared,
-    whatever the radius.
+    its cell, and both rows of each pair, between a cell and one of its four
+    forward neighbours (``+1``, ``step - 1``, ``step``, ``step + 1``), with
+    ``|dx|, |dy| <= nextafter(radius, inf)``, which no pair within ``radius``
+    fails and which squares nothing.  Two cells are paired only if one holds
+    a single row, and a cell has eight neighbours, so at most ``8 *
+    len(table)`` pairs are compared, whatever the radius.
     """
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
@@ -747,17 +753,19 @@ def _maybe_close(table: DetectionTable, key: np.ndarray, step: int, radius: floa
     cells, size = sorted_key[starts], np.diff(starts, append=key.size)
     maybe = np.zeros(key.size, dtype=bool)
     maybe[order[np.repeat(size > 1, size)]] = True
-    lone = starts[size == 1]
     reach = np.nextafter(radius, math.inf)
-    for offset in (-step - 1, -step, -step + 1, -1, 1, step - 1, step, step + 1):
-        # the queries are sorted, which makes searchsorted several times faster
-        c = np.minimum(np.searchsorted(cells, sorted_key[lone] + offset), cells.size - 1)
-        n = np.where(cells[c] == sorted_key[lone] + offset, size[c], 0)
-        i = order[np.repeat(lone, n)]
-        j = order[np.repeat(starts[c] - np.cumsum(n) + n, n) + np.arange(i.size)]
+    for offset in (1, step - 1, step, step + 1):
+        c = np.minimum(np.searchsorted(cells, cells + offset), cells.size - 1)
+        a = np.flatnonzero((cells[c] == cells + offset) & ((size == 1) | (size[c] == 1)))
+        b = c[a]
+        # every row of cell a with every row of cell b; one of the two is single
+        n = size[a] * size[b]
+        t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        i = order[np.repeat(starts[a], n) + t // np.repeat(size[b], n)]
+        j = order[np.repeat(starts[b], n) + t % np.repeat(size[b], n)]
         with np.errstate(over="ignore"):
             near = (np.abs(table.xs[i] - table.xs[j]) <= reach) & (np.abs(table.ys[i] - table.ys[j]) <= reach)
-        maybe[i[near]] = True
+        maybe[i[near]] = maybe[j[near]] = True
     return maybe
 
 
@@ -777,28 +785,30 @@ def dedup_detections(detections: Sequence[Detection], radius: float) -> Detectio
     holds at most four of them (a cell at radius 0, one) and a visit costs
     at most 36 distances, whatever the radius.  The sparse case, in which
     few detections have a same-kind neighbour within ``radius``, visits
-    only those few.
+    and lists only those few.
     """
     if not radius >= 0:  # NaN too: it compares false with every distance
         raise ValueError("radius must be >= 0")
     table = DetectionTable.from_rows(detections)
     key, step = _cell_keys(table, radius)
-    rank = list(zip((-table.confidences).tolist(), table.ids.tolist()))
-    xs, ys, keys = table.xs.tolist(), table.ys.tolist(), key.tolist()
+    rows = np.flatnonzero(_maybe_close(table, key, step, radius))
+    rank = list(zip((-table.confidences[rows]).tolist(), table.ids[rows].tolist()))
+    points, keys = list(zip(table.xs[rows].tolist(), table.ys[rows].tolist())), key[rows].tolist()
     offsets = [ox * step + oy for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
     # cell key -> the kept points of the 3x3 cells around that cell
     kept_near: Dict[int, List[Point]] = {}
-    kept = np.ones(len(table), dtype=bool)
-    rows = np.flatnonzero(_maybe_close(table, key, step, radius)).tolist()
-    for r in sorted(rows, key=rank.__getitem__):
-        p, k = (xs[r], ys[r]), keys[r]
+    suppressed: List[int] = []
+    for r in sorted(range(rows.size), key=rank.__getitem__):
+        p, k = points[r], keys[r]
         for q in kept_near.get(k, ()):
             if math.dist(p, q) <= radius:
-                kept[r] = False
+                suppressed.append(r)
                 break
         else:
             for o in offsets:
                 kept_near.setdefault(k + o, []).append(p)
+    kept = np.ones(len(table), dtype=bool)
+    kept[rows[suppressed]] = False
     return table.take(kept)
 
 

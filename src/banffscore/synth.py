@@ -124,10 +124,24 @@ def _json_value(value):
     return list(value) if isinstance(value, tuple) else value
 
 
+# The largest count a spec may give, and the most cells a scene spec may
+# plant in all (planted plus background) or one perturbation may add (the
+# hallucinated instances' cells plus the false positives): some ten times a
+# whole slide's detections, and few enough to generate in memory.
+MAX_COUNT = 10**6
+
+
 def _count(name: str, value) -> int:
     if not (is_int(value) and value >= 0):
         raise ConfigError(f"{name}: expected an integer >= 0, got {echo(value)}")
+    if value > MAX_COUNT:
+        raise ConfigError(f"{name}: {echo(value)} is over the limit of {MAX_COUNT}")
     return checked_integer(value, name, ConfigError)
+
+
+def _check_total(names: str, total: int) -> None:
+    if total > MAX_COUNT:
+        raise ConfigError(f"{names}: {total} cells in all is over the limit of {MAX_COUNT}")
 
 
 def _check_seed(value) -> None:
@@ -174,6 +188,9 @@ class SceneSpec(_Spec):
         for name in ("glomerulus_radius", "ptc_radius", "artery_radius"):
             object.__setattr__(self, name, _radius_range(name, getattr(self, name)))
         object.__setattr__(self, "background_cells", _count("background_cells", self.background_cells))
+        planted = sum(c for _, _, counts, _ in self.plan() for c in counts)
+        _check_total("glomerulus_cells, ptc_cells, artery_cells and background_cells",
+                     planted + self.background_cells)
         _check_seed(self.seed)
 
     def plan(self) -> Tuple[Tuple[str, str, Tuple[int, ...], Tuple[float, float]], ...]:
@@ -451,6 +468,8 @@ class PerturbationSpec(_Spec):
                 )
         _check_probability("detection_fn_prob", self.detection_fn_prob)
         _count("detection_fp_count", self.detection_fp_count)
+        added = sum(h.count * h.cells_per_instance for h in self.hallucinate_instances.values())
+        _check_total("hallucinate_instances and detection_fp_count", added + self.detection_fp_count)
         if self.fp_cell_class not in _FP_CELL_CLASSES:
             expected = ", ".join(_FP_CELL_CLASSES)
             raise ConfigError(

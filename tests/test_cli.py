@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import banffscore
+from banffscore import cli
 from banffscore.cli import main
 
 
@@ -532,6 +535,53 @@ class TestSynthAndSensitivityCommands:
         assert f"error: {pspec}: {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    ALL_CELL_FIELDS = "glomerulus_cells, ptc_cells, artery_cells and background_cells"
+
+    @pytest.mark.parametrize(
+        "edits, field",
+        [
+            # background_cells made synth run until killed, a planted count a MemoryError
+            pytest.param({"background_cells": 2**64}, "background_cells", id="background-2**64"),
+            pytest.param({"glomerulus_cells": [2**64]}, "glomerulus_cells[0]", id="planted-2**64"),
+            pytest.param({"ptc_cells": [1, 10**6 + 1]}, "ptc_cells[1]", id="planted-just-over"),
+            pytest.param({"ptc_cells": [1], "background_cells": 10**6}, ALL_CELL_FIELDS, id="total-just-over"),
+        ],
+    )
+    def test_scene_spec_count_over_the_limit_exits_2(self, edits, field, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {**SCENE_SPEC, **edits})
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err.startswith(f"error: {spec}: {field}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edits, field",
+        [
+            # the first two exited 1 with a traceback
+            pytest.param({"hallucinate_instances": {"artery": {"count": 2**64}}},
+                         "hallucinate_instances['artery'].count", id="halluc-count-2**64"),
+            pytest.param({"detection_fp_count": 2**64}, "detection_fp_count", id="fp-count-2**64"),
+            pytest.param({"hallucinate_instances": {"glomerulus": {"count": 1, "cells_per_instance": 2**64}}},
+                         "hallucinate_instances['glomerulus'].cells_per_instance", id="halluc-cells-2**64"),
+            pytest.param({"hallucinate_instances": {"artery": {"count": 1000, "cells_per_instance": 1000}},
+                          "detection_fp_count": 1},
+                         "hallucinate_instances and detection_fp_count", id="total-just-over"),
+        ],
+    )
+    def test_perturbation_count_over_the_limit_exits_2(self, edits, field, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        pspec = write_json(tmp_path / "p.json", {"seed": 3, **edits})
+        out = tmp_path / "sens"
+        argv = ["sensitivity", "--scene", str(tmp_path / "synth-x.scene.json"), "--perturb", str(pspec)]
+        start = time.perf_counter()
+        assert main(argv + ["--trials", "3", "--out-dir", str(out)]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err.startswith(f"error: {pspec}: {field}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("cells", [pytest.param([4], id="with-cells"), pytest.param([0], id="empty")])
     def test_collapsed_ring_exits_2_naming_it(self, cells, tmp_path, capsys):
         doc = {**SCENE_SPEC, "glomerulus_cells": cells, "glomerulus_radius": [1e-20, 1e-20]}
@@ -639,6 +689,73 @@ class TestSynthAndSensitivityCommands:
             rows[trials] = (out / "synth-x.sensitivity.csv").read_text().splitlines()[2:]
         assert len(rows["30"]) == 30
         assert rows["10"] == rows["30"][:10]
+
+
+def grid_section(tmp_path: Path, n: int) -> list:
+    """The ``score`` command line for a section of ``n`` 60-px squares of
+    four kinds on a 10-wide grid, with 10 detections of three classes in
+    each, at dedup radius 3."""
+    features, points = [], []
+    for k in range(n):
+        cx, cy = 100.0 * (k % 10), 100.0 * (k // 10)
+        name = ("glomerulus", "ptc", "artery", "tubule")[k % 4]
+        features.append({"type": "Feature", "id": f"f{k}", "properties": {"classification": {"name": name}},
+                         "geometry": {"type": "Polygon", "coordinates": [square_ring(cx, cy, 30)]}})
+        points += [{"name": ("lymphocyte", "monocyte", "plasma cell")[d % 3], "point": [cx + d, cy + d % 4],
+                    "probability": 0.4 + d / 20} for d in range(10)]
+    structures = write_json(tmp_path / f"grid{n}.geojson", {"type": "FeatureCollection", "features": features})
+    detections = write_json(tmp_path / f"grid{n}.json", {"points": points})
+    return ["score", "--structures", str(structures), "--detections", str(detections), "--dedup-radius", "3",
+            "--out-dir", str(tmp_path / "out")]
+
+
+class TestCollectorPause:
+    """``main`` pauses cyclic garbage collection while a command runs, and
+    a command makes no reference cycles that grow with its input."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_is_restored_after_exit_0_and_2(self, enabled, collector, section_files, tmp_path,
+                                                    monkeypatch):
+        structures, detections = section_files
+        argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+        seen = []
+        score_section = cli.score_section
+        monkeypatch.setattr(cli, "score_section", lambda *a: seen.append(gc.isenabled()) or score_section(*a))
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+        assert gc.isenabled() is enabled
+        assert main(argv + ["--dedup-radius", "-1", "--out-dir", str(tmp_path / "b")]) == 2
+        assert gc.isenabled() is enabled
+        assert seen == [False]
+
+    @staticmethod
+    def unreachable_after(argv) -> int:
+        """The objects a collection finds unreachable after ``main(argv)``,
+        with collection paused from just before the call."""
+        gc.disable()
+        gc.collect()
+        assert main(argv) == 0
+        return gc.collect()
+
+    def test_sensitivity_cycles_do_not_grow_with_trials(self, collector, tmp_path):
+        spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        pspec = write_json(tmp_path / "p.json", TestSynthGoldenBytes.PERTURBATION)
+        argv = ["sensitivity", "--scene", str(tmp_path / "synth-x.scene.json"), "--perturb", str(pspec)]
+        few = self.unreachable_after(argv + ["--trials", "2", "--out-dir", str(tmp_path / "a")])
+        many = self.unreachable_after(argv + ["--trials", "20", "--out-dir", str(tmp_path / "b")])
+        assert few == many
+
+    def test_score_cycles_do_not_grow_with_the_section(self, collector, tmp_path):
+        small = self.unreachable_after(grid_section(tmp_path, 20))
+        large = self.unreachable_after(grid_section(tmp_path, 200))
+        assert small == large
 
 
 class TestFailedWrite:

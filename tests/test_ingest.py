@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -551,6 +552,25 @@ class TestDedupDetections:
             for i, ((x, y), c) in enumerate(zip(xy.tolist(), conf.tolist()))
         ]
         assert dedup_detections(dets, radius) == bucket_dedup(dets, radius)
+
+    def test_two_crowded_cells_side_by_side(self):
+        # 40,000 lymphocytes in each of two adjacent cells of side 8, with
+        # single detections in the cells around them: pairing every row of
+        # one crowded cell with every row of the other would take 1.6e9
+        # pairs, and the search must stay linear instead
+        rng = np.random.default_rng(13)
+        crowd = rng.uniform(0.0, 8.0, size=(80_000, 2)) + np.repeat([[0.0, 0.0], [8.0, 0.0]], 40_000, axis=0)
+        lone = [(20.0, 4.0), (-4.0, 4.0), (4.0, 12.0), (12.0, -4.0), (-0.5, -0.5), (16.5, 8.5), (100.0, 4.0)]
+        xy = crowd.tolist() + lone
+        conf = (rng.integers(0, 100, size=len(xy)) / 100).tolist()
+        dets = [mk_detection(f"d{i}", x, y, confidence=c) for i, ((x, y), c) in enumerate(zip(xy, conf))]
+        dets.append(mk_detection("m", 4.0, 4.0, kind=MONOCYTE))
+        start = time.perf_counter()
+        out = dedup_detections(dets, 8.0)
+        elapsed = time.perf_counter() - start
+        assert out == bucket_dedup(dets, 8.0)
+        assert {"m", f"d{len(xy) - 1}"} <= {d.id for d in out}
+        assert elapsed < 5.0, f"dedup of {len(dets)} detections took {elapsed:.2f}s"
 
 
 class TestSubPixelDedup:
