@@ -185,12 +185,12 @@ def _read_manifest(path: Path) -> List[Tuple[Path, Path]]:
             if i == 0 and [c.strip().lower() for c in row[:2]] == ["report", "ground_truth"]:
                 continue
             if len(row) < 2:
-                raise BanffScoreError(f"manifest row {i + 1}: expected 'report,ground_truth'")
+                raise BanffScoreError(f"{path}: manifest row {i + 1}: expected 'report,ground_truth'")
             rows.append((base / row[0].strip(), base / row[1].strip()))
     except csv.Error as exc:
         raise BanffScoreError(f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
-        raise BanffScoreError("manifest lists no report/ground-truth pairs")
+        raise BanffScoreError(f"{path}: manifest lists no report/ground-truth pairs")
     return rows
 
 

@@ -12,23 +12,15 @@ are holes.  Degenerate rings (fewer than 3 distinct vertices, zero area,
 self-intersecting) are rejected, never repaired: silent repair would hide
 the upstream segmentation defects this tool exists to expose.
 
-A document's rings are checked together.  One gather pass reads each
-feature or scene instance (id, class, geometry shape), then one columnar
-pass (:func:`_ring_columns`) checks every ring at once with array
-operations: vertex shape and number types, finite coordinates, consecutive
-duplicates and the closing vertex, 3 distinct vertices, and non-zero area
-(the float shoelace sum in vertex order, decided by
-:func:`~banffscore.geometry.ring_area` wherever one vector sum cannot vouch
-for it), and leaves one edge table of the cleaned rings.  On that table,
-one batched sweep over the edges of every ring decides self-intersection
-(:func:`_first_self_intersecting_ring`), two edges whose closed bounding
-boxes are disjoint never counting as meeting, and one call checks every
-hole (:func:`_first_bad_hole`).  If any of these rejects the document, it
-is read again one entry and one ring at a time to find and raise its
-first defect in document order (:func:`_polygon_from_coords`): each ring
-is cleaned (:func:`_clean_ring`) and at once tested for self-intersection
-on its own, each polygon's holes are checked once its rings are read, and
-then its id is checked for a duplicate.
+A document's rings are checked in one pass, which also names the first
+defect of a rejected document.  One gather pass reads each feature or scene
+instance (id, class, geometry shape); one columnar pass cleans every ring at
+once (:func:`_ring_columns`) up to the first it rejects; on the clean rings,
+one batched sweep decides self-intersection
+(:func:`_first_self_intersecting_ring`) and one call checks every hole
+(:func:`_first_bad_hole`).  The first defect in document order is raised
+(:func:`_instances`): entry by entry, and in one entry its rings in order,
+then its holes, then a repeated id.
 
 Detections: ``{"points": [{"name": str, "point": [x, y],
 "probability": float}, ...]}``; ``probability`` is optional and defaults
@@ -52,7 +44,7 @@ import math
 import numbers
 from contextlib import suppress
 from itertools import chain, islice
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -220,8 +212,10 @@ def checked_canvas(value, where: str, error: type) -> Tuple[float, float, float,
 # rings with the exterior first, properties).
 _Entry = Tuple[str, StructureClass, object, dict]
 
-# A ring and a vertex are JSON arrays (lists), or tuples in a generated scene.
+# A ring and a vertex are JSON arrays (lists), or tuples in a generated scene,
+# and a coordinate is a JSON number, never a bool.
 _ARRAYS = {list, tuple}
+_NUMBERS = {float, int}
 
 
 def _within(lo_x, hi_x, lo_y, hi_y, px, py):
@@ -305,30 +299,24 @@ def _first_self_intersecting_ring(edges: _EdgeTable) -> int:
 
 
 class _RingColumns(NamedTuple):
-    """Cleaned rings: their table, and ring ``r`` of it as vertex tuples at ``rings[r]``."""
+    """The cleaned rings before ring ``bad``: their table, of the polygons cut
+    short before ``bad``, and ring ``r`` as vertex tuples at ``rings[r]``;
+    ``error`` is why cleaning rejects ring ``bad``, without its owner, or
+    None if it rejects none (``bad`` is then the ring count)."""
 
     edges: _EdgeTable
     rings: List[Tuple[Point, ...]]
+    bad: int
+    error: Optional[BanffScoreError]
 
 
-def _ring_columns(rings: list, n_rings: np.ndarray) -> Optional[_RingColumns]:
-    """The rings as :func:`_clean_ring` cleans them, for polygons of
-    ``n_rings[k]`` rings each, in one columnar pass, or None if
-    :func:`_clean_ring` might reject one of them.
-
-    1. Every ring and vertex is an array, every vertex has at least 2 items
-       and only its first two are read, and each of those is an int or a
-       float, never a bool.
-    2. ``np.array`` converts the coordinates as ``float()`` does; an int
-       beyond the float range raises OverflowError there, which rejects.
-    3. Every coordinate is finite.  A vertex equal to the one before it in
-       its ring is dropped, then a last vertex equal to the first, and every
-       ring keeps at least 3 vertices.
-    4. No ring has zero area by :func:`ring_area`: one vector sum vouches
-       for most rings (:func:`~banffscore.geometry._nonzero_areas`), and
-       :func:`ring_area` itself decides the rest.
-    """
-    if not set(map(type, rings)) <= _ARRAYS or min(map(len, rings), default=3) < 3:
+def _coordinates(rings: list) -> Optional[np.ndarray]:
+    """The vertices of ``rings`` as an ``(n, 2)`` float array, or None if a
+    ring or a vertex is not an array, a vertex has fewer than 2 items (only
+    its first two are read), a coordinate is not an int or a float, or one
+    is not finite.  ``np.array`` converts as ``float()`` does; an int beyond
+    the float range raises OverflowError there, which rejects."""
+    if not set(map(type, rings)) <= _ARRAYS:
         return None
     vertices = list(chain.from_iterable(rings))
     if not set(map(type, vertices)) <= _ARRAYS:
@@ -340,16 +328,55 @@ def _ring_columns(rings: list, n_rings: np.ndarray) -> Optional[_RingColumns]:
         flat = list(chain.from_iterable(vertices))
     else:
         flat = [v[k] for v in vertices for k in (0, 1)]
-    if not set(map(type, flat)) <= {float, int}:
+    if not set(map(type, flat)) <= _NUMBERS:
         return None
     try:
         xy = np.array(flat, dtype=np.float64).reshape(-1, 2)
     except OverflowError:
         return None
-    if not np.isfinite(xy).all():
-        return None
-    raw = _EdgeTable(xy, np.fromiter(map(len, rings), dtype=np.intp, count=len(rings)), n_rings)
-    x, y, start = raw.x1, raw.y1, raw.ring_start
+    return xy if np.isfinite(xy).all() else None
+
+
+def _vertex_error(ring) -> Optional[BanffScoreError]:
+    """Why :func:`_coordinates` rejects ``ring``, worded at its first bad
+    vertex, or None if it accepts it."""
+    if type(ring) not in _ARRAYS:
+        return MalformedDocument("ring is not a coordinate array")
+    for vertex in ring:
+        if type(vertex) not in _ARRAYS or len(vertex) < 2:
+            return MalformedDocument(f"ring vertex {echo(vertex)} is not an [x, y] pair")
+        if not {type(vertex[0]), type(vertex[1])} <= _NUMBERS:
+            return MalformedDocument(f"non-numeric ring vertex {echo(vertex)}")
+        if not (is_finite(vertex[0]) and is_finite(vertex[1])):
+            return DegenerateGeometry("non-finite ring vertex")
+    return None
+
+
+def _ring_columns(rings: list, n_rings: np.ndarray) -> _RingColumns:
+    """The rings, for polygons of ``n_rings[k]`` rings each, cleaned in one
+    columnar pass up to the first ring that cleaning rejects.  Each ring
+    reads as finite ``[x, y]`` pairs (:func:`_coordinates`; only if the
+    rings fail together are they read one at a time, and the first bad
+    ring's vertex named by :func:`_vertex_error`), has at least 3 vertices,
+    keeps 3 once a vertex equal to the one before it and then a last vertex
+    equal to the first are dropped, and has a non-zero :func:`ring_area`
+    (one vector sum, :func:`~banffscore.geometry._nonzero_areas`, vouches
+    for most rings).  Each check runs on the rings before the first that an
+    earlier one rejected, so the ring named is the first any check rejects.
+    """
+    bad, error = len(rings), None
+    xy = _coordinates(rings)
+    if xy is None:
+        for r, ring in enumerate(rings):
+            if _coordinates([ring]) is None and (error := _vertex_error(ring)):
+                bad = r
+                break
+        xy = _coordinates(rings[:bad])  # every ring before ``bad`` reads alone, so together too
+    sizes = np.fromiter(map(len, rings[:bad]), dtype=np.intp, count=bad)
+    if (sizes < 3).any():  # before an empty ring leaves a start with no vertex
+        bad, error = int(np.argmax(sizes < 3)), DegenerateGeometry("ring has fewer than 3 distinct vertices")
+        sizes, xy = sizes[:bad], xy[:sizes[:bad].sum()]
+    x, y, start = xy[:, 0], xy[:, 1], np.cumsum(sizes) - sizes
     keep = np.ones(x.size, dtype=bool)
     keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
     keep[start] = True
@@ -359,70 +386,34 @@ def _ring_columns(rings: list, n_rings: np.ndarray) -> Optional[_RingColumns]:
     keep[last[closed]] = False
     sizes = kept - closed
     if (sizes < 3).any():
-        return None
-    edges = _EdgeTable(xy[keep], sizes, n_rings)
+        bad, error = int(np.argmax(sizes < 3)), DegenerateGeometry("ring has fewer than 3 distinct vertices")
+
+    def table(upto: int) -> _EdgeTable:
+        # the polygon that ring ``upto`` falls in keeps its rings before it, or goes if it has none
+        counts = np.diff(np.minimum(np.cumsum(n_rings), upto), prepend=0)
+        return _EdgeTable(xy[keep][:sizes[:upto].sum()], sizes[:upto], counts[counts > 0])
+
+    edges = table(bad)
     points = list(zip(edges.x1.tolist(), edges.y1.tolist()))
-    cleaned = [tuple(points[a:a + n]) for a, n in zip(edges.ring_start.tolist(), sizes.tolist())]
+    cleaned = [tuple(points[a:a + n]) for a, n in zip(edges.ring_start.tolist(), edges.ring_size.tolist())]
     unsure = np.flatnonzero(~_nonzero_areas(edges)).tolist()
-    if any(ring_area(cleaned[r]) == 0.0 for r in unsure):
-        return None
-    return _RingColumns(edges, cleaned)
+    zero = next((r for r in unsure if ring_area(cleaned[r]) == 0.0), None)
+    if zero is not None:
+        bad, error = zero, DegenerateGeometry("ring has zero area")
+        edges, cleaned = table(zero), cleaned[:zero]
+    return _RingColumns(edges, cleaned, bad, error)
 
 
-def _clean_ring(coords, owner: str) -> Tuple[Point, ...]:
-    if not isinstance(coords, (list, tuple)):
-        raise MalformedDocument(f"{owner}: ring is not a coordinate array")
-    pts: List[Point] = []
-    for item in coords:
-        if not isinstance(item, (list, tuple)) or len(item) < 2:
-            raise MalformedDocument(f"{owner}: ring vertex {echo(item)} is not an [x, y] pair")
-        x, y = as_number(item[0]), as_number(item[1])
-        if x is None or y is None:
-            raise MalformedDocument(f"{owner}: non-numeric ring vertex {echo(item)}")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DegenerateGeometry(f"{owner}: non-finite ring vertex")
-        if pts and pts[-1] == (x, y):
-            continue
-        pts.append((x, y))
-    if len(pts) > 1 and pts[0] == pts[-1]:
-        pts.pop()
-    if len(pts) < 3:
-        raise DegenerateGeometry(f"{owner}: ring has fewer than 3 distinct vertices")
-    if ring_area(pts) == 0.0:
-        raise DegenerateGeometry(f"{owner}: ring has zero area")
-    return tuple(pts)
-
-
-def _check_simple_ring(ring: Tuple[Point, ...], owner: str) -> None:
-    """Reject a ring that :func:`_clean_ring` returned if it touches or crosses itself."""
-    if _first_self_intersecting_ring(_EdgeTable.of([Polygon(exterior=ring)])) >= 0:
-        raise DegenerateGeometry(f"{owner}: self-intersecting ring")
-
-
-def _polygon_from_coords(coords, owner: str) -> Polygon:
-    """Polygon from GeoJSON-style rings, exterior first: each ring cleaned
-    and tested for self-intersection as it is read, then the holes checked."""
-    if not isinstance(coords, (list, tuple)) or not coords:
-        raise MalformedDocument(f"{owner}: polygon has no rings")
-    rings = []
-    for ring in coords:
-        rings.append(_clean_ring(ring, owner))
-        _check_simple_ring(rings[-1], owner)
-    polygon = Polygon(exterior=rings[0], holes=tuple(rings[1:]))
-    if polygon.holes and (bad := _first_bad_hole(_EdgeTable.of([polygon]), [polygon])):
-        raise DegenerateGeometry(f"{owner}: {bad}")
-    return polygon
-
-
-def _first_bad_hole(edges: _EdgeTable, polygons: Sequence[Polygon]) -> Optional[str]:
-    """The error message for the first hole of ``polygons`` (whose table is
-    ``edges``) that is not inside its exterior ring or whose first vertex
-    another hole of its polygon holds; None if there is none.  First is as
-    a loop over each polygon's holes finds it: lowest hole, its "not
-    inside" check first, then the lowest other hole.  One kernel call tests
-    the hole vertices in their exterior's bbox, on a table in which each
-    ring is its own polygon; only polygons with two or more holes put them
-    in an index, which tests their first vertices."""
+def _first_bad_hole(edges: _EdgeTable, polygons: Sequence[Polygon]) -> Optional[Tuple[int, str]]:
+    """The position in ``polygons`` (whose table is ``edges``) of the first
+    polygon with a hole that is not inside its exterior ring or whose first
+    vertex another hole of its polygon holds, and the error message for
+    that hole; None if there is none.  First is as a loop over each
+    polygon's holes finds it: lowest hole, its "not inside" check first,
+    then the lowest other hole.  One kernel call tests the hole vertices in
+    their exterior's bbox, on a table in which each ring is its own
+    polygon; only polygons with two or more holes put them in an index,
+    which tests their first vertices."""
     if not edges.is_hole.any():
         return None
     ring = np.repeat(np.arange(edges.ring_size.size), edges.ring_size)
@@ -446,52 +437,62 @@ def _first_bad_hole(edges: _EdgeTable, polygons: Sequence[Polygon]) -> Optional[
     if not bad:
         return None
     r, nested, o = min(bad)
-    base = int(edges.first_ring[polygon[r]]) + 1  # the ring of the polygon's hole 0
+    k = int(polygon[r])
+    base = int(edges.first_ring[k]) + 1  # the ring of the polygon's hole 0
     if nested:
-        return f"holes {o - base} and {r - base} are nested"
-    return f"hole {r - base} is not inside the exterior ring"
+        return k, f"holes {o - base} and {r - base} are nested"
+    return k, f"hole {r - base} is not inside the exterior ring"
 
 
-def _polygons(entries: List[_Entry]) -> Optional[List[Polygon]]:
-    """The polygons of the entries, or None if an entry might be rejected:
-    one columnar pass over every ring (:func:`_ring_columns`), one sweep,
-    one hole check (:func:`_first_bad_hole`), and unique ids."""
-    ids = [iid for iid, _, _, _ in entries]
-    ring_lists = [rings for _, _, rings, _ in entries]
-    if len(set(ids)) < len(ids) or not (set(map(type, ring_lists)) <= _ARRAYS and all(ring_lists)):
-        return None
-    n_rings = np.fromiter(map(len, ring_lists), dtype=np.intp, count=len(ring_lists))
-    columns = _ring_columns(list(chain.from_iterable(ring_lists)), n_rings)
-    if columns is None or _first_self_intersecting_ring(columns.edges) >= 0:
-        return None
-    rings = iter(columns.rings)
-    polygons = [Polygon(exterior=next(rings), holes=tuple(islice(rings, n - 1))) for n in n_rings.tolist()]
-    return None if _first_bad_hole(columns.edges, polygons) else polygons
+def _instances(entries: Iterator[_Entry], kind: str) -> List[Instance]:
+    """The instances of a document's entries, which ``entries`` yields in
+    document order and which are read once; ``kind`` names an entry in an
+    error.
 
-
-def _instances(entries: Callable[[], Iterator[_Entry]], kind: str) -> List[Instance]:
-    """The instances of a document's entries, which ``entries()`` yields in
-    document order, raising a package error at an entry that is malformed
-    apart from its rings; ``kind`` names an entry in an error.
-
-    Every ring is checked at once (:func:`_polygons`).  When any check
-    rejects the document, its entries are read again and checked one by one
-    in document order (:func:`_polygon_from_coords`), so the error raised
-    is the document's first.
+    The entries read go through one pass.  The rings of those before the
+    first whose rings are not a non-empty array are cleaned up to the first
+    that cleaning rejects (:func:`_ring_columns`), one sweep finds the first
+    clean ring that touches or crosses itself, one call the first polygon
+    with a bad hole (:func:`_first_bad_hole`), and a scan of the ids the
+    first repeat.  The least (entry, check) of these defects is raised;
+    with none, the package error that reading the next entry raised.
     """
+    listed: List[_Entry] = []
+    unread = None
     try:
-        listed = list(entries())
-    except BanffScoreError:
-        listed = None
-    polygons = None if listed is None else _polygons(listed)
-    if polygons is None:
+        for entry in entries:
+            listed.append(entry)
+    except BanffScoreError as exc:
+        unread = exc
+    ids = [iid for iid, _, _, _ in listed]
+    ring_lists = [rings for _, _, rings, _ in listed]
+    found = []  # (entry, check, error), the checks of one entry in the order they rank
+    n = len(ring_lists)
+    if not (set(map(type, ring_lists)) <= _ARRAYS and all(ring_lists)):
+        n = next(k for k, rings in enumerate(ring_lists) if type(rings) not in _ARRAYS or not rings)
+        found.append((n, 0, MalformedDocument(f"{kind} {echo_id(ids[n])}: polygon has no rings")))
+    n_rings = np.fromiter(map(len, ring_lists[:n]), dtype=np.intp, count=n)
+    columns = _ring_columns(list(chain.from_iterable(ring_lists[:n])), n_rings)
+    crossing = _first_self_intersecting_ring(columns.edges)
+    bad, error = columns.bad, columns.error
+    if crossing >= 0:  # a clean ring, so before ``columns.bad``
+        bad, error = crossing, DegenerateGeometry("self-intersecting ring")
+    if error is not None:
+        k = int(np.searchsorted(np.cumsum(n_rings), bad, side="right"))
+        found.append((k, 1, type(error)(f"{kind} {echo_id(ids[k])}: {error}")))
+    rings = iter(columns.rings)
+    polygons = [Polygon(exterior=next(rings), holes=tuple(islice(rings, m - 1))) for m in columns.edges.n_rings.tolist()]
+    if (hole := _first_bad_hole(columns.edges, polygons)) is not None:
+        k, message = hole
+        found.append((k, 2, DegenerateGeometry(f"{kind} {echo_id(ids[k])}: {message}")))
+    if len(set(ids)) < len(ids):
         seen: Set[str] = set()
-        for iid, _, rings, _ in entries():
-            _polygon_from_coords(rings, f"{kind} {echo_id(iid)}")
-            if iid in seen:
-                raise MalformedDocument(f"duplicate instance id {echo(iid)}")
-            seen.add(iid)
-        raise AssertionError(f"a {kind} failed a column check but no per-ring check")
+        k = next(k for k, iid in enumerate(ids) if iid in seen or seen.add(iid))
+        found.append((k, 3, MalformedDocument(f"duplicate instance id {echo(ids[k])}")))
+    if found:
+        raise min(found, key=lambda defect: defect[:2])[2]
+    if unread:
+        raise unread
     return [
         Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props))
         for (iid, cls, _, props), polygon in zip(listed, polygons)
@@ -559,7 +560,7 @@ def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> L
     features = doc.get("features")
     if not isinstance(features, list):
         raise MalformedDocument("FeatureCollection has no features array")
-    return _instances(lambda: _feature_entries(features, aliases), "feature")
+    return _instances(_feature_entries(features, aliases), "feature")
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +961,7 @@ def read_scene(data: bytes) -> SectionScene:
         raise MalformedDocument("scene instances/detections must be arrays")
     if not isinstance(doc["section_id"], str):
         raise MalformedDocument(f"section_id: expected a string, got {echo(doc['section_id'])}")
-    instances = _instances(lambda: _scene_instance_entries(doc["instances"]), "instance")
+    instances = _instances(_scene_instance_entries(doc["instances"]), "instance")
     detections = _scene_detections(doc["detections"])
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

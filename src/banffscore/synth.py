@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, DegenerateGeometry, PlacementFailure, echo
+from .errors import ConfigError, PlacementFailure, echo
 from .geometry import (
     _BLOCK_PAIRS,
     Polygon,
@@ -42,9 +42,8 @@ from .geometry import (
     contained_pairs,
 )
 from .ingest import (
-    _check_simple_ring,
-    _clean_ring,
-    _polygons,
+    _first_self_intersecting_ring,
+    _ring_columns,
     as_number,
     checked_canvas,
     checked_integer,
@@ -328,23 +327,21 @@ def _plant(rng: np.random.Generator, polygons: Sequence[Polygon], counts: Sequen
 def _check_rings(instances: List[Instance]) -> None:
     """Raise PlacementFailure naming the first instance whose ring
     :func:`~banffscore.ingest.read_scene` would reject or change, as a tiny
-    radius can make it: the document check that ``read_scene`` runs
-    (:func:`~banffscore.ingest._polygons`), whose polygons must equal the
-    generated ones, then, only if it rejects or changes one, one ring at a
-    time to name the first, each cleaned, compared with the generated ring
-    and tested for self-intersection in turn."""
-    entries = [(inst.id, inst.cls, [inst.polygon.exterior], inst.properties) for inst in instances]
-    if _polygons(entries) == [inst.polygon for inst in instances]:
-        return
-    try:
-        for inst in instances:
-            ring = inst.polygon.exterior
-            if _clean_ring(ring, inst.id) != ring:
-                raise DegenerateGeometry(f"{inst.id}: ring repeats a vertex")
-            _check_simple_ring(ring, inst.id)
-    except DegenerateGeometry as exc:
-        raise PlacementFailure(str(exc)) from None
-    raise AssertionError("a generated ring failed a column check but no per-ring check")
+    radius can make it: of the ring that one columnar pass
+    (:func:`~banffscore.ingest._ring_columns`) rejects, the first it changes
+    (it repeats a vertex) and the first of the clean rings that one sweep
+    finds crossing itself, the least by ring, and on one ring in that order."""
+    rings = [inst.polygon.exterior for inst in instances]
+    columns = _ring_columns(rings, np.ones(len(rings), dtype=np.intp))
+    sizes = columns.edges.ring_size
+    changed = np.flatnonzero(sizes != np.fromiter(map(len, rings[:sizes.size]), dtype=np.intp, count=sizes.size))
+    crossing = _first_self_intersecting_ring(columns.edges)
+    found = [(columns.bad, 0, str(columns.error))] if columns.error is not None else []
+    found += [(int(r), 1, "ring repeats a vertex") for r in changed[:1]]
+    found += [(crossing, 2, "self-intersecting ring")] if crossing >= 0 else []
+    if found:
+        r, _, message = min(found)
+        raise PlacementFailure(f"{instances[r].id}: {message}")
 
 
 def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:

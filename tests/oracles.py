@@ -28,8 +28,10 @@ detection reader builds one row per entry, as the package once did, and
 the scene document is built as objects for the stdlib's ``json.dumps``, as
 the package's writer once built it; the planting loop draws one cell at a
 time, as the package did before it drew cells in blocks.  The structure
-parser cleans each ring as it reads it and returns what it built, as the
-package did before it checked a document's rings as columns.
+parser cleans each ring one vertex at a time as it reads it, sweeps that
+ring alone for self-intersection and checks each polygon's holes once its
+rings are read, as the package did before one columnar pass named a
+document's first defect; it is the reference that pass must agree with.
 """
 
 from __future__ import annotations
@@ -42,11 +44,13 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from banffscore.errors import MalformedDocument, PlacementFailure
-from banffscore.geometry import AssignmentTable, SpatialIndex, contained_pairs
+from banffscore.errors import DegenerateGeometry, MalformedDocument, PlacementFailure, echo
+from banffscore.geometry import AssignmentTable, Polygon, SpatialIndex, _EdgeTable, contained_pairs, ring_area
 from banffscore.ingest import (
     _feature_entries,
-    _polygon_from_coords,
+    _first_bad_hole,
+    _first_self_intersecting_ring,
+    as_number,
     load_json_bytes,
     scene_canvas,
 )
@@ -615,15 +619,60 @@ def generic_scene_document(scene) -> dict:
     }
 
 
+def clean_ring(coords, owner: str) -> Tuple[Tuple[float, float], ...]:
+    """One ring cleaned one vertex at a time: each vertex an ``[x, y]`` pair
+    of finite numbers, a vertex equal to the one before it dropped, then a
+    last vertex equal to the first, leaving at least 3 vertices and a
+    non-zero area; anything else raises, naming ``owner``."""
+    if not isinstance(coords, (list, tuple)):
+        raise MalformedDocument(f"{owner}: ring is not a coordinate array")
+    pts: List[Tuple[float, float]] = []
+    for item in coords:
+        if not isinstance(item, (list, tuple)) or len(item) < 2:
+            raise MalformedDocument(f"{owner}: ring vertex {echo(item)} is not an [x, y] pair")
+        x, y = as_number(item[0]), as_number(item[1])
+        if x is None or y is None:
+            raise MalformedDocument(f"{owner}: non-numeric ring vertex {echo(item)}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DegenerateGeometry(f"{owner}: non-finite ring vertex")
+        if pts and pts[-1] == (x, y):
+            continue
+        pts.append((x, y))
+    if len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    if len(pts) < 3:
+        raise DegenerateGeometry(f"{owner}: ring has fewer than 3 distinct vertices")
+    if ring_area(pts) == 0.0:
+        raise DegenerateGeometry(f"{owner}: ring has zero area")
+    return tuple(pts)
+
+
+def polygon_from_coords(coords, owner: str) -> Polygon:
+    """A polygon from GeoJSON-style rings, exterior first: each ring cleaned
+    and swept for self-intersection on its own as it is read, then the
+    polygon's holes checked."""
+    if not isinstance(coords, (list, tuple)) or not coords:
+        raise MalformedDocument(f"{owner}: polygon has no rings")
+    rings = []
+    for ring in coords:
+        rings.append(clean_ring(ring, owner))
+        if _first_self_intersecting_ring(_EdgeTable.of([Polygon(exterior=rings[-1])])) >= 0:
+            raise DegenerateGeometry(f"{owner}: self-intersecting ring")
+    polygon = Polygon(exterior=rings[0], holes=tuple(rings[1:]))
+    if polygon.holes and (bad := _first_bad_hole(_EdgeTable.of([polygon]), [polygon])):
+        raise DegenerateGeometry(f"{owner}: {bad[1]}")
+    return polygon
+
+
 def per_ring_parse_structures(data: bytes) -> List[Instance]:
-    """The instances of a FeatureCollection, each ring cleaned by
-    ``_clean_ring`` and tested for self-intersection as it is read, each
-    polygon's holes checked as it is built."""
+    """The instances of a FeatureCollection, read one entry and one ring at
+    a time (:func:`polygon_from_coords`), each id checked for a repeat once
+    its polygon is built."""
     features = load_json_bytes(data)["features"]
     out: List[Instance] = []
     seen: Set[str] = set()
     for iid, cls, rings, props in _feature_entries(features, None):
-        polygon = _polygon_from_coords(rings, f"feature {iid}")
+        polygon = polygon_from_coords(rings, f"feature {iid}")
         if iid in seen:
             raise MalformedDocument(f"duplicate instance id {iid!r}")
         seen.add(iid)

@@ -419,6 +419,23 @@ class TestUnreadableTextInputs:
         assert capsys.readouterr().err.startswith(f"error: {manifest}{expected}")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param("report,ground_truth\nonly-a-report.json\n",
+                         "manifest row 2: expected 'report,ground_truth'", id="one-column-row"),
+            pytest.param("report,ground_truth\n# a comment\n\n", "manifest lists no report/ground-truth pairs",
+                         id="no-pairs"),
+        ],
+    )
+    def test_manifest_error_names_the_manifest(self, text, expected, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--manifest", str(manifest), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {manifest}: {expected}\n"
+        assert not out.exists()
+
 
 SCENE_SPEC = {
     "section_id": "synth-x",

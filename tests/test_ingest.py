@@ -22,7 +22,6 @@ from banffscore import geometry
 from banffscore import ingest, synth
 from banffscore.geometry import Polygon, _EdgeTable
 from banffscore.ingest import (
-    _clean_ring,
     _number_column,
     _ring_columns,
     canonical_json_bytes,
@@ -56,6 +55,7 @@ from banffscore.synth import SceneSpec, generate_scene
 from conftest import mk_detection, mk_instance, square
 from oracles import (
     bucket_dedup,
+    clean_ring,
     generic_scene_document,
     greedy_dedup_quadratic,
     json_dumps_bytes,
@@ -1000,7 +1000,7 @@ def first_self_intersecting_ring(rings):
 
 def clean_or_none(coords):
     try:
-        return _clean_ring(coords, "r")
+        return clean_ring(coords, "r")
     except DegenerateGeometry:
         return None
 
@@ -1034,7 +1034,7 @@ class TestRingValidation:
         ],
     )
     def test_fixed_rings_match_oracle(self, coords, bad):
-        ring = _clean_ring(coords, "r")
+        ring = clean_ring(coords, "r")
         assert naive_ring_self_intersects(ring) is bad
         assert first_self_intersecting_ring([ring]) == (0 if bad else -1)
 
@@ -1173,6 +1173,83 @@ class TestErrorPrecedence:
         assert str(info.value) == f"{kind} {owner}: self-intersecting ring"
 
 
+def glomerulus(iid, polygon):
+    return {"id": iid, "class": "glomerulus", "polygon": polygon}
+
+
+def scene_instances(*instances):
+    return json.dumps({"section_id": "s", "instances": list(instances), "detections": []}).encode()
+
+
+BOW_FEATURE = polygon_feature("a", "glomerulus", [BOWTIE])
+BOW_INSTANCE = glomerulus("a", {"exterior": BOWTIE, "holes": []})
+SQUARE_INSTANCE = glomerulus("a", {"exterior": SQUARE_RING, "holes": []})
+FAR_SQUARE_INSTANCE = glomerulus("a", {"exterior": FAR_SQUARE_RING, "holes": []})
+NAN_AFTER_SHORT_VERTEX = [[0, 0], [1], [math.nan, 0], [4, 4]]
+NO_RINGS = polygon_feature("b", "glomerulus", [])
+EMPTY_MULTI = polygon_feature("b", "glomerulus", [], "MultiPolygon")
+NO_POLYGON = glomerulus("b", "polygon")
+
+
+class TestEntryPrecedence:
+    """A defect in an entry's rings against one found while the entries are
+    read (a gather error), an entry without rings and a ring that is not an
+    array: the first in document order is raised."""
+
+    @pytest.mark.parametrize(
+        "parse, data, error, message",
+        [
+            pytest.param(parse_structures, feature_collection(BOW_FEATURE, 3), DegenerateGeometry,
+                         "feature a: self-intersecting ring", id="bow-tie-then-non-object"),
+            pytest.param(parse_structures, feature_collection(3, BOW_FEATURE), MalformedDocument,
+                         "features[0] is not an object", id="non-object-then-bow-tie"),
+            pytest.param(parse_structures, feature_collection(BOW_FEATURE, NO_RINGS), DegenerateGeometry,
+                         "feature a: self-intersecting ring", id="bow-tie-then-no-rings"),
+            pytest.param(parse_structures, feature_collection(NO_RINGS, BOW_FEATURE), MalformedDocument,
+                         "feature b: polygon has no rings", id="no-rings-then-bow-tie"),
+            pytest.param(parse_structures, feature_collection(BOW_FEATURE, EMPTY_MULTI), DegenerateGeometry,
+                         "feature a: self-intersecting ring", id="bow-tie-then-empty-multipolygon"),
+            pytest.param(parse_structures, feature_collection(EMPTY_MULTI, BOW_FEATURE), MalformedDocument,
+                         "feature b: empty MultiPolygon", id="empty-multipolygon-then-bow-tie"),
+            pytest.param(parse_structures,
+                         feature_collection(polygon_feature("a", "glomerulus", [SQUARE_RING, 5]), BOW_FEATURE),
+                         MalformedDocument, "feature a: ring is not a coordinate array", id="ring-not-an-array"),
+            pytest.param(parse_structures,
+                         feature_collection(polygon_feature("a", "glomerulus", [NAN_AFTER_SHORT_VERTEX])),
+                         MalformedDocument, "feature a: ring vertex [1] is not an [x, y] pair",
+                         id="short-vertex-before-nan"),
+            pytest.param(parse_structures,
+                         feature_collection(polygon_feature("a", "glomerulus", [SQUARE_RING]),
+                                            polygon_feature("a", "glomerulus", [FAR_SQUARE_RING]),
+                                            polygon_feature("b", "glomerulus", [SQUARE_RING], "Point")),
+                         MalformedDocument, "duplicate instance id 'a'", id="duplicate-id-then-unsupported-geometry"),
+            pytest.param(read_scene, scene_instances(BOW_INSTANCE, 3), DegenerateGeometry,
+                         "instance a: self-intersecting ring", id="scene-bow-tie-then-non-object"),
+            pytest.param(read_scene, scene_instances(3, BOW_INSTANCE), MalformedDocument,
+                         "instances[0]: expected an object with an 'id'", id="scene-non-object-then-bow-tie"),
+            pytest.param(read_scene, scene_instances(BOW_INSTANCE, NO_POLYGON), DegenerateGeometry,
+                         "instance a: self-intersecting ring", id="scene-bow-tie-then-polygon-not-an-object"),
+            pytest.param(read_scene, scene_instances(NO_POLYGON, BOW_INSTANCE), MalformedDocument,
+                         "instances[0].polygon: expected an object with 'exterior' and 'holes'",
+                         id="scene-polygon-not-an-object-then-bow-tie"),
+            pytest.param(read_scene, scene_instances(glomerulus("a", {"holes": []}), BOW_INSTANCE),
+                         MalformedDocument, "instance a: ring is not a coordinate array", id="scene-no-exterior"),
+            pytest.param(read_scene, scene_instances(glomerulus("a", {"exterior": SQUARE_RING, "holes": [5]})),
+                         MalformedDocument, "instance a: ring is not a coordinate array", id="scene-hole-not-an-array"),
+            pytest.param(read_scene, scene_instances(glomerulus("a", {"exterior": NAN_AFTER_SHORT_VERTEX})),
+                         MalformedDocument, "instance a: ring vertex [1] is not an [x, y] pair",
+                         id="scene-short-vertex-before-nan"),
+            pytest.param(read_scene, scene_instances(SQUARE_INSTANCE, FAR_SQUARE_INSTANCE, 3), MalformedDocument,
+                         "duplicate instance id 'a'", id="scene-duplicate-id-then-non-object"),
+        ],
+    )
+    def test_first_defect_in_document_order(self, parse, data, error, message):
+        with pytest.raises(error) as info:
+            parse(data)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the columnar ring pass against the per-ring path
 
@@ -1258,12 +1335,12 @@ class TestColumnarRingPass:
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_columns_are_the_cleaned_rings(self, rings):
         try:
-            cleaned = [_clean_ring(ring, "r") for ring in rings]
+            cleaned = [clean_ring(ring, "r") for ring in rings]
         except (MalformedDocument, DegenerateGeometry):
             cleaned = None
         columns = _ring_columns(rings, np.ones(len(rings), dtype=np.intp))
-        assert (columns is None) == (cleaned is None)
-        if columns is not None:
+        assert (columns.error is not None) == (cleaned is None)
+        if columns.error is None:
             assert repr(columns.rings) == repr(cleaned)
             table = _EdgeTable.of([Polygon(exterior=ring) for ring in cleaned])
             for name in ("xy", "ring_size", "ring_start", "first_ring", "x2", "y2"):
@@ -1296,16 +1373,15 @@ class TestColumnarRingPass:
                 [0.93, 0.471], [0.786, 0.531], [1.494, 0.236], [1.038, 0.426], [0.702, 0.566]]
         terms = [x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1])]
         assert geometry.ring_area(ring) == 0.0 and np.add.reduceat(terms, [0])[0] != 0.0
-        assert _ring_columns([ring], np.ones(1, dtype=np.intp)) is None
+        assert _ring_columns([ring], np.ones(1, dtype=np.intp)).error is not None
         with pytest.raises(DegenerateGeometry, match="^r: ring has zero area$"):
-            _clean_ring(ring, "r")
+            clean_ring(ring, "r")
 
     def test_valid_documents_never_clean_ring_by_ring(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("_clean_ring called on a valid document")
+            raise AssertionError("_vertex_error called on a valid document")
 
-        monkeypatch.setattr(ingest, "_clean_ring", refuse)
-        monkeypatch.setattr(synth, "_clean_ring", refuse)
+        monkeypatch.setattr(ingest, "_vertex_error", refuse)
         hole = [[2, 2], [4, 2], [4, 4], [2, 4]]
         data = feature_collection(
             polygon_feature("f1", "glomerulus", [SQUARE_RING, hole]),

@@ -343,7 +343,9 @@ class TestSpecDocuments:
                       radius=st.one_of(st.none(), radii)),
         ),
         fn=probabilities,
-        fp=st.integers(0, 10**6),
+        # at most 3 kinds x 9 x 9 hallucinated cells ride on top of fp, and
+        # the spec's cell total must stay within MAX_COUNT
+        fp=st.integers(0, synth.MAX_COUNT - 243),
         fp_class=st.sampled_from(["lymphocyte", "monocyte", "other"]),
         sigma=numbers,
         seed=st.integers(-(2**70), 2**70),
@@ -423,6 +425,35 @@ class TestTinyRadii:
             return
         data = write_scene(scene)
         assert write_scene(read_scene(data)) == data
+
+
+# rings as placement generates them: tuples of float pairs
+SIMPLE = ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0))
+REPEATS = ((0.0, 0.0), (4.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0))
+BOW_TIE = ((0.0, 0.0), (10.0, 10.0), (10.0, 0.0), (0.0, 14.0))
+BOW_TIE_REPEATS = ((0.0, 0.0), (10.0, 10.0), (10.0, 10.0), (10.0, 0.0), (0.0, 14.0))
+COLLAPSED = ((1.0, 1.0), (2.0, 2.0), (2.0, 2.0), (1.0, 1.0))
+
+
+class TestCheckRings:
+    """Each generated ring is checked as ``read_scene`` would read it, and the
+    first defect, by ring and then by check, names its instance."""
+
+    @pytest.mark.parametrize(
+        "rings, message",
+        [
+            pytest.param([SIMPLE, BOW_TIE_REPEATS], "r1: ring repeats a vertex", id="repeats-and-crosses"),
+            pytest.param([REPEATS, BOW_TIE], "r0: ring repeats a vertex", id="repeat-before-bow-tie"),
+            pytest.param([BOW_TIE, REPEATS], "r0: self-intersecting ring", id="bow-tie-before-repeat"),
+            pytest.param([SIMPLE, COLLAPSED, BOW_TIE], "r1: ring has fewer than 3 distinct vertices",
+                         id="fewer-than-3-after-cleaning"),
+        ],
+    )
+    def test_first_defect_names_its_instance(self, rings, message):
+        instances = [mk_instance(f"r{k}", GLOMERULUS, ring) for k, ring in enumerate(rings)]
+        with pytest.raises(PlacementFailure) as info:
+            synth._check_rings(instances)
+        assert str(info.value) == message
 
 
 def _outcome(generate, spec):
