@@ -566,63 +566,43 @@ def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> L
 # ---------------------------------------------------------------------------
 # detections (JSON point lists)
 
-def _check_point(entry: dict, where: str, confidence_key: str, error: type) -> None:
-    """Check the ``point`` and confidence of one detection entry, alike in
-    detection and scene files; ``where`` names the entry."""
-    pt = entry.get("point")
-    is_pair = isinstance(pt, (list, tuple)) and len(pt) > 1
-    x, y = (as_number(pt[0]), as_number(pt[1])) if is_pair else (None, None)
-    if x is None or y is None:
-        raise error(f"{where}.point: expected [x, y] of numbers, got {echo(pt)}")
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise error(f"{where}.point: non-finite point coordinates {echo(pt)}")
-    raw = entry.get(confidence_key, 1.0)
-    confidence = as_number(raw)
-    if confidence is None or not 0.0 <= confidence <= 1.0:
-        raise error(f"{where}.{confidence_key}: expected a number in [0, 1], got {echo(raw)}")
-
-
-def _check_entry(entry, where: str) -> None:
-    """One detection entry's checks, in the order their errors take
-    precedence: an object, then ``name``, then ``point`` and ``probability``."""
-    if not isinstance(entry, dict):
-        raise SchemaViolation(f"{where}: not an object")
-    if not isinstance(entry.get("name"), str):
-        raise SchemaViolation(f"{where}: missing or non-string 'name'")
-    _check_point(entry, where, "probability", SchemaViolation)
-
-
-def _number_column(values: list) -> Optional[np.ndarray]:
-    """``values`` as float64 by :func:`as_number`, or None if one is not a number.
-    Ints and floats convert at once, as ``float()`` converts them; other
-    types and an int beyond the float range go through :func:`as_number`."""
+def _number_column(values: list) -> Tuple[np.ndarray, np.ndarray]:
+    """``values`` as float64 by :func:`as_number`, NaN where one is not a
+    number, and the mask of those that are.  Ints and floats convert at
+    once, as ``float()`` converts them; other types and an int beyond the
+    float range go through :func:`as_number`."""
     if set(map(type, values)) <= {float, int}:
         with suppress(OverflowError):
-            return np.array(values, dtype=np.float64)
-    column = list(map(as_number, values))
-    return None if None in column else np.array(column, dtype=np.float64)
+            column = np.array(values, dtype=np.float64)
+            return column, np.ones(column.size, dtype=bool)
+    numbers = list(map(as_number, values))
+    is_number = np.array([v is not None for v in numbers], dtype=bool)
+    return np.array([math.nan if v is None else v for v in numbers], dtype=np.float64), is_number
 
 
-def _point_columns(points: list, label_key: str, confidence_key: str):
-    """(xs, ys, confidences, labels) of the entries, or None if any entry has
-    no string ``label_key`` or fails :func:`_check_point`; the same checks,
-    a column at a time (a JSON array is a ``list``, an object a ``dict``)."""
-    if not set(map(type, points)) <= {dict}:
-        return None
-    labels = [e.get(label_key) for e in points]
-    coords = [e.get("point") for e in points]
-    if not set(map(type, labels)) <= {str} or not set(map(type, coords)) <= {list}:
-        return None
-    if points and min(map(len, coords)) < 2:
-        return None
-    xs = _number_column([p[0] for p in coords])
-    ys = _number_column([p[1] for p in coords])
-    probs = _number_column([e.get(confidence_key, 1.0) for e in points])
-    if xs is None or ys is None or probs is None:
-        return None
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all() and ((probs >= 0.0) & (probs <= 1.0)).all()):
-        return None
-    return xs, ys, probs, labels
+def _point_numbers(entries: list, pairs: list, confidences: list, where: str, confidence_key: str, error: type,
+                   found: list) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xs, ys, confidences) of the first ``len(pairs)`` entries, from their
+    raw points (``(None, None)`` where not an array of 2 or more items) and
+    confidences.  The number checks run as columns: two numbers, both
+    finite, a confidence in [0, 1].  An entry's first failure ranks as its
+    check 1, after the structural checks (0), before a repeated id (2); the
+    least (entry, check) of it and the defects ``found`` is raised."""
+    xs, x_ok = _number_column([p[0] for p in pairs])
+    ys, y_ok = _number_column([p[1] for p in pairs])
+    probs, _ = _number_column(confidences)  # NaN fails the range check
+    checks = (~(x_ok & y_ok), ~(np.isfinite(xs) & np.isfinite(ys)), ~((probs >= 0.0) & (probs <= 1.0)))
+    bad = np.flatnonzero(checks[0] | checks[1] | checks[2])
+    if bad.size:
+        i = int(bad[0])
+        at, point, raw = f"{where}[{i}]", entries[i].get("point"), entries[i].get(confidence_key, 1.0)
+        messages = (f"{at}.point: expected [x, y] of numbers, got {echo(point)}",
+                    f"{at}.point: non-finite point coordinates {echo(point)}",
+                    f"{at}.{confidence_key}: expected a number in [0, 1], got {echo(raw)}")
+        found.append((i, 1, error(next(m for m, check in zip(messages, checks) if check[i]))))
+    if found:
+        raise min(found, key=lambda defect: defect[:2])[2]
+    return xs, ys, probs
 
 
 def parse_detections(
@@ -635,21 +615,28 @@ def parse_detections(
     confidence >= ``min_confidence``.  ``classes=None`` keeps every class.
     Ids are ``d<i>`` over the document order, stable under filtering.
 
-    Every entry is checked as a column at once; when a check fails, the
-    entries are checked one by one in document order, so the error names
-    the first bad entry and its first bad field.
+    The entries go through one pass, whose error names the first bad entry
+    and its first bad field.  A loop reads them up to the first that is not
+    an object or has no string ``name``; the number checks of those before
+    it run as columns (:func:`_point_numbers`).
     """
     doc = load_json_bytes(data)
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise MalformedDocument('expected an object with a "points" array')
     points = doc["points"]
-    columns = _point_columns(points, "name", "probability")
-    if columns is None:
-        for i, entry in enumerate(points):
-            _check_entry(entry, f"points[{i}]")
-        raise AssertionError("a detection entry failed a column check but no entry check")
+    labels, pairs, probabilities = [], [], []
+    found = []  # (entry, check, error)
+    for i, entry in enumerate(points):
+        if type(entry) is not dict or type(name := entry.get("name")) is not str:
+            problem = "not an object" if type(entry) is not dict else "missing or non-string 'name'"
+            found.append((i, 0, SchemaViolation(f"points[{i}]: {problem}")))
+            break
+        labels.append(name)
+        pairs.append(pt if type(pt := entry.get("point")) is list and len(pt) > 1 else (None, None))
+        probabilities.append(entry.get("probability", 1.0))
+    columns = _point_numbers(points, pairs, probabilities, "points", "probability", SchemaViolation, found)
     ids = [f"d{i}" for i in range(len(points))]
-    table = DetectionTable.from_labels(ids, *columns, lambda s: CellClass.from_label(s, aliases))
+    table = DetectionTable.from_labels(ids, *columns, labels, lambda s: CellClass.from_label(s, aliases))
     if classes is not None:
         classes = {c.kind if isinstance(c, CellClass) else str(c) for c in classes}
     return table.take(table.keep(classes, min_confidence))
@@ -917,23 +904,33 @@ def _scene_entry(entry, where: str, parse_class) -> Tuple[str, object]:
 
 
 def _scene_detections(entries: list) -> DetectionTable:
-    """The table of a scene's detection entries, checked as columns; when a
-    check fails, the entries are checked one by one in document order, so
-    the error names the first bad entry and its first bad field."""
-    columns = _point_columns(entries, "class", "confidence")
-    ids = [e.get("id") if isinstance(e, dict) else None for e in entries]
-    if columns is not None and set(map(type, ids)) <= {str} and len(set(ids)) == len(ids):
-        with suppress(ValueError):  # an unknown class
-            return DetectionTable.from_labels(ids, *columns, CellClass.from_string)
-    seen: Set[str] = set()
-    for i, entry in enumerate(entries):
-        where = f"detections[{i}]"
-        did, _ = _scene_entry(entry, where, CellClass.from_string)
-        _check_point(entry, where, "confidence", MalformedDocument)
-        if did in seen:
-            raise MalformedDocument(f"duplicate detection id {echo(did)}")
-        seen.add(did)
-    raise AssertionError("a scene detection failed a column check but no entry check")
+    """The table of a scene's detection entries, in one pass that names the
+    first bad entry and field: a loop up to the first entry that
+    :func:`_scene_entry` rejects (it sees only entries that are not objects
+    with a string id and an already parsed class), then the number checks
+    as columns (:func:`_point_numbers`); a repeated id ranks after its
+    entry's own checks."""
+    classes: Dict[str, CellClass] = {}
+    ids, labels, pairs, confidences = [], [], [], []
+    found = []  # (entry, check, error), the checks of one entry in the order they rank
+    try:
+        for i, entry in enumerate(entries):
+            if not (type(entry) is dict and type(did := entry.get("id")) is str
+                    and type(label := entry.get("class")) is str and label in classes):
+                # raises, unless all the entry adds is a class not seen before
+                did, classes[label] = _scene_entry(entry, f"detections[{i}]", CellClass.from_string)
+            ids.append(did)
+            labels.append(label)
+            pairs.append(pt if type(pt := entry.get("point")) is list and len(pt) > 1 else (None, None))
+            confidences.append(entry.get("confidence", 1.0))
+    except MalformedDocument as exc:
+        found.append((len(ids), 0, exc))
+    if len(set(ids)) < len(ids):
+        seen: Set[str] = set()
+        k = next(k for k, did in enumerate(ids) if did in seen or seen.add(did))
+        found.append((k, 2, MalformedDocument(f"duplicate detection id {echo(ids[k])}")))
+    columns = _point_numbers(entries, pairs, confidences, "detections", "confidence", MalformedDocument, found)
+    return DetectionTable.from_labels(ids, *columns, labels, classes.__getitem__)
 
 
 def _scene_instance_entries(entries: list) -> Iterator[_Entry]:

@@ -123,10 +123,11 @@ def _json_value(value):
     return list(value) if isinstance(value, tuple) else value
 
 
-# The largest count a spec may give, and the most cells a scene spec may
-# plant in all (planted plus background) or one perturbation may add (the
-# hallucinated instances' cells plus the false positives): some ten times a
-# whole slide's detections, and few enough to generate in memory.
+# The largest count a spec may give (and the most trials a sensitivity run
+# may take), and the most cells a scene spec may plant in all (planted plus
+# background) or one perturbation may add (the hallucinated instances' cells
+# plus the false positives): some ten times a whole slide's detections, and
+# few enough to generate in memory.
 MAX_COUNT = 10**6
 
 
@@ -615,6 +616,8 @@ def sensitivity_run(
     independent stream, so row i does not depend on the other trials."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if trials > MAX_COUNT:
+        raise ConfigError(f"trials: {echo(trials)} is over the limit of {MAX_COUNT}")
     baseline = _trial_grades(score_section(scene, config))
 
     def run_trial(i: int) -> Tuple[str, ...]:

@@ -23,9 +23,12 @@ The scene generator and the FN/FP/jitter stages are the package's earlier
 per-object loops (an all-instance scan per background draw, a
 triangulation per planted cell, one scalar draw per detection or
 coordinate): they must consume the random streams in exactly the
-package's order, since the suite asserts identical scenes.  The scene
-detection reader builds one row per entry, as the package once did, and
-the scene document is built as objects for the stdlib's ``json.dumps``, as
+package's order, since the suite asserts identical scenes.  The detection
+file and scene detection readers check each entry in turn and build one
+row per entry, as the package did before one pass (a loop over the
+structural checks, then the number checks as columns) named the first
+defect; they are the reference that pass must agree with.  The scene
+document is built as objects for the stdlib's ``json.dumps``, as
 the package's writer once built it; the planting loop draws one cell at a
 time, as the package did before it drew cells in blocks.  The structure
 parser cleans each ring one vertex at a time as it reads it, sweeps that
@@ -40,11 +43,11 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from banffscore.errors import DegenerateGeometry, MalformedDocument, PlacementFailure, echo
+from banffscore.errors import DegenerateGeometry, MalformedDocument, PlacementFailure, SchemaViolation, echo
 from banffscore.geometry import AssignmentTable, Polygon, SpatialIndex, _EdgeTable, contained_pairs, ring_area
 from banffscore.ingest import (
     _feature_entries,
@@ -57,6 +60,7 @@ from banffscore.ingest import (
 from banffscore.model import (
     ARTERY,
     GLOMERULUS,
+    KNOWN_CELL_KINDS,
     LYMPHOCYTE,
     MONOCYTE,
     PERITUBULAR_CAPILLARY,
@@ -573,18 +577,72 @@ def scalar_fp_insertion(scene, pspec) -> List:
     return detections
 
 
+def _checked_point(entry: dict, where: str, confidence_key: str, error: type) -> Tuple[float, float, float]:
+    """The point and confidence of one detection entry, named ``where``,
+    checked as detection and scene files check them: a point of two
+    numbers, both finite, then a confidence that is a number in [0, 1]."""
+    pt = entry.get("point")
+    is_pair = isinstance(pt, (list, tuple)) and len(pt) > 1
+    x, y = (as_number(pt[0]), as_number(pt[1])) if is_pair else (None, None)
+    if x is None or y is None:
+        raise error(f"{where}.point: expected [x, y] of numbers, got {echo(pt)}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise error(f"{where}.point: non-finite point coordinates {echo(pt)}")
+    raw = entry.get(confidence_key, 1.0)
+    confidence = as_number(raw)
+    if confidence is None or not 0.0 <= confidence <= 1.0:
+        raise error(f"{where}.{confidence_key}: expected a number in [0, 1], got {echo(raw)}")
+    return x, y, confidence
+
+
+def per_entry_parse_detections(data: bytes, min_confidence: float = 0.5,
+                               classes: Optional[Iterable] = KNOWN_CELL_KINDS) -> List[Detection]:
+    """The detections ``ingest.parse_detections`` keeps, each entry checked
+    in turn, as it once checked them: an object, then a string ``name``,
+    then its point and probability."""
+    doc = load_json_bytes(data)
+    if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
+        raise MalformedDocument('expected an object with a "points" array')
+    kinds = None if classes is None else {c.kind if isinstance(c, CellClass) else str(c) for c in classes}
+    out = []
+    for i, entry in enumerate(doc["points"]):
+        where = f"points[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaViolation(f"{where}: not an object")
+        if not isinstance(entry.get("name"), str):
+            raise SchemaViolation(f"{where}: missing or non-string 'name'")
+        x, y, probability = _checked_point(entry, where, "probability", SchemaViolation)
+        cls = CellClass.from_label(entry["name"])
+        if (kinds is None or cls.kind in kinds) and probability >= min_confidence:
+            out.append(Detection(f"d{i}", (x, y), cls, probability))
+    return out
+
+
 def per_entry_scene_detections(entries) -> List[Detection]:
-    """The rows of a valid scene document's ``detections`` array, one
-    ``Detection`` per entry, as ``ingest.read_scene`` once built them."""
-    return [
-        Detection(
-            e["id"],
-            (float(e["point"][0]), float(e["point"][1])),
-            CellClass.from_string(e["class"]),
-            float(e.get("confidence", 1.0)),
-        )
-        for e in entries
-    ]
+    """The rows of a scene document's ``detections`` array, one
+    ``Detection`` per entry, each entry checked in turn as
+    ``ingest.read_scene`` once checked it: an object with an ``id``, a
+    string id, a known class, its point and confidence, then an id that an
+    earlier entry holds."""
+    out: List[Detection] = []
+    seen: Set[str] = set()
+    for i, entry in enumerate(entries):
+        where = f"detections[{i}]"
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise MalformedDocument(f"{where}: expected an object with an 'id'")
+        did, label = entry["id"], entry.get("class")
+        if not isinstance(did, str):
+            raise MalformedDocument(f"{where}.id: expected a string, got {echo(did)}")
+        try:
+            cls = CellClass.from_string(label if isinstance(label, str) else "")
+        except ValueError:
+            raise MalformedDocument(f"{where}.class: unknown class {echo(label)}") from None
+        x, y, confidence = _checked_point(entry, where, "confidence", MalformedDocument)
+        if did in seen:
+            raise MalformedDocument(f"duplicate detection id {echo(did)}")
+        seen.add(did)
+        out.append(Detection(did, (x, y), cls, confidence))
+    return out
 
 
 def json_dumps_bytes(obj) -> bytes:

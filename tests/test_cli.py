@@ -599,6 +599,21 @@ class TestSynthAndSensitivityCommands:
         assert capsys.readouterr().err.startswith(f"error: {pspec}: {field}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("trials", [pytest.param(2**64, id="2**64"), pytest.param(10**6 + 1, id="just-over")])
+    def test_trials_over_the_limit_exits_2(self, trials, tmp_path, capsys):
+        # 2**64 trials ran until killed
+        spec = write_json(tmp_path / "spec.json", SCENE_SPEC)
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        pspec = write_json(tmp_path / "p.json", {"seed": 3})
+        out = tmp_path / "sens"
+        argv = ["sensitivity", "--scene", str(tmp_path / "synth-x.scene.json"), "--perturb", str(pspec)]
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(argv + ["--trials", str(trials), "--out-dir", str(out)]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err == f"error: trials: {trials} is over the limit of 1000000\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("cells", [pytest.param([4], id="with-cells"), pytest.param([0], id="empty")])
     def test_collapsed_ring_exits_2_naming_it(self, cells, tmp_path, capsys):
         doc = {**SCENE_SPEC, "glomerulus_cells": cells, "glomerulus_radius": [1e-20, 1e-20]}

@@ -39,6 +39,7 @@ from banffscore.ingest import (
 from banffscore.model import (
     ARTERY,
     GLOMERULUS,
+    KNOWN_CELL_KINDS,
     LYMPHOCYTE,
     MONOCYTE,
     OTHER,
@@ -61,6 +62,7 @@ from oracles import (
     json_dumps_bytes,
     naive_first_bad_hole,
     naive_ring_self_intersects,
+    per_entry_parse_detections,
     per_entry_scene_detections,
     per_ring_parse_structures,
 )
@@ -888,6 +890,126 @@ class TestSceneRoundTrip:
             read_scene(json.dumps(doc).encode())
 
 
+SCENE_A = {"id": "a", "class": "lymphocyte", "point": [1, 2], "confidence": 0.5}
+
+
+def scene_detections(*entries):
+    return json.dumps({"section_id": "s", "instances": [], "detections": list(entries)}).encode()
+
+
+class TestSceneDetectionPrecedence:
+    """Several defects in one scene's detections: the first entry's first
+    check is raised, and a repeated id ranks after its own entry's checks."""
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            pytest.param([SCENE_A, SCENE_A, {**SCENE_A, "id": "b", "point": ["x", 0]}],
+                         "duplicate detection id 'a'", id="duplicate-before-later-point"),
+            pytest.param([SCENE_A, {**SCENE_A, "id": "b", "point": ["x", 0]}, SCENE_A],
+                         "detections[1].point: expected [x, y] of numbers, got ['x', 0]",
+                         id="point-before-later-duplicate"),
+            pytest.param([SCENE_A, {**SCENE_A, "confidence": 2}],
+                         "detections[1].confidence: expected a number in [0, 1], got 2",
+                         id="own-confidence-before-duplicate"),
+            pytest.param([{"id": "a", "class": "platelet"}], "detections[0].class: unknown class 'platelet'",
+                         id="class-before-point"),
+            pytest.param([{"id": 3, "class": "platelet"}], "detections[0].id: expected a string, got 3",
+                         id="id-before-class"),
+            pytest.param([{**SCENE_A, "confidence": -1}, 3],
+                         "detections[0].confidence: expected a number in [0, 1], got -1",
+                         id="confidence-before-later-non-object"),
+            pytest.param([SCENE_A, {**SCENE_A, "id": "b", "point": [math.inf, 0]}, SCENE_A],
+                         "detections[1].point: non-finite point coordinates [inf, 0]",
+                         id="non-finite-before-later-duplicate"),
+            pytest.param([{"class": "lymphocyte", "point": [1, 2]}, {**SCENE_A, "point": ["x", 0]}],
+                         "detections[0]: expected an object with an 'id'", id="missing-id-before-later-point"),
+        ],
+    )
+    def test_first_defect_in_document_order(self, entries, message):
+        with pytest.raises(MalformedDocument) as info:
+            read_scene(scene_detections(*entries))
+        assert str(info.value) == message
+
+
+# Values a detection entry may hold where a number belongs but no number in
+# range does: a bool, a string, null, an int beyond the float range, NaN, an
+# infinity, and numbers outside [0, 1].
+ODD_NUMBERS = st.sampled_from([True, False, "1", None, 10**400, -(10**400), math.nan, math.inf, -math.inf,
+                               2, -0.5])
+GOOD_NUMBERS = st.one_of(st.integers(-5, 5), st.floats(-10.0, 10.0))
+ENTRY_DEFECTS = ["non-object", "missing label", "bad label", "missing point", "bad point", "short point",
+                 "bad coordinate", "bad confidence"]
+SCENE_DEFECTS = ENTRY_DEFECTS + ["missing id", "bad id", "repeated id", "repeated id"]
+
+
+@st.composite
+def detection_entries(draw, label_key, labels, confidence_key, with_ids):
+    """1-5 entries of a detection file (``with_ids`` False) or of a scene's
+    detections, each valid or with one or two defects of
+    :data:`ENTRY_DEFECTS`, or in a scene of :data:`SCENE_DEFECTS`."""
+    entries = []
+    for k in range(draw(st.integers(1, 5))):
+        entry = {label_key: draw(st.sampled_from(labels)), "point": [draw(GOOD_NUMBERS), draw(GOOD_NUMBERS)]}
+        if draw(st.booleans()):
+            entry[confidence_key] = draw(st.floats(0.0, 1.0))
+        if with_ids:
+            entry["id"] = f"d{k}"
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            defect = draw(st.sampled_from(SCENE_DEFECTS if with_ids else ENTRY_DEFECTS))
+            earlier = [e["id"] for e in entries if isinstance(e, dict) and isinstance(e.get("id"), str)]
+            if defect == "non-object":
+                entry = draw(st.sampled_from([3, "entry", [1, 2], None]))
+                break
+            if defect.startswith("missing"):
+                entry.pop({"label": label_key, "point": "point", "id": "id"}[defect.split()[1]], None)
+            elif defect == "bad label":
+                entry[label_key] = draw(st.sampled_from([None, 3, "platelet", ["lymphocyte"]]))
+            elif defect == "bad point":
+                entry["point"] = draw(st.sampled_from(["xy", None, {"x": 1}, 1.5]))
+            elif defect == "short point":
+                entry["point"] = draw(st.lists(GOOD_NUMBERS, max_size=1))
+            elif defect == "bad coordinate" and isinstance(entry.get("point"), list) and entry["point"]:
+                entry["point"][draw(st.integers(0, len(entry["point"]) - 1))] = draw(ODD_NUMBERS)
+            elif defect == "bad confidence":
+                entry[confidence_key] = draw(ODD_NUMBERS)
+            elif defect == "bad id":
+                entry["id"] = draw(st.sampled_from([3, None, ["d0"]]))
+            elif defect == "repeated id" and earlier:
+                entry["id"] = draw(st.sampled_from(earlier))
+        entries.append(entry)
+    return entries
+
+
+def detection_outcome(parse, *args):
+    """The rows ``parse`` gives, with the exact reprs of their numbers, or
+    the type and text of its error."""
+    try:
+        return [(d.id, repr(d.point), d.cls, repr(d.confidence)) for d in parse(*args)]
+    except (MalformedDocument, SchemaViolation) as exc:
+        return (type(exc), str(exc))
+
+
+class TestDetectionPass:
+    """The one pass of each detection reader against the per-entry oracle."""
+
+    @given(entries=detection_entries("name", ["lymphocyte", "Monocyte", "plasma cell"], "probability", False),
+           min_confidence=st.sampled_from([0.0, 0.5]), classes=st.sampled_from([None, KNOWN_CELL_KINDS]))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_parse_detections_agrees_with_the_per_entry_oracle(self, entries, min_confidence, classes):
+        data = detection_doc(entries)
+        assert detection_outcome(parse_detections, data, min_confidence, classes) == detection_outcome(
+            per_entry_parse_detections, data, min_confidence, classes)
+
+    @given(entries=detection_entries("class", ["lymphocyte", "monocyte", "other", "other:mast cell"],
+                                     "confidence", True))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_read_scene_agrees_with_the_per_entry_oracle(self, entries):
+        data = scene_detections(*entries)
+        assert detection_outcome(lambda: read_scene(data).detections) == detection_outcome(
+            per_entry_scene_detections, json.loads(data)["detections"])
+
+
 class TestNumberRule:
     @pytest.mark.parametrize(
         "value, number",
@@ -936,11 +1058,14 @@ class TestNumberRule:
     )
     def test_number_column_is_bit_equal_to_as_number(self, values):
         expected = np.array(list(map(as_number, values)), dtype=np.float64)
-        assert _number_column(values).tobytes() == expected.tobytes()
+        column, is_number = _number_column(values)
+        assert column.tobytes() == expected.tobytes() and is_number.all()
 
     @pytest.mark.parametrize("values", [[1.0, True], [False], [1, "2"], [None, 1.0]])
     def test_number_column_rejects_what_as_number_rejects(self, values):
-        assert _number_column(values) is None
+        column, is_number = _number_column(values)
+        assert is_number.tolist() == [as_number(v) is not None for v in values]
+        assert np.isnan(column[~is_number]).all()
 
     def test_probability_rule_is_the_scene_confidence_rule(self):
         for value in ("0.7", True, 10**400, float("nan"), -0.1):
