@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -351,12 +351,18 @@ class SpatialIndex:
         return pt[hit], inst[hit]
 
 
-def contained_pairs(index: SpatialIndex, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def contained_pairs(index: SpatialIndex, xs: np.ndarray, ys: np.ndarray,
+                    live: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Every (point position, polygon position) pair in which a polygon of
     ``index`` holds the point, ordered by point, then by polygon: the
     validity gate over the polygons that have candidates, then one kernel
-    call over the candidate pairs."""
+    call over the candidate pairs.  Given ``live``, a mask over the
+    polygons, the candidates of the others are dropped first, so they are
+    neither gated nor counted, as if they were not in the index."""
     pt, k = index.pairs(xs, ys)
+    if live is not None:
+        keep = live[k]
+        pt, k = pt[keep], k[keep]
     edges = index._edges
     used = np.bincount(k, minlength=len(index.ids)) > 0
     for j in edges.unsure[used[edges.unsure]].tolist():

@@ -16,12 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from . import __version__
 from .config import RunConfig
 from .errors import MalformedDocument, echo
-from .geometry import assign_detections, build_index
+from .geometry import SpatialIndex, assign_detections, build_index
 from .ingest import canonical_json_bytes, checked_integer, dedup_detections
 from .model import (
     ARTERY,
@@ -29,6 +29,8 @@ from .model import (
     INDICATORS,
     PERITUBULAR_CAPILLARY,
     SCORABLE_STRUCTURE_KINDS,
+    DetectionTable,
+    Instance,
     SectionScene,
 )
 
@@ -142,16 +144,37 @@ def score_section(scene: SectionScene, config: RunConfig = RunConfig()) -> Score
     Deterministic: identical (scene, config) always produce an identical
     report, and the report embeds the config snapshot it was computed with.
     """
-    detections = scene.detections.take(scene.detections.keep(config.cell_classes, config.min_confidence))
+    scorable = [inst for inst in scene.instances if inst.cls.kind in SCORABLE_STRUCTURE_KINDS]
+    details = _section_details(scene.detections, config, scorable, build_index(scorable))
+    return ScoreReport(section_id=scene.section_id, config=config.snapshot(), **details)
+
+
+def _section_details(detections: DetectionTable, config: RunConfig, scorable: Sequence[Instance],
+                     index: SpatialIndex) -> Dict[str, GradeDetail]:
+    """The grade details :func:`score_section` reports for a scene with these
+    detections, whose scorable instances are ``scorable``, indexed by ``index``."""
+    table = assign_detections(_counted(detections, config), scorable, index)
+    return _graded(scorable, [table.counts[inst.id] for inst in scorable])
+
+
+def _counted(detections: DetectionTable, config: RunConfig) -> DetectionTable:
+    """The detections scoring counts: those of the configured classes and
+    confidence, deduplicated when the config gives a radius."""
+    keep = detections.keep(config.cell_classes, config.min_confidence)
+    if not keep.all():
+        detections = detections.take(keep)
     if config.dedup_radius is not None:
         detections = dedup_detections(detections, config.dedup_radius)
-    scorable = [inst for inst in scene.instances if inst.cls.kind in SCORABLE_STRUCTURE_KINDS]
-    table = assign_detections(detections, scorable, build_index(scorable))
+    return detections
+
+
+def _graded(instances: Sequence[Instance], counts: Sequence[int]) -> Dict[str, GradeDetail]:
+    """Per indicator, its grade detail when scorable instance ``instances[k]``
+    holds ``counts[k]`` cells; the ids are distinct."""
     by_kind: Dict[str, Dict[str, int]] = {kind: {} for kind in SCORABLE_STRUCTURE_KINDS}
-    for inst in scorable:
-        by_kind[inst.cls.kind][inst.id] = table.counts[inst.id]
-    details = {name: score_indicator(name, by_kind[kind]) for name, kind in INDICATORS.items()}
-    return ScoreReport(section_id=scene.section_id, config=config.snapshot(), **details)
+    for inst, count in zip(instances, counts):
+        by_kind[inst.cls.kind][inst.id] = count
+    return {name: score_indicator(name, by_kind[kind]) for name, kind in INDICATORS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ ground-truth grades come straight from the grading rules applied to those
 counts -- :func:`~banffscore.scoring.score_indicator` without the geometry
 pipeline, which the test suite cross-checks against it.  Instances are
 convex polygons (randomized 12-24-gon approximations of ellipses) placed
-without overlap via bounding-circle rejection sampling; convexity keeps
-uniform interior sampling cheap and grades depend only on containment
-counts, not boundary realism.
+without overlap via bounding-circle rejection sampling, each attempt tested
+against the placed circles a grid finds near it (:class:`_Circles`);
+convexity keeps uniform interior sampling cheap and grades depend only on
+containment counts, not boundary realism.
 
 The scene stream is read in a fixed order: every placement, then every
 planted cell (read in blocks as :func:`_plant` describes), then the
@@ -20,6 +21,10 @@ mirrors pipeline causality (segmentation errors precede detection errors).
 Each stage and each sensitivity trial draws from its own stream derived via
 :func:`banffscore.seeds.derive_seed`.  Jittered detections may leave their
 instance; there is deliberately no clamping.
+
+The trials of :func:`sensitivity_run` share the baseline scene's index and
+circle grid, and each gives the row that scoring its perturbed scene whole
+would give.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Container, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +73,7 @@ from .model import (
     SectionScene,
     StructureClass,
 )
-from .scoring import ScoreReport, Unscorable, score_indicator, score_section
+from .scoring import GradeDetail, Unscorable, _counted, _graded, _section_details, score_indicator
 from .seeds import derive_seed
 
 DEFAULT_RADIUS_RANGES: Dict[str, Tuple[float, float]] = {
@@ -228,15 +233,86 @@ def _ellipse_polygon(rng: np.random.Generator, cx: float, cy: float, a: float, b
     return Polygon(exterior=tuple(verts))
 
 
+class _Circles:
+    """Bounding circles ``(x, y, radius)`` that placement keeps clear of, in a
+    grid of square cells keyed by the cell of each centre.
+
+    The cell side is ``2 * r + _PLACEMENT_MARGIN`` for the largest radius
+    ``r`` the placements draw, the farthest apart two such circles can
+    conflict.  :meth:`near` scans the window of cells that can hold a circle
+    in conflict with a new one, padded by one cell.  While every window bound
+    is below 2**49 cells in magnitude, the rounding of the centres, the reach,
+    the quotients and ``math.hypot`` moves a bound by less than half a cell,
+    so the pad covers it.  Where the window is larger than the occupied cells,
+    or its bounds are not that small (coordinates near the float range, an
+    infinite radius), every occupied cell is scanned instead.  A circle
+    whose coordinates and radius do not sum to a finite number (one is not
+    finite, or all are near the float range) is scanned by every query.
+
+    A :meth:`view` sees the circles of its base grid but those at the
+    positions in ``hidden``, and keeps the circles added to it to itself, so
+    the trials of a sensitivity run share one grid of the scene's circles.
+    """
+
+    def __init__(self, side: float, circles: Iterable[Tuple[float, float, float]] = (),
+                 base: Optional[_Circles] = None, hidden: Container[int] = ()):
+        self._side, self._base, self._hidden = side, base, hidden
+        self._cells: Dict[Tuple[int, int], List[Tuple[float, float, float, int]]] = {}
+        self._loose: List[Tuple[float, float, float, int]] = []
+        self._count = 0
+        self._radius = 0.0  # the largest finite radius held
+        for circle in circles:
+            self.add(circle)
+
+    def add(self, circle: Tuple[float, float, float]) -> None:
+        x, y, r = circle
+        entry = (x, y, r, self._count)
+        self._count += 1
+        if math.isfinite(x + y + r):
+            self._cells.setdefault((math.floor(x / self._side), math.floor(y / self._side)), []).append(entry)
+            self._radius = max(self._radius, r)
+        else:
+            self._loose.append(entry)
+
+    def view(self, hidden: Container[int]) -> _Circles:
+        """An empty grid over this one, which hides the circles at the positions in ``hidden``."""
+        return _Circles(self._side, base=self, hidden=hidden)
+
+    def near(self, cx: float, cy: float, radius: float) -> Iterator[Tuple[float, float, float]]:
+        """A superset of the circles that a circle of ``radius`` at ``(cx, cy)`` conflicts with."""
+        if self._base is not None:
+            yield from ((x, y, r) for x, y, r, k in self._base._entries(cx, cy, radius) if k not in self._hidden)
+        yield from ((x, y, r) for x, y, r, _ in self._entries(cx, cy, radius))
+
+    def _entries(self, cx: float, cy: float, radius: float) -> Iterator[Tuple[float, float, float, int]]:
+        yield from self._loose
+        reach = radius + self._radius + _PLACEMENT_MARGIN
+        bounds = ((cx - reach) / self._side, (cx + reach) / self._side,
+                  (cy - reach) / self._side, (cy + reach) / self._side)
+        if all(abs(b) < 2.0**49 for b in bounds):  # a NaN bound fails
+            x0, x1, y0, y1 = map(math.floor, bounds)
+            if (x1 - x0 + 3) * (y1 - y0 + 3) <= len(self._cells):
+                for key in itertools.product(range(x0 - 1, x1 + 2), range(y0 - 1, y1 + 2)):
+                    yield from self._cells.get(key, ())
+                return
+        for entries in self._cells.values():
+            yield from entries
+
+
 def _place_polygon(
     rng: np.random.Generator,
     canvas: Tuple[float, float, float, float],
     radius_range: Tuple[float, float],
-    occupied: List[Tuple[float, float, float]],
+    occupied: _Circles,
     what: str,
 ) -> Tuple[Polygon, Tuple[float, float, float]]:
     """Place one convex polygon whose bounding circle avoids all occupied
-    circles; raises PlacementFailure after the attempt cap."""
+    circles; raises PlacementFailure after the attempt cap.
+
+    An attempt is tested only against the circles the grid finds near it
+    (:meth:`_Circles.near`), a superset of those it conflicts with, by the
+    same ``math.hypot`` comparison a scan of every circle would make, so
+    the placements do not depend on the grid."""
     x0, y0, x1, y1 = canvas
     r_lo, r_hi = radius_range
     for _ in range(_PLACEMENT_ATTEMPTS):
@@ -250,10 +326,15 @@ def _place_polygon(
         cy = rng.uniform(y0 + margin, y1 - margin)
         if all(
             math.hypot(cx - ox, cy - oy) > radius + orad + _PLACEMENT_MARGIN
-            for ox, oy, orad in occupied
+            for ox, oy, orad in occupied.near(cx, cy, radius)
         ):
             return _ellipse_polygon(rng, cx, cy, a, b), (cx, cy, radius)
     raise PlacementFailure(f"{what}: no non-overlapping placement in {_PLACEMENT_ATTEMPTS} attempts")
+
+
+def _cell_side(radius_ranges: Iterable[Tuple[float, float]]) -> float:
+    """The side of a :class:`_Circles` grid for placements that draw from ``radius_ranges``."""
+    return 2 * max((hi for _, hi in radius_ranges), default=0.0) + _PLACEMENT_MARGIN
 
 
 def _cells(ids: List[str], xs: np.ndarray, ys: np.ndarray, u_class: np.ndarray,
@@ -353,14 +434,14 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
     """
     rng = np.random.default_rng(derive_seed(spec.seed, "scene"))
     x0, y0, x1, y1 = spec.canvas
-    occupied: List[Tuple[float, float, float]] = []
+    occupied = _Circles(_cell_side(radius_range for _, _, counts, radius_range in spec.plan() if counts))
     instances: List[Instance] = []
     for kind, prefix, cell_counts, radius_range in spec.plan():
         for j in range(len(cell_counts)):
             poly, circle = _place_polygon(
                 rng, spec.canvas, radius_range, occupied, f"{prefix}-{j + 1}"
             )
-            occupied.append(circle)
+            occupied.add(circle)
             instances.append(
                 Instance(id=f"{prefix}-{j + 1}", cls=StructureClass(kind), polygon=poly)
             )
@@ -480,42 +561,56 @@ class PerturbationSpec(_Spec):
         _check_seed(self.seed)
 
 
-def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
-    """Apply omission, hallucination, FN dropout, FP insertion, and jitter,
-    in that fixed order; an all-zero spec returns a scene equal to the input.
-    Only hallucination and FP insertion read the scene's canvas.  The
-    hallucinated instances of a kind take the ids ``hall-<kind>-<n>`` for
-    n = 1, 2, ... that no instance of the input scene has."""
-    instances = list(scene.instances)
-    detections = scene.detections
+def _scene_circles(scene: SectionScene, pspec: PerturbationSpec) -> Optional[_Circles]:
+    """The grid of the bounding circles of the scene's instances that
+    hallucination places against, or None when ``pspec`` hallucinates
+    nothing; the same for every seed of ``pspec``."""
+    ranges = [h.radius if h.radius is not None else DEFAULT_RADIUS_RANGES[kind]
+              for kind, h in pspec.hallucinate_instances.items() if h.count]
+    if not ranges:
+        return None
+    return _Circles(_cell_side(ranges), (inst.polygon.bounding_circle for inst in scene.instances))
 
+
+def _perturbation(
+    scene: SectionScene, pspec: PerturbationSpec, circles: Optional[_Circles]
+) -> Tuple[np.ndarray, List[Instance], DetectionTable]:
+    """The stages of :func:`perturb_scene` in their fixed order: per instance
+    of the scene whether omission drops it, the hallucinated instances, and
+    the detections the detection stages leave.  ``circles`` is
+    :func:`_scene_circles` of the scene and ``pspec``.
+
+    Omission reads one double per instance of a kind it may omit, in
+    instance order, as one array."""
+    omitted = np.zeros(len(scene.instances), dtype=bool)
     omit = {k: p for k, p in pspec.omit_instance_prob.items() if p > 0}
     if omit:
         rng = np.random.default_rng(derive_seed(pspec.seed, "omit"))
-        kept = []
-        for inst in instances:
-            p = omit.get(inst.cls.kind, 0.0)
-            if p > 0 and rng.random() < p:
-                continue
-            kept.append(inst)
-        instances = kept
+        p = np.array([omit.get(inst.cls.kind, 0.0) for inst in scene.instances], dtype=np.float64)
+        eligible = np.flatnonzero(p > 0)
+        omitted[eligible] = rng.random(eligible.size) < p[eligible]
+    detections = scene.detections
 
+    added: List[Instance] = []
     for kind in SCORABLE_STRUCTURE_KINDS:  # fixed class order
         hspec = pspec.hallucinate_instances.get(kind)
         if hspec is None or hspec.count == 0:
             continue
         rng = np.random.default_rng(derive_seed(pspec.seed, f"hallucinate:{kind}"))
         canvas = scene_canvas(scene)
-        occupied = [inst.polygon.bounding_circle for inst in instances]
+        # the circles of the kept and the earlier kinds' hallucinated instances
+        occupied = circles.view(set(np.flatnonzero(omitted).tolist()))
+        for inst in added:
+            occupied.add(inst.polygon.bounding_circle)
         radius_range = hspec.radius if hspec.radius is not None else DEFAULT_RADIUS_RANGES[kind]
         taken = {inst.id for inst in scene.instances}
         names = (f"hall-{kind}-{n}" for n in itertools.count(1))
         for iid in itertools.islice((name for name in names if name not in taken), hspec.count):
             poly, circle = _place_polygon(rng, canvas, radius_range, occupied, iid)
-            occupied.append(circle)
-            instances.append(Instance(id=iid, cls=StructureClass(kind), polygon=poly))
+            occupied.add(circle)
+            added.append(Instance(id=iid, cls=StructureClass(kind), polygon=poly))
             # planting draws before the next placement, so each ring is checked alone
-            _check_rings(instances[-1:])
+            _check_rings(added[-1:])
             cell_ids = [f"{iid}-cell-{c}" for c in range(1, hspec.cells_per_instance + 1)]
             detections = detections + _plant(rng, [poly], [hspec.cells_per_instance], cell_ids)
 
@@ -538,9 +633,19 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
         detections = DetectionTable(detections.ids, detections.xs + dx, detections.ys + dy,
                                     detections.confidences, detections.codes, detections.classes)
 
+    return omitted, added, detections
+
+
+def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
+    """Apply omission, hallucination, FN dropout, FP insertion, and jitter,
+    in that fixed order; an all-zero spec returns a scene equal to the input.
+    Only hallucination and FP insertion read the scene's canvas.  The
+    hallucinated instances of a kind take the ids ``hall-<kind>-<n>`` for
+    n = 1, 2, ... that no instance of the input scene has."""
+    omitted, added, detections = _perturbation(scene, pspec, _scene_circles(scene, pspec))
     return SectionScene(
         section_id=scene.section_id,
-        instances=instances,
+        instances=[inst for inst, gone in zip(scene.instances, omitted.tolist()) if not gone] + added,
         detections=detections,
         metadata=dict(scene.metadata),
     )
@@ -550,10 +655,6 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
 # sensitivity analysis
 
 GRADE_BINS = ("0", "1", "2", "3", "unscorable")
-
-
-def _grade_key(value: Union[int, Unscorable]) -> str:
-    return "unscorable" if isinstance(value, Unscorable) else str(value)
 
 
 @dataclass(frozen=True)
@@ -601,8 +702,10 @@ class SensitivityReport:
         return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _trial_grades(report: ScoreReport) -> Tuple[str, ...]:
-    return tuple(_grade_key(report.grade(name)) for name in INDICATORS)
+def _grade_keys(details: Mapping[str, GradeDetail]) -> Tuple[str, ...]:
+    """Per indicator, its grade as a CSV cell: the number, or ``unscorable``."""
+    return tuple("unscorable" if isinstance(details[name], Unscorable) else str(details[name].grade)
+                 for name in INDICATORS)
 
 
 def sensitivity_run(
@@ -613,16 +716,40 @@ def sensitivity_run(
 ) -> SensitivityReport:
     """Perturb + rescore ``trials`` times; trial i uses the child seed
     ``derive_seed(pspec.seed, f"trial:{i}")``.  Every trial owns an
-    independent stream, so row i does not depend on the other trials."""
+    independent stream, so row i does not depend on the other trials.
+
+    Row i is the grades of ``score_section(perturb_scene(scene, tspec),
+    config)`` for trial i's spec ``tspec``, but the trials share the
+    baseline: its scorable instances are indexed once, and the baseline is
+    scored through that index.  A trial drops the candidate pairs of the
+    instances it omits (:func:`~banffscore.geometry.contained_pairs`'s
+    ``live`` mask), so an omitted instance is never gated, as when it is
+    absent, and tests its detections against its hallucinated instances in
+    their own small index.  Hallucination places against one grid of the
+    scene's bounding circles, with the omitted ones hidden."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if trials > MAX_COUNT:
         raise ConfigError(f"trials: {echo(trials)} is over the limit of {MAX_COUNT}")
-    baseline = _trial_grades(score_section(scene, config))
+    positions = np.array([k for k, inst in enumerate(scene.instances) if inst.cls.kind in SCORABLE_STRUCTURE_KINDS],
+                         dtype=np.intp)
+    scorable = [scene.instances[k] for k in positions.tolist()]
+    index = build_index(scorable)
+    baseline = _grade_keys(_section_details(scene.detections, config, scorable, index))
+    circles = _scene_circles(scene, pspec)
 
     def run_trial(i: int) -> Tuple[str, ...]:
         tspec = replace(pspec, seed=derive_seed(pspec.seed, f"trial:{i}"))
-        return _trial_grades(score_section(perturb_scene(scene, tspec), config))
+        omitted, added, detections = _perturbation(scene, tspec, circles)
+        detections = _counted(detections, config)
+        live = ~omitted[positions]
+        found = contained_pairs(index, detections.xs, detections.ys, live)[1]
+        counts = np.bincount(found, minlength=len(scorable))[live].tolist()
+        if added:
+            found = contained_pairs(build_index(added), detections.xs, detections.ys)[1]
+            counts += np.bincount(found, minlength=len(added)).tolist()
+        kept = [inst for inst, on in zip(scorable, live.tolist()) if on]
+        return _grade_keys(_graded(kept + added, counts))
 
     rows = tuple(run_trial(i) for i in range(trials))
 

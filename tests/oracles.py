@@ -19,15 +19,17 @@ at a time, as the reference for its batched hole check.  The bucket-scan
 dedup and the per-instance assignment loop are the package's earlier
 implementations, kept as references for its pair-based dedup and its
 batched containment kernel.
-The scene generator and the FN/FP/jitter stages are the package's earlier
-per-object loops (an all-instance scan per background draw, a
-triangulation per planted cell, one scalar draw per detection or
-coordinate): they must consume the random streams in exactly the
-package's order, since the suite asserts identical scenes.  The detection
-file and scene detection readers check each entry in turn and build one
-row per entry, as the package did before one pass (a loop over the
-structural checks, then the number checks as columns) named the first
-defect; they are the reference that pass must agree with.  The scene
+The scene generator and the omission/FN/FP/jitter stages are the package's
+earlier per-object loops (a scan of every placed circle per placement
+attempt, an all-instance scan per background draw, a triangulation per
+planted cell, one scalar draw per instance, detection or coordinate): they
+must consume the random streams in exactly the package's order, since the
+suite asserts identical scenes.  The sensitivity rows are the package's
+earlier trial loop, which built and scored each perturbed scene whole.
+The detection file and scene detection readers check each entry in turn
+and build one row per entry, as the package did before one pass (a loop
+over the structural checks, then the number checks as columns) named the
+first defect; they are the reference that pass must agree with.  The scene
 document is built as objects for the stdlib's ``json.dumps``, as
 the package's writer once built it; the planting loop draws one cell at a
 time, as the package did before it drew cells in blocks.  The structure
@@ -47,6 +49,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from banffscore.config import RunConfig
 from banffscore.errors import DegenerateGeometry, MalformedDocument, PlacementFailure, SchemaViolation, echo
 from banffscore.geometry import AssignmentTable, Polygon, SpatialIndex, _EdgeTable, contained_pairs, ring_area
 from banffscore.ingest import (
@@ -60,6 +63,7 @@ from banffscore.ingest import (
 from banffscore.model import (
     ARTERY,
     GLOMERULUS,
+    INDICATORS,
     KNOWN_CELL_KINDS,
     LYMPHOCYTE,
     MONOCYTE,
@@ -70,8 +74,9 @@ from banffscore.model import (
     SectionScene,
     StructureClass,
 )
+from banffscore.scoring import Unscorable, score_section
 from banffscore.seeds import derive_seed
-from banffscore.synth import _PLACEMENT_ATTEMPTS, _place_polygon, planted_grades
+from banffscore.synth import _PLACEMENT_ATTEMPTS, _PLACEMENT_MARGIN, _ellipse_polygon, perturb_scene, planted_grades
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +478,32 @@ def per_cell_plant(rng: np.random.Generator, polygons, counts, ids) -> List[Dete
     return cells
 
 
+def full_scan_place_polygon(rng: np.random.Generator, canvas, radius_range, occupied, what: str):
+    """``synth._place_polygon`` with every attempt tested against every
+    circle ``(x, y, radius)`` of the list ``occupied``."""
+    x0, y0, x1, y1 = canvas
+    r_lo, r_hi = radius_range
+    for _ in range(_PLACEMENT_ATTEMPTS):
+        a = rng.uniform(r_lo, r_hi)
+        b = rng.uniform(r_lo, r_hi)
+        radius = max(a, b)
+        margin = radius + _PLACEMENT_MARGIN
+        if x1 - x0 <= 2 * margin or y1 - y0 <= 2 * margin:
+            raise PlacementFailure(f"{what}: canvas too small for radius {radius:.1f}")
+        cx = rng.uniform(x0 + margin, x1 - margin)
+        cy = rng.uniform(y0 + margin, y1 - margin)
+        if all(
+            math.hypot(cx - ox, cy - oy) > radius + orad + _PLACEMENT_MARGIN
+            for ox, oy, orad in occupied
+        ):
+            return _ellipse_polygon(rng, cx, cy, a, b), (cx, cy, radius)
+    raise PlacementFailure(f"{what}: no non-overlapping placement in {_PLACEMENT_ATTEMPTS} attempts")
+
+
 def all_instance_scan_generate_scene(spec):
-    """``synth.generate_scene`` with every background draw tested against
-    every instance and the fan triangulation rebuilt for every planted cell."""
+    """``synth.generate_scene`` with every placement attempt tested against
+    every placed circle, every background draw tested against every instance
+    and the fan triangulation rebuilt for every planted cell."""
     rng = np.random.default_rng(derive_seed(spec.seed, "scene"))
     x0, y0, x1, y1 = spec.canvas
     occupied: List[Tuple[float, float, float]] = []
@@ -487,7 +515,7 @@ def all_instance_scan_generate_scene(spec):
     )
     for kind, prefix, cell_counts, radius_range in plan:
         for j in range(len(cell_counts)):
-            poly, circle = _place_polygon(
+            poly, circle = full_scan_place_polygon(
                 rng, spec.canvas, radius_range, occupied, f"{prefix}-{j + 1}"
             )
             occupied.append(circle)
@@ -535,6 +563,35 @@ def all_instance_scan_generate_scene(spec):
         metadata={"canvas": list(spec.canvas), "seed": spec.seed, "generator": "banffscore.synth"},
     )
     return scene, planted_grades(spec)
+
+
+def scalar_omission(instances, pspec) -> List:
+    """The omission stage of ``synth.perturb_scene``: the instances it keeps,
+    one scalar draw per instance of a kind it may omit."""
+    omit = {k: p for k, p in pspec.omit_instance_prob.items() if p > 0}
+    if not omit:
+        return list(instances)
+    rng = np.random.default_rng(derive_seed(pspec.seed, "omit"))
+    kept = []
+    for inst in instances:
+        p = omit.get(inst.cls.kind, 0.0)
+        if p > 0 and rng.random() < p:
+            continue
+        kept.append(inst)
+    return kept
+
+
+def per_trial_sensitivity_rows(scene, pspec, trials: int, config: RunConfig = RunConfig()):
+    """``synth.sensitivity_run``'s rows with each trial's perturbed scene
+    built and scored whole: ``score_section(perturb_scene(scene, tspec),
+    config)``, its own index rebuilt every trial."""
+    rows = []
+    for i in range(trials):
+        tspec = replace(pspec, seed=derive_seed(pspec.seed, f"trial:{i}"))
+        report = score_section(perturb_scene(scene, tspec), config)
+        grades = (report.grade(name) for name in INDICATORS)
+        rows.append(tuple("unscorable" if isinstance(g, Unscorable) else str(g) for g in grades))
+    return tuple(rows)
 
 
 def scalar_fn_dropout(detections, pspec) -> List:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import re
@@ -14,10 +15,19 @@ from hypothesis import strategies as st
 
 import oracles
 from banffscore import synth
-from banffscore.errors import ConfigError, PlacementFailure
+from banffscore.config import RunConfig
+from banffscore.errors import BanffScoreError, ConfigError, DegenerateGeometry, PlacementFailure
 from banffscore.geometry import contained_pairs
 from banffscore.ingest import read_scene, write_scene
-from banffscore.model import ARTERY, GLOMERULUS, PERITUBULAR_CAPILLARY, SectionScene
+from banffscore.model import (
+    ARTERY,
+    GLOMERULUS,
+    OTHER,
+    PERITUBULAR_CAPILLARY,
+    SCORABLE_STRUCTURE_KINDS,
+    SectionScene,
+    StructureClass,
+)
 from banffscore.scoring import Unscorable, score_section
 from banffscore.seeds import derive_seed
 from banffscore.synth import (
@@ -578,7 +588,91 @@ class TestAgainstPerObjectOracles:
         expected = oracles.scalar_jitter(list(kept) + list(fps), pspec)
         out = perturb_scene(scene, pspec)
         assert out.instances == structural.instances
+        survivors = oracles.scalar_omission(scene.instances, pspec)
+        assert structural.instances[:len(survivors)] == survivors
+        assert len(structural.instances) == len(survivors) + hallucinated
         assert out.detections == expected
+
+
+def _touching(rng: np.random.Generator, canvas, radius_range, orads):
+    """Circles that the next placement attempt of ``rng`` touches: each at
+    distance ``radius + orad + margin`` from the attempt's centre, with
+    ``orad`` nudged so the distance is that sum exactly where a float allows."""
+    peek = copy.deepcopy(rng)
+    radius = max(peek.uniform(*radius_range), peek.uniform(*radius_range))
+    margin = radius + synth._PLACEMENT_MARGIN
+    x0, y0, x1, y1 = canvas
+    if x1 - x0 <= 2 * margin or y1 - y0 <= 2 * margin:
+        return []
+    cx, cy = peek.uniform(x0 + margin, x1 - margin), peek.uniform(y0 + margin, y1 - margin)
+    circles = []
+    for orad, (ux, uy) in zip(orads, [(1, 0), (0, 1), (-1, 0), (0, -1), (0.6, 0.8), (-0.8, 0.6)]):
+        d = radius + orad + synth._PLACEMENT_MARGIN
+        ox, oy = cx + ux * d, cy + uy * d
+        e = math.hypot(cx - ox, cy - oy)
+        guess = e - synth._PLACEMENT_MARGIN - radius
+        for o in (guess, math.nextafter(guess, math.inf), math.nextafter(guess, -math.inf)):
+            if o >= 0 and radius + o + synth._PLACEMENT_MARGIN == e:
+                orad = o
+                break
+        circles.append((ox, oy, orad))
+    return circles
+
+
+RADIUS_RANGES = [(16.0, 28.0), (50.0, 90.0), (90.0, 150.0), (300.0, 300.0), (1e-300, 1e-299), (1e-12, 1e-10)]
+
+
+class TestGridPlacement:
+    """``synth._place_polygon`` over its grid of circles places exactly as a
+    scan of every placed circle, and its distance tests grow linearly."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        canvas=st.one_of(
+            st.tuples(st.integers(-5000, 5000), st.integers(-5000, 5000), st.integers(200, 3000),
+                      st.integers(200, 3000)).map(lambda c: (c[0] - 0.5, c[1] + 0.25, c[0] + c[2] * 1.001, c[1] + c[3])),
+            st.sampled_from([(-1e300, -1e300, 1e300, 1e300), (-1e300, 5e299, -5e299, 1e300),
+                             (1e299, -8e299, 3e299, -7.5e299), (-2e16, -2e16, 2e16, 2e16)]),
+        ),
+        plan=st.lists(st.tuples(st.sampled_from(RADIUS_RANGES), st.integers(0, 12)), min_size=1, max_size=3),
+        touching=st.lists(st.sampled_from([0.0, 1e-300, 20.0, 120.0, 300.0]), max_size=6),
+        hide=st.lists(st.booleans(), max_size=6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_full_scan(self, canvas, plan, touching, hide, seed):
+        # The grid is a view that hides some of the circles the first attempt touches.
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        first = _touching(rng, canvas, plan[0][0], touching)
+        hidden = {k for k, h in enumerate(hide) if h}
+        grid = synth._Circles(synth._cell_side(r for r, n in plan if n), first).view(hidden)
+        circles = [c for k, c in enumerate(first) if k not in hidden]
+        for k, (radius_range, n) in enumerate(plan):
+            for j in range(n):
+                for circle in _touching(rng, canvas, radius_range, touching if j % 3 == 2 else ()):
+                    grid.add(circle)
+                    circles.append(circle)
+                what = f"kind{k}-{j}"
+                placed = _outcome(lambda r: synth._place_polygon(r, canvas, radius_range, grid, what), rng)
+                expected = _outcome(
+                    lambda r: oracles.full_scan_place_polygon(r, canvas, radius_range, circles, what), oracle_rng
+                )
+                assert placed == expected
+                if isinstance(placed, str):
+                    return
+                grid.add(placed[1])
+                circles.append(placed[1])
+
+    def test_distance_tests_grow_linearly(self, monkeypatch):
+        # 3,000 capillaries whose circles cover about a sixth of the canvas: a
+        # scan of every placed circle makes about n**2 / 2 distance tests.
+        n = 3000
+        spec = SceneSpec(canvas=(0, 0, 6000, 6000), ptc_cells=(0,) * n, seed=5)
+        tests = []
+        hypot = math.hypot
+        monkeypatch.setattr(math, "hypot", lambda *xy: tests.append(None) or hypot(*xy))
+        scene, _ = generate_scene(spec)
+        assert len(scene.instances) == n
+        assert len(tests) < 20 * n
 
 
 def _state_after(seed: int, doubles: int) -> dict:
@@ -704,7 +798,80 @@ class TestFalsePositiveInsertion:
         assert perturb_scene(scene, pspec).detections == expected
 
 
+def _variant_scene(variant: str) -> SectionScene:
+    """:func:`base_scene`, or a variant of it that a sensitivity run treats specially."""
+    scene = base_scene()
+    if variant == "hall ids":  # ids that hallucination would otherwise take
+        taken = {"glom-1": "hall-glomerulus-1", "ptc-2": "hall-peritubular_capillary-1", "art-1": "hall-artery-2"}
+        return replace(scene, instances=[replace(i, id=taken.get(i.id, i.id)) for i in scene.instances])
+    if variant == "other only":
+        return replace(scene, instances=[replace(i, cls=StructureClass(OTHER, "tissue")) for i in scene.instances])
+    if variant == "with other":
+        return replace(scene, instances=scene.instances + [mk_instance("tissue", OTHER, square(1500.0, 1500.0, 900.0))])
+    if variant == "no instances":
+        return replace(scene, instances=[])
+    if variant == "crowded":  # most hallucination attempts land on an instance, omitted or not
+        return generate_scene(DENSE_BACKGROUND)[0]
+    if variant == "far":  # a bounding circle whose centre and radius overflow to infinity
+        far = mk_instance("far", OTHER, square(1.75e308, 1.75e308, 1e306))
+        return replace(scene, instances=scene.instances + [far])
+    return scene
+
+
+def _rows_or_error(run):
+    try:
+        return run()
+    except BanffScoreError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_PROBABILITY = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 0.95))
+
+
 class TestSensitivityRun:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        variant=st.sampled_from(["base", "hall ids", "other only", "with other", "no instances", "crowded", "far"]),
+        config=st.builds(
+            RunConfig,
+            min_confidence=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+            cell_classes=st.sampled_from([("lymphocyte", "monocyte"), ("lymphocyte",), ("monocyte", "other")]),
+            dedup_radius=st.one_of(st.none(), st.sampled_from([0.0, 5.0, 60.0])),
+        ),
+        omit=st.dictionaries(st.sampled_from(SCORABLE_STRUCTURE_KINDS), _PROBABILITY),
+        hallucinate=st.dictionaries(
+            st.sampled_from(SCORABLE_STRUCTURE_KINDS),
+            st.builds(HallucinationSpec, count=st.integers(0, 2), cells_per_instance=st.integers(0, 6)),
+        ),
+        fn=st.sampled_from([0.0, 0.3]),
+        fp=st.integers(0, 30),
+        fp_class=st.sampled_from(["lymphocyte", "monocyte", "other"]),
+        sigma=st.sampled_from([0.0, 4.0]),
+        trials=st.integers(1, 3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_rows_match_the_per_trial_oracle(self, variant, config, omit, hallucinate, fn, fp, fp_class, sigma,
+                                             trials, seed):
+        scene = _variant_scene(variant)
+        pspec = PerturbationSpec(omit_instance_prob=omit, hallucinate_instances=hallucinate, detection_fn_prob=fn,
+                                 detection_fp_count=fp, fp_cell_class=fp_class, jitter_sigma=sigma, seed=seed)
+        expected = _rows_or_error(lambda: oracles.per_trial_sensitivity_rows(scene, pspec, trials, config))
+        assert _rows_or_error(lambda: sensitivity_run(scene, pspec, trials, config).rows) == expected
+
+    def test_an_omitted_zero_area_artery_is_never_gated(self):
+        # The artery's ring is a diagonal segment, so any point in its bbox
+        # sends it through the validity gate, which rejects it.  The scene's
+        # one cell lies outside that bbox; the false positives land in it.
+        flat = mk_instance("art-1", ARTERY, ((0.0, 0.0), (10.0, 10.0), (20.0, 20.0)))
+        glom = mk_instance("glom-1", GLOMERULUS, square(60.0, 60.0, 10.0))
+        scene = SectionScene("flat", [glom, flat], [mk_detection("c-1", 60.0, 60.0)], {"canvas": [0, 0, 25, 25]})
+        pspec = PerturbationSpec(omit_instance_prob={ARTERY: 1.0}, detection_fp_count=20, seed=3)
+        report = sensitivity_run(scene, pspec, trials=5)
+        assert report.rows == oracles.per_trial_sensitivity_rows(scene, pspec, 5)
+        assert all(row[2] == "unscorable" for row in report.rows)
+        with pytest.raises(DegenerateGeometry):
+            sensitivity_run(scene, replace(pspec, omit_instance_prob={}), trials=1)
+
     def test_zero_perturbation_never_flips(self):
         scene = base_scene()
         report = sensitivity_run(scene, PerturbationSpec(seed=1), trials=20)
