@@ -388,8 +388,9 @@ class AssignmentTable:
     unassigned: Tuple[str, ...]
 
 
-def assign_detections(detections: Sequence, instances: Sequence, index: SpatialIndex) -> AssignmentTable:
-    """Assign each detection to every instance whose polygon contains it.
+def assign_detections(detections, instances: Sequence, index: SpatialIndex) -> AssignmentTable:
+    """Assign each detection (a ``DetectionTable``, or a list of rows) to
+    every instance whose polygon contains it.
 
     A detection inside several instances counts toward each of them.
     Raises IndexMismatch unless ``index`` was built over the same instances

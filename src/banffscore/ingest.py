@@ -757,7 +757,7 @@ def _maybe_close(table: DetectionTable, key: np.ndarray, step: int, radius: floa
     return maybe
 
 
-def dedup_detections(detections: Sequence[Detection], radius: float) -> DetectionTable:
+def dedup_detections(detections: DetectionTable | Sequence[Detection], radius: float) -> DetectionTable:
     """Greedy same-class suppression, highest confidence first (id breaks ties).
 
     A detection is kept iff no already-kept detection of the same class

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
+from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type, TypeVar
 
 import numpy as np
 
@@ -124,14 +123,15 @@ class Detection:
     confidence: float = 1.0
 
 
-class DetectionTable(Sequence):
+class DetectionTable:
     """Detections as columns: ``ids`` (object array of str), ``xs``, ``ys``
     and ``confidences`` (float64), and ``codes``, each an index into
     ``classes``, the distinct cell classes.
 
-    A ``Sequence[Detection]``: ``len``, indexing and iteration build
-    :class:`Detection` rows on demand, so code written for a list of rows
-    reads a table unchanged.  A slice is a table.
+    Rows come in through :meth:`from_rows`, iteration gives them back as
+    :class:`Detection` objects, and :meth:`take` selects them.  Equality and
+    ``+`` are table to table: two tables are equal when their rows are, in
+    order, each class compared by value and not by code.
     """
 
     __slots__ = ("ids", "xs", "ys", "confidences", "codes", "classes")
@@ -165,37 +165,31 @@ class DetectionTable(Sequence):
     def __len__(self) -> int:
         return self.xs.size
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.take(i)
-        return Detection(self.ids[i], (float(self.xs[i]), float(self.ys[i])),
-                         self.classes[self.codes[i]], float(self.confidences[i]))
-
     def __iter__(self) -> Iterator[Detection]:
         classes = self.classes
         for did, x, y, code, c in zip(self.ids.tolist(), self.xs.tolist(), self.ys.tolist(),
                                       self.codes.tolist(), self.confidences.tolist()):
             yield Detection(did, (x, y), classes[code], c)
 
-    # a table equals the list of its rows, and a list has no hash
-    __hash__ = None
-
     def __eq__(self, other):
-        """Row by row against any sequence of detections, a table included."""
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, DetectionTable):
+            return NotImplemented
+        classes = tuple(dict.fromkeys(self.classes + other.classes))
+        return all(map(np.array_equal, (self.ids, self.xs, self.ys, self.confidences, self._codes_in(classes)),
+                       (other.ids, other.xs, other.ys, other.confidences, other._codes_in(classes))))
 
     def __add__(self, other):
-        """This table's rows, then those of ``other``, any sequence of detections."""
-        if not isinstance(other, Sequence):
+        """This table's rows, then those of ``other``."""
+        if not isinstance(other, DetectionTable):
             return NotImplemented
-        other = DetectionTable.from_rows(other)
         classes = tuple(dict.fromkeys(self.classes + other.classes))
-        codes = np.array([classes.index(c) for c in other.classes], dtype=np.intp)[other.codes]
         columns = zip((self.ids, self.xs, self.ys, self.confidences, self.codes),
-                      (other.ids, other.xs, other.ys, other.confidences, codes))
+                      (other.ids, other.xs, other.ys, other.confidences, other._codes_in(classes)))
         return DetectionTable(*map(np.concatenate, columns), classes)
+
+    def _codes_in(self, classes: Tuple[CellClass, ...]) -> np.ndarray:
+        """Per row, the position of its class in ``classes``."""
+        return np.array([classes.index(c) for c in self.classes], dtype=np.intp)[self.codes]
 
     def take(self, rows) -> "DetectionTable":
         """The rows a boolean mask, a position array or a slice selects, in order."""
@@ -221,7 +215,8 @@ class DetectionTable(Sequence):
 @dataclass
 class SectionScene:
     """All instances and detections for one tissue section; ``detections``,
-    given as any sequence of detections, is held as a :class:`DetectionTable`."""
+    given as a table or a list of :class:`Detection` rows, is held as a
+    :class:`DetectionTable` (rows go through :meth:`DetectionTable.from_rows`)."""
 
     section_id: str
     instances: List[Instance] = field(default_factory=list)

@@ -99,12 +99,10 @@ def render_svg(scene: SectionScene, report: Optional[ScoreReport] = None) -> byt
         )
     lines.append("</g>")
     lines.append('<g id="detections">')
-    for det in scene.detections:
-        color = CELL_COLORS.get(det.cls.kind, CELL_COLORS["other"])
-        lines.append(
-            f'<circle cx="{_fmt(det.point[0])}" cy="{_fmt(det.point[1])}" r="{_POINT_RADIUS}" '
-            f'fill="{color}"/>'
-        )
+    dets = scene.detections
+    colors = [CELL_COLORS.get(c.kind, CELL_COLORS["other"]) for c in dets.classes]
+    for x, y, code in zip(dets.xs.tolist(), dets.ys.tolist(), dets.codes.tolist()):
+        lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_POINT_RADIUS}" fill="{colors[code]}"/>')
     lines.append("</g>")
     if report is not None:
         counts = _instance_counts(report)

@@ -15,6 +15,7 @@ from banffscore.model import (
     MONOCYTE,
     CellClass,
     Detection,
+    DetectionTable,
     Instance,
     StructureClass,
 )
@@ -90,7 +91,7 @@ def random_assignment_scene(
     n_detections: int,
     canvas: float = 4096.0,
     kind: str = GLOMERULUS,
-) -> Tuple[List[Instance], List[Detection]]:
+) -> Tuple[List[Instance], DetectionTable]:
     """Random overlapping instances with holes plus uniform detections, for
     oracle-equivalence checks on the assignment path."""
     rng = np.random.default_rng(seed)
@@ -107,14 +108,13 @@ def random_assignment_scene(
                 polygon=random_polygon(rng, cx, cy, r_min, r_max),
             )
         )
-    cls_cycle = (CellClass(LYMPHOCYTE), CellClass(MONOCYTE))
     # one block of draws, x then y per detection, as scalar draws would give them
-    points = rng.uniform(0.0, canvas, size=(n_detections, 2)).tolist()
-    detections = [
-        Detection(id=f"d{j}", point=(x, y), cls=cls_cycle[j % 2], confidence=1.0)
-        for j, (x, y) in enumerate(points)
-    ]
-    return instances, detections
+    xs, ys = rng.uniform(0.0, canvas, size=(n_detections, 2)).T.copy()
+    ids = np.array([f"d{j}" for j in range(n_detections)], dtype=object)
+    # lymphocytes and monocytes in turn
+    codes = np.arange(n_detections, dtype=np.intp) % 2
+    classes = (CellClass(LYMPHOCYTE), CellClass(MONOCYTE))
+    return instances, DetectionTable(ids, xs, ys, np.ones(n_detections), codes, classes)
 
 
 @pytest.fixture

@@ -12,7 +12,10 @@ multiplication ignores), because the suite asserts bit-exact agreement on
 arbitrary float input and only an identical IEEE evaluation sequence makes
 that meaningful.  Where a predicate overflows, the package decides its sign
 exactly and these oracles do not; the inputs they are compared on never
-come near the float range, and the overflow cases are named tests.  The ring self-intersection
+come near the float range, and the overflow cases are named tests.  The
+all-pairs containment oracle may skip, per polygon, the points outside the
+box of its raw exterior vertices, which it can neither hold nor touch; a
+test compares that skip with the full scan.  The ring self-intersection
 oracle tests every pair of edges one at a time, as the reference for the
 package's batched sweep, and the hole oracle tests every hole vertex one
 at a time, as the reference for its batched hole check.  The bucket-scan
@@ -70,6 +73,7 @@ from banffscore.model import (
     PERITUBULAR_CAPILLARY,
     CellClass,
     Detection,
+    DetectionTable,
     Instance,
     SectionScene,
     StructureClass,
@@ -162,25 +166,23 @@ def naive_first_bad_hole(exterior, holes):
 # vectorized brute-force containment (no index, every polygon vs every point)
 
 def _ring_state_many(ring: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    vx, vy = ring[:, 0], ring[:, 1]
-    wx, wy = np.roll(vx, -1), np.roll(vy, -1)
+    vertices = ring.tolist()
     parity = np.zeros(xs.shape, dtype=bool)
     on_boundary = np.zeros(xs.shape, dtype=bool)
-    for x1, y1, x2, y2 in zip(vx, vy, wx, wy):
+    for (x1, y1), (x2, y2) in zip(vertices, vertices[1:] + vertices[:1]):
         d = (x2 - x1) * (ys - y1) - (xs - x1) * (y2 - y1)
-        on_boundary |= (
-            (d == 0.0)
-            & (xs >= min(x1, x2))
-            & (xs <= max(x1, x2))
-            & (ys >= min(y1, y2))
-            & (ys <= max(y1, y2))
-        )
+        zero = d == 0.0
+        if zero.any():  # off the edge's line, a point is not on the edge
+            on_boundary |= (
+                zero
+                & (xs >= min(x1, x2))
+                & (xs <= max(x1, x2))
+                & (ys >= min(y1, y2))
+                & (ys <= max(y1, y2))
+            )
         if y2 != y1:
             straddle = (y1 <= ys) != (y2 <= ys)
-            if y2 > y1:
-                parity = np.logical_xor(parity, straddle & (d > 0.0))
-            else:
-                parity = np.logical_xor(parity, straddle & (d < 0.0))
+            parity ^= straddle & ((d > 0.0) if y2 > y1 else (d < 0.0))
     return parity, on_boundary
 
 
@@ -208,6 +210,16 @@ def package_contains(poly, points) -> np.ndarray:
     return hit
 
 
+def _in_exterior_box(inst, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Per point, whether the closed box of ``inst``'s raw exterior vertices
+    holds it."""
+    pts = inst.polygon.exterior
+    return (
+        (min(p[0] for p in pts) <= xs) & (xs <= max(p[0] for p in pts))
+        & (min(p[1] for p in pts) <= ys) & (ys <= max(p[1] for p in pts))
+    )
+
+
 def brute_bbox_hits(instances, xs, ys) -> List[set]:
     """Exhaustive bounding-box scan: for each point, the ids of the instances
     whose bbox (taken from the exterior vertices) contains it.  Every
@@ -215,37 +227,35 @@ def brute_bbox_hits(instances, xs, ys) -> List[set]:
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     hits: List[set] = [set() for _ in range(xs.size)]
     for inst in instances:
-        pts = inst.polygon.exterior
-        inside = (
-            (min(p[0] for p in pts) <= xs) & (xs <= max(p[0] for p in pts))
-            & (min(p[1] for p in pts) <= ys) & (ys <= max(p[1] for p in pts))
-        )
-        for j in np.flatnonzero(inside).tolist():
+        for j in np.flatnonzero(_in_exterior_box(inst, xs, ys)).tolist():
             hits[j].add(inst.id)
     return hits
 
 
-def brute_members(detections, instances) -> Dict[str, Tuple[str, ...]]:
-    """All-pairs containment: every polygon tested against every detection;
-    the sorted ids of the detections inside each instance."""
-    members: Dict[str, Tuple[str, ...]] = {inst.id: () for inst in instances}
-    if not detections:
-        return members
-    xs = np.array([d.point[0] for d in detections], dtype=np.float64)
-    ys = np.array([d.point[1] for d in detections], dtype=np.float64)
+def brute_members(detections, instances, prune: bool = True) -> Dict[str, Tuple[str, ...]]:
+    """All-pairs containment: every polygon tested against every detection
+    (a table, or a list of rows); the sorted ids of the detections inside
+    each instance.  With ``prune``, a polygon skips the points outside the
+    closed box of its exterior vertices, which it can neither hold nor
+    touch."""
+    table = DetectionTable.from_rows(detections)
+    xs, ys = np.asarray(table.xs, dtype=np.float64), np.asarray(table.ys, dtype=np.float64)
+    members: Dict[str, Tuple[str, ...]] = {}
     for inst in instances:
-        hit = brute_contains_many(inst.polygon.exterior, inst.polygon.holes, xs, ys)
-        members[inst.id] = tuple(sorted(detections[j].id for j in np.nonzero(hit)[0]))
+        rows = np.flatnonzero(_in_exterior_box(inst, xs, ys)) if prune else np.arange(xs.size)
+        hit = brute_contains_many(inst.polygon.exterior, inst.polygon.holes, xs[rows], ys[rows])
+        members[inst.id] = tuple(sorted(table.ids[rows[hit]].tolist()))
     return members
 
 
-def brute_assign_table(detections, instances) -> AssignmentTable:
+def brute_assign_table(detections, instances, prune: bool = True) -> AssignmentTable:
     """The assignment table of :func:`brute_members`."""
-    members = brute_members(detections, instances)
+    table = DetectionTable.from_rows(detections)
+    members = brute_members(table, instances, prune)
     inside = {m for ids in members.values() for m in ids}
     return AssignmentTable(
         counts={iid: len(ids) for iid, ids in members.items()},
-        unassigned=tuple(sorted(d.id for d in detections if d.id not in inside)),
+        unassigned=tuple(sorted(d for d in table.ids.tolist() if d not in inside)),
     )
 
 

@@ -123,6 +123,17 @@ def test_04_spatial_oracle_equivalence():
     _passed(4, f"100 scenes / {checked} detections match brute force exactly ({elapsed:.1f}s)")
 
 
+def test_04_oracle_box_skip_changes_no_answer():
+    # test_04's oracle skips, per polygon, the points outside the box of its
+    # exterior; on test_04's first 5 scenes, testing every point agrees
+    for scene_idx in range(5):
+        instances, detections = random_assignment_scene(
+            seed=4000 + scene_idx, n_instances=200, n_detections=50_000
+        )
+        oracle = brute_assign_table(detections, instances)
+        assert brute_assign_table(detections, instances, prune=False) == oracle, f"scene {scene_idx}"
+
+
 _SELF_CONSISTENCY_PATTERNS = (
     dict(glomerulus_cells=(0, 0, 0, 0, 0), ptc_cells=(0, 0), artery_cells=(0, 0)),
     dict(glomerulus_cells=(5, 0, 0, 0, 0, 0, 0, 0), ptc_cells=(3, 0, 0), artery_cells=(0, 0)),
@@ -357,10 +368,11 @@ def test_11_invariance_suite():
             assert _grades(score_section(scaled)) == base, f"seed {seed}: scale {s} changed a grade"
         inst_order = rng.permutation(len(scene.instances))
         det_order = rng.permutation(len(scene.detections))
+        rows = list(scene.detections)
         shuffled = SectionScene(
             section_id=scene.section_id,
             instances=[scene.instances[j] for j in inst_order],
-            detections=[scene.detections[j] for j in det_order],
+            detections=[rows[j] for j in det_order],
         )
         assert report_to_json(score_section(shuffled)) == report_to_json(
             score_section(
@@ -392,7 +404,7 @@ def test_12_monotonicity_suite():
         scene, _ = generate_scene(spec)
         base = _grades(score_section(scene, config))
 
-        from banffscore.model import LYMPHOCYTE, CellClass, Detection
+        from banffscore.model import LYMPHOCYTE, CellClass, Detection, DetectionTable
 
         for case in range(40):  # 25 scenes x 40 = 1000 added-detection cases
             x = float(rng.uniform(0.0, 4096.0))
@@ -401,7 +413,7 @@ def test_12_monotonicity_suite():
                 section_id=scene.section_id,
                 instances=scene.instances,
                 detections=scene.detections
-                + [Detection(id="extra", point=(x, y), cls=CellClass(LYMPHOCYTE))],
+                + DetectionTable.from_rows([Detection(id="extra", point=(x, y), cls=CellClass(LYMPHOCYTE))]),
             )
             got = _grades(score_section(grown, config))
             for before, after in zip(base, got):

@@ -1,6 +1,8 @@
 """The benchmark's decomposed paths call the package's layers directly, so
 every name they import from ``banffscore`` must still exist and take the
-arguments they pass.  The benchmark files are only parsed here, never run."""
+arguments they pass.  The benchmark files are only parsed here, never run.
+Those paths also read a detection table as rows and pass row lists on, so
+the row view is pinned here as well."""
 
 from __future__ import annotations
 
@@ -10,6 +12,11 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from banffscore.geometry import assign_detections, build_index
+from banffscore.ingest import dedup_detections
+from banffscore.model import OTHER, CellClass, Detection, DetectionTable
+from banffscore.synth import SceneSpec, generate_scene
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -68,3 +75,25 @@ def test_benchmark_call_arguments_bind(file_name):
             unbound.append(f"line {node.lineno}: {ast.unparse(node)[:80]}: {exc}")
     assert checked, f"{file_name} makes no call to a banffscore name"
     assert not unbound, f"{file_name} calls banffscore with arguments it no longer takes: {unbound}"
+
+
+def test_row_view_gives_what_the_columns_give():
+    """``decomposed.py`` iterates a table and filters its rows into a list,
+    which it hands to dedup and assignment."""
+    spec = SceneSpec(section_id="rows", glomerulus_cells=(5, 3), ptc_cells=(4,), artery_cells=(2,),
+                     background_cells=40, seed=3)
+    scene, _ = generate_scene(spec)
+    table = scene.detections + DetectionTable.from_rows([Detection("x", (1.0, 2.0), CellClass(OTHER, "mast"), 0.5)])
+    rows = list(table)
+    assert all(type(d) is Detection for d in rows)
+    assert [d.id for d in rows] == table.ids.tolist()
+    assert [d.point for d in rows] == list(zip(table.xs.tolist(), table.ys.tolist()))
+    assert [d.cls for d in rows] == [table.classes[k] for k in table.codes.tolist()]
+    assert [d.confidence for d in rows] == table.confidences.tolist()
+    for radius in (0.0, 8.0, 50.0):
+        assert dedup_detections(rows, radius) == dedup_detections(table, radius)
+    assert len(dedup_detections(table, 50.0)) < len(table)
+    index = build_index(scene.instances)
+    assigned = assign_detections(table, scene.instances, index)
+    assert assign_detections(rows, scene.instances, index) == assigned
+    assert sum(assigned.counts.values()) > 0

@@ -488,7 +488,7 @@ class TestAssignDetections:
         base = assign_detections(detections, instances, build_index(instances))
         rng = np.random.default_rng(52)
         inst_perm = [instances[i] for i in rng.permutation(len(instances))]
-        det_perm = [detections[i] for i in rng.permutation(len(detections))]
+        det_perm = detections.take(rng.permutation(len(detections)))
         permuted = assign_detections(det_perm, inst_perm, build_index(inst_perm))
         assert permuted == base
 
@@ -524,7 +524,8 @@ class TestAssignDetections:
         index = build_index(instances)
         whole = assign_detections(detections, instances, index)
         for cut1, cut2 in ((300, 600), (1, 899), (450, 451)):
-            parts = [detections[:cut1], detections[cut1:cut2], detections[cut2:]]
+            parts = [detections.take(slice(cut1)), detections.take(slice(cut1, cut2)),
+                     detections.take(slice(cut2, None))]
             tables = [assign_detections(batch, instances, index) for batch in parts]
             merged = AssignmentTable(
                 counts={i: sum(t.counts[i] for t in tables) for i in whole.counts},

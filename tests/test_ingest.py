@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import json
 import math
@@ -261,7 +262,7 @@ class TestParseDetections:
         dets = parse_detections(self.DOC, min_confidence=0.0)
         assert len(dets) == 3
         assert [d.id for d in dets] == ["d0", "d1", "d2"]
-        assert dets[2].confidence == 1.0  # probability defaults to 1.0
+        assert dets.confidences[2] == 1.0  # probability defaults to 1.0
 
     def test_threshold_above_everything_yields_empty(self):
         doc = detection_doc(
@@ -270,7 +271,7 @@ class TestParseDetections:
                 {"name": "monocyte", "point": [3.0, 4.0], "probability": 0.4},
             ]
         )
-        assert parse_detections(doc, min_confidence=0.95) == []
+        assert list(parse_detections(doc, min_confidence=0.95)) == []
 
     def test_ids_stable_under_filtering(self):
         dets = parse_detections(self.DOC, min_confidence=0.5)
@@ -284,7 +285,7 @@ class TestParseDetections:
 
     def test_unmapped_class_excluded_by_default_kept_with_none(self):
         doc = detection_doc([{"name": "plasma cell", "point": [0, 0], "probability": 1.0}])
-        assert parse_detections(doc, min_confidence=0.0) == []
+        assert list(parse_detections(doc, min_confidence=0.0)) == []
         (det,) = parse_detections(doc, min_confidence=0.0, classes=None)
         assert det.cls.kind == OTHER and det.cls.label == "plasma cell"
 
@@ -439,22 +440,22 @@ class TestDedupDetections:
     def test_exact_duplicate_keeps_higher_confidence(self):
         a = mk_detection("a", 5.0, 5.0, confidence=0.9)
         b = mk_detection("b", 5.0, 5.0, confidence=0.8)
-        assert dedup_detections([b, a], radius=0.0) == [a]
+        assert list(dedup_detections([b, a], radius=0.0)) == [a]
 
     def test_radius_zero_keeps_distinct_points(self):
         dets = [mk_detection(f"d{i}", float(i), 0.0) for i in range(5)]
-        assert dedup_detections(dets, radius=0.0) == dets
+        assert list(dedup_detections(dets, radius=0.0)) == dets
 
     def test_different_classes_never_suppress_each_other(self):
         a = mk_detection("a", 5.0, 5.0, kind=LYMPHOCYTE, confidence=0.9)
         b = mk_detection("b", 5.0, 5.0, kind=MONOCYTE, confidence=0.8)
-        assert dedup_detections([a, b], radius=10.0) == [a, b]
+        assert list(dedup_detections([a, b], radius=10.0)) == [a, b]
 
     def test_suppression_radius_is_inclusive(self):
         a = mk_detection("a", 0.0, 0.0, confidence=0.9)
         b = mk_detection("b", 8.0, 0.0, confidence=0.8)
-        assert dedup_detections([a, b], radius=8.0) == [a]
-        assert dedup_detections([a, b], radius=7.9) == [a, b]
+        assert list(dedup_detections([a, b], radius=8.0)) == [a]
+        assert list(dedup_detections([a, b], radius=7.9)) == [a, b]
 
     @pytest.mark.parametrize("radius", [-1.0, math.nan])
     def test_radius_not_at_least_zero_is_rejected(self, radius):
@@ -478,7 +479,7 @@ class TestDedupDetections:
                     confidence=float(rng.uniform(0.2, 1.0)),
                 )
             )
-        assert dedup_detections(detections, radius=8.0) == greedy_dedup_quadratic(detections, 8.0)
+        assert list(dedup_detections(detections, radius=8.0)) == greedy_dedup_quadratic(detections, 8.0)
 
     @given(
         coords=st.lists(
@@ -495,7 +496,7 @@ class TestDedupDetections:
         ]
         out = dedup_detections(dets, radius)
         assert set(d.id for d in out) <= set(d.id for d in dets)
-        assert out == greedy_dedup_quadratic(dets, radius)
+        assert list(out) == greedy_dedup_quadratic(dets, radius)
 
     @given(
         rows=st.lists(
@@ -519,13 +520,13 @@ class TestDedupDetections:
     def test_matches_both_oracles_at_extreme_radii_and_coordinates(self, rows, radius):
         # ids d0..d29 make id string order differ from numeric order on ties
         dets = [Detection(f"d{i}", (x, y), cls, c / 4) for i, (x, y, c, cls) in enumerate(rows)]
-        out = dedup_detections(dets, radius)
+        out = list(dedup_detections(dets, radius))
         assert out == greedy_dedup_quadratic(dets, radius)
         assert out == bucket_dedup(dets, radius)
 
     def test_identity_on_duplicate_free_input(self):
         dets = [mk_detection(f"d{i}", float(i) * 3.0, 0.0) for i in range(10)]
-        assert dedup_detections(dets, radius=0.0) == dets
+        assert list(dedup_detections(dets, radius=0.0)) == dets
 
     def test_many_points_at_a_huge_radius(self):
         # every detection of a kind is within the radius of every other: one
@@ -537,7 +538,7 @@ class TestDedupDetections:
             mk_detection(f"d{i}", x, y, kind=(LYMPHOCYTE, MONOCYTE)[i % 2], confidence=c)
             for i, ((x, y), c) in enumerate(zip(xy.tolist(), conf.tolist()))
         ]
-        out = dedup_detections(dets, 1e308)
+        out = list(dedup_detections(dets, 1e308))
         assert len(out) == 2
         assert out == bucket_dedup(dets, 1e308)
 
@@ -553,7 +554,7 @@ class TestDedupDetections:
             mk_detection(f"d{i}", x, y, kind=(LYMPHOCYTE, MONOCYTE)[i % 3 == 0], confidence=c)
             for i, ((x, y), c) in enumerate(zip(xy.tolist(), conf.tolist()))
         ]
-        assert dedup_detections(dets, radius) == bucket_dedup(dets, radius)
+        assert list(dedup_detections(dets, radius)) == bucket_dedup(dets, radius)
 
     def test_two_crowded_cells_side_by_side(self):
         # 40,000 lymphocytes in each of two adjacent cells of side 8, with
@@ -570,7 +571,7 @@ class TestDedupDetections:
         start = time.perf_counter()
         out = dedup_detections(dets, 8.0)
         elapsed = time.perf_counter() - start
-        assert out == bucket_dedup(dets, 8.0)
+        assert list(out) == bucket_dedup(dets, 8.0)
         assert {"m", f"d{len(xy) - 1}"} <= {d.id for d in out}
         assert elapsed < 5.0, f"dedup of {len(dets)} detections took {elapsed:.2f}s"
 
@@ -598,13 +599,13 @@ class TestSubPixelDedup:
         monkeypatch.setattr(math, "dist", lambda p, q: calls.append(1) or dist(p, q))
         out = dedup_detections(dets, radius)
         monkeypatch.undo()
-        assert out == expected
+        assert list(out) == expected
         assert len(calls) <= 10 * len(dets)
 
     def test_signed_zeros_are_one_point(self):
         a = mk_detection("a", 0.0, -0.0, confidence=0.9)
         b = mk_detection("b", -0.0, 0.0, confidence=0.8)
-        assert dedup_detections([b, a], radius=0.0) == [a]
+        assert list(dedup_detections([b, a], radius=0.0)) == [a]
 
 
 class TestDetectionTable:
@@ -614,23 +615,41 @@ class TestDetectionTable:
         Detection("d2", (-0.5, 7.25), CellClass(MONOCYTE), 0.5),
     ]
 
-    def test_equals_a_list_of_the_same_rows(self):
+    def test_slices_compare_as_tables(self):
         table = DetectionTable.from_rows(self.ROWS)
-        assert table == self.ROWS and self.ROWS == table
-        assert table[:2] == self.ROWS[:2]
-        assert table != self.ROWS[:2] and table != self.ROWS[::-1]
-        assert table[:0] == [] and table != [] and table != 5
+        assert table == DetectionTable.from_rows(list(self.ROWS))
+        assert table.take(slice(2)) == DetectionTable.from_rows(self.ROWS[:2])
+        assert table != DetectionTable.from_rows(self.ROWS[:2])
+        assert table != DetectionTable.from_rows(self.ROWS[::-1])
+        assert table.take(slice(0)) == DetectionTable.from_rows([]) != table
+
+    def test_is_not_a_sequence_and_never_equals_one(self):
+        table = DetectionTable.from_rows(self.ROWS)
+        assert not isinstance(table, collections.abc.Sequence)
+        with pytest.raises(TypeError):
+            table[0]
+        assert table != self.ROWS and self.ROWS != table and table != list(table)
+        assert table.take(slice(0)) != [] and table != 5
+        assert list(table) == self.ROWS
 
     def test_tables_compare_rows_not_class_codes(self):
         table = DetectionTable.from_rows(self.ROWS)
         # built from reversed rows, the class codes differ for the same rows
         reordered = DetectionTable.from_rows(self.ROWS[::-1]).take([2, 1, 0])
         assert reordered.codes.tolist() != table.codes.tolist()
-        assert reordered == table
-        moved = Detection("d2", (-0.5, 7.5), CellClass(MONOCYTE), 0.5)
-        assert DetectionTable.from_rows(self.ROWS[:2] + [moved]) != table
-        relabelled = Detection("d1", (3.0, 4.0), CellClass(OTHER, "eosinophil"), 1.0)
-        assert DetectionTable.from_rows([self.ROWS[0], relabelled, self.ROWS[2]]) != table
+        assert reordered == table and table == reordered
+        d0, d1, d2 = self.ROWS
+        changed = (
+            [d0, d1, Detection("d2", (-0.5, 7.5), CellClass(MONOCYTE), 0.5)],  # a moved point
+            [d0, Detection("d1", (3.0, 4.0), CellClass(OTHER, "eosinophil"), 1.0), d2],  # a relabelled class
+            [d0, Detection("d1", (3.0, 4.0), CellClass(MONOCYTE), 1.0), d2],  # the class of another row
+            [d0, Detection("d9", (3.0, 4.0), CellClass(OTHER, "mast cell"), 1.0), d2],  # another id
+            [Detection("d0", (1.0, 2.0), CellClass(LYMPHOCYTE), 0.8), d1, d2],  # another confidence
+        )
+        for rows in changed:
+            # reversed and taken back, so the codes differ from the table's as well
+            other = DetectionTable.from_rows(rows[::-1]).take([2, 1, 0])
+            assert other != table and table != other, rows
 
     def test_scene_with_a_table_equals_scene_with_its_rows(self):
         table = DetectionTable.from_rows(self.ROWS)
@@ -643,22 +662,27 @@ class TestDetectionTable:
     def test_scene_holds_a_table_equal_to_its_row_list(self):
         scene = SectionScene("s", detections=list(self.ROWS))
         assert type(scene.detections) is DetectionTable
-        assert scene.detections == self.ROWS
+        assert scene.detections == DetectionTable.from_rows(self.ROWS)
+        assert list(scene.detections) == self.ROWS
         assert type(SectionScene("s").detections) is DetectionTable
 
-    def test_sum_with_a_row_list_on_the_right(self):
+    def test_sum_of_two_tables(self):
         extra = Detection("d3", (5.0, 6.0), CellClass(LYMPHOCYTE), 0.7)
         head, tail = self.ROWS[:2], [self.ROWS[2], extra]
-        sums = (
-            DetectionTable.from_rows(head) + tail,
-            DetectionTable.from_rows(head) + DetectionTable.from_rows(tail),
-        )
-        for total in sums:
-            assert type(total) is DetectionTable
-            assert total == self.ROWS + [extra]
-            # one code per class: the lymphocytes of both sides share theirs
-            assert len(total.classes) == 3
-            assert [total.classes[k] for k in total.codes] == [d.cls for d in self.ROWS + [extra]]
+        total = DetectionTable.from_rows(head) + DetectionTable.from_rows(tail)
+        assert type(total) is DetectionTable
+        assert total == DetectionTable.from_rows(self.ROWS + [extra])
+        assert list(total) == self.ROWS + [extra]
+        # one code per class: the lymphocytes of both sides share theirs
+        assert len(total.classes) == 3
+        assert [total.classes[k] for k in total.codes] == [d.cls for d in self.ROWS + [extra]]
+
+    def test_sum_with_rows_is_a_type_error(self):
+        table = DetectionTable.from_rows(self.ROWS)
+        with pytest.raises(TypeError):
+            table + self.ROWS
+        with pytest.raises(TypeError):
+            self.ROWS + table
 
     def test_read_scene_rows_match_one_entry_at_a_time(self):
         entries = [

@@ -591,7 +591,7 @@ class TestAgainstPerObjectOracles:
         survivors = oracles.scalar_omission(scene.instances, pspec)
         assert structural.instances[:len(survivors)] == survivors
         assert len(structural.instances) == len(survivors) + hallucinated
-        assert out.detections == expected
+        assert list(out.detections) == expected
 
 
 def _touching(rng: np.random.Generator, canvas, radius_range, orads):
@@ -712,7 +712,7 @@ class TestBlockPlanting:
             cells = synth._plant(rng, polygons, counts, ids)
         finally:
             synth._BLOCK_PAIRS = original
-        assert cells == oracles.per_cell_plant(expected_rng, polygons, counts, ids)
+        assert list(cells) == oracles.per_cell_plant(expected_rng, polygons, counts, ids)
         assert rng.bit_generator.state == expected_rng.bit_generator.state
         assert rng.integers(0, 2**31, 3).tolist() == expected_rng.integers(0, 2**31, 3).tolist()
 
@@ -721,7 +721,7 @@ class TestBlockPlanting:
         ids = [f"c{k}" for k in range(200)]
         rng, expected_rng = np.random.default_rng(9), np.random.default_rng(9)
         cells = synth._plant(rng, polygons, [200], ids)
-        assert cells == oracles.per_cell_plant(expected_rng, polygons, [200], ids)
+        assert list(cells) == oracles.per_cell_plant(expected_rng, polygons, [200], ids)
         assert rng.bit_generator.state == expected_rng.bit_generator.state
         # each cell reads 5 doubles and each rejected point 3 more; the notch
         # is about a fifth of the fan's area
@@ -795,7 +795,7 @@ class TestFalsePositiveInsertion:
         )
         pspec = PerturbationSpec(detection_fp_count=count, fp_cell_class=cls, seed=seed)
         expected = list(scene.detections) + oracles.scalar_fp_insertion(scene, pspec)
-        assert perturb_scene(scene, pspec).detections == expected
+        assert list(perturb_scene(scene, pspec).detections) == expected
 
 
 def _variant_scene(variant: str) -> SectionScene:
