@@ -22,22 +22,21 @@ upward edge or ``d < 0`` for a downward edge; an odd crossing count per row
 means inside the ring.  ``d == 0`` with the point
 inside the edge's bounding box means the point sits on the segment itself.
 A pair holds when the point is inside the exterior and strictly inside no
-hole, or on any ring.  A :class:`SpatialIndex` holds its polygons and their
-edge table, and :func:`contained_pairs`, the one entry point, runs the
+hole, or on any ring.  A :class:`SpatialIndex` is built over an edge table
+and keeps it, and :func:`contained_pairs`, the one entry point, runs the
 kernel once over every candidate pair the index finds, for
-:func:`assign_detections`, the parsers' nested-hole check and the synthetic
-background draws; the parsers' test of hole vertices against their exterior
-and the synthetic planted cells call the kernel directly, each point with
-its own polygon.  See Hormann & Agathos, "The point in polygon problem for
-arbitrary polygons", Comput. Geom. 20(3), 2001.
+:func:`assign_detections`, scoring, the parsers' nested-hole check and the
+synthetic background draws; the parsers' test of hole vertices against
+their exterior and the synthetic planted cells call the kernel directly,
+each point with its own polygon.  See Hormann & Agathos, "The point in
+polygon problem for arbitrary polygons", Comput. Geom. 20(3), 2001.
 
-It runs a validity gate first: a candidate polygon with a zero-area ring, by
-:func:`ring_area`'s float shoelace sum in vertex order, raises
-DegenerateGeometry.  The gate is banded (:func:`_nonzero_areas`): one
-vector sum per ring of the edge table vouches for every ring whose sum is
-far enough from zero that no order of adding its terms could make it halve
-to 0.0, and :attr:`Polygon.area` decides only the polygons with a ring
-left in the band.
+It runs a validity gate first: a candidate polygon with a zero-area ring,
+by :func:`ring_area`'s float shoelace sum in vertex order over the table's
+float64 vertices, raises DegenerateGeometry.  :meth:`_EdgeTable.first_zero_area`
+decides it, in one place: one vector sum per ring (:func:`_nonzero_areas`)
+vouches for every ring whose sum is far enough from zero that no order of
+adding its terms could make it halve to 0.0, and only the rest are summed.
 """
 from __future__ import annotations
 
@@ -47,8 +46,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,7 +96,10 @@ def ring_area(vertices: Sequence[Point]) -> float:
         x1, y1 = vertices[i]
         x2, y2 = vertices[(i + 1) % n]
         acc += x1 * y2 - x2 * y1
-    return abs(acc) / 2.0 if math.isfinite(acc) else _rounded(_exact_area(vertices))
+    if math.isfinite(acc):
+        return abs(acc) / 2.0
+    exact = _exact_area(vertices)
+    return float(exact) if exact <= sys.float_info.max else math.inf
 
 
 def _nonzero_areas(edges: _EdgeTable) -> np.ndarray:
@@ -134,13 +136,6 @@ def _exact_area(vertices: Sequence[Point]) -> Fraction:
     return abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]))) / 2
 
 
-def _rounded(exact: Fraction) -> float:
-    """``exact`` rounded to a float, or infinity of its sign beyond the float range."""
-    if abs(exact) <= sys.float_info.max:
-        return float(exact)
-    return math.inf if exact > 0 else -math.inf
-
-
 @dataclass(frozen=True)
 class Polygon:
     """Polygon with an exterior ring and zero or more hole rings.
@@ -168,23 +163,6 @@ class Polygon:
         cx = (b.min_x + b.max_x) / 2.0
         cy = (b.min_y + b.max_y) / 2.0
         return (cx, cy, max(math.hypot(x - cx, y - cy) for x, y in self.exterior))
-
-    @cached_property
-    def area(self) -> float:
-        """Exterior area minus hole areas; if a float area is not finite, the
-        exact difference, rounded as :func:`ring_area` rounds."""
-        outer = ring_area(self.exterior)
-        if outer == 0.0:
-            raise DegenerateGeometry("exterior ring has zero area")
-        inner = 0.0
-        for h in self.holes:
-            a = ring_area(h)
-            if a == 0.0:
-                raise DegenerateGeometry("hole ring has zero area")
-            inner += a
-        if math.isfinite(outer) and math.isfinite(inner):
-            return outer - inner
-        return _rounded(_exact_area(self.exterior) - sum(map(_exact_area, self.holes)))
 
 
 # (point, edge) evaluations at once in the containment kernel; bounds its
@@ -235,9 +213,29 @@ class _EdgeTable:
 
     @cached_property
     def unsure(self) -> np.ndarray:
-        """Positions of the polygons with a ring whose area
-        :func:`_nonzero_areas` cannot vouch for."""
-        return np.flatnonzero(~np.logical_and.reduceat(_nonzero_areas(self), self.first_ring))
+        """Positions of the rings whose area :func:`_nonzero_areas` cannot vouch for."""
+        return np.flatnonzero(~_nonzero_areas(self))
+
+    def first_zero_area(self, live: Optional[np.ndarray] = None) -> Optional[int]:
+        """The first ring, of the polygons the mask ``live`` marks (of every
+        polygon when None), whose :func:`ring_area` over the table's float64
+        vertices is 0.0, or None: the one place zero area is decided.  Only
+        the :attr:`unsure` rings are summed; one of fewer than 3 vertices
+        raises :func:`ring_area`'s error."""
+        rings = self.unsure
+        if live is not None:
+            rings = rings[live[np.searchsorted(self.first_ring, rings, side="right") - 1]]
+        for r in rings.tolist():
+            start = self.ring_start[r]
+            if ring_area(self.xy[start:start + self.ring_size[r]].tolist()) == 0.0:
+                return r
+        return None
+
+    def polygons(self) -> List[Polygon]:
+        """The table's polygons, the one place columns become vertex tuples."""
+        points = list(zip(self.x1.tolist(), self.y1.tolist()))
+        rings = iter([tuple(points[a:a + n]) for a, n in zip(self.ring_start.tolist(), self.ring_size.tolist())])
+        return [Polygon(exterior=next(rings), holes=tuple(islice(rings, m - 1))) for m in self.n_rings.tolist()]
 
 
 def _contains(edges: _EdgeTable, px: np.ndarray, py: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -280,9 +278,9 @@ def _contains(edges: _EdgeTable, px: np.ndarray, py: np.ndarray, owner: np.ndarr
 
 
 class SpatialIndex:
-    """Uniform grid over the exterior bounds of a set of polygons, which it
-    holds together with their edge table (:class:`_EdgeTable`) for
-    :func:`contained_pairs`.
+    """Uniform grid over the exterior bounds of the polygons of an edge
+    table (:class:`_EdgeTable`), which it keeps for :func:`contained_pairs`;
+    ``ids[k]`` names the table's polygon ``k``.
 
     One table backs its one query, :meth:`pairs`: for each grid cell, the
     ascending positions of the polygons whose bbox cell range covers that
@@ -294,13 +292,12 @@ class SpatialIndex:
     bounds (+inf minima, -inf maxima), which hold no point.
     """
 
-    def __init__(self, ids: Sequence[str], polygons: Sequence[Polygon]):
+    def __init__(self, ids: Sequence[str], edges: _EdgeTable):
         self._ids: Tuple[str, ...] = tuple(ids)
-        self._polygons: Tuple[Polygon, ...] = tuple(polygons)
-        if len(self._ids) != len(self._polygons):
-            raise IndexMismatch(f"{len(self._ids)} ids for {len(self._polygons)} polygons")
         n = len(self._ids)
-        self._edges = edges = _EdgeTable.of(self._polygons)
+        if n != edges.n_rings.size:
+            raise IndexMismatch(f"{n} ids for {edges.n_rings.size} polygons")
+        self._edges = edges
         self._boxes = edges.boxes[edges.first_ring]  # each polygon's bbox is that of its exterior ring
         self._side = max(1, min(128, 2 * math.isqrt(n)))
         lo = self._boxes[:, :2].min(axis=0, initial=math.inf).tolist()
@@ -364,9 +361,9 @@ def contained_pairs(index: SpatialIndex, xs: np.ndarray, ys: np.ndarray,
         keep = live[k]
         pt, k = pt[keep], k[keep]
     edges = index._edges
-    used = np.bincount(k, minlength=len(index.ids)) > 0
-    for j in edges.unsure[used[edges.unsure]].tolist():
-        index._polygons[j].area  # validity gate: raises DegenerateGeometry on a zero-area ring
+    zero = edges.first_zero_area(np.bincount(k, minlength=len(index.ids)) > 0)
+    if zero is not None:
+        raise DegenerateGeometry(f"{'hole' if edges.is_hole[zero] else 'exterior'} ring has zero area")
     hit = _contains(edges, xs[pt], ys[pt], k)
     return pt[hit], k[hit]
 
@@ -375,7 +372,7 @@ def build_index(instances: Sequence) -> SpatialIndex:
     """Grid index over the polygons of ``instances`` (objects with ``.id``
     and ``.polygon``).  An empty list yields an index that returns no
     candidates."""
-    return SpatialIndex([inst.id for inst in instances], [inst.polygon for inst in instances])
+    return SpatialIndex([inst.id for inst in instances], _EdgeTable.of([inst.polygon for inst in instances]))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ import json
 import math
 import numbers
 from contextlib import suppress
-from itertools import chain, islice
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -60,14 +60,11 @@ from .errors import (
 from .geometry import (
     _BLOCK_PAIRS,
     Point,
-    Polygon,
     SpatialIndex,
     _contains,
     _EdgeTable,
-    _nonzero_areas,
     contained_pairs,
     orient,
-    ring_area,
 )
 from .model import (
     INDICATORS,
@@ -299,13 +296,12 @@ def _first_self_intersecting_ring(edges: _EdgeTable) -> int:
 
 
 class _RingColumns(NamedTuple):
-    """The cleaned rings before ring ``bad``: their table, of the polygons cut
-    short before ``bad``, and ring ``r`` as vertex tuples at ``rings[r]``;
-    ``error`` is why cleaning rejects ring ``bad``, without its owner, or
-    None if it rejects none (``bad`` is then the ring count)."""
+    """The cleaned rings before ring ``bad`` as their table, of the polygons
+    cut short before ``bad``; ``error`` is why cleaning rejects ring ``bad``,
+    without its owner, or None if it rejects none (``bad`` is then the ring
+    count)."""
 
     edges: _EdgeTable
-    rings: List[Tuple[Point, ...]]
     bad: int
     error: Optional[BanffScoreError]
 
@@ -359,10 +355,10 @@ def _ring_columns(rings: list, n_rings: np.ndarray) -> _RingColumns:
     rings fail together are they read one at a time, and the first bad
     ring's vertex named by :func:`_vertex_error`), has at least 3 vertices,
     keeps 3 once a vertex equal to the one before it and then a last vertex
-    equal to the first are dropped, and has a non-zero :func:`ring_area`
-    (one vector sum, :func:`~banffscore.geometry._nonzero_areas`, vouches
-    for most rings).  Each check runs on the rings before the first that an
-    earlier one rejected, so the ring named is the first any check rejects.
+    equal to the first are dropped, and has a non-zero area (the table's
+    :meth:`~banffscore.geometry._EdgeTable.first_zero_area` decides).  Each
+    check runs on the rings before the first that an earlier one rejected,
+    so the ring named is the first any check rejects.
     """
     bad, error = len(rings), None
     xy = _coordinates(rings)
@@ -394,26 +390,22 @@ def _ring_columns(rings: list, n_rings: np.ndarray) -> _RingColumns:
         return _EdgeTable(xy[keep][:sizes[:upto].sum()], sizes[:upto], counts[counts > 0])
 
     edges = table(bad)
-    points = list(zip(edges.x1.tolist(), edges.y1.tolist()))
-    cleaned = [tuple(points[a:a + n]) for a, n in zip(edges.ring_start.tolist(), edges.ring_size.tolist())]
-    unsure = np.flatnonzero(~_nonzero_areas(edges)).tolist()
-    zero = next((r for r in unsure if ring_area(cleaned[r]) == 0.0), None)
+    zero = edges.first_zero_area()
     if zero is not None:
-        bad, error = zero, DegenerateGeometry("ring has zero area")
-        edges, cleaned = table(zero), cleaned[:zero]
-    return _RingColumns(edges, cleaned, bad, error)
+        bad, error, edges = zero, DegenerateGeometry("ring has zero area"), table(zero)
+    return _RingColumns(edges, bad, error)
 
 
-def _first_bad_hole(edges: _EdgeTable, polygons: Sequence[Polygon]) -> Optional[Tuple[int, str]]:
-    """The position in ``polygons`` (whose table is ``edges``) of the first
-    polygon with a hole that is not inside its exterior ring or whose first
-    vertex another hole of its polygon holds, and the error message for
-    that hole; None if there is none.  First is as a loop over each
-    polygon's holes finds it: lowest hole, its "not inside" check first,
-    then the lowest other hole.  One kernel call tests the hole vertices in
-    their exterior's bbox, on a table in which each ring is its own
-    polygon; only polygons with two or more holes put them in an index,
-    which tests their first vertices."""
+def _first_bad_hole(edges: _EdgeTable) -> Optional[Tuple[int, str]]:
+    """The position of the first polygon of ``edges`` with a hole that is
+    not inside its exterior ring or whose first vertex another hole of its
+    polygon holds, and the error message for that hole; None if there is
+    none.  First is as a loop over each polygon's holes finds it: lowest
+    hole, its "not inside" check first, then the lowest other hole.  One
+    kernel call tests the hole vertices in their exterior's bbox, on a
+    table in which each ring is its own polygon; only polygons with two or
+    more holes put them in an index, over a table of those hole rings from
+    ``edges``, which tests their first vertices."""
     if not edges.is_hole.any():
         return None
     ring = np.repeat(np.arange(edges.ring_size.size), edges.ring_size)
@@ -429,8 +421,9 @@ def _first_bad_hole(edges: _EdgeTable, polygons: Sequence[Polygon]) -> Optional[
     bad = [(int(r), 0, 0) for r in outside[:1]]
     nests = np.flatnonzero(edges.is_hole & (edges.n_rings[polygon] > 2))
     if nests.size:
-        index = SpatialIndex(nests, [Polygon(exterior=hole) for p in polygons if len(p.holes) > 1 for hole in p.holes])
-        first = edges.ring_start[nests]
+        first, size = edges.ring_start[nests], edges.ring_size[nests]
+        vertex = np.repeat(first - (np.cumsum(size) - size), size) + np.arange(size.sum())
+        index = SpatialIndex(nests, _EdgeTable(edges.xy[vertex], size, np.ones_like(size)))
         h, other = (nests[k] for k in contained_pairs(index, edges.x1[first], edges.y1[first]))
         pair = (h != other) & (polygon[h] == polygon[other])
         bad += [(int(a), 1, int(b)) for a, b in zip(h[pair][:1], other[pair][:1])]
@@ -455,7 +448,8 @@ def _instances(entries: Iterator[_Entry], kind: str) -> List[Instance]:
     clean ring that touches or crosses itself, one call the first polygon
     with a bad hole (:func:`_first_bad_hole`), and a scan of the ids the
     first repeat.  The least (entry, check) of these defects is raised;
-    with none, the package error that reading the next entry raised.
+    with none, the package error that reading the next entry raised.  Only
+    a document with neither builds vertex tuples, from the checked table.
     """
     listed: List[_Entry] = []
     unread = None
@@ -480,9 +474,7 @@ def _instances(entries: Iterator[_Entry], kind: str) -> List[Instance]:
     if error is not None:
         k = int(np.searchsorted(np.cumsum(n_rings), bad, side="right"))
         found.append((k, 1, type(error)(f"{kind} {echo_id(ids[k])}: {error}")))
-    rings = iter(columns.rings)
-    polygons = [Polygon(exterior=next(rings), holes=tuple(islice(rings, m - 1))) for m in columns.edges.n_rings.tolist()]
-    if (hole := _first_bad_hole(columns.edges, polygons)) is not None:
+    if (hole := _first_bad_hole(columns.edges)) is not None:
         k, message = hole
         found.append((k, 2, DegenerateGeometry(f"{kind} {echo_id(ids[k])}: {message}")))
     if len(set(ids)) < len(ids):
@@ -495,7 +487,7 @@ def _instances(entries: Iterator[_Entry], kind: str) -> List[Instance]:
         raise unread
     return [
         Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props))
-        for (iid, cls, _, props), polygon in zip(listed, polygons)
+        for (iid, cls, _, props), polygon in zip(listed, columns.edges.polygons())
     ]
 
 

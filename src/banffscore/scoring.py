@@ -14,14 +14,17 @@ conflated with "no lesion".
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
+import numpy as np
+
 from . import __version__
 from .config import RunConfig
-from .errors import MalformedDocument, echo
-from .geometry import SpatialIndex, assign_detections, build_index
+from .errors import IndexMismatch, MalformedDocument, echo
+from .geometry import SpatialIndex, build_index, contained_pairs
 from .ingest import canonical_json_bytes, checked_integer, dedup_detections
 from .model import (
     ARTERY,
@@ -152,9 +155,14 @@ def score_section(scene: SectionScene, config: RunConfig = RunConfig()) -> Score
 def _section_details(detections: DetectionTable, config: RunConfig, scorable: Sequence[Instance],
                      index: SpatialIndex) -> Dict[str, GradeDetail]:
     """The grade details :func:`score_section` reports for a scene with these
-    detections, whose scorable instances are ``scorable``, indexed by ``index``."""
-    table = assign_detections(_counted(detections, config), scorable, index)
-    return _graded(scorable, [table.counts[inst.id] for inst in scorable])
+    detections, whose scorable instances are ``scorable`` (ids distinct, or
+    IndexMismatch), indexed by ``index``."""
+    detections = _counted(detections, config)
+    repeated = [i for i, n in Counter(inst.id for inst in scorable).items() if n > 1]
+    if repeated:
+        raise IndexMismatch(f"duplicate instance id {echo(repeated[0])}")
+    found = contained_pairs(index, detections.xs, detections.ys)[1]
+    return _graded(scorable, np.bincount(found, minlength=len(scorable)).tolist())
 
 
 def _counted(detections: DetectionTable, config: RunConfig) -> DetectionTable:

@@ -41,6 +41,7 @@ from .errors import ConfigError, PlacementFailure, echo
 from .geometry import (
     _BLOCK_PAIRS,
     Polygon,
+    SpatialIndex,
     _contains,
     _EdgeTable,
     build_index,
@@ -349,11 +350,11 @@ def _cells(ids: List[str], xs: np.ndarray, ys: np.ndarray, u_class: np.ndarray,
     return DetectionTable.from_labels(ids, xs, ys, confidences, labels, CellClass)
 
 
-def _plant(rng: np.random.Generator, polygons: Sequence[Polygon], counts: Sequence[int],
-           ids: List[str]) -> DetectionTable:
-    """One cell per id at a uniform point inside a convex polygon: the first
-    ``counts[0]`` ids in ``polygons[0]``, the next ``counts[1]`` in
-    ``polygons[1]``, and so on.
+def _plant(rng: np.random.Generator, edges: _EdgeTable, counts: Sequence[int], ids: List[str]) -> DetectionTable:
+    """One cell per id at a uniform point inside a convex polygon of the
+    table ``edges`` (its exterior ring; the table :func:`_check_rings`
+    returns has no holes): the first ``counts[0]`` ids in polygon 0, the
+    next ``counts[1]`` in polygon 1, and so on.
 
     Each cell reads five doubles: its fan triangle ``(a, b, c)``
     (``rng.choice`` with the triangles' area weights), ``u`` and ``w`` of its
@@ -369,11 +370,10 @@ def _plant(rng: np.random.Generator, polygons: Sequence[Polygon], counts: Sequen
     buffered 32-bit half that ``rng.integers`` leaves behind.  A cell whose
     point is rejected 100 times in a row is a PlacementFailure.
     """
-    owner = np.repeat(np.arange(len(polygons)), counts)
-    edges = _EdgeTable.of(polygons)
+    owner = np.repeat(np.arange(edges.n_rings.size), counts)
     apex = edges.ring_start[edges.first_ring]  # vertex 0 of each exterior, every fan triangle's first corner
     sizes = edges.ring_size[edges.first_ring]
-    cdf = np.full((len(polygons), int((sizes - 2).max(initial=0))), np.inf)
+    cdf = np.full((edges.n_rings.size, int((sizes - 2).max(initial=0))), np.inf)
     for k, (start, n) in enumerate(zip(apex.tolist(), sizes.tolist())):
         x, y = edges.x1[start:start + n], edges.y1[start:start + n]
         areas = np.abs((x[1:-1] - x[0]) * (y[2:] - y[0]) - (x[2:] - x[0]) * (y[1:-1] - y[0])) / 2.0
@@ -406,8 +406,9 @@ def _plant(rng: np.random.Generator, polygons: Sequence[Polygon], counts: Sequen
     return _cells(ids, *columns)
 
 
-def _check_rings(instances: List[Instance]) -> None:
-    """Raise PlacementFailure naming the first instance whose ring
+def _check_rings(instances: List[Instance]) -> _EdgeTable:
+    """The table of the instances' exterior rings, or PlacementFailure
+    naming the first instance whose ring
     :func:`~banffscore.ingest.read_scene` would reject or change, as a tiny
     radius can make it: of the ring that one columnar pass
     (:func:`~banffscore.ingest._ring_columns`) rejects, the first it changes
@@ -424,6 +425,7 @@ def _check_rings(instances: List[Instance]) -> None:
     if found:
         r, _, message = min(found)
         raise PlacementFailure(f"{instances[r].id}: {message}")
+    return columns.edges
 
 
 def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
@@ -445,16 +447,15 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
             instances.append(
                 Instance(id=f"{prefix}-{j + 1}", cls=StructureClass(kind), polygon=poly)
             )
-    _check_rings(instances)
-    polygons = [inst.polygon for inst in instances]
+    edges = _check_rings(instances)
     counts = [c for _, _, cell_counts, _ in spec.plan() for c in cell_counts]
-    planted = _plant(rng, polygons, counts, [f"cell-{k}" for k in range(1, sum(counts) + 1)])
+    planted = _plant(rng, edges, counts, [f"cell-{k}" for k in range(1, sum(counts) + 1)])
     # The background stream is a sequence of pairs of doubles: an attempt's
     # x and y, mapped as rng.uniform maps a double, and after a free attempt
     # that cell's class and confidence.  It is read and tested a block at a
     # time.  The background is the scene stream's last stage, so the pairs
     # the walk leaves unread in the last block need no rewind.
-    index = build_index(instances)
+    index = SpatialIndex([inst.id for inst in instances], edges)
     background: List[Tuple[float, float, float, float]] = []
     point, misses = None, 0
     while len(background) < spec.background_cells:
@@ -610,9 +611,9 @@ def _perturbation(
             occupied.add(circle)
             added.append(Instance(id=iid, cls=StructureClass(kind), polygon=poly))
             # planting draws before the next placement, so each ring is checked alone
-            _check_rings(added[-1:])
+            edges = _check_rings(added[-1:])
             cell_ids = [f"{iid}-cell-{c}" for c in range(1, hspec.cells_per_instance + 1)]
-            detections = detections + _plant(rng, [poly], [hspec.cells_per_instance], cell_ids)
+            detections = detections + _plant(rng, edges, [hspec.cells_per_instance], cell_ids)
 
     if pspec.detection_fn_prob > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "fn"))

@@ -97,10 +97,6 @@ def trapezoid_ring_area(ring: Sequence[Tuple[float, float]]) -> float:
     return abs(acc)
 
 
-def trapezoid_polygon_area(exterior, holes=()) -> float:
-    return trapezoid_ring_area(exterior) - sum(trapezoid_ring_area(h) for h in holes)
-
-
 # ---------------------------------------------------------------------------
 # naive scalar ray casting (boundary-inclusive)
 
@@ -206,7 +202,7 @@ def package_contains(poly, points) -> np.ndarray:
     :func:`banffscore.geometry.contained_pairs`, over a one-polygon index."""
     xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     hit = np.zeros(len(xy), dtype=bool)
-    hit[contained_pairs(SpatialIndex(["polygon"], [poly]), xy[:, 0].copy(), xy[:, 1].copy())[0]] = True
+    hit[contained_pairs(SpatialIndex(["polygon"], _EdgeTable.of([poly])), xy[:, 0].copy(), xy[:, 1].copy())[0]] = True
     return hit
 
 
@@ -784,7 +780,7 @@ def polygon_from_coords(coords, owner: str) -> Polygon:
         if _first_self_intersecting_ring(_EdgeTable.of([Polygon(exterior=rings[-1])])) >= 0:
             raise DegenerateGeometry(f"{owner}: self-intersecting ring")
     polygon = Polygon(exterior=rings[0], holes=tuple(rings[1:]))
-    if polygon.holes and (bad := _first_bad_hole(_EdgeTable.of([polygon]), [polygon])):
+    if polygon.holes and (bad := _first_bad_hole(_EdgeTable.of([polygon]))):
         raise DegenerateGeometry(f"{owner}: {bad[1]}")
     return polygon
 

@@ -173,6 +173,25 @@ class TestParseStructures:
         with pytest.raises(DegenerateGeometry, match="flat"):
             parse_structures(data)
 
+    @pytest.mark.parametrize(
+        "rings, message",
+        [
+            pytest.param([SQUARE_RING, [[20, 20], [40, 20], [40, 40], [20, 40]]],
+                         "feature last: hole 0 is not inside the exterior ring", id="bad-hole"),
+            pytest.param([[[0, 0], [1, 1], [2, 2]]], "feature last: ring has zero area", id="zero-area"),
+        ],
+    )
+    def test_rejected_document_builds_no_vertex_tuples(self, monkeypatch, rings, message):
+        def refuse(edges):
+            raise AssertionError("vertex tuples built for a rejected document")
+
+        monkeypatch.setattr(_EdgeTable, "polygons", refuse)
+        hole = [[2, 2], [4, 2], [4, 4], [2, 4]]
+        features = [polygon_feature(f"f{k}", "artery", [SQUARE_RING, hole]) for k in range(3)]
+        with pytest.raises(DegenerateGeometry) as info:
+            parse_structures(feature_collection(*features, polygon_feature("last", "artery", rings)))
+        assert str(info.value) == message
+
     def test_self_intersecting_ring_rejected_not_repaired(self):
         bowtie = [[0, 0], [10, 10], [10, 0], [0, 10], [0, 0]]
         data = feature_collection(polygon_feature("bow", "glomerulus", [bowtie]))
@@ -1240,12 +1259,12 @@ class TestRingValidation:
         wide_square = ((-1e308, -1e308), (1e308, -1e308), (1e308, 1e308), (-1e308, 1e308))
         assert first_self_intersecting_ring([wide_square, bow_tie]) == 1
         (inst,) = parse_structures(feature_collection(polygon_feature("wide", "glomerulus", [wide_square])))
-        assert inst.polygon.area == math.inf
+        assert geometry.ring_area(inst.polygon.exterior) == math.inf
 
     def test_near_collinear_ring_accepted_by_both_parsers(self):
         data = feature_collection(polygon_feature("thin", "ptc", [NEAR_COLLINEAR_RING]))
         (inst,) = parse_structures(data)
-        assert inst.polygon.area == pytest.approx(3226.74, abs=0.01)
+        assert geometry.ring_area(inst.polygon.exterior) == pytest.approx(3226.74, abs=0.01)
         scene = SectionScene(section_id="s", instances=[inst])
         assert read_scene(write_scene(scene)) == scene
 
@@ -1490,7 +1509,7 @@ class TestColumnarRingPass:
         columns = _ring_columns(rings, np.ones(len(rings), dtype=np.intp))
         assert (columns.error is not None) == (cleaned is None)
         if columns.error is None:
-            assert repr(columns.rings) == repr(cleaned)
+            assert repr([poly.exterior for poly in columns.edges.polygons()]) == repr(cleaned)
             table = _EdgeTable.of([Polygon(exterior=ring) for ring in cleaned])
             for name in ("xy", "ring_size", "ring_start", "first_ring", "x2", "y2"):
                 assert np.array_equal(getattr(columns.edges, name), getattr(table, name)), name

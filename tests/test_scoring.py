@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banffscore import ConfigError, MalformedDocument, RunConfig, __version__
+from banffscore.errors import IndexMismatch
 from banffscore.model import (
     ARTERY,
     DEFAULT_CELL_ALIASES,
@@ -37,6 +38,7 @@ from banffscore.scoring import (
     score_section,
     score_v,
 )
+from banffscore.synth import PerturbationSpec, sensitivity_run
 
 from conftest import mk_detection, mk_instance, square
 from oracles import g_band, max_count_band
@@ -342,6 +344,21 @@ class TestScoreSection:
         ):
             with pytest.raises(ConfigError, match=next(iter(bad))):
                 RunConfig(**bad)
+
+    def test_scorable_instances_sharing_an_id_raise(self):
+        # read_scene rejects such a scene; a library caller can still build one
+        scene = SectionScene(
+            section_id="twins",
+            instances=[
+                mk_instance("a", GLOMERULUS, square(0.0, 0.0, 5.0)),
+                mk_instance("a", ARTERY, square(20.0, 0.0, 5.0)),
+            ],
+            detections=[mk_detection("d0", 0.0, 0.0), mk_detection("d1", 20.0, 0.0)],
+        )
+        with pytest.raises(IndexMismatch, match="^duplicate instance id 'a'$"):
+            score_section(scene)
+        with pytest.raises(IndexMismatch, match="^duplicate instance id 'a'$"):
+            sensitivity_run(scene, PerturbationSpec(detection_fn_prob=0.5), trials=2)
 
 
 class TestReportSerialization:

@@ -709,7 +709,7 @@ class TestBlockPlanting:
         original = synth._BLOCK_PAIRS
         synth._BLOCK_PAIRS = block
         try:
-            cells = synth._plant(rng, polygons, counts, ids)
+            cells = synth._plant(rng, synth._EdgeTable.of(polygons), counts, ids)
         finally:
             synth._BLOCK_PAIRS = original
         assert list(cells) == oracles.per_cell_plant(expected_rng, polygons, counts, ids)
@@ -720,7 +720,7 @@ class TestBlockPlanting:
         polygons = [synth.Polygon(exterior=_notched_ring(8.0))]
         ids = [f"c{k}" for k in range(200)]
         rng, expected_rng = np.random.default_rng(9), np.random.default_rng(9)
-        cells = synth._plant(rng, polygons, [200], ids)
+        cells = synth._plant(rng, synth._EdgeTable.of(polygons), [200], ids)
         assert list(cells) == oracles.per_cell_plant(expected_rng, polygons, [200], ids)
         assert rng.bit_generator.state == expected_rng.bit_generator.state
         # each cell reads 5 doubles and each rejected point 3 more; the notch
@@ -740,7 +740,7 @@ class TestBlockPlanting:
         # second cell's first rejection comes with the first cell's acceptance
         calls = iter(script)
         monkeypatch.setattr(synth, "_contains", lambda edges, xs, ys, own: np.arange(xs.size) < next(calls))
-        args = (np.random.default_rng(2), [synth.Polygon(exterior=square(0, 0, 5))], [2], ["a", "b"])
+        args = (np.random.default_rng(2), synth._EdgeTable.of([synth.Polygon(exterior=square(0, 0, 5))]), [2], ["a", "b"])
         if fails:
             with pytest.raises(PlacementFailure, match="interior sampling failed"):
                 synth._plant(*args)
