@@ -179,10 +179,9 @@ def _read_manifest(path: Path) -> List[Tuple[Path, Path]]:
     base = path.parent
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
-        for i, row in enumerate(reader):
-            if not row or (row[0].strip().startswith("#")):
-                continue
-            if i == 0 and [c.strip().lower() for c in row[:2]] == ["report", "ground_truth"]:
+        listed = ((i, row) for i, row in enumerate(reader) if row and not row[0].strip().startswith("#"))
+        for n, (i, row) in enumerate(listed):
+            if n == 0 and [c.strip().lower() for c in row[:2]] == ["report", "ground_truth"]:
                 continue
             if len(row) < 2:
                 raise BanffScoreError(f"{path}: manifest row {i + 1}: expected 'report,ground_truth'")

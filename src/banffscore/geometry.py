@@ -25,11 +25,11 @@ A pair holds when the point is inside the exterior and strictly inside no
 hole, or on any ring.  A :class:`SpatialIndex` is built over an edge table
 and keeps it, and :func:`contained_pairs`, the one entry point, runs the
 kernel once over every candidate pair the index finds, for
-:func:`assign_detections`, scoring, the parsers' nested-hole check and the
-synthetic background draws; the parsers' test of hole vertices against
-their exterior and the synthetic planted cells call the kernel directly,
-each point with its own polygon.  See Hormann & Agathos, "The point in
-polygon problem for arbitrary polygons", Comput. Geom. 20(3), 2001.
+:func:`assign_detections`, scoring, the nested-hole check and the synthetic
+background draws; the test of hole vertices against their exterior and the
+synthetic planted cells call the kernel directly, each point with its own
+polygon.  See Hormann & Agathos, "The point in polygon problem for
+arbitrary polygons", Comput. Geom. 20(3), 2001.
 
 It runs a validity gate first: a candidate polygon with a zero-area ring,
 by :func:`ring_area`'s float shoelace sum in vertex order over the table's
@@ -37,6 +37,9 @@ float64 vertices, raises DegenerateGeometry.  :meth:`_EdgeTable.first_zero_area`
 decides it, in one place: one vector sum per ring (:func:`_nonzero_areas`)
 vouches for every ring whose sum is far enough from zero that no order of
 adding its terms could make it halve to 0.0, and only the rest are summed.
+The table decides the rest of ring validity for the parsers and the scene
+generator too: self-intersection (the other caller of :func:`orient`) and
+holes outside their exterior or inside another hole.
 """
 from __future__ import annotations
 
@@ -61,6 +64,10 @@ class BoundingBox(NamedTuple):
     min_y: float
     max_x: float
     max_y: float
+
+
+def _within(lo_x, hi_x, lo_y, hi_y, px, py):
+    return (lo_x <= px) & (px <= hi_x) & (lo_y <= py) & (py <= hi_y)
 
 
 def _cross(ax, ay, bx, by, cx, cy):
@@ -212,6 +219,16 @@ class _EdgeTable:
         return np.hstack((np.minimum.reduceat(xy, self.ring_start), np.maximum.reduceat(xy, self.ring_start)))
 
     @cached_property
+    def vertex_ring(self) -> np.ndarray:
+        """Per vertex, the position of its ring."""
+        return np.repeat(np.arange(self.ring_size.size), self.ring_size)
+
+    @cached_property
+    def ring_polygon(self) -> np.ndarray:
+        """Per ring, the position of its polygon."""
+        return np.repeat(np.arange(self.n_rings.size), self.n_rings)
+
+    @cached_property
     def unsure(self) -> np.ndarray:
         """Positions of the rings whose area :func:`_nonzero_areas` cannot vouch for."""
         return np.flatnonzero(~_nonzero_areas(self))
@@ -224,12 +241,125 @@ class _EdgeTable:
         raises :func:`ring_area`'s error."""
         rings = self.unsure
         if live is not None:
-            rings = rings[live[np.searchsorted(self.first_ring, rings, side="right") - 1]]
+            rings = rings[live[self.ring_polygon[rings]]]
         for r in rings.tolist():
             start = self.ring_start[r]
             if ring_area(self.xy[start:start + self.ring_size[r]].tolist()) == 0.0:
                 return r
         return None
+
+    def first_self_intersecting_ring(self) -> int:
+        """The first ring that touches or crosses itself, or -1.
+
+        Every ring must already be clean (at least 3 vertices, no repeated
+        consecutive vertex, implicitly closed).  Adjacent edges share a vertex
+        and are rejected only for a zero-width spike through it (collinear and
+        pointing back).  Any other pair of edges is rejected when the closed
+        segments meet, decided by :func:`orient` on the lower-numbered edge
+        first; pairs whose closed bounding boxes are disjoint never meet, and
+        only the others are tested.  They are found by a sweep over the edges
+        sorted by ring, then by ``lo_x``: an edge's candidates are the later
+        edges of its ring whose ``lo_x`` is at most its ``hi_x``, generated
+        ``_BLOCK_PAIRS`` at a time.
+        """
+        n_rings = self.ring_size.size
+        if not n_rings:
+            return -1
+        x, y, x2, y2, nxt, ring = self.x1, self.y1, self.x2, self.y2, self.nxt, self.vertex_ring
+        nv = x.size
+        vertex = np.arange(nv)
+        prev = np.empty_like(nxt)
+        prev[nxt] = vertex
+        # The spike at vertex 0 is tested as (v1, v0, v[n-1]), every other one
+        # as (v[k-1], v[k], v[k+1]).
+        at_start = vertex == self.ring_start[ring]
+        before, after = np.where(at_start, nxt, prev), np.where(at_start, prev, nxt)
+        px, py, ax, ay = x[before], y[before], x[after], y[after]
+        with np.errstate(over="ignore", invalid="ignore"):
+            spike = (orient(px, py, x, y, ax, ay) == 0.0) & (
+                (px - x) * (ax - x) + (py - y) * (ay - y) > 0
+            )
+        first = int(ring[spike][0]) if spike.any() else n_rings
+
+        lo_x, hi_x = np.minimum(x, x2), np.maximum(x, x2)
+        lo_y, hi_y = np.minimum(y, y2), np.maximum(y, y2)
+        # Candidates of the edge at sorted position p are positions p+1 .. end-1,
+        # where end is found on keys that order (ring, x rank) as one integer.
+        _, rank = np.unique(np.concatenate((lo_x, hi_x)), return_inverse=True)
+        base = ring * (int(rank.max()) + 1)
+        keys_lo = base + rank[:nv]
+        order = np.argsort(keys_lo, kind="stable")
+        ends = np.searchsorted(keys_lo[order], (base + rank[nv:])[order], side="right")
+        counts = ends - np.arange(1, nv + 1)
+        cum = np.cumsum(counts)
+        total = int(cum[-1])
+        for t0 in range(0, total, _BLOCK_PAIRS):
+            t = np.arange(t0, min(t0 + _BLOCK_PAIRS, total))
+            p = np.searchsorted(cum, t, side="right")
+            e, f = order[p], order[p + 1 + t - (cum[p] - counts[p])]
+            if ring[e[0]] >= first:
+                break
+            keep = (lo_y[e] <= hi_y[f]) & (lo_y[f] <= hi_y[e])
+            i, j = np.minimum(e[keep], f[keep]), np.maximum(e[keep], f[keep])
+            keep = (nxt[i] != j) & (nxt[j] != i)  # not adjacent
+            i, j = i[keep], j[keep]
+            if not i.size:
+                continue
+            a1x, a1y, a2x, a2y = x[i], y[i], x2[i], y2[i]
+            b1x, b1y, b2x, b2y = x[j], y[j], x2[j], y2[j]
+            d1 = orient(b1x, b1y, b2x, b2y, a1x, a1y)
+            d2 = orient(b1x, b1y, b2x, b2y, a2x, a2y)
+            d3 = orient(a1x, a1y, a2x, a2y, b1x, b1y)
+            d4 = orient(a1x, a1y, a2x, a2y, b2x, b2y)
+            hit = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
+                ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
+            )
+            hit |= (d1 == 0) & _within(lo_x[j], hi_x[j], lo_y[j], hi_y[j], a1x, a1y)
+            hit |= (d2 == 0) & _within(lo_x[j], hi_x[j], lo_y[j], hi_y[j], a2x, a2y)
+            hit |= (d3 == 0) & _within(lo_x[i], hi_x[i], lo_y[i], hi_y[i], b1x, b1y)
+            hit |= (d4 == 0) & _within(lo_x[i], hi_x[i], lo_y[i], hi_y[i], b2x, b2y)
+            if hit.any():
+                first = min(first, int(ring[i[hit]].min()))
+        return first if first < n_rings else -1
+
+    def first_bad_hole(self) -> Optional[Tuple[int, str]]:
+        """The position of the first polygon with a hole that is not inside
+        its exterior ring or whose first vertex another hole of its polygon
+        holds, and the error message for that hole; None if there is none.
+        First is as a loop over each polygon's holes finds it: lowest hole,
+        its "not inside" check first, then the lowest other hole.  One kernel
+        call tests the hole vertices in their exterior's bbox, on the rings
+        as a table in which each ring is its own polygon; only polygons with
+        two or more holes put them in an index, over a table of those hole
+        rings, which tests their first vertices."""
+        if not self.is_hole.any():
+            return None
+        ring, polygon = self.vertex_ring, self.ring_polygon
+        v = np.flatnonzero(self.is_hole[ring])
+        exterior, x, y = self.first_ring[polygon[ring[v]]], self.x1[v], self.y1[v]
+        box = self.boxes[exterior]
+        near = _within(box[:, 0], box[:, 2], box[:, 1], box[:, 3], x, y)
+        inside = ~self.is_hole[ring]
+        each_ring = _EdgeTable(self.xy, self.ring_size, np.ones_like(self.ring_size))
+        inside[v[near]] = _contains(each_ring, x[near], y[near], exterior[near])
+        outside = np.flatnonzero(~np.logical_and.reduceat(inside, self.ring_start))
+        bad = [(int(r), 0, 0) for r in outside[:1]]
+        nests = np.flatnonzero(self.is_hole & (self.n_rings[polygon] > 2))
+        if nests.size:
+            first, size = self.ring_start[nests], self.ring_size[nests]
+            vertex = np.repeat(first - (np.cumsum(size) - size), size) + np.arange(size.sum())
+            index = SpatialIndex(nests, _EdgeTable(self.xy[vertex], size, np.ones_like(size)))
+            h, other = (nests[k] for k in contained_pairs(index, self.x1[first], self.y1[first]))
+            pair = (h != other) & (polygon[h] == polygon[other])
+            bad += [(int(a), 1, int(b)) for a, b in zip(h[pair][:1], other[pair][:1])]
+        if not bad:
+            return None
+        r, nested, o = min(bad)
+        k = int(polygon[r])
+        base = int(self.first_ring[k]) + 1  # the ring of the polygon's hole 0
+        if nested:
+            return k, f"holes {o - base} and {r - base} are nested"
+        return k, f"hole {r - base} is not inside the exterior ring"
 
     def polygons(self) -> List[Polygon]:
         """The table's polygons, the one place columns become vertex tuples."""

@@ -15,12 +15,12 @@ the upstream segmentation defects this tool exists to expose.
 A document's rings are checked in one pass, which also names the first
 defect of a rejected document.  One gather pass reads each feature or scene
 instance (id, class, geometry shape); one columnar pass cleans every ring at
-once (:func:`_ring_columns`) up to the first it rejects; on the clean rings,
-one batched sweep decides self-intersection
-(:func:`_first_self_intersecting_ring`) and one call checks every hole
-(:func:`_first_bad_hole`).  The first defect in document order is raised
-(:func:`_instances`): entry by entry, and in one entry its rings in order,
-then its holes, then a repeated id.
+once (:func:`_ring_columns`) up to the first it rejects, and the table of the
+clean rings checks them for zero area and self-intersection, and then every
+hole (:class:`~banffscore.geometry._EdgeTable`, where ring validity is
+decided).  The first defect in document order is raised (:func:`_instances`):
+entry by entry, and in one entry its rings in order, then its holes, then a
+repeated id.
 
 Detections: ``{"points": [{"name": str, "point": [x, y],
 "probability": float}, ...]}``; ``probability`` is optional and defaults
@@ -57,15 +57,7 @@ from .errors import (
     echo,
     echo_id,
 )
-from .geometry import (
-    _BLOCK_PAIRS,
-    Point,
-    SpatialIndex,
-    _contains,
-    _EdgeTable,
-    contained_pairs,
-    orient,
-)
+from .geometry import Point, _EdgeTable
 from .model import (
     INDICATORS,
     KNOWN_CELL_KINDS,
@@ -215,91 +207,11 @@ _ARRAYS = {list, tuple}
 _NUMBERS = {float, int}
 
 
-def _within(lo_x, hi_x, lo_y, hi_y, px, py):
-    return (lo_x <= px) & (px <= hi_x) & (lo_y <= py) & (py <= hi_y)
-
-
-def _first_self_intersecting_ring(edges: _EdgeTable) -> int:
-    """Index of the first ring of ``edges`` that touches or crosses itself, or -1.
-
-    Every ring must already be clean (at least 3 vertices, no repeated
-    consecutive vertex, implicitly closed).  Adjacent edges share a vertex
-    and are rejected only for a zero-width spike through it (collinear and
-    pointing back).  Any other pair of edges is rejected when the closed
-    segments meet, decided by :func:`~banffscore.geometry.orient` on the
-    lower-numbered edge first; pairs whose closed bounding boxes are
-    disjoint never meet, and only the others are tested.
-    They are found by a sweep over the edges sorted by ring, then by
-    ``lo_x``: an edge's candidates are the later edges of its ring whose
-    ``lo_x`` is at most its ``hi_x``, generated ``_BLOCK_PAIRS`` at a time.
-    """
-    n_rings = edges.ring_size.size
-    if not n_rings:
-        return -1
-    x, y, x2, y2, nxt = edges.x1, edges.y1, edges.x2, edges.y2, edges.nxt
-    nv = x.size
-    ring = np.repeat(np.arange(n_rings), edges.ring_size)
-    vertex = np.arange(nv)
-    prev = np.empty_like(nxt)
-    prev[nxt] = vertex
-    # The spike at vertex 0 is tested as (v1, v0, v[n-1]), every other one
-    # as (v[k-1], v[k], v[k+1]).
-    at_start = vertex == edges.ring_start[ring]
-    before, after = np.where(at_start, nxt, prev), np.where(at_start, prev, nxt)
-    px, py, ax, ay = x[before], y[before], x[after], y[after]
-    with np.errstate(over="ignore", invalid="ignore"):
-        spike = (orient(px, py, x, y, ax, ay) == 0.0) & (
-            (px - x) * (ax - x) + (py - y) * (ay - y) > 0
-        )
-    first = int(ring[spike][0]) if spike.any() else n_rings
-
-    lo_x, hi_x = np.minimum(x, x2), np.maximum(x, x2)
-    lo_y, hi_y = np.minimum(y, y2), np.maximum(y, y2)
-    # Candidates of the edge at sorted position p are positions p+1 .. end-1,
-    # where end is found on keys that order (ring, x rank) as one integer.
-    _, rank = np.unique(np.concatenate((lo_x, hi_x)), return_inverse=True)
-    base = ring * (int(rank.max()) + 1)
-    keys_lo = base + rank[:nv]
-    order = np.argsort(keys_lo, kind="stable")
-    ends = np.searchsorted(keys_lo[order], (base + rank[nv:])[order], side="right")
-    counts = ends - np.arange(1, nv + 1)
-    cum = np.cumsum(counts)
-    total = int(cum[-1])
-    for t0 in range(0, total, _BLOCK_PAIRS):
-        t = np.arange(t0, min(t0 + _BLOCK_PAIRS, total))
-        p = np.searchsorted(cum, t, side="right")
-        e, f = order[p], order[p + 1 + t - (cum[p] - counts[p])]
-        if ring[e[0]] >= first:
-            break
-        keep = (lo_y[e] <= hi_y[f]) & (lo_y[f] <= hi_y[e])
-        i, j = np.minimum(e[keep], f[keep]), np.maximum(e[keep], f[keep])
-        keep = (nxt[i] != j) & (nxt[j] != i)  # not adjacent
-        i, j = i[keep], j[keep]
-        if not i.size:
-            continue
-        a1x, a1y, a2x, a2y = x[i], y[i], x2[i], y2[i]
-        b1x, b1y, b2x, b2y = x[j], y[j], x2[j], y2[j]
-        d1 = orient(b1x, b1y, b2x, b2y, a1x, a1y)
-        d2 = orient(b1x, b1y, b2x, b2y, a2x, a2y)
-        d3 = orient(a1x, a1y, a2x, a2y, b1x, b1y)
-        d4 = orient(a1x, a1y, a2x, a2y, b2x, b2y)
-        hit = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
-            ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
-        )
-        hit |= (d1 == 0) & _within(lo_x[j], hi_x[j], lo_y[j], hi_y[j], a1x, a1y)
-        hit |= (d2 == 0) & _within(lo_x[j], hi_x[j], lo_y[j], hi_y[j], a2x, a2y)
-        hit |= (d3 == 0) & _within(lo_x[i], hi_x[i], lo_y[i], hi_y[i], b1x, b1y)
-        hit |= (d4 == 0) & _within(lo_x[i], hi_x[i], lo_y[i], hi_y[i], b2x, b2y)
-        if hit.any():
-            first = min(first, int(ring[i[hit]].min()))
-    return first if first < n_rings else -1
-
-
 class _RingColumns(NamedTuple):
-    """The cleaned rings before ring ``bad`` as their table, of the polygons
-    cut short before ``bad``; ``error`` is why cleaning rejects ring ``bad``,
-    without its owner, or None if it rejects none (``bad`` is then the ring
-    count)."""
+    """The first ring ``bad`` that a ring check rejects and ``error``, why,
+    without its owner, or None (``bad`` is then the ring count); ``edges``
+    is the table of the cleaned rings before the first that cleaning or
+    zero area rejects, of the polygons cut short there."""
 
     edges: _EdgeTable
     bad: int
@@ -350,15 +262,17 @@ def _vertex_error(ring) -> Optional[BanffScoreError]:
 
 def _ring_columns(rings: list, n_rings: np.ndarray) -> _RingColumns:
     """The rings, for polygons of ``n_rings[k]`` rings each, cleaned in one
-    columnar pass up to the first ring that cleaning rejects.  Each ring
-    reads as finite ``[x, y]`` pairs (:func:`_coordinates`; only if the
-    rings fail together are they read one at a time, and the first bad
-    ring's vertex named by :func:`_vertex_error`), has at least 3 vertices,
-    keeps 3 once a vertex equal to the one before it and then a last vertex
-    equal to the first are dropped, and has a non-zero area (the table's
-    :meth:`~banffscore.geometry._EdgeTable.first_zero_area` decides).  Each
-    check runs on the rings before the first that an earlier one rejected,
-    so the ring named is the first any check rejects.
+    columnar pass up to the first ring that cleaning rejects, and checked.
+    Each ring reads as finite ``[x, y]`` pairs (:func:`_coordinates`; only
+    if the rings fail together are they read one at a time, and the first
+    bad ring's vertex named by :func:`_vertex_error`), has at least 3
+    vertices, keeps 3 once a vertex equal to the one before it and then a
+    last vertex equal to the first are dropped, has a non-zero area and
+    neither touches nor crosses itself (the table's
+    :meth:`~banffscore.geometry._EdgeTable.first_zero_area` and
+    :meth:`~banffscore.geometry._EdgeTable.first_self_intersecting_ring`
+    decide).  Each check runs on the rings before the first that an earlier
+    one rejected, so the ring named is the first any check rejects.
     """
     bad, error = len(rings), None
     xy = _coordinates(rings)
@@ -393,48 +307,10 @@ def _ring_columns(rings: list, n_rings: np.ndarray) -> _RingColumns:
     zero = edges.first_zero_area()
     if zero is not None:
         bad, error, edges = zero, DegenerateGeometry("ring has zero area"), table(zero)
+    crossing = edges.first_self_intersecting_ring()
+    if crossing >= 0:
+        bad, error = crossing, DegenerateGeometry("self-intersecting ring")
     return _RingColumns(edges, bad, error)
-
-
-def _first_bad_hole(edges: _EdgeTable) -> Optional[Tuple[int, str]]:
-    """The position of the first polygon of ``edges`` with a hole that is
-    not inside its exterior ring or whose first vertex another hole of its
-    polygon holds, and the error message for that hole; None if there is
-    none.  First is as a loop over each polygon's holes finds it: lowest
-    hole, its "not inside" check first, then the lowest other hole.  One
-    kernel call tests the hole vertices in their exterior's bbox, on a
-    table in which each ring is its own polygon; only polygons with two or
-    more holes put them in an index, over a table of those hole rings from
-    ``edges``, which tests their first vertices."""
-    if not edges.is_hole.any():
-        return None
-    ring = np.repeat(np.arange(edges.ring_size.size), edges.ring_size)
-    polygon = np.repeat(np.arange(edges.n_rings.size), edges.n_rings)
-    v = np.flatnonzero(edges.is_hole[ring])
-    exterior, x, y = edges.first_ring[polygon[ring[v]]], edges.x1[v], edges.y1[v]
-    box = edges.boxes[exterior]
-    near = _within(box[:, 0], box[:, 2], box[:, 1], box[:, 3], x, y)
-    inside = ~edges.is_hole[ring]
-    each_ring = _EdgeTable(edges.xy, edges.ring_size, np.ones_like(edges.ring_size))
-    inside[v[near]] = _contains(each_ring, x[near], y[near], exterior[near])
-    outside = np.flatnonzero(~np.logical_and.reduceat(inside, edges.ring_start))
-    bad = [(int(r), 0, 0) for r in outside[:1]]
-    nests = np.flatnonzero(edges.is_hole & (edges.n_rings[polygon] > 2))
-    if nests.size:
-        first, size = edges.ring_start[nests], edges.ring_size[nests]
-        vertex = np.repeat(first - (np.cumsum(size) - size), size) + np.arange(size.sum())
-        index = SpatialIndex(nests, _EdgeTable(edges.xy[vertex], size, np.ones_like(size)))
-        h, other = (nests[k] for k in contained_pairs(index, edges.x1[first], edges.y1[first]))
-        pair = (h != other) & (polygon[h] == polygon[other])
-        bad += [(int(a), 1, int(b)) for a, b in zip(h[pair][:1], other[pair][:1])]
-    if not bad:
-        return None
-    r, nested, o = min(bad)
-    k = int(polygon[r])
-    base = int(edges.first_ring[k]) + 1  # the ring of the polygon's hole 0
-    if nested:
-        return k, f"holes {o - base} and {r - base} are nested"
-    return k, f"hole {r - base} is not inside the exterior ring"
 
 
 def _instances(entries: Iterator[_Entry], kind: str) -> List[Instance]:
@@ -443,11 +319,11 @@ def _instances(entries: Iterator[_Entry], kind: str) -> List[Instance]:
     error.
 
     The entries read go through one pass.  The rings of those before the
-    first whose rings are not a non-empty array are cleaned up to the first
-    that cleaning rejects (:func:`_ring_columns`), one sweep finds the first
-    clean ring that touches or crosses itself, one call the first polygon
-    with a bad hole (:func:`_first_bad_hole`), and a scan of the ids the
-    first repeat.  The least (entry, check) of these defects is raised;
+    first whose rings are not a non-empty array are checked up to the first
+    that a ring check rejects (:func:`_ring_columns`), the table of the
+    checked rings finds the first polygon with a bad hole
+    (:meth:`~banffscore.geometry._EdgeTable.first_bad_hole`), and a scan of
+    the ids the first repeat.  The least (entry, check) of these defects is raised;
     with none, the package error that reading the next entry raised.  Only
     a document with neither builds vertex tuples, from the checked table.
     """
@@ -467,14 +343,10 @@ def _instances(entries: Iterator[_Entry], kind: str) -> List[Instance]:
         found.append((n, 0, MalformedDocument(f"{kind} {echo_id(ids[n])}: polygon has no rings")))
     n_rings = np.fromiter(map(len, ring_lists[:n]), dtype=np.intp, count=n)
     columns = _ring_columns(list(chain.from_iterable(ring_lists[:n])), n_rings)
-    crossing = _first_self_intersecting_ring(columns.edges)
-    bad, error = columns.bad, columns.error
-    if crossing >= 0:  # a clean ring, so before ``columns.bad``
-        bad, error = crossing, DegenerateGeometry("self-intersecting ring")
-    if error is not None:
-        k = int(np.searchsorted(np.cumsum(n_rings), bad, side="right"))
-        found.append((k, 1, type(error)(f"{kind} {echo_id(ids[k])}: {error}")))
-    if (hole := _first_bad_hole(columns.edges)) is not None:
+    if columns.error is not None:
+        k = int(np.searchsorted(np.cumsum(n_rings), columns.bad, side="right"))
+        found.append((k, 1, type(columns.error)(f"{kind} {echo_id(ids[k])}: {columns.error}")))
+    if (hole := columns.edges.first_bad_hole()) is not None:
         k, message = hole
         found.append((k, 2, DegenerateGeometry(f"{kind} {echo_id(ids[k])}: {message}")))
     if len(set(ids)) < len(ids):

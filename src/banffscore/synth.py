@@ -48,7 +48,6 @@ from .geometry import (
     contained_pairs,
 )
 from .ingest import (
-    _first_self_intersecting_ring,
     _ring_columns,
     as_number,
     checked_canvas,
@@ -408,23 +407,20 @@ def _plant(rng: np.random.Generator, edges: _EdgeTable, counts: Sequence[int], i
 
 def _check_rings(instances: List[Instance]) -> _EdgeTable:
     """The table of the instances' exterior rings, or PlacementFailure
-    naming the first instance whose ring
-    :func:`~banffscore.ingest.read_scene` would reject or change, as a tiny
-    radius can make it: of the ring that one columnar pass
-    (:func:`~banffscore.ingest._ring_columns`) rejects, the first it changes
-    (it repeats a vertex) and the first of the clean rings that one sweep
-    finds crossing itself, the least by ring, and on one ring in that order."""
+    naming the first instance whose ring :func:`~banffscore.ingest.read_scene`
+    would reject or change, as a tiny radius can make it: the first ring
+    that the ring checks (:func:`~banffscore.ingest._ring_columns`) reject
+    or that cleaning changed (it repeats a vertex).  On one ring a repeat
+    ranks after cleaning and zero area, which leave the ring out of the
+    table, and before self-intersection."""
     rings = [inst.polygon.exterior for inst in instances]
     columns = _ring_columns(rings, np.ones(len(rings), dtype=np.intp))
     sizes = columns.edges.ring_size
     changed = np.flatnonzero(sizes != np.fromiter(map(len, rings[:sizes.size]), dtype=np.intp, count=sizes.size))
-    crossing = _first_self_intersecting_ring(columns.edges)
-    found = [(columns.bad, 0, str(columns.error))] if columns.error is not None else []
-    found += [(int(r), 1, "ring repeats a vertex") for r in changed[:1]]
-    found += [(crossing, 2, "self-intersecting ring")] if crossing >= 0 else []
-    if found:
-        r, _, message = min(found)
-        raise PlacementFailure(f"{instances[r].id}: {message}")
+    if changed.size and changed[0] <= columns.bad:
+        raise PlacementFailure(f"{instances[changed[0]].id}: ring repeats a vertex")
+    if columns.error is not None:
+        raise PlacementFailure(f"{instances[columns.bad].id}: {columns.error}")
     return columns.edges
 
 

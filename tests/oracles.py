@@ -57,8 +57,6 @@ from banffscore.errors import DegenerateGeometry, MalformedDocument, PlacementFa
 from banffscore.geometry import AssignmentTable, Polygon, SpatialIndex, _EdgeTable, contained_pairs, ring_area
 from banffscore.ingest import (
     _feature_entries,
-    _first_bad_hole,
-    _first_self_intersecting_ring,
     as_number,
     load_json_bytes,
     scene_canvas,
@@ -283,7 +281,14 @@ def max_count_band(count: int) -> int:
 # ring self-intersection: all pairs of edges, one pair at a time
 
 def _orient(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    """The float predicate; where it overflows to infinity or NaN, the
+    exact sign of the same expression over the float operands."""
+    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if math.isfinite(d):
+        return d
+    ax, ay, bx, by, cx, cy = map(Fraction, (ax, ay, bx, by, cx, cy))
+    exact = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return float((exact > 0) - (exact < 0))
 
 
 def _collinear_within(ax, ay, bx, by, px, py) -> bool:
@@ -777,10 +782,10 @@ def polygon_from_coords(coords, owner: str) -> Polygon:
     rings = []
     for ring in coords:
         rings.append(clean_ring(ring, owner))
-        if _first_self_intersecting_ring(_EdgeTable.of([Polygon(exterior=rings[-1])])) >= 0:
+        if _EdgeTable.of([Polygon(exterior=rings[-1])]).first_self_intersecting_ring() >= 0:
             raise DegenerateGeometry(f"{owner}: self-intersecting ring")
     polygon = Polygon(exterior=rings[0], holes=tuple(rings[1:]))
-    if polygon.holes and (bad := _first_bad_hole(_EdgeTable.of([polygon]))):
+    if polygon.holes and (bad := _EdgeTable.of([polygon]).first_bad_hole()):
         raise DegenerateGeometry(f"{owner}: {bad[1]}")
     return polygon
 

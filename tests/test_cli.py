@@ -378,6 +378,16 @@ class TestEvaluateCommand:
         assert summary["indicators"]["g"]["included"] == 1
         assert summary["indicators"]["g"]["excluded"] == 1
 
+    @pytest.mark.parametrize("preamble", ["# pairs for the g study\n", "\n"], ids=["comment", "blank-line"])
+    def test_header_after_a_comment_or_blank_line_is_skipped(self, preamble, tmp_path):
+        report, gt = make_report_and_gt(tmp_path, "only", grade=2)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{preamble}report,ground_truth\n{report},{gt}\n")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--manifest", str(manifest), "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["indicators"]["g"]["cells"][2][2] == 1
+
     def test_unresolvable_manifest_row_exits_2_with_no_partial_output(self, tmp_path, capsys):
         report, gt = make_report_and_gt(tmp_path, "only", grade=0)
         manifest = tmp_path / "manifest.csv"

@@ -26,7 +26,6 @@ from banffscore.ingest import (
     _number_column,
     _ring_columns,
     canonical_json_bytes,
-    _first_self_intersecting_ring,
     as_number,
     checked_integer,
     dedup_detections,
@@ -156,7 +155,7 @@ class TestParseStructures:
         assert len(calls) <= 4
 
     def test_lone_holes_build_no_index(self, monkeypatch):
-        monkeypatch.setattr(ingest, "SpatialIndex", None)  # building one would raise
+        monkeypatch.setattr(geometry, "SpatialIndex", None)  # building one would raise
         hole = [[2, 2], [4, 2], [4, 4], [2, 4]]
         data = feature_collection(*(polygon_feature(f"f{k}", "artery", [SQUARE_RING, hole]) for k in range(3)))
         assert [len(i.polygon.holes) for i in parse_structures(data)] == [1, 1, 1]
@@ -1163,7 +1162,7 @@ def comb_ring(teeth, crossing_tooth=None):
 
 def first_self_intersecting_ring(rings):
     """The sweep over clean rings given as vertex tuples, each ring its own polygon."""
-    return _first_self_intersecting_ring(_EdgeTable.of([Polygon(exterior=r) for r in rings]))
+    return _EdgeTable.of([Polygon(exterior=r) for r in rings]).first_self_intersecting_ring()
 
 
 def clean_or_none(coords):
@@ -1502,13 +1501,21 @@ class TestColumnarRingPass:
     @given(st.lists(st.one_of(RINGS, TRIANGLES), min_size=1, max_size=4))
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_columns_are_the_cleaned_rings(self, rings):
-        try:
-            cleaned = [clean_ring(ring, "r") for ring in rings]
-        except (MalformedDocument, DegenerateGeometry):
-            cleaned = None
+        cleaned, first = [], None  # the first ring cleaning rejects or that crosses itself once cleaned
+        for r, ring in enumerate(rings):
+            try:
+                cleaned.append(clean_ring(ring, "r"))
+            except (MalformedDocument, DegenerateGeometry) as exc:
+                first = (r, str(exc))
+                break
+            if naive_ring_self_intersects(cleaned[-1]):
+                first = (r, "r: self-intersecting ring")
+                break
         columns = _ring_columns(rings, np.ones(len(rings), dtype=np.intp))
-        assert (columns.error is not None) == (cleaned is None)
-        if columns.error is None:
+        assert (columns.error is not None) == (first is not None)
+        if columns.error is not None:
+            assert (columns.bad, f"r: {columns.error}") == first
+        else:
             assert repr([poly.exterior for poly in columns.edges.polygons()]) == repr(cleaned)
             table = _EdgeTable.of([Polygon(exterior=ring) for ring in cleaned])
             for name in ("xy", "ring_size", "ring_start", "first_ring", "x2", "y2"):

@@ -1,4 +1,5 @@
-"""Every module-level private name in the package is used somewhere in it."""
+"""Every module-level private name in the package is used somewhere in it,
+and private names cross only the module boundaries listed here."""
 
 from __future__ import annotations
 
@@ -7,6 +8,19 @@ from collections import Counter
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "banffscore").glob("*.py"))
+
+
+# (importing module, imported module) -> the private names it imports
+PRIVATE_IMPORTS = {
+    ("ingest", "geometry"): {"_EdgeTable"},
+    ("synth", "geometry"): {"_BLOCK_PAIRS", "_contains", "_EdgeTable"},
+    ("synth", "ingest"): {"_ring_columns"},
+    ("synth", "scoring"): {"_counted", "_graded", "_section_details"},
+}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
 
 def defined_names(tree: ast.Module):
@@ -21,7 +35,7 @@ def defined_names(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if is_private(name):
                 yield name, node
 
 
@@ -46,3 +60,14 @@ def test_every_private_name_is_used_outside_its_definition():
         if uses[name] == Counter(used_names(statement))[name]
     ]
     assert SOURCES and not unused, unused
+
+
+def test_private_names_cross_only_the_listed_module_boundaries():
+    imported = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:  # a module of the package
+                names = {alias.name for alias in node.names if is_private(alias.name)}
+                if names:
+                    imported.setdefault((path.stem, node.module), set()).update(names)
+    assert imported == PRIVATE_IMPORTS
