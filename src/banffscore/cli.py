@@ -27,18 +27,18 @@ from .config import RunConfig, merge_config, parse_config_text
 from .errors import BanffScoreError, EmptyMatrix, echo
 from .evaluation import accumulate, confusion_to_csv, summarize, summary_to_dict
 from .ingest import (
+    _structure_table,
     canonical_json_bytes,
     load_json_bytes,
     parse_detections,
     parse_ground_truth,
-    parse_structures,
     read_scene,
     write_ground_truth,
     write_scene,
 )
-from .model import INDICATORS, SectionScene
+from .model import INDICATORS
 from .render import render_svg
-from .scoring import report_from_dict, report_to_dict, score_section
+from .scoring import _report_doc, _score_table, report_from_dict
 from .synth import PerturbationSpec, SceneSpec, generate_scene, sensitivity_run
 
 Output = Tuple[Path, bytes]
@@ -159,13 +159,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
     section_id = _file_name(
         structures_path.stem if config.section_id is None else config.section_id
     )
-    instances = _read_document(structures_path, lambda data: parse_structures(data, config.structure_aliases))
+    # the instances stay the parser's checked ring table: no Instance or vertex tuple is built
+    ids, kinds, edges = _read_document(structures_path, lambda data: _structure_table(data, config.structure_aliases))
     detections = _read_document(
         detections_path,
         lambda data: parse_detections(data, min_confidence=0.0, classes=None, aliases=config.cell_aliases),
     )
-    scene = SectionScene(section_id=section_id, instances=instances, detections=detections)
-    doc = report_to_dict(score_section(scene, config))
+    doc = _report_doc(_score_table(section_id, ids, kinds, edges, detections, config), templated=True)
     if gt_path is not None:
         gt = _read_document(gt_path, parse_ground_truth)
         doc["ground_truth"] = {name: getattr(gt, name) for name in INDICATORS}
@@ -175,17 +175,25 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _read_manifest(path: Path) -> List[Tuple[Path, Path]]:
+    """The (report, ground truth) pairs a manifest lists, resolved against
+    its directory.  Rows whose fields are all blank and rows whose first
+    field starts with ``#`` are skipped; the first other row may be the
+    ``report,ground_truth`` header."""
     rows: List[Tuple[Path, Path]] = []
     base = path.parent
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
-        listed = ((i, row) for i, row in enumerate(reader) if row and not row[0].strip().startswith("#"))
+        listed = ((i, [c.strip() for c in row]) for i, row in enumerate(reader))
+        listed = ((i, row) for i, row in listed if any(row) and not row[0].startswith("#"))
         for n, (i, row) in enumerate(listed):
-            if n == 0 and [c.strip().lower() for c in row[:2]] == ["report", "ground_truth"]:
+            if n == 0 and [c.lower() for c in row[:2]] == ["report", "ground_truth"]:
                 continue
             if len(row) < 2:
                 raise BanffScoreError(f"{path}: manifest row {i + 1}: expected 'report,ground_truth'")
-            rows.append((base / row[0].strip(), base / row[1].strip()))
+            for name, field in zip(("report", "ground_truth"), row):
+                if not field:
+                    raise BanffScoreError(f"{path}: manifest row {i + 1}: the {name} field is blank")
+            rows.append((base / row[0], base / row[1]))
     except csv.Error as exc:
         raise BanffScoreError(f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:

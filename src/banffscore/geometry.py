@@ -211,6 +211,11 @@ class _EdgeTable:
         xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), dtype=np.float64, count=2 * ring_size.sum())
         return cls(xy.reshape(-1, 2), ring_size, n_rings)
 
+    def take(self, polygons: np.ndarray) -> _EdgeTable:
+        """The table of the polygons that the mask ``polygons`` marks, in order."""
+        rings = polygons[self.ring_polygon]
+        return _EdgeTable(self.xy[rings[self.vertex_ring]], self.ring_size[rings], self.n_rings[polygons])
+
     @cached_property
     def boxes(self) -> np.ndarray:
         """Per ring, the ``(min_x, min_y, max_x, max_y)`` of its vertices."""
@@ -541,5 +546,5 @@ def assign_detections(detections, instances: Sequence, index: SpatialIndex) -> A
     assigned[pt] = True
     return AssignmentTable(
         counts=dict(zip(inst_ids, counts)),
-        unassigned=tuple(sorted(table.ids[~assigned].tolist())),
+        unassigned=tuple(sorted(table.take(~assigned).ids.tolist())),
     )

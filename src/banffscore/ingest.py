@@ -18,13 +18,16 @@ instance (id, class, geometry shape); one columnar pass cleans every ring at
 once (:func:`_ring_columns`) up to the first it rejects, and the table of the
 clean rings checks them for zero area and self-intersection, and then every
 hole (:class:`~banffscore.geometry._EdgeTable`, where ring validity is
-decided).  The first defect in document order is raised (:func:`_instances`):
+decided).  The first defect in document order is raised (:func:`_checked`):
 entry by entry, and in one entry its rings in order, then its holes, then a
-repeated id.
+repeated id.  :func:`parse_structures` then builds ``Instance`` rows from the
+checked table; the ``score`` command keeps the table itself
+(:func:`_structure_table`) and builds no row.
 
 Detections: ``{"points": [{"name": str, "point": [x, y],
 "probability": float}, ...]}``; ``probability`` is optional and defaults
-to 1.0.
+to 1.0.  A parsed table keeps each entry's document position ``i`` in place
+of its id ``d<i>``, which is written only where a string is read.
 
 Ground truth: integer grades under the keys of ``GRADE_KEYS``, either on
 collection-level ``properties`` (which take precedence) or on feature
@@ -313,10 +316,10 @@ def _ring_columns(rings: list, n_rings: np.ndarray) -> _RingColumns:
     return _RingColumns(edges, bad, error)
 
 
-def _instances(entries: Iterator[_Entry], kind: str) -> List[Instance]:
-    """The instances of a document's entries, which ``entries`` yields in
-    document order and which are read once; ``kind`` names an entry in an
-    error.
+def _checked(entries: Iterator[_Entry], kind: str) -> Tuple[List[_Entry], _EdgeTable]:
+    """A document's entries, which ``entries`` yields in document order and
+    which are read once, and the table of their checked rings; ``kind``
+    names an entry in an error.
 
     The entries read go through one pass.  The rings of those before the
     first whose rings are not a non-empty array are checked up to the first
@@ -324,8 +327,7 @@ def _instances(entries: Iterator[_Entry], kind: str) -> List[Instance]:
     checked rings finds the first polygon with a bad hole
     (:meth:`~banffscore.geometry._EdgeTable.first_bad_hole`), and a scan of
     the ids the first repeat.  The least (entry, check) of these defects is raised;
-    with none, the package error that reading the next entry raised.  Only
-    a document with neither builds vertex tuples, from the checked table.
+    with none, the package error that reading the next entry raised.
     """
     listed: List[_Entry] = []
     unread = None
@@ -357,9 +359,15 @@ def _instances(entries: Iterator[_Entry], kind: str) -> List[Instance]:
         raise min(found, key=lambda defect: defect[:2])[2]
     if unread:
         raise unread
+    return listed, columns.edges
+
+
+def _instances(listed: List[_Entry], edges: _EdgeTable) -> List[Instance]:
+    """The instances of checked entries and their table (:func:`_checked`),
+    the only place a parser builds vertex tuples."""
     return [
         Instance(id=iid, cls=cls, polygon=polygon, properties=dict(props))
-        for (iid, cls, _, props), polygon in zip(listed, columns.edges.polygons())
+        for (iid, cls, _, props), polygon in zip(listed, edges.polygons())
     ]
 
 
@@ -412,19 +420,33 @@ def _feature_entries(features: list, aliases: Optional[Dict[str, str]]) -> Itera
             raise MalformedDocument(f"feature {echo_id(fid)}: unsupported geometry type {echo(gtype)}")
 
 
-def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> List[Instance]:
-    """Parse a GeoJSON FeatureCollection of segmented structures.
-
-    Every feature becomes at least one instance or is named in the raised
-    error; nothing is silently dropped.
-    """
+def _structure_entries(data: bytes, aliases: Optional[Dict[str, str]]) -> Iterator[_Entry]:
+    """The entries of a GeoJSON FeatureCollection's features; the
+    document's own shape is checked before any entry is read."""
     doc = load_json_bytes(data)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise MalformedDocument("expected a GeoJSON FeatureCollection")
     features = doc.get("features")
     if not isinstance(features, list):
         raise MalformedDocument("FeatureCollection has no features array")
-    return _instances(_feature_entries(features, aliases), "feature")
+    return _feature_entries(features, aliases)
+
+
+def parse_structures(data: bytes, aliases: Optional[Dict[str, str]] = None) -> List[Instance]:
+    """Parse a GeoJSON FeatureCollection of segmented structures.
+
+    Every feature becomes at least one instance or is named in the raised
+    error; nothing is silently dropped.
+    """
+    return _instances(*_checked(_structure_entries(data, aliases), "feature"))
+
+
+def _structure_table(data: bytes, aliases: Optional[Dict[str, str]]) -> Tuple[List[str], List[str], _EdgeTable]:
+    """The ids and class kinds of the instances :func:`parse_structures`
+    gives, and the checked table of their polygons, with the same errors;
+    no vertex tuple and no :class:`~banffscore.model.Instance` is built."""
+    listed, edges = _checked(_structure_entries(data, aliases), "feature")
+    return [iid for iid, _, _, _ in listed], [cls.kind for _, cls, _, _ in listed], edges
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +499,9 @@ def parse_detections(
 ) -> DetectionTable:
     """Parse detector output, keeping points with class in ``classes`` and
     confidence >= ``min_confidence``.  ``classes=None`` keeps every class.
-    Ids are ``d<i>`` over the document order, stable under filtering.
+    Ids are ``d<i>`` over the document order, stable under filtering; the
+    table keeps the positions ``i`` and writes the strings only when its
+    ``ids`` are read.
 
     The entries go through one pass, whose error names the first bad entry
     and its first bad field.  A loop reads them up to the first that is not
@@ -499,8 +523,8 @@ def parse_detections(
         pairs.append(pt if type(pt := entry.get("point")) is list and len(pt) > 1 else (None, None))
         probabilities.append(entry.get("probability", 1.0))
     columns = _point_numbers(points, pairs, probabilities, "points", "probability", SchemaViolation, found)
-    ids = [f"d{i}" for i in range(len(points))]
-    table = DetectionTable.from_labels(ids, *columns, labels, lambda s: CellClass.from_label(s, aliases))
+    positions = np.arange(len(points), dtype=np.intp)
+    table = DetectionTable.from_labels(positions, *columns, labels, lambda s: CellClass.from_label(s, aliases))
     if classes is not None:
         classes = {c.kind if isinstance(c, CellClass) else str(c) for c in classes}
     return table.take(table.keep(classes, min_confidence))
@@ -588,37 +612,129 @@ def _cell_keys(table: DetectionTable, radius: float) -> Tuple[np.ndarray, int]:
     return (table.kind_codes() * nx + rx + 1) * ny + ry + 1, ny
 
 
+def _cell_groups(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows grouped by ``key``: their positions sorted by key, and per
+    distinct key, ascending, its first place in that order, its row count
+    and the key itself.  The order of the rows of one key is unspecified."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.diff(sorted_key, prepend=-1))
+    return order, starts, np.diff(starts, append=key.size), sorted_key[starts]
+
+
+def _forward(cells: np.ndarray, step: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Per forward neighbour offset (``+1``, ``step - 1``, ``step``, ``step +
+    1``), the places ``(a, b)`` in ``cells`` of each cell and of that
+    neighbour, where both hold rows."""
+    for offset in (1, step - 1, step, step + 1):
+        c = np.minimum(np.searchsorted(cells, cells + offset), cells.size - 1)
+        a = np.flatnonzero(cells[c] == cells + offset)
+        yield a, c[a]
+
+
+def _cross(order: np.ndarray, starts: np.ndarray, size: np.ndarray, a: np.ndarray,
+           b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row of cell ``a[k]`` with every row of cell ``b[k]``, for every
+    ``k``, as two arrays of row positions (see :func:`_cell_groups`)."""
+    n = size[a] * size[b]
+    t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    i = order[np.repeat(starts[a], n) + t // np.repeat(size[b], n)]
+    j = order[np.repeat(starts[b], n) + t % np.repeat(size[b], n)]
+    return i, j
+
+
 def _maybe_close(table: DetectionTable, key: np.ndarray, step: int, radius: float) -> np.ndarray:
     """Mask of the rows that may have a same-kind row within ``radius``.
 
     A row outside the mask has none.  The mask holds every row that shares
     its cell, and both rows of each pair, between a cell and one of its four
-    forward neighbours (``+1``, ``step - 1``, ``step``, ``step + 1``), with
-    ``|dx|, |dy| <= nextafter(radius, inf)``, which no pair within ``radius``
-    fails and which squares nothing.  Two cells are paired only if one holds
-    a single row, and a cell has eight neighbours, so at most ``8 *
-    len(table)`` pairs are compared, whatever the radius.
+    forward neighbours (:func:`_forward`), with ``|dx|, |dy| <=
+    nextafter(radius, inf)``, which no pair within ``radius`` fails and
+    which squares nothing.  Two cells are paired only if one holds a single
+    row, and a cell has eight neighbours, so at most ``8 * len(table)``
+    pairs are compared, whatever the radius.
     """
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    starts = np.flatnonzero(np.diff(sorted_key, prepend=-1))
-    cells, size = sorted_key[starts], np.diff(starts, append=key.size)
+    order, starts, size, cells = _cell_groups(key)
     maybe = np.zeros(key.size, dtype=bool)
     maybe[order[np.repeat(size > 1, size)]] = True
     reach = np.nextafter(radius, math.inf)
-    for offset in (1, step - 1, step, step + 1):
-        c = np.minimum(np.searchsorted(cells, cells + offset), cells.size - 1)
-        a = np.flatnonzero((cells[c] == cells + offset) & ((size == 1) | (size[c] == 1)))
-        b = c[a]
-        # every row of cell a with every row of cell b; one of the two is single
-        n = size[a] * size[b]
-        t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        i = order[np.repeat(starts[a], n) + t // np.repeat(size[b], n)]
-        j = order[np.repeat(starts[b], n) + t % np.repeat(size[b], n)]
+    for a, b in _forward(cells, step):
+        single = (size[a] == 1) | (size[b] == 1)
+        i, j = _cross(order, starts, size, a[single], b[single])
         with np.errstate(over="ignore"):
             near = (np.abs(table.xs[i] - table.xs[j]) <= reach) & (np.abs(table.ys[i] - table.ys[j]) <= reach)
         maybe[i[near]] = maybe[j[near]] = True
     return maybe
+
+
+def _neighbour_pairs(points: List[Point], key: np.ndarray, step: int,
+                     radius: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The pairs ``(u, v)``, ``u < v``, of rows ``points[u]`` and
+    ``points[v]`` within ``radius`` (``math.dist``) whose cell keys
+    (:func:`_cell_keys`) are one of the 3x3 apart, or None if there are more
+    than ``8 * len(points)`` candidates.
+
+    The candidates are every ordered pair of rows of one cell and every row
+    of a cell with every row of one of its four forward neighbours; they are
+    counted from the cell sizes before any is built, so a crowd costs no
+    more than its count.
+    """
+    order, starts, size, cells = _cell_groups(key)
+    each = np.arange(cells.size)
+    links = [(each, each), *_forward(cells, step)]
+    if sum(int(np.dot(size[a], size[b])) for a, b in links) > 8 * len(points):
+        return None
+    (i, j), *across = (_cross(order, starts, size, a, b) for a, b in links)
+    within = i < j
+    u = np.concatenate([i[within], *(np.minimum(i, j) for i, j in across)])
+    v = np.concatenate([j[within], *(np.maximum(i, j) for i, j in across)])
+    lower, upper = map(points.__getitem__, v.tolist()), map(points.__getitem__, u.tolist())
+    near = np.fromiter(map(math.dist, lower, upper), dtype=np.float64, count=u.size) <= radius
+    return u[near], v[near]
+
+
+def _rounds(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Per row of ``n`` rows in rank order (row 0 ranks first), 1 if the
+    greedy rule keeps it, -1 if it suppresses it, and 0 if the rounds left
+    it undecided; ``(u[k], v[k])``, ``u[k] < v[k]``, are the neighbour pairs.
+
+    The greedy rule keeps a row iff none of its higher-ranked neighbours is
+    kept.  A round keeps every undecided row none of whose higher-ranked
+    neighbours is undecided, then suppresses every undecided row with a
+    neighbour it kept; only pairs of two undecided rows are carried to the
+    next round (Blelloch, Fineman and Shun, "Greedy sequential maximal
+    independent set and matching are parallel on average", SPAA 2012).
+
+    *Each decision is the greedy one*, by induction over the rounds.  A row
+    kept in a round has only decided higher-ranked neighbours, and none of
+    them is kept, since a kept one would have suppressed it in the round
+    that kept it; so all are suppressed, and the greedy rule keeps it.  A row
+    suppressed in a round has a neighbour kept in that round, which is
+    higher-ranked (that row's lower-ranked neighbours were undecided until
+    then), so the greedy rule suppresses it.  The highest-ranked undecided
+    row is kept in every round, so each round decides at least one row.
+
+    *The work is linear.*  A round costs time in proportion to its undecided
+    rows plus the pairs between them, and the rounds stop at the first that
+    decides fewer than half of its undecided rows or leaves more than half
+    of its pairs: until then each round costs at most half of the one
+    before, so all of them cost at most twice the first.
+    """
+    state = np.zeros(n, dtype=np.int8)
+    live = np.arange(n)
+    blocked = np.zeros(n, dtype=bool)
+    while live.size:
+        blocked[v] = True
+        state[live[~blocked[live]]] = 1
+        blocked[v] = False
+        state[v[state[u] == 1]] = -1
+        undecided = live[state[live] == 0]
+        carried = (state[u] == 0) & (state[v] == 0)
+        stalled = 2 * undecided.size > live.size or 2 * np.count_nonzero(carried) > u.size
+        live, u, v = undecided, u[carried], v[carried]
+        if stalled:
+            break
+    return state
 
 
 def dedup_detections(detections: DetectionTable | Sequence[Detection], radius: float) -> DetectionTable:
@@ -630,27 +746,37 @@ def dedup_detections(detections: DetectionTable | Sequence[Detection], radius: f
     preserves input order.
 
     Detections with no same-kind detection near them (:func:`_maybe_close`)
-    are kept as they are.  The rest are visited by confidence descending,
-    then id string, and each is compared only with the kept detections of
-    the 3x3 cells around its own (:func:`_cell_keys`).  Kept detections of
-    one kind are more than ``radius`` apart, so a cell of side ``radius``
-    holds at most four of them (a cell at radius 0, one) and a visit costs
-    at most 36 distances, whatever the radius.  The sparse case, in which
-    few detections have a same-kind neighbour within ``radius``, visits
-    and lists only those few.
+    are kept as they are, and only the rest are ranked (one ``np.lexsort``;
+    a parsed table writes the id strings of these rows alone), paired
+    (:func:`_neighbour_pairs`) and decided in rounds (:func:`_rounds`).  The
+    greedy loop decides what the rounds leave, or every ranked row when the
+    pairs are not listed: it visits them in rank order, with the rows the
+    rounds kept in place (none is a lower-ranked neighbour of an undecided
+    row, which would have blocked it), and compares each only with the kept
+    detections of the 3x3 cells around its own (:func:`_cell_keys`).  Kept
+    detections of one kind are more than ``radius`` apart, so a cell of side
+    ``radius`` holds at most four of them (a cell at radius 0, one) and a
+    visit costs at most 36 distances: with the pair bound and the rounds'
+    own, dedup is linear at every radius.
     """
     if not radius >= 0:  # NaN too: it compares false with every distance
         raise ValueError("radius must be >= 0")
     table = DetectionTable.from_rows(detections)
     key, step = _cell_keys(table, radius)
     rows = np.flatnonzero(_maybe_close(table, key, step, radius))
-    rank = list(zip((-table.confidences[rows]).tolist(), table.ids[rows].tolist()))
-    points, keys = list(zip(table.xs[rows].tolist(), table.ys[rows].tolist())), key[rows].tolist()
+    rows = rows[np.lexsort((table.take(rows).ids, -table.confidences[rows]))]
+    points, keys = list(zip(table.xs[rows].tolist(), table.ys[rows].tolist())), key[rows]
+    pairs = _neighbour_pairs(points, keys, step, radius)
+    state = np.zeros(rows.size, dtype=np.int8) if pairs is None else _rounds(*pairs, rows.size)
+    suppressed, undecided = np.flatnonzero(state == -1).tolist(), np.flatnonzero(state == 0).tolist()
+    keys = keys.tolist()
     offsets = [ox * step + oy for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
     # cell key -> the kept points of the 3x3 cells around that cell
     kept_near: Dict[int, List[Point]] = {}
-    suppressed: List[int] = []
-    for r in sorted(range(rows.size), key=rank.__getitem__):
+    for r in np.flatnonzero(state == 1).tolist() if undecided else ():
+        for o in offsets:
+            kept_near.setdefault(keys[r] + o, []).append(points[r])
+    for r in undecided:
         p, k = points[r], keys[r]
         for q in kept_near.get(k, ()):
             if math.dist(p, q) <= radius:
@@ -681,6 +807,12 @@ def _list_text(items: List[str]) -> str:
     return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
 
 
+def _raw_rows(template: str, rows: Iterable[tuple]) -> _RawJson:
+    """A top-level list whose items are the text ``template % row`` of each
+    row, each written as an item of a top-level list."""
+    return _RawJson(_list_text(list(map(template.__mod__, rows))))
+
+
 def _detections_json(table: DetectionTable):
     """The scene's detection entries: one ``%`` template per row, straight
     from the columns, when every id is a string and every number a finite
@@ -691,7 +823,7 @@ def _detections_json(table: DetectionTable):
         names = [_encode_str(c.to_string()) for c in table.classes]
         rows = zip(map(names.__getitem__, table.codes.tolist()), table.confidences.tolist(),
                    map(_encode_str, ids), table.xs.tolist(), table.ys.tolist())
-        return _RawJson(_list_text(list(map(_DETECTION_ROW.__mod__, rows))))
+        return _raw_rows(_DETECTION_ROW, rows)
     names = [c.to_string() for c in table.classes]
     columns = (table.codes, table.xs, table.ys, table.confidences)
     return [
@@ -822,7 +954,7 @@ def read_scene(data: bytes) -> SectionScene:
         raise MalformedDocument("scene instances/detections must be arrays")
     if not isinstance(doc["section_id"], str):
         raise MalformedDocument(f"section_id: expected a string, got {echo(doc['section_id'])}")
-    instances = _instances(_scene_instance_entries(doc["instances"]), "instance")
+    instances = _instances(*_checked(_scene_instance_entries(doc["instances"]), "instance"))
     detections = _scene_detections(doc["detections"])
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

@@ -128,30 +128,47 @@ class DetectionTable:
     and ``confidences`` (float64), and ``codes``, each an index into
     ``classes``, the distinct cell classes.
 
+    The ids may be given as an integer array of document positions instead,
+    as :func:`~banffscore.ingest.parse_detections` gives them: the id of a
+    row at position ``i`` is ``d<i>``, and ``ids`` writes those strings
+    each time it is read, so a table that never needs them builds none.
+
     Rows come in through :meth:`from_rows`, iteration gives them back as
     :class:`Detection` objects, and :meth:`take` selects them.  Equality and
     ``+`` are table to table: two tables are equal when their rows are, in
     order, each class compared by value and not by code.
     """
 
-    __slots__ = ("ids", "xs", "ys", "confidences", "codes", "classes")
+    __slots__ = ("_ids", "xs", "ys", "confidences", "codes", "classes")
 
     def __init__(self, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, confidences: np.ndarray,
                  codes: np.ndarray, classes: Tuple[CellClass, ...]):
-        self.ids, self.xs, self.ys = ids, xs, ys
+        self._ids, self.xs, self.ys = ids, xs, ys
         self.confidences, self.codes, self.classes = confidences, codes, classes
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Per row, its id, as an object array of str."""
+        if self._ids.dtype.kind not in "iu":
+            return self._ids
+        ids = np.empty(self._ids.size, dtype=object)
+        ids[:] = ["d%d" % i for i in self._ids.tolist()]
+        return ids
 
     @classmethod
     def from_labels(cls, ids: Sequence[str], xs: np.ndarray, ys: np.ndarray, confidences: np.ndarray,
                     labels: Sequence, parse: Callable[..., CellClass] = lambda c: c) -> "DetectionTable":
-        """The table of these columns, row ``i`` of class ``parse(labels[i])``.
-        Each distinct label is parsed once, in order of first appearance."""
+        """The table of these columns, row ``i`` of class ``parse(labels[i])``;
+        ``ids`` is a sequence of str, or an array the table keeps as its ids
+        column.  Each distinct label is parsed once, in order of first appearance."""
         code_of_class: Dict[CellClass, int] = {}
         code_of = {x: code_of_class.setdefault(parse(x), len(code_of_class)) for x in dict.fromkeys(labels)}
         codes = np.fromiter(map(code_of.__getitem__, labels), dtype=np.intp, count=len(labels))
-        ids_column = np.empty(len(ids), dtype=object)
-        ids_column[:] = ids
-        return cls(ids_column, xs, ys, confidences, codes, tuple(code_of_class))
+        column = ids
+        if not isinstance(ids, np.ndarray):
+            column = np.empty(len(ids), dtype=object)
+            column[:] = ids
+        return cls(column, xs, ys, confidences, codes, tuple(code_of_class))
 
     @classmethod
     def from_rows(cls, detections: "Sequence[Detection]") -> "DetectionTable":
@@ -193,7 +210,7 @@ class DetectionTable:
 
     def take(self, rows) -> "DetectionTable":
         """The rows a boolean mask, a position array or a slice selects, in order."""
-        return DetectionTable(self.ids[rows], self.xs[rows], self.ys[rows], self.confidences[rows],
+        return DetectionTable(self._ids[rows], self.xs[rows], self.ys[rows], self.confidences[rows],
                               self.codes[rows], self.classes)
 
     def kind_codes(self) -> np.ndarray:

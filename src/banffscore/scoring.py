@@ -9,6 +9,13 @@ floating point.
 A section with zero instances of the required structure class is
 ``Unscorable`` rather than grade 0: "no tissue to assess" must not be
 conflated with "no lesion".
+
+One core scores a section from the ids, class kinds and ring table of its
+instances (:func:`_score_table`): :func:`score_section` builds the table
+from a scene's polygons, and the ``score`` command passes the table its
+parser checked.  The written report's per-instance rows come from ``%``
+templates with the bytes the generic JSON walk gives them
+(:func:`_rows_json`); :func:`report_to_dict` returns plain JSON values.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,8 +32,8 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .errors import IndexMismatch, MalformedDocument, echo
-from .geometry import SpatialIndex, build_index, contained_pairs
-from .ingest import canonical_json_bytes, checked_integer, dedup_detections
+from .geometry import SpatialIndex, _EdgeTable, contained_pairs
+from .ingest import _encode_str, _raw_rows, canonical_json_bytes, checked_integer, dedup_detections
 from .model import (
     ARTERY,
     GLOMERULUS,
@@ -33,7 +41,6 @@ from .model import (
     PERITUBULAR_CAPILLARY,
     SCORABLE_STRUCTURE_KINDS,
     DetectionTable,
-    Instance,
     SectionScene,
 )
 
@@ -148,21 +155,36 @@ def score_section(scene: SectionScene, config: RunConfig = RunConfig()) -> Score
     report, and the report embeds the config snapshot it was computed with.
     """
     scorable = [inst for inst in scene.instances if inst.cls.kind in SCORABLE_STRUCTURE_KINDS]
-    details = _section_details(scene.detections, config, scorable, build_index(scorable))
-    return ScoreReport(section_id=scene.section_id, config=config.snapshot(), **details)
+    return _score_table(scene.section_id, [inst.id for inst in scorable], [inst.cls.kind for inst in scorable],
+                        _EdgeTable.of([inst.polygon for inst in scorable]), scene.detections, config)
 
 
-def _section_details(detections: DetectionTable, config: RunConfig, scorable: Sequence[Instance],
+def _score_table(section_id: str, ids: Sequence[str], kinds: Sequence[str], edges: _EdgeTable,
+                 detections: DetectionTable, config: RunConfig) -> ScoreReport:
+    """The report of :func:`score_section` for a scene whose instance ``k``
+    has id ``ids[k]``, class kind ``kinds[k]`` and polygon ``k`` of
+    ``edges``: the scoring core, which the ``score`` command calls with the
+    table its parser checked.  The polygons of the kinds no indicator
+    grades are cut from the table before it is indexed."""
+    scorable = np.array([kind in SCORABLE_STRUCTURE_KINDS for kind in kinds], dtype=bool)
+    if not scorable.all():
+        edges = edges.take(scorable)
+        ids, kinds = (list(compress(column, scorable.tolist())) for column in (ids, kinds))
+    details = _section_details(detections, config, kinds, SpatialIndex(ids, edges))
+    return ScoreReport(section_id=section_id, config=config.snapshot(), **details)
+
+
+def _section_details(detections: DetectionTable, config: RunConfig, kinds: Sequence[str],
                      index: SpatialIndex) -> Dict[str, GradeDetail]:
     """The grade details :func:`score_section` reports for a scene with these
-    detections, whose scorable instances are ``scorable`` (ids distinct, or
-    IndexMismatch), indexed by ``index``."""
+    detections, whose scorable instances are those of ``index`` (ids
+    distinct, or IndexMismatch), of class kinds ``kinds``."""
     detections = _counted(detections, config)
-    repeated = [i for i, n in Counter(inst.id for inst in scorable).items() if n > 1]
+    repeated = [i for i, n in Counter(index.ids).items() if n > 1]
     if repeated:
         raise IndexMismatch(f"duplicate instance id {echo(repeated[0])}")
     found = contained_pairs(index, detections.xs, detections.ys)[1]
-    return _graded(scorable, np.bincount(found, minlength=len(scorable)).tolist())
+    return _graded(index.ids, kinds, np.bincount(found, minlength=len(kinds)).tolist())
 
 
 def _counted(detections: DetectionTable, config: RunConfig) -> DetectionTable:
@@ -176,19 +198,44 @@ def _counted(detections: DetectionTable, config: RunConfig) -> DetectionTable:
     return detections
 
 
-def _graded(instances: Sequence[Instance], counts: Sequence[int]) -> Dict[str, GradeDetail]:
-    """Per indicator, its grade detail when scorable instance ``instances[k]``
-    holds ``counts[k]`` cells; the ids are distinct."""
+def _graded(ids: Sequence[str], kinds: Sequence[str], counts: Sequence[int]) -> Dict[str, GradeDetail]:
+    """Per indicator, its grade detail when the scorable instance with id
+    ``ids[k]`` and class kind ``kinds[k]`` holds ``counts[k]`` cells; the
+    ids are distinct."""
     by_kind: Dict[str, Dict[str, int]] = {kind: {} for kind in SCORABLE_STRUCTURE_KINDS}
-    for inst, count in zip(instances, counts):
-        by_kind[inst.cls.kind][inst.id] = count
+    for iid, kind, count in zip(ids, kinds, counts):
+        by_kind[kind][iid] = count
     return {name: score_indicator(name, by_kind[kind]) for name, kind in INDICATORS.items()}
 
 
 # ---------------------------------------------------------------------------
 # report (de)serialization
 
-def _detail_to_dict(detail: GradeDetail) -> dict:
+# A per-instance row of g and of ptc or v as canonical JSON text, an item of
+# a list written at the top level of a document.
+_G_ROW = '{\n    "count": %d,\n    "id": %s,\n    "inflamed": %s\n  }'
+_COUNT_ROW = '{\n    "count": %d,\n    "id": %s\n  }'
+
+
+def _rows_json(detail: Union[GScoreDetail, MaxCountDetail]):
+    """The detail's ``per_instance`` rows: one ``%`` template per row when
+    every id is a str, every count an int and every flag a bool (the
+    values scoring gives), with the bytes the generic walk gives them;
+    otherwise the rows as objects."""
+    rows = detail.per_instance
+    flagged = isinstance(detail, GScoreDetail)
+    types = {tuple(map(type, row)) for row in rows}
+    if types <= {(str, int, bool) if flagged else (str, int)}:
+        if flagged:
+            return _raw_rows(_G_ROW, [(count, _encode_str(iid), "true" if flag else "false")
+                                      for iid, count, flag in rows])
+        return _raw_rows(_COUNT_ROW, [(count, _encode_str(iid)) for iid, count in rows])
+    return _detail_to_dict(detail)["per_instance"]
+
+
+def _detail_to_dict(detail: GradeDetail, templated: bool = False) -> dict:
+    """The detail as report JSON values; ``templated`` writes its
+    per-instance rows as text (:func:`_rows_json`)."""
     if isinstance(detail, Unscorable):
         return {"status": "unscorable", "reason": detail.reason}
     if isinstance(detail, GScoreDetail):
@@ -201,7 +248,7 @@ def _detail_to_dict(detail: GradeDetail) -> dict:
                 detail.inflamed_fraction.numerator,
                 detail.inflamed_fraction.denominator,
             ],
-            "per_instance": [
+            "per_instance": _rows_json(detail) if templated else [
                 {"id": iid, "count": count, "inflamed": flag}
                 for iid, count, flag in detail.per_instance
             ],
@@ -210,22 +257,30 @@ def _detail_to_dict(detail: GradeDetail) -> dict:
         "status": "scored",
         "grade": detail.grade,
         "max_count": detail.max_count,
-        "per_instance": [{"id": iid, "count": count} for iid, count in detail.per_instance],
+        "per_instance": _rows_json(detail) if templated else [
+            {"id": iid, "count": count} for iid, count in detail.per_instance
+        ],
     }
 
 
-def report_to_dict(report: ScoreReport) -> dict:
+def _report_doc(report: ScoreReport, templated: bool) -> dict:
+    """The report document; ``templated`` writes the per-instance rows as
+    text, for :func:`~banffscore.ingest.canonical_json_bytes` only."""
     return {
         "schema": "banffscore.score_report/1",
         "tool_version": __version__,
         "section_id": report.section_id,
         "config": report.config,
-        **{name: _detail_to_dict(getattr(report, name)) for name in INDICATORS},
+        **{name: _detail_to_dict(getattr(report, name), templated) for name in INDICATORS},
     }
 
 
+def report_to_dict(report: ScoreReport) -> dict:
+    return _report_doc(report, templated=False)
+
+
 def report_to_json(report: ScoreReport) -> bytes:
-    return canonical_json_bytes(report_to_dict(report))
+    return canonical_json_bytes(_report_doc(report, templated=True))
 
 
 def _detail_from_dict(doc: dict, indicator: str) -> GradeDetail:

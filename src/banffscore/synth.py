@@ -732,7 +732,7 @@ def sensitivity_run(
                          dtype=np.intp)
     scorable = [scene.instances[k] for k in positions.tolist()]
     index = build_index(scorable)
-    baseline = _grade_keys(_section_details(scene.detections, config, scorable, index))
+    baseline = _grade_keys(_section_details(scene.detections, config, [inst.cls.kind for inst in scorable], index))
     circles = _scene_circles(scene, pspec)
 
     def run_trial(i: int) -> Tuple[str, ...]:
@@ -745,8 +745,8 @@ def sensitivity_run(
         if added:
             found = contained_pairs(build_index(added), detections.xs, detections.ys)[1]
             counts += np.bincount(found, minlength=len(added)).tolist()
-        kept = [inst for inst, on in zip(scorable, live.tolist()) if on]
-        return _grade_keys(_graded(kept + added, counts))
+        graded = [inst for inst, on in zip(scorable, live.tolist()) if on] + added
+        return _grade_keys(_graded([inst.id for inst in graded], [inst.cls.kind for inst in graded], counts))
 
     rows = tuple(run_trial(i) for i in range(trials))
 

@@ -388,6 +388,30 @@ class TestEvaluateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["indicators"]["g"]["cells"][2][2] == 1
 
+    @pytest.mark.parametrize("blank", ["   \t", " ,", ", ,"], ids=["spaces", "two-blank-fields", "three-blank-fields"])
+    def test_rows_of_blank_fields_are_skipped(self, blank, tmp_path):
+        """A line of spaces exited 2 with ``expected 'report,ground_truth'``,
+        and a row of blank fields with ``file not found: <manifest directory>``."""
+        report, gt = make_report_and_gt(tmp_path, "only", grade=2)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"report,ground_truth\n{blank}\n{report},{gt}\n{blank}\n")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--manifest", str(manifest), "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["indicators"]["g"]["cells"][2][2] == 1
+
+    @pytest.mark.parametrize("row, name", [(" ,{gt}", "report"), ("{report}, ", "ground_truth"),
+                                           ("{report},", "ground_truth")],
+                             ids=["blank-report", "blank-ground-truth", "empty-ground-truth"])
+    def test_row_with_a_blank_field_names_the_manifest_and_the_row(self, row, name, tmp_path, capsys):
+        report, gt = make_report_and_gt(tmp_path, "only", grade=2)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"report,ground_truth\n{report},{gt}\n{row.format(report=report, gt=gt)}\n")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--manifest", str(manifest), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {manifest}: manifest row 3: the {name} field is blank\n"
+        assert not out.exists() or not list(out.iterdir())
+
     def test_unresolvable_manifest_row_exits_2_with_no_partial_output(self, tmp_path, capsys):
         report, gt = make_report_and_gt(tmp_path, "only", grade=0)
         manifest = tmp_path / "manifest.csv"
@@ -767,8 +791,8 @@ class TestCollectorPause:
         structures, detections = section_files
         argv = ["score", "--structures", str(structures), "--detections", str(detections)]
         seen = []
-        score_section = cli.score_section
-        monkeypatch.setattr(cli, "score_section", lambda *a: seen.append(gc.isenabled()) or score_section(*a))
+        score_table = cli._score_table
+        monkeypatch.setattr(cli, "_score_table", lambda *a: seen.append(gc.isenabled()) or score_table(*a))
         (gc.enable if enabled else gc.disable)()
         assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
         assert gc.isenabled() is enabled
@@ -1490,6 +1514,25 @@ class TestScoreGoldenBytes:
             assert main(argv + extra + ["--out-dir", str(out)]) == 0
             digests[name] = hashlib.sha256((out / "golden.score.json").read_bytes()).hexdigest()
         assert digests == self.SHA256
+
+
+def test_score_indexes_the_checked_ring_table(tmp_path, monkeypatch):
+    """``score`` builds no vertex tuple and flattens no polygon again: the
+    golden section scores to the same bytes with both ways forbidden."""
+    golden = TestScoreGoldenBytes
+    structures = write_json(tmp_path / "golden.geojson", golden.STRUCTURES)
+    points = [{"name": n, "point": p, "probability": c} for n, p, c in golden.POINTS]
+    detections = write_json(tmp_path / "golden.json", {"points": points})
+    argv = ["score", "--structures", str(structures), "--detections", str(detections), "--dedup-radius", "10"]
+
+    def forbidden(*args):
+        raise AssertionError("the score command built polygons")
+
+    monkeypatch.setattr(banffscore.geometry._EdgeTable, "polygons", forbidden)
+    monkeypatch.setattr(banffscore.geometry._EdgeTable, "of", forbidden)
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "golden.score.json").read_bytes()).hexdigest()
+    assert digest == golden.SHA256["dedup-10"]
 
 
 @pytest.mark.parametrize("module", ["banffscore", "banffscore.cli"])

@@ -594,6 +594,33 @@ class TestDedupDetections:
         assert elapsed < 5.0, f"dedup of {len(dets)} detections took {elapsed:.2f}s"
 
 
+class TestStalledRounds:
+    @staticmethod
+    def chain(n: int, radius: float):
+        """``n`` lymphocytes on a line, each ``0.99 * radius`` from the next, so
+        only neighbours on the line are within the radius, with confidence
+        rising along it: a round decides only the highest-ranked undecided
+        row and the one it suppresses."""
+        return [mk_detection(f"d{i}", 0.99 * radius * i, 0.0, confidence=(i + 1) / (n + 1)) for i in range(n)]
+
+    def test_dedup_stays_linear_when_the_rounds_stall(self, monkeypatch):
+        radius, counts = 8.0, []
+        for n in (250, 500, 1000):
+            dets = self.chain(n, radius)
+            expected = greedy_dedup_quadratic(dets, radius)
+            calls, left = [], []
+            dist, rounds = math.dist, ingest._rounds
+            monkeypatch.setattr(math, "dist", lambda p, q: calls.append(1) or dist(p, q))
+            monkeypatch.setattr(ingest, "_rounds", lambda *a: left.append(rounds(*a)) or left[-1])
+            out = dedup_detections(dets, radius)
+            monkeypatch.undo()
+            assert list(out) == expected
+            # the rounds stopped at once and left the chain to the greedy loop
+            assert np.count_nonzero(left[0] == 0) == n - 2
+            counts.append(len(calls))
+        assert all(b <= 2.25 * a for a, b in zip(counts, counts[1:])), counts
+
+
 class TestSubPixelDedup:
     @staticmethod
     def crowd():
@@ -716,6 +743,57 @@ class TestDetectionTable:
             assert type(table) is DetectionTable
             assert list(table) == per_entry_scene_detections(dets)
             assert len(table.classes) == n_classes  # one per distinct class
+
+
+class TestPositionalIds:
+    """A parsed table keeps document positions for its ids and writes
+    ``d<i>`` only when they are read; it behaves as if it held the strings."""
+
+    POINTS = [
+        {"name": ("lymphocyte", "monocyte", "neutrophil")[i % 3], "point": [float(i), 0.5 * i],
+         "probability": round(0.2 + 0.07 * i, 2)}
+        for i in range(12)
+    ]
+
+    def parsed(self):
+        table = parse_detections(json.dumps({"points": self.POINTS}).encode(), min_confidence=0.3)
+        twin = DetectionTable.from_rows([
+            Detection(f"d{i}", tuple(p["point"]), CellClass.from_label(p["name"]), p["probability"])
+            for i, p in enumerate(self.POINTS) if p["probability"] >= 0.3 and p["name"] != "neutrophil"
+        ])
+        return table, twin
+
+    def test_parsed_table_equals_its_twin_with_string_ids(self):
+        table, twin = self.parsed()
+        assert table.ids.tolist() == ["d3", "d4", "d6", "d7", "d9", "d10"]
+        assert table == twin and twin == table
+        assert list(table) == list(twin)
+        for rows in ([4, 0, 2], slice(1, None, 2), table.confidences > 0.5, slice(0)):
+            assert table.take(rows) == twin.take(rows)
+            assert list(table.take(rows)) == list(twin.take(rows))
+        assert table.take([0, 1]) != twin.take([1, 0])
+        scene = {"section_id": "s", "instances": [], "detections": [
+            {"id": "d9", "class": "lymphocyte", "point": [9.0, 4.5], "confidence": 0.83},
+            {"id": "x", "class": "other:mast cell", "point": [1.0, 1.0]},
+        ]}
+        detections = read_scene(json.dumps(scene).encode()).detections
+        assert table + detections == twin + detections
+        assert detections + table == detections + twin
+        assert list(table + detections) == list(twin) + list(detections)
+
+    def test_unassigned_ids_sort_as_strings(self):
+        table, _ = self.parsed()
+        far = mk_instance("far", GLOMERULUS, square(100.0, 100.0, 5.0))
+        unassigned = geometry.assign_detections(table, [far], geometry.build_index([far])).unassigned
+        assert unassigned == ("d10", "d3", "d4", "d6", "d7", "d9")
+
+    def test_confidence_tie_ranks_d10_before_d9(self):
+        points = [{"name": "lymphocyte", "point": [100.0 * i, 0.0], "probability": 0.5} for i in range(11)]
+        points[9]["point"] = points[10]["point"]  # d9 and d10 share a point and a confidence
+        table = parse_detections(json.dumps({"points": points}).encode())
+        out = dedup_detections(table, radius=0.0)
+        assert "d10" in out.ids.tolist() and "d9" not in out.ids.tolist()
+        assert out == dedup_detections(list(table), radius=0.0)
 
 
 # Strings and keys that stress the string encoder: non-ASCII, astral,

@@ -12,7 +12,11 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "banffscore").gl
 
 # (importing module, imported module) -> the private names it imports
 PRIVATE_IMPORTS = {
+    ("cli", "ingest"): {"_structure_table"},
+    ("cli", "scoring"): {"_report_doc", "_score_table"},
     ("ingest", "geometry"): {"_EdgeTable"},
+    ("scoring", "geometry"): {"_EdgeTable"},
+    ("scoring", "ingest"): {"_encode_str", "_raw_rows"},
     ("synth", "geometry"): {"_BLOCK_PAIRS", "_contains", "_EdgeTable"},
     ("synth", "ingest"): {"_ring_columns"},
     ("synth", "scoring"): {"_counted", "_graded", "_section_details"},

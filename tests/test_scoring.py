@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import fields
 from fractions import Fraction
@@ -24,12 +25,14 @@ from banffscore.model import (
     GroundTruthGrades,
     SectionScene,
 )
+from banffscore.ingest import canonical_json_bytes
 from banffscore.scoring import (
     GLOMERULUS_CELL_THRESHOLD,
     GRADE_EDGES,
     GScoreDetail,
     ScoreReport,
     Unscorable,
+    _report_doc,
     report_from_dict,
     report_to_dict,
     report_to_json,
@@ -361,7 +364,32 @@ class TestScoreSection:
             sensitivity_run(scene, PerturbationSpec(detection_fn_prob=0.5), trials=2)
 
 
+# Instance ids that stress the string encoder and the row templates: quotes,
+# backslashes, control, non-ASCII, astral and lone-surrogate characters,
+# format specifiers and strings that read as numbers or JSON literals.
+REPORT_IDS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['a"b', "back\\slash", '\\"', "\x00\x1f\x7f", "\n\t\r", "caf\u00e9", "\u00ff\u0100",
+                     "\U0001d11e", "\ud800", "\udfff", "\u2028\u2029", "%s%d%%", "12", "-0.5", "1e308", "007",
+                     "NaN", "true", "null", ""]),
+)
+REPORT_COUNTS = st.dictionaries(REPORT_IDS, st.one_of(st.integers(0, 12), st.integers(0, 2**70)), max_size=8)
+
+
 class TestReportSerialization:
+    @given(g=REPORT_COUNTS, ptc=REPORT_COUNTS, v=REPORT_COUNTS, truth=st.sampled_from([None, 0, 3]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_templated_rows_write_the_bytes_of_the_generic_dump(self, g, ptc, v, truth):
+        report = ScoreReport("s", score_g(g), score_ptc(ptc), score_v(v), RunConfig().snapshot())
+        doc = report_to_dict(report)
+        rows = [row for name in INDICATORS if "per_instance" in doc[name] for row in doc[name]["per_instance"]]
+        assert all(type(row) is dict for row in rows)  # plain JSON values, not text
+        assert report_to_json(report) == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        # the score command's document: templated rows, then its ground truth
+        written = _report_doc(report, templated=True)
+        written["ground_truth"] = doc["ground_truth"] = {"g": truth, "ptc": 1, "v": None}
+        assert canonical_json_bytes(written) == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
     def test_round_trip(self):
         report = score_section(workflow_demo_scene())
         doc = report_to_dict(report)
