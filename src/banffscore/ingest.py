@@ -675,9 +675,9 @@ def _neighbour_pairs(points: List[Point], key: np.ndarray, step: int,
     than ``8 * len(points)`` candidates.
 
     The candidates are every ordered pair of rows of one cell and every row
-    of a cell with every row of one of its four forward neighbours; they are
-    counted from the cell sizes before any is built, so a crowd costs no
-    more than its count.
+    of a cell with every row of one of its four forward neighbours.  They
+    are counted from the cell sizes before any is built, so a crowd, whose
+    candidates grow with the square of its size, is counted but not built.
     """
     order, starts, size, cells = _cell_groups(key)
     each = np.arange(cells.size)
@@ -743,7 +743,8 @@ def dedup_detections(detections: DetectionTable | Sequence[Detection], radius: f
     A detection is kept iff no already-kept detection of the same class
     kind lies within Euclidean distance <= radius (``math.dist``).  Radius
     0 suppresses only exact same-class coordinate duplicates.  Output
-    preserves input order.
+    preserves input order.  A NaN confidence, which no parser admits, ranks
+    after every number.
 
     Detections with no same-kind detection near them (:func:`_maybe_close`)
     are kept as they are, and only the rest are ranked (one ``np.lexsort``;
@@ -808,8 +809,8 @@ def _list_text(items: List[str]) -> str:
 
 
 def _raw_rows(template: str, rows: Iterable[tuple]) -> _RawJson:
-    """A top-level list whose items are the text ``template % row`` of each
-    row, each written as an item of a top-level list."""
+    """A top-level list whose items are the texts ``template % row``, one
+    per row."""
     return _RawJson(_list_text(list(map(template.__mod__, rows))))
 
 

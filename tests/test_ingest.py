@@ -542,6 +542,14 @@ class TestDedupDetections:
         assert out == greedy_dedup_quadratic(dets, radius)
         assert out == bucket_dedup(dets, radius)
 
+    def test_nan_confidence_ranks_last_in_any_input_order(self):
+        """A tuple sort left a NaN rank to the comparisons it happened to
+        make, so the result depended on the input order."""
+        rows = [mk_detection("a", 0.0, 0.0, confidence=0.5), mk_detection("b", 1.0, 0.0, confidence=math.nan),
+                mk_detection("c", 2.0, 0.0, confidence=0.9)]
+        for order in itertools.permutations(rows):
+            assert [d.id for d in dedup_detections(list(order), radius=1.0)] == [d.id for d in order if d.id != "b"]
+
     def test_identity_on_duplicate_free_input(self):
         dets = [mk_detection(f"d{i}", float(i) * 3.0, 0.0) for i in range(10)]
         assert list(dedup_detections(dets, radius=0.0)) == dets
