@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import io
 import os
@@ -341,12 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser main uses, built on first use: parsing keeps no state in it
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command and return its exit code.  Cyclic garbage collection
     is paused while it runs (and resumed only if it was on): its JSON trees,
     columns, instances and reports hold no reference cycles, so reference
     counting frees them, and collection passes over them reclaim nothing."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:

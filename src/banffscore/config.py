@@ -33,7 +33,7 @@ class RunConfig:
     """The operating point of one run.  The scoring defaults (min confidence
     0.5, lymphocytes + monocytes, dedup off) are conventional operating
     points, not measured constants.  Construction normalizes ``cell_classes``
-    and rejects out-of-range values and an empty class list with
+    (keeping the first of repeated kinds) and rejects out-of-range values and an empty class list with
     ConfigError, so every instance is a valid config."""
 
     min_confidence: float = 0.5
@@ -52,7 +52,7 @@ class RunConfig:
         radius = self.dedup_radius
         if radius is not None and not (math.isfinite(radius) and radius >= 0.0):
             raise ConfigError(f"dedup_radius={echo(radius)} is not a finite number >= 0")
-        kinds = tuple(filter(None, (normalize_label(c).replace(" ", "_") for c in self.cell_classes)))
+        kinds = tuple(dict.fromkeys(filter(None, (normalize_label(c).replace(" ", "_") for c in self.cell_classes))))
         for kind in kinds:
             if kind not in KNOWN_CELL_KINDS and kind != OTHER:
                 raise ConfigError(f"cell_classes: unknown cell kind {echo(kind)}")

@@ -794,18 +794,24 @@ def dedup_detections(detections: DetectionTable | Sequence[Detection], radius: f
 # ---------------------------------------------------------------------------
 # scene interchange
 
-# A detection row and a ring vertex as canonical JSON text, each an item of
-# a list written at the top level of a document.
+# The rows of a scene document as canonical JSON text at their place in it,
+# each after the comma that parts it from the row before: a detection, and
+# an instance with its rings and properties written in.
 _DETECTION_ROW = (
-    '{\n    "class": %s,\n    "confidence": %r,\n    "id": %s,\n    "point": [\n      %r,\n      %r\n    ]\n  }'
+    ',\n    {\n      "class": %s,\n      "confidence": %r,\n      "id": %s,\n      "point": [\n        %r,\n'
+    '        %r\n      ]\n    }'
 )
-_VERTEX = "[\n    %r,\n    %r\n  ]"
+_INSTANCE_ROW = (
+    ',\n    {\n      "class": %s,\n      "id": %s,\n      "polygon": {\n        "exterior": %s,\n'
+    '        "holes": %s\n      },\n      "properties": %s\n    }'
+)
 
 
-def _list_text(items: List[str]) -> str:
-    """The text of a top-level list whose items are already written, as
-    items of a top-level list."""
-    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
+def _list_text(items: List[str], indent: str = "") -> str:
+    """The text of a list nested at ``indent`` whose items are already
+    written, each as an item of that list."""
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def _raw_rows(template: str, rows: Iterable[tuple]) -> _RawJson:
@@ -814,7 +820,16 @@ def _raw_rows(template: str, rows: Iterable[tuple]) -> _RawJson:
     return _RawJson(_list_text(list(map(template.__mod__, rows))))
 
 
-def _detections_json(table: DetectionTable):
+def _row_list(rows: List[str]) -> List[str]:
+    """The parts of a list at depth 1 of the scene document whose items are
+    ``rows``, each written after its comma."""
+    if not rows:
+        return ["[]"]
+    rows[0] = rows[0][1:]
+    return ["[", *rows, "\n  ]"]
+
+
+def _detection_parts(table: DetectionTable) -> List[str]:
     """The scene's detection entries: one ``%`` template per row, straight
     from the columns, when every id is a string and every number a finite
     float64; otherwise the entries as objects for :func:`_json_text`, which
@@ -824,46 +839,55 @@ def _detections_json(table: DetectionTable):
         names = [_encode_str(c.to_string()) for c in table.classes]
         rows = zip(map(names.__getitem__, table.codes.tolist()), table.confidences.tolist(),
                    map(_encode_str, ids), table.xs.tolist(), table.ys.tolist())
-        return _raw_rows(_DETECTION_ROW, rows)
+        return _row_list(list(map(_DETECTION_ROW.__mod__, rows)))
     names = [c.to_string() for c in table.classes]
     columns = (table.codes, table.xs, table.ys, table.confidences)
-    return [
+    return [_json_text([
         {"id": did, "class": names[code], "point": [x, y], "confidence": confidence}
         for did, code, x, y, confidence in zip(ids, *(column.tolist() for column in columns))
-    ]
+    ], "  ")]
 
 
-def _ring_json(ring: Sequence[Point]):
-    """A ring's ``[x, y]`` vertices: one ``%`` template for the ring when every
-    coordinate is a finite float, otherwise lists for :func:`_json_text`."""
+def _ring_text(ring: Sequence[Point], indent: str) -> str:
+    """A ring's ``[x, y]`` vertices as a list nested at ``indent``: one ``%``
+    template for the ring when every coordinate is a finite float, otherwise
+    :func:`_json_text` of the vertices as lists."""
     flat = tuple(chain.from_iterable(ring))
     if flat and len(flat) == 2 * len(ring) and set(map(type, flat)) <= {float} and all(map(math.isfinite, flat)):
-        return _RawJson(_list_text([_VERTEX] * len(ring)) % flat)
-    return [[x, y] for x, y in ring]
+        inner = indent + "    "
+        vertex = "[\n" + inner + "%r,\n" + inner + "%r\n" + indent + "  ]"
+        return _list_text([vertex] * len(ring), indent) % flat
+    return _json_text([[x, y] for x, y in ring], indent)
+
+
+def _instance_row(inst: Instance) -> str:
+    """An instance entry of the scene document, from :data:`_INSTANCE_ROW`."""
+    exterior = _ring_text(inst.polygon.exterior, " " * 8)
+    holes = _list_text([_ring_text(hole, " " * 10) for hole in inst.polygon.holes], " " * 8)
+    return _INSTANCE_ROW % (_encode_str(inst.cls.to_string()), _json_text(inst.id, " " * 6), exterior, holes,
+                            _json_text(inst.properties, " " * 6))
 
 
 def write_scene(scene: SectionScene) -> bytes:
-    """Serialize a scene deterministically; see :func:`canonical_json_bytes`.
-    Detection rows and ring vertices are written from templates, with the
-    bytes the generic walk gives them."""
-    doc = {
-        "section_id": scene.section_id,
-        "instances": [
-            {
-                "id": inst.id,
-                "class": inst.cls.to_string(),
-                "polygon": {
-                    "exterior": _ring_json(inst.polygon.exterior),
-                    "holes": [_ring_json(hole) for hole in inst.polygon.holes],
-                },
-                "properties": inst.properties,
-            }
-            for inst in scene.instances
-        ],
-        "detections": _detections_json(scene.detections),
-        "metadata": scene.metadata,
-    }
-    return canonical_json_bytes(doc)
+    """Serialize a scene deterministically: the bytes
+    :func:`canonical_json_bytes` writes for the document of its
+    ``section_id``, ``instances`` (each its ``id``, ``class``, ``polygon``
+    ``exterior`` and ``holes`` and ``properties``), ``detections`` (each its
+    ``id``, ``class``, ``point`` and ``confidence``) and ``metadata``.
+
+    Detection rows, instance rows and ring vertices are written from ``%``
+    templates at their place in the document, and the parts are joined once.
+    A detection table with an id that is not a string or a number that is
+    not a finite float64, or a ring with a coordinate that is not a finite
+    float, is written by the generic walk, which raises on a non-finite
+    number as the stdlib does."""
+    parts = [
+        '{\n  "detections": ', *_detection_parts(scene.detections),
+        ',\n  "instances": ', *_row_list([_instance_row(inst) for inst in scene.instances]),
+        ',\n  "metadata": ', _json_text(scene.metadata, "  "),
+        ',\n  "section_id": ', _json_text(scene.section_id, "  "), "\n}\n",
+    ]
+    return "".join(parts).encode("utf-8")
 
 
 def scene_canvas(scene: SectionScene) -> Tuple[float, float, float, float]:

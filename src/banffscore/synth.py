@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Container, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -340,13 +340,35 @@ def _cell_side(radius_ranges: Iterable[Tuple[float, float]]) -> float:
 def _cells(ids: List[str], xs: np.ndarray, ys: np.ndarray, u_class: np.ndarray,
            u_confidence: np.ndarray) -> DetectionTable:
     """Synthetic cells at ``(xs, ys)``, each from two uniform doubles in [0,
-    1): ``u_class`` picks its class, ``u_confidence`` its confidence, mapped
-    as ``rng.uniform(0.6, 1.0)`` maps a double and rounded to 4 decimals by
-    Python's ``round`` (``np.round`` scales by 10**4 first, which rounds some
-    values near a half the other way)."""
-    labels = np.where(u_class < 0.5, LYMPHOCYTE, MONOCYTE).tolist()
-    confidences = np.array([round(0.6 + (1.0 - 0.6) * u, 4) for u in u_confidence.tolist()], dtype=np.float64)
-    return DetectionTable.from_labels(ids, xs, ys, confidences, labels, CellClass)
+    1): a cell is a lymphocyte when its ``u_class`` is below 0.5 and a
+    monocyte otherwise, and its confidence is ``round(x, 4)`` for ``x = 0.6 +
+    (1.0 - 0.6) * u_confidence``, as ``rng.uniform(0.6, 1.0)`` maps the
+    double.  The classes are in order of first appearance.
+
+    The confidences are computed as ``np.rint(t) / 1e4`` for ``t = x *
+    1e4``, and by ``round`` itself where ``t`` is exactly a half.  That is
+    exact.  ``round`` rounds the exact value of ``x`` to an integer ``r`` of
+    ten-thousandths and returns the double nearest r/10**4; ``r / 1e4``, with
+    ``r`` below 2**53, is that double.  Rounding x * 10**4 to a double is
+    monotone and every k + 0.5 in range is a double, so ``t`` falls on the
+    wrong side of a half only by landing on it.  (``np.round`` alone lands on
+    such a half and rounds it to even, where ``round`` may round the other
+    way.)"""
+    x = 0.6 + (1.0 - 0.6) * u_confidence
+    t = x * 1e4
+    confidences = np.rint(t) / 1e4
+    tie = np.flatnonzero(t - np.floor(t) == 0.5)
+    if tie.size:
+        confidences[tie] = [round(v, 4) for v in x[tie].tolist()]
+    lymphocyte = u_class < 0.5
+    monocyte_first = lymphocyte.size and not lymphocyte[0]
+    codes = (lymphocyte if monocyte_first else ~lymphocyte).astype(np.intp)
+    second = int(codes.sum())
+    kinds = (MONOCYTE, LYMPHOCYTE) if monocyte_first else (LYMPHOCYTE, MONOCYTE)
+    classes = tuple(CellClass(kind) for kind, n in zip(kinds, (codes.size - second, second)) if n)
+    column = np.empty(len(ids), dtype=object)
+    column[:] = ids
+    return DetectionTable(column, xs, ys, confidences, codes, classes)
 
 
 def _plant(rng: np.random.Generator, edges: _EdgeTable, counts: Sequence[int], ids: List[str]) -> DetectionTable:
@@ -368,31 +390,41 @@ def _plant(rng: np.random.Generator, edges: _EdgeTable, counts: Sequence[int], i
     restored rather than rewound with ``advance()``, which would drop the
     buffered 32-bit half that ``rng.integers`` leaves behind.  A cell whose
     point is rejected 100 times in a row is a PlacementFailure.
+
+    The weights are computed in one pass per distinct ring size, over the
+    rows of that size's fan areas; numpy's per-row ``sum`` and ``cumsum``
+    give each row the bits of the 1-D calls on it.
     """
     owner = np.repeat(np.arange(edges.n_rings.size), counts)
     apex = edges.ring_start[edges.first_ring]  # vertex 0 of each exterior, every fan triangle's first corner
     sizes = edges.ring_size[edges.first_ring]
     cdf = np.full((edges.n_rings.size, int((sizes - 2).max(initial=0))), np.inf)
-    for k, (start, n) in enumerate(zip(apex.tolist(), sizes.tolist())):
-        x, y = edges.x1[start:start + n], edges.y1[start:start + n]
-        areas = np.abs((x[1:-1] - x[0]) * (y[2:] - y[0]) - (x[2:] - x[0]) * (y[1:-1] - y[0])) / 2.0
-        cumulative = (areas / areas.sum()).cumsum()
-        cumulative /= cumulative[-1]  # as rng.choice normalizes its p
-        cdf[k, :n - 2] = cumulative
+    for n in set(sizes.tolist()):  # the rings of n vertices, n - 2 triangles each
+        rings = np.flatnonzero(sizes == n)
+        at = apex[rings, None] + np.arange(n)
+        x, y = edges.x1[at], edges.y1[at]
+        dx, dy = x[:, 1:] - x[:, :1], y[:, 1:] - y[:, :1]
+        areas = np.abs(dx[:, :-1] * dy[:, 1:] - dx[:, 1:] * dy[:, :-1]) / 2.0
+        cumulative = (areas / areas.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cumulative /= cumulative[:, -1:]  # as rng.choice normalizes its p
+        cdf[rings, :n - 2] = cumulative
     columns = np.empty((4, owner.size))  # x, y, class double, confidence double
     i = misses = 0
     while i < owner.size:
         state = rng.bit_generator.state
         block = rng.random((min(_BLOCK_PAIRS, owner.size - i), 5))
         own = owner[i:i + len(block)]
-        b = apex[own] + 1 + np.count_nonzero(cdf[own] <= block[:, :1], axis=1)
+        a = apex[own]
+        b = a + 1 + np.count_nonzero(cdf[own] <= block[:, :1], axis=1)
+        c = b + 1
         u, w = np.sqrt(block[:, 1]), block[:, 2]
-        a, c = apex[own], b + 1
-        xs = (1 - u) * edges.x1[a] + u * (1 - w) * edges.x1[b] + u * w * edges.x1[c]
-        ys = (1 - u) * edges.y1[a] + u * (1 - w) * edges.y1[b] + u * w * edges.y1[c]
+        ka, kb, kc = 1 - u, u * (1 - w), u * w  # the point's weights on a, b and c
+        xs = ka * edges.x1[a] + kb * edges.x1[b] + kc * edges.x1[c]
+        ys = ka * edges.y1[a] + kb * edges.y1[b] + kc * edges.y1[c]
         inside = _contains(edges, xs, ys, own)
         good = int(np.argmin(inside)) if not inside.all() else len(block)
-        columns[:, i:i + good] = (xs[:good], ys[:good], block[:good, 3], block[:good, 4])
+        columns[0, i:i + good], columns[1, i:i + good] = xs[:good], ys[:good]
+        columns[2:, i:i + good] = block[:good, 3:].T
         if good:
             misses = 0
         if good < len(block):
@@ -424,14 +456,69 @@ def _check_rings(instances: List[Instance]) -> _EdgeTable:
     return columns.edges
 
 
+def _background(rng: np.random.Generator, index: SpatialIndex, canvas: Tuple[float, float, float, float],
+                count: int) -> np.ndarray:
+    """The ``(x, y, class double, confidence double)`` columns of ``count``
+    background cells, placed outside every instance of ``index``.
+
+    The stream is a sequence of pairs of doubles.  A pair is a cell's
+    attempt, its x and y mapped as ``rng.uniform`` maps a double, when its
+    point is in no instance and the pair before it is not an attempt; the
+    pair after an attempt is that cell's class and confidence.  A pair in an
+    instance that is not an attempt's class and confidence is a miss, and
+    the ``_PLACEMENT_ATTEMPTS``-th miss since the last attempt is a
+    PlacementFailure.  The pairs are read and tested a block at a time:
+    within a run of free pairs, the attempts are those at even offsets, and
+    an attempt in a block's last pair takes the next block's first pair.
+    The walk stops at the last cell's class and confidence; the background
+    is the scene stream's last stage, so the pairs it leaves unread in the
+    last block need no rewind."""
+    x0, y0, x1, y1 = canvas
+    blocks, done, pending, misses = [], 0, None, 0
+    while done < count:
+        u = rng.random((min(_BLOCK_PAIRS, 2 * (count - done)), 2))
+        xs, ys = x0 + (x1 - x0) * u[:, 0], y0 + (y1 - y0) * u[:, 1]
+        busy = np.zeros(len(u), dtype=bool)
+        busy[contained_pairs(index, xs, ys)[0]] = True
+        free = ~busy
+        free[0] &= pending is None
+        at = np.arange(len(u))
+        run_start = np.maximum.accumulate(np.where(free & ~np.r_[False, free[:-1]], at, 0))
+        attempt = free & ((at - run_start) % 2 == 0)
+        read = np.r_[pending is not None, attempt[:-1]]  # the pairs read as a class and confidence
+        miss = busy & ~read
+        # misses since the last attempt, counting those carried into the block
+        missed = np.cumsum(miss)
+        last = np.maximum.accumulate(np.where(attempt, at, -1))
+        missed -= np.where(last >= 0, missed[last], -misses)
+        cells = np.flatnonzero(read)
+        end = cells[count - done - 1] if cells.size >= count - done else len(u)
+        failed = np.flatnonzero(miss[:end] & (missed[:end] >= _PLACEMENT_ATTEMPTS))
+        if failed.size:
+            number = done + int(pending is not None) + np.count_nonzero(attempt[:failed[0]]) + 1
+            raise PlacementFailure(f"background cell {number}: no free canvas space")
+        block = np.empty((cells.size, 4))
+        block[:, 2:] = u[cells]
+        points, k = np.flatnonzero(attempt[:-1]), int(pending is not None)
+        block[k:, 0], block[k:, 1] = xs[points], ys[points]
+        if k:
+            block[0, :2] = pending
+        blocks.append(block[:count - done])
+        done += len(blocks[-1])
+        pending, misses = (xs[-1], ys[-1]) if attempt[-1] else None, int(missed[-1])
+    return np.concatenate(blocks or [np.empty((0, 4))]).T
+
+
 def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
     """Build a scene per spec; deterministic for a fixed seed.
 
     Returns the scene together with the grades implied by the planted
-    counts (computed without touching the geometry pipeline).
+    counts (computed without touching the geometry pipeline).  The scene
+    stream places the instances one by one, then plants their cells in
+    blocks (:func:`_plant`), then walks the background in blocks
+    (:func:`_background`); no stage builds a Python object per cell.
     """
     rng = np.random.default_rng(derive_seed(spec.seed, "scene"))
-    x0, y0, x1, y1 = spec.canvas
     occupied = _Circles(_cell_side(radius_range for _, _, counts, radius_range in spec.plan() if counts))
     instances: List[Instance] = []
     for kind, prefix, cell_counts, radius_range in spec.plan():
@@ -446,32 +533,9 @@ def generate_scene(spec: SceneSpec) -> Tuple[SectionScene, GroundTruthGrades]:
     edges = _check_rings(instances)
     counts = [c for _, _, cell_counts, _ in spec.plan() for c in cell_counts]
     planted = _plant(rng, edges, counts, [f"cell-{k}" for k in range(1, sum(counts) + 1)])
-    # The background stream is a sequence of pairs of doubles: an attempt's
-    # x and y, mapped as rng.uniform maps a double, and after a free attempt
-    # that cell's class and confidence.  It is read and tested a block at a
-    # time.  The background is the scene stream's last stage, so the pairs
-    # the walk leaves unread in the last block need no rewind.
     index = SpatialIndex([inst.id for inst in instances], edges)
-    background: List[Tuple[float, float, float, float]] = []
-    point, misses = None, 0
-    while len(background) < spec.background_cells:
-        u = rng.random((min(_BLOCK_PAIRS, 2 * (spec.background_cells - len(background))), 2))
-        xs, ys = x0 + (x1 - x0) * u[:, 0], y0 + (y1 - y0) * u[:, 1]
-        busy = np.zeros(len(u), dtype=bool)
-        busy[contained_pairs(index, xs, ys)[0]] = True
-        walk = zip(u.tolist(), xs.tolist(), ys.tolist(), busy.tolist())
-        for (u_class, u_confidence), x, y, hit in walk:
-            if point is not None:
-                background.append((*point, u_class, u_confidence))
-                point = None
-                if len(background) == spec.background_cells:
-                    break
-            elif not hit:
-                point, misses = (x, y), 0
-            elif (misses := misses + 1) == _PLACEMENT_ATTEMPTS:
-                raise PlacementFailure(f"background cell {len(background) + 1}: no free canvas space")
-    bg_ids = [f"bg-{j}" for j in range(1, len(background) + 1)]
-    detections = planted + _cells(bg_ids, *np.array(background, dtype=np.float64).reshape(-1, 4).T)
+    background = _background(rng, index, spec.canvas, spec.background_cells)
+    detections = planted + _cells([f"bg-{j}" for j in range(1, spec.background_cells + 1)], *background)
     scene = SectionScene(
         section_id=spec.section_id,
         instances=instances,
@@ -558,34 +622,46 @@ class PerturbationSpec(_Spec):
         _check_seed(self.seed)
 
 
-def _scene_circles(scene: SectionScene, pspec: PerturbationSpec) -> Optional[_Circles]:
-    """The grid of the bounding circles of the scene's instances that
-    hallucination places against, or None when ``pspec`` hallucinates
-    nothing; the same for every seed of ``pspec``."""
+class _SceneFacts(NamedTuple):
+    """What the stages of a perturbation spec read of a scene, the same for
+    every seed of the spec: per instance, the probability that omission drops
+    it; the instance ids; the canvas, or None when neither hallucination nor
+    FP insertion runs; and the grid of the instances' bounding circles that
+    hallucination places against, or None when it hallucinates nothing."""
+
+    omit_p: np.ndarray
+    ids: Set[str]
+    canvas: Optional[Tuple[float, float, float, float]]
+    circles: Optional[_Circles]
+
+
+def _scene_facts(scene: SectionScene, pspec: PerturbationSpec) -> _SceneFacts:
     ranges = [h.radius if h.radius is not None else DEFAULT_RADIUS_RANGES[kind]
               for kind, h in pspec.hallucinate_instances.items() if h.count]
-    if not ranges:
-        return None
-    return _Circles(_cell_side(ranges), (inst.polygon.bounding_circle for inst in scene.instances))
+    circles = None
+    if ranges:
+        circles = _Circles(_cell_side(ranges), (inst.polygon.bounding_circle for inst in scene.instances))
+    canvas = scene_canvas(scene) if ranges or pspec.detection_fp_count else None
+    omit = pspec.omit_instance_prob
+    omit_p = np.array([omit.get(inst.cls.kind, 0.0) for inst in scene.instances], dtype=np.float64)
+    return _SceneFacts(omit_p, {inst.id for inst in scene.instances}, canvas, circles)
 
 
 def _perturbation(
-    scene: SectionScene, pspec: PerturbationSpec, circles: Optional[_Circles]
+    scene: SectionScene, pspec: PerturbationSpec, facts: _SceneFacts
 ) -> Tuple[np.ndarray, List[Instance], DetectionTable]:
     """The stages of :func:`perturb_scene` in their fixed order: per instance
     of the scene whether omission drops it, the hallucinated instances, and
-    the detections the detection stages leave.  ``circles`` is
-    :func:`_scene_circles` of the scene and ``pspec``.
+    the detections the detection stages leave.  ``facts`` is
+    :func:`_scene_facts` of the scene and ``pspec``.
 
     Omission reads one double per instance of a kind it may omit, in
     instance order, as one array."""
     omitted = np.zeros(len(scene.instances), dtype=bool)
-    omit = {k: p for k, p in pspec.omit_instance_prob.items() if p > 0}
-    if omit:
+    eligible = np.flatnonzero(facts.omit_p > 0)
+    if eligible.size:
         rng = np.random.default_rng(derive_seed(pspec.seed, "omit"))
-        p = np.array([omit.get(inst.cls.kind, 0.0) for inst in scene.instances], dtype=np.float64)
-        eligible = np.flatnonzero(p > 0)
-        omitted[eligible] = rng.random(eligible.size) < p[eligible]
+        omitted[eligible] = rng.random(eligible.size) < facts.omit_p[eligible]
     detections = scene.detections
 
     added: List[Instance] = []
@@ -594,16 +670,14 @@ def _perturbation(
         if hspec is None or hspec.count == 0:
             continue
         rng = np.random.default_rng(derive_seed(pspec.seed, f"hallucinate:{kind}"))
-        canvas = scene_canvas(scene)
         # the circles of the kept and the earlier kinds' hallucinated instances
-        occupied = circles.view(set(np.flatnonzero(omitted).tolist()))
+        occupied = facts.circles.view(set(np.flatnonzero(omitted).tolist()))
         for inst in added:
             occupied.add(inst.polygon.bounding_circle)
         radius_range = hspec.radius if hspec.radius is not None else DEFAULT_RADIUS_RANGES[kind]
-        taken = {inst.id for inst in scene.instances}
         names = (f"hall-{kind}-{n}" for n in itertools.count(1))
-        for iid in itertools.islice((name for name in names if name not in taken), hspec.count):
-            poly, circle = _place_polygon(rng, canvas, radius_range, occupied, iid)
+        for iid in itertools.islice((name for name in names if name not in facts.ids), hspec.count):
+            poly, circle = _place_polygon(rng, facts.canvas, radius_range, occupied, iid)
             occupied.add(circle)
             added.append(Instance(id=iid, cls=StructureClass(kind), polygon=poly))
             # planting draws before the next placement, so each ring is checked alone
@@ -618,7 +692,7 @@ def _perturbation(
     n = pspec.detection_fp_count
     if n > 0:
         rng = np.random.default_rng(derive_seed(pspec.seed, "fp"))
-        x0, y0, x1, y1 = scene_canvas(scene)
+        x0, y0, x1, y1 = facts.canvas
         # row j holds FP j's x, then its y: the order of one draw per coordinate
         xy = rng.uniform((x0, y0), (x1, y1), size=(n, 2))
         ids, labels = [f"fp-{j + 1}" for j in range(n)], [pspec.fp_cell_class] * n
@@ -639,7 +713,7 @@ def perturb_scene(scene: SectionScene, pspec: PerturbationSpec) -> SectionScene:
     Only hallucination and FP insertion read the scene's canvas.  The
     hallucinated instances of a kind take the ids ``hall-<kind>-<n>`` for
     n = 1, 2, ... that no instance of the input scene has."""
-    omitted, added, detections = _perturbation(scene, pspec, _scene_circles(scene, pspec))
+    omitted, added, detections = _perturbation(scene, pspec, _scene_facts(scene, pspec))
     return SectionScene(
         section_id=scene.section_id,
         instances=[inst for inst, gone in zip(scene.instances, omitted.tolist()) if not gone] + added,
@@ -733,11 +807,11 @@ def sensitivity_run(
     scorable = [scene.instances[k] for k in positions.tolist()]
     index = build_index(scorable)
     baseline = _grade_keys(_section_details(scene.detections, config, [inst.cls.kind for inst in scorable], index))
-    circles = _scene_circles(scene, pspec)
+    facts = _scene_facts(scene, pspec)
 
     def run_trial(i: int) -> Tuple[str, ...]:
         tspec = replace(pspec, seed=derive_seed(pspec.seed, f"trial:{i}"))
-        omitted, added, detections = _perturbation(scene, tspec, circles)
+        omitted, added, detections = _perturbation(scene, tspec, facts)
         detections = _counted(detections, config)
         live = ~omitted[positions]
         found = contained_pairs(index, detections.xs, detections.ys, live)[1]

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import banffscore
@@ -278,13 +279,14 @@ class TestScoreCommand:
         structures, detections = section_files
         argv = ["score", "--structures", str(structures), "--detections", str(detections)]
         docs = []
-        for spelling in ("lymphocyte", "Lymphocyte"):
+        for spelling in ("lymphocyte", "Lymphocyte", "lymphocyte,Lymphocyte"):
             out = tmp_path / spelling
             assert main(argv + ["--classes", spelling, "--out-dir", str(out)]) == 0
             docs.append(json.loads((out / "sec1.score.json").read_text()))
         assert docs[0]["g"]["per_instance"][0]["count"] == 5
-        assert docs[1]["config"]["cell_classes"] == docs[0]["config"]["cell_classes"] == ["lymphocyte"]
-        assert [docs[1][k] for k in ("g", "ptc", "v")] == [docs[0][k] for k in ("g", "ptc", "v")]
+        for doc in docs[1:]:
+            assert doc["config"]["cell_classes"] == docs[0]["config"]["cell_classes"] == ["lymphocyte"]
+            assert [doc[k] for k in ("g", "ptc", "v")] == [docs[0][k] for k in ("g", "ptc", "v")]
 
     @pytest.mark.parametrize(
         "source, spelling", [("--classes", ","), ("--classes", ""), ("config file", ""), ("config file", " , ")]
@@ -1446,6 +1448,12 @@ class TestSynthGoldenBytes:
         "golden.sensitivity.json": "c7545584d0707937e40bab5ffe3c4ce7ed3589335851926de77bc6c43d649c2f",
         "golden.sensitivity.csv": "b505d53778136e8f33a74e85d1e0c6ef96613e9fd2cfadc98a41357aa071fc50",
     }
+    SHA256_LARGE = {
+        "large.scene.json": "d262002ea50e828454404bf12ac11d99a2d40741452d6874dc9a10a753533265",
+        "large.gt.geojson": "5ec6e0ffb245b6179460ba149225e6810d2486b9d0ac9ad134529e29b66f9c14",
+        "large.sensitivity.json": "318ef0f3492985af4026a238e0b942b13ba9426826d497cd2e4cb226a9b18594",
+        "large.sensitivity.csv": "b32007b004b0c68005507679e4b9857178b517ccdf929d883b61fdf78e520cb8",
+    }
 
     def test_output_bytes(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", self.SCENE_SPEC)
@@ -1456,6 +1464,35 @@ class TestSynthGoldenBytes:
         assert main(argv + ["--trials", "12", "--out-dir", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.SHA256}
         assert digests == self.SHA256
+
+    def test_output_bytes_at_benchmark_scale(self, tmp_path):
+        """The robustness benchmark's shape: 325 instances and 8,500 cells,
+        so the background spans blocks and the scene has thousands of rows."""
+        rng = np.random.default_rng(0)
+        glom, ptc, art = (rng.integers(0, hi, size=n).tolist() for hi, n in ((10, 25), (4, 280), (4, 20)))
+        spec = write_json(tmp_path / "spec.json", {
+            "section_id": "large",
+            "canvas": [0, 0, 7000, 7000],
+            "glomerulus_cells": glom,
+            "ptc_cells": ptc,
+            "artery_cells": art,
+            "background_cells": 8500 - sum(glom) - sum(ptc) - sum(art),
+            "seed": 23,
+        })
+        pspec = write_json(tmp_path / "p.json", {
+            "omit_instance_prob": {"glomerulus": 0.1, "peritubular_capillary": 0.05, "artery": 0.1},
+            "hallucinate_instances": {"glomerulus": {"count": 1, "cells_per_instance": 6}},
+            "detection_fn_prob": 0.1,
+            "detection_fp_count": 50,
+            "jitter_sigma": 2.0,
+            "seed": 11,
+        })
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 0
+        argv = ["sensitivity", "--scene", str(out / "large.scene.json"), "--perturb", str(pspec)]
+        assert main(argv + ["--trials", "10", "--out-dir", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.SHA256_LARGE}
+        assert digests == self.SHA256_LARGE
 
 
 class TestScoreGoldenBytes:

@@ -524,7 +524,7 @@ class TestAgainstPerObjectOracles:
         scene, _ = generate_scene(spec)
         assert (scene, planted_grades(spec)) == oracles.all_instance_scan_generate_scene(spec)
 
-    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 64])
     def test_background_blocks_of_any_size_match_all_instance_scan(self, block, monkeypatch):
         # A block boundary may fall between an attempt and its cell's class
         # and confidence pair.
@@ -532,7 +532,7 @@ class TestAgainstPerObjectOracles:
         spec = DENSE_BACKGROUND
         assert _outcome(generate_scene, spec) == _outcome(oracles.all_instance_scan_generate_scene, spec)
 
-    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 64])
     def test_background_failure_matches_all_instance_scan(self, block, monkeypatch):
         monkeypatch.setattr(synth, "_BLOCK_PAIRS", block)
         monkeypatch.setattr(synth, "_PLACEMENT_ATTEMPTS", 2)
@@ -756,6 +756,20 @@ class TestBlockPlanting:
         assert 0.6 + (1.0 - 0.6) * u == 0.72345
         cells = synth._cells(["c"], np.zeros(1), np.zeros(1), np.zeros(1), np.array([u]))
         assert cells.confidences.tolist() == [round(0.72345, 4)] == [0.7235]
+        # every u whose confidence double lies within 32 ulps of a tie
+        # (k + 0.5) / 10**4, the u that map to the ties that are doubles
+        # (0.65625 = 0.6 + 0.05625, ...), and seeded draws
+        ties = (np.arange(6000, 10000) + 0.5) / 1e4
+        near = ties[:, None] + np.spacing(ties)[:, None] * np.arange(-32, 33)
+        u = (near.ravel() - 0.6) / 0.4
+        u = np.unique(np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)]))
+        dyadic = np.array([0.65625, 0.71875, 0.78125, 0.84375, 0.90625, 0.96875])
+        on_ties = [v for v in ((dyadic - 0.6) / 0.4).tolist() if 0.6 + (1.0 - 0.6) * v in dyadic]
+        assert on_ties
+        u = np.concatenate([u[(u >= 0.0) & (u < 1.0)], on_ties, np.random.default_rng(5).random(10_000)])
+        cells = synth._cells(["c"] * u.size, np.zeros(u.size), np.zeros(u.size), np.zeros(u.size), u)
+        expected = np.array([round(0.6 + (1.0 - 0.6) * v, 4) for v in u.tolist()])
+        assert cells.confidences.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_choice_with_weights_is_a_searchsorted_of_one_double(self, seed):
