@@ -118,9 +118,10 @@ def _require_file(path: Path) -> Path:
 
 
 def _read_text(path: Path) -> str:
-    """The text of the file at ``path``, which must be UTF-8."""
+    """The text of the file at ``path``, which must be UTF-8, without a
+    leading byte-order mark."""
     try:
-        return _require_file(path).read_bytes().decode("utf-8")
+        return _require_file(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise BanffScoreError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

@@ -588,26 +588,27 @@ def write_ground_truth(gt: GroundTruthGrades) -> bytes:
 # detection dedup
 
 def _cell_keys(table: DetectionTable, radius: float) -> Tuple[np.ndarray, int]:
-    """Per row, an integer naming its class kind and its grid cell of side
-    ``radius``, and the key step from one cell to the next in x.
+    """Per row, an integer naming its class kind and its grid cell, and the
+    key step from one cell to the next in x.
 
-    Cells are the dense ranks of ``floor(x / radius)`` and ``floor(y /
-    radius)`` (floats, so no coordinate overflows an integer), or at radius 0
-    of ``x`` and ``y`` themselves, so that a cell is one point (``-0.0`` and
-    ``0.0`` are one coordinate, as for ``math.dist``).  A spare rank on each
-    axis keeps a neighbour offset from wrapping into the next row.  Two rows
-    of one kind within ``radius`` have keys that differ by one of ``ox *
-    step + oy`` with ``ox, oy`` in (-1, 0, 1).  A radius below ``|x| /
-    1.8e308`` makes ``x / radius`` overflow; every such coordinate of one
-    sign then shares the infinite cell, which stays correct but is scanned
-    like one bucket.
+    On each axis, cells are the dense ranks of ``floor(x / radius)`` (floats,
+    so no coordinate overflows an integer), and after them those of ``x``
+    itself where that is not finite: at radius 0, where a cell is one point,
+    and where ``|x| > radius * 1.8e308``, whose neighbours are at least
+    ``|x| / 2**53`` away, more than ``radius``.  ``-0.0`` and ``0.0`` are one
+    coordinate, as for ``math.dist``.  A spare rank on each axis keeps a
+    neighbour offset from wrapping into the next row.  Two rows of one kind
+    within ``radius`` have keys that differ by one of ``ox * step + oy``
+    with ``ox, oy`` in (-1, 0, 1), and a cell spans at most ``radius`` on
+    each axis, whatever the radius.
     """
-    cx, cy = table.xs, table.ys
-    if radius > 0:
-        with np.errstate(over="ignore"):
-            cx, cy = np.floor(cx / radius), np.floor(cy / radius)
-    _, rx = np.unique(cx, return_inverse=True)
-    _, ry = np.unique(cy, return_inverse=True)
+    rx, ry = ranks = np.empty((2, len(table)), dtype=np.intp)
+    for x, rank in zip((table.xs, table.ys), ranks):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cell = np.floor(x / radius)
+        point = ~np.isfinite(cell)
+        cells, rank[~point] = np.unique(cell[~point], return_inverse=True)
+        rank[point] = np.unique(x[point], return_inverse=True)[1] + cells.size
     nx, ny = int(rx.max(initial=-1)) + 2, int(ry.max(initial=-1)) + 2
     return (table.kind_codes() * nx + rx + 1) * ny + ry + 1, ny
 
@@ -643,98 +644,37 @@ def _cross(order: np.ndarray, starts: np.ndarray, size: np.ndarray, a: np.ndarra
     return i, j
 
 
-def _maybe_close(table: DetectionTable, key: np.ndarray, step: int, radius: float) -> np.ndarray:
-    """Mask of the rows that may have a same-kind row within ``radius``.
+def _close_pairs(table: DetectionTable, key: np.ndarray, step: int,
+                 radius: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The pairs ``(i, j)`` of rows of one kind within ``radius``
+    (``math.dist``), each once, or None if there are more than ``8 *
+    len(table)`` candidates.
 
-    A row outside the mask has none.  The mask holds every row that shares
-    its cell, and both rows of each pair, between a cell and one of its four
-    forward neighbours (:func:`_forward`), with ``|dx|, |dy| <=
-    nextafter(radius, inf)``, which no pair within ``radius`` fails and
-    which squares nothing.  Two cells are paired only if one holds a single
-    row, and a cell has eight neighbours, so at most ``8 * len(table)``
-    pairs are compared, whatever the radius.
-    """
-    order, starts, size, cells = _cell_groups(key)
-    maybe = np.zeros(key.size, dtype=bool)
-    maybe[order[np.repeat(size > 1, size)]] = True
-    reach = np.nextafter(radius, math.inf)
-    for a, b in _forward(cells, step):
-        single = (size[a] == 1) | (size[b] == 1)
-        i, j = _cross(order, starts, size, a[single], b[single])
-        with np.errstate(over="ignore"):
-            near = (np.abs(table.xs[i] - table.xs[j]) <= reach) & (np.abs(table.ys[i] - table.ys[j]) <= reach)
-        maybe[i[near]] = maybe[j[near]] = True
-    return maybe
-
-
-def _neighbour_pairs(points: List[Point], key: np.ndarray, step: int,
-                     radius: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The pairs ``(u, v)``, ``u < v``, of rows ``points[u]`` and
-    ``points[v]`` within ``radius`` (``math.dist``) whose cell keys
-    (:func:`_cell_keys`) are one of the 3x3 apart, or None if there are more
-    than ``8 * len(points)`` candidates.
-
-    The candidates are every ordered pair of rows of one cell and every row
-    of a cell with every row of one of its four forward neighbours.  They
-    are counted from the cell sizes before any is built, so a crowd, whose
-    candidates grow with the square of its size, is counted but not built.
+    The candidates are every two rows of one cell (:func:`_cell_keys`) and
+    every row of a cell with every row of one of its four forward
+    neighbours.  They are counted from the cell sizes before any is built,
+    so a crowd, whose candidates grow with the square of its size, is
+    counted but not built.  Arrays drop each candidate with ``|dx|`` or
+    ``|dy|`` above ``nextafter(radius, inf)``, which no pair within
+    ``radius`` has, and ``math.dist`` decides the rest.
     """
     order, starts, size, cells = _cell_groups(key)
     each = np.arange(cells.size)
     links = [(each, each), *_forward(cells, step)]
-    if sum(int(np.dot(size[a], size[b])) for a, b in links) > 8 * len(points):
+    if sum(int(np.dot(size[a], size[b])) for a, b in links) > 8 * key.size:
         return None
     (i, j), *across = (_cross(order, starts, size, a, b) for a, b in links)
     within = i < j
-    u = np.concatenate([i[within], *(np.minimum(i, j) for i, j in across)])
-    v = np.concatenate([j[within], *(np.maximum(i, j) for i, j in across)])
-    lower, upper = map(points.__getitem__, v.tolist()), map(points.__getitem__, u.tolist())
-    near = np.fromiter(map(math.dist, lower, upper), dtype=np.float64, count=u.size) <= radius
-    return u[near], v[near]
-
-
-def _rounds(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Per row of ``n`` rows in rank order (row 0 ranks first), 1 if the
-    greedy rule keeps it, -1 if it suppresses it, and 0 if the rounds left
-    it undecided; ``(u[k], v[k])``, ``u[k] < v[k]``, are the neighbour pairs.
-
-    The greedy rule keeps a row iff none of its higher-ranked neighbours is
-    kept.  A round keeps every undecided row none of whose higher-ranked
-    neighbours is undecided, then suppresses every undecided row with a
-    neighbour it kept; only pairs of two undecided rows are carried to the
-    next round (Blelloch, Fineman and Shun, "Greedy sequential maximal
-    independent set and matching are parallel on average", SPAA 2012).
-
-    *Each decision is the greedy one*, by induction over the rounds.  A row
-    kept in a round has only decided higher-ranked neighbours, and none of
-    them is kept, since a kept one would have suppressed it in the round
-    that kept it; so all are suppressed, and the greedy rule keeps it.  A row
-    suppressed in a round has a neighbour kept in that round, which is
-    higher-ranked (that row's lower-ranked neighbours were undecided until
-    then), so the greedy rule suppresses it.  The highest-ranked undecided
-    row is kept in every round, so each round decides at least one row.
-
-    *The work is linear.*  A round costs time in proportion to its undecided
-    rows plus the pairs between them, and the rounds stop at the first that
-    decides fewer than half of its undecided rows or leaves more than half
-    of its pairs: until then each round costs at most half of the one
-    before, so all of them cost at most twice the first.
-    """
-    state = np.zeros(n, dtype=np.int8)
-    live = np.arange(n)
-    blocked = np.zeros(n, dtype=bool)
-    while live.size:
-        blocked[v] = True
-        state[live[~blocked[live]]] = 1
-        blocked[v] = False
-        state[v[state[u] == 1]] = -1
-        undecided = live[state[live] == 0]
-        carried = (state[u] == 0) & (state[v] == 0)
-        stalled = 2 * undecided.size > live.size or 2 * np.count_nonzero(carried) > u.size
-        live, u, v = undecided, u[carried], v[carried]
-        if stalled:
-            break
-    return state
+    i = np.concatenate([i[within], *(a for a, _ in across)])
+    j = np.concatenate([j[within], *(b for _, b in across)])
+    reach = np.nextafter(radius, math.inf)
+    xs, ys = table.xs, table.ys
+    with np.errstate(over="ignore", invalid="ignore"):
+        box = (np.abs(xs[i] - xs[j]) <= reach) & (np.abs(ys[i] - ys[j]) <= reach)
+    i, j = i[box], j[box]
+    p, q = zip(xs[i].tolist(), ys[i].tolist()), zip(xs[j].tolist(), ys[j].tolist())
+    near = np.fromiter(map(math.dist, p, q), dtype=np.float64, count=i.size) <= radius
+    return i[near], j[near]
 
 
 def dedup_detections(detections: DetectionTable | Sequence[Detection], radius: float) -> DetectionTable:
@@ -746,48 +686,55 @@ def dedup_detections(detections: DetectionTable | Sequence[Detection], radius: f
     preserves input order.  A NaN confidence, which no parser admits, ranks
     after every number.
 
-    Detections with no same-kind detection near them (:func:`_maybe_close`)
-    are kept as they are, and only the rest are ranked (one ``np.lexsort``;
-    a parsed table writes the id strings of these rows alone), paired
-    (:func:`_neighbour_pairs`) and decided in rounds (:func:`_rounds`).  The
-    greedy loop decides what the rounds leave, or every ranked row when the
-    pairs are not listed: it visits them in rank order, with the rows the
-    rounds kept in place (none is a lower-ranked neighbour of an undecided
-    row, which would have blocked it), and compares each only with the kept
-    detections of the 3x3 cells around its own (:func:`_cell_keys`).  Kept
-    detections of one kind are more than ``radius`` apart, so a cell of side
-    ``radius`` holds at most four of them (a cell at radius 0, one) and a
-    visit costs at most 36 distances: with the pair bound and the rounds'
-    own, dedup is linear at every radius.
+    The close pairs are listed (:func:`_close_pairs`), and only their rows
+    are ranked (one ``np.lexsort``; a parsed table writes the id strings of
+    these rows alone).  The pair visit takes the pairs by their
+    higher-ranked row, in rank order, and suppresses the lower-ranked row
+    unless the higher-ranked one is suppressed.  Only a higher-ranked row
+    can suppress a row, so its decision is final before its own pairs come
+    up, and each decision is the greedy one.  When the pairs are not listed
+    (a crowd), every row is ranked, and the grid visit takes them in rank
+    order and compares each only with the kept detections of the 3x3 cells
+    around its own.
+
+    Dedup is linear at every radius: the candidate pairs are counted first
+    and listed only up to ``8 * len(detections)``; the pair visit is linear
+    in the pairs; and kept detections of one kind are more than ``radius``
+    apart, so a cell (at most ``radius`` on a side) holds at most four of
+    them and a grid visit makes at most 36 distance tests per row.
     """
     if not radius >= 0:  # NaN too: it compares false with every distance
         raise ValueError("radius must be >= 0")
     table = DetectionTable.from_rows(detections)
     key, step = _cell_keys(table, radius)
-    rows = np.flatnonzero(_maybe_close(table, key, step, radius))
+    pairs = _close_pairs(table, key, step, radius)
+    rows = np.arange(len(table)) if pairs is None else np.unique(np.concatenate(pairs))
     rows = rows[np.lexsort((table.take(rows).ids, -table.confidences[rows]))]
-    points, keys = list(zip(table.xs[rows].tolist(), table.ys[rows].tolist())), key[rows]
-    pairs = _neighbour_pairs(points, keys, step, radius)
-    state = np.zeros(rows.size, dtype=np.int8) if pairs is None else _rounds(*pairs, rows.size)
-    suppressed, undecided = np.flatnonzero(state == -1).tolist(), np.flatnonzero(state == 0).tolist()
-    keys = keys.tolist()
-    offsets = [ox * step + oy for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
-    # cell key -> the kept points of the 3x3 cells around that cell
-    kept_near: Dict[int, List[Point]] = {}
-    for r in np.flatnonzero(state == 1).tolist() if undecided else ():
-        for o in offsets:
-            kept_near.setdefault(keys[r] + o, []).append(points[r])
-    for r in undecided:
-        p, k = points[r], keys[r]
-        for q in kept_near.get(k, ()):
-            if math.dist(p, q) <= radius:
-                suppressed.append(r)
-                break
-        else:
-            for o in offsets:
-                kept_near.setdefault(k + o, []).append(p)
+    suppressed = [False] * rows.size
+    if pairs is not None:
+        rank = np.empty(len(table), dtype=np.intp)
+        rank[rows] = np.arange(rows.size)
+        u, v = rank[pairs[0]], rank[pairs[1]]
+        high, low = np.minimum(u, v), np.maximum(u, v)
+        by_high = np.argsort(high)
+        for h, l in zip(high[by_high].tolist(), low[by_high].tolist()):
+            if not suppressed[h]:
+                suppressed[l] = True
+    else:
+        points, keys = zip(table.xs[rows].tolist(), table.ys[rows].tolist()), key[rows].tolist()
+        offsets = [ox * step + oy for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
+        # cell key -> the kept points of the 3x3 cells around that cell
+        kept_near: Dict[int, List[Point]] = {}
+        for r, (p, k) in enumerate(zip(points, keys)):
+            for q in kept_near.get(k, ()):
+                if math.dist(p, q) <= radius:
+                    suppressed[r] = True
+                    break
+            else:
+                for o in offsets:
+                    kept_near.setdefault(k + o, []).append(p)
     kept = np.ones(len(table), dtype=bool)
-    kept[rows[suppressed]] = False
+    kept[rows[np.array(suppressed, dtype=bool)]] = False
     return table.take(kept)
 
 

@@ -473,6 +473,34 @@ class TestUnreadableTextInputs:
         assert not out.exists()
 
 
+class TestByteOrderMark:
+    """A text file saved with a UTF-8 byte-order mark exited 2: a manifest's
+    header was read as a data row, and a config's first key was unknown."""
+
+    BOM = "\ufeff".encode()
+
+    def test_manifest(self, tmp_path):
+        report, gt = make_report_and_gt(tmp_path, "only", grade=2)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(self.BOM + f"report,ground_truth\n{report},{gt}\n".encode())
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--manifest", str(manifest), "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["indicators"]["g"]["cells"][2][2] == 1
+
+    def test_config_file(self, section_files, tmp_path):
+        structures, detections = section_files
+        outputs = []
+        for name, mark in (("plain", b""), ("marked", self.BOM)):
+            config = tmp_path / f"{name}.cfg"
+            config.write_bytes(mark + b"min_confidence = 0.5\n")
+            out = tmp_path / name
+            argv = ["score", "--structures", str(structures), "--detections", str(detections)]
+            assert main(argv + ["--config", str(config), "--out-dir", str(out)]) == 0
+            outputs.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+        assert outputs[0] == outputs[1]
+
+
 SCENE_SPEC = {
     "section_id": "synth-x",
     "glomerulus_cells": [5, 0, 0, 0, 0],

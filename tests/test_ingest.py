@@ -602,31 +602,89 @@ class TestDedupDetections:
         assert elapsed < 5.0, f"dedup of {len(dets)} detections took {elapsed:.2f}s"
 
 
-class TestStalledRounds:
+def counted_dedup(dets, radius: float):
+    """``dedup_detections(dets, radius)`` and the number of ``math.dist``
+    calls it made."""
+    calls, dist = [], math.dist
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(math, "dist", lambda p, q: calls.append(1) or dist(p, q))
+        out = dedup_detections(dets, radius)
+    return out, len(calls)
+
+
+def grows_linearly(counts) -> bool:
+    """Each count at most 2.25 times the one before, plus a small constant,
+    for inputs that double in size."""
+    return all(b <= 2.25 * a + 16 for a, b in zip(counts, counts[1:]))
+
+
+class TestChainDedup:
     @staticmethod
     def chain(n: int, radius: float):
         """``n`` lymphocytes on a line, each ``0.99 * radius`` from the next, so
         only neighbours on the line are within the radius, with confidence
-        rising along it: a round decides only the highest-ranked undecided
-        row and the one it suppresses."""
+        rising along it: each decision depends on the one before it."""
         return [mk_detection(f"d{i}", 0.99 * radius * i, 0.0, confidence=(i + 1) / (n + 1)) for i in range(n)]
 
-    def test_dedup_stays_linear_when_the_rounds_stall(self, monkeypatch):
+    def test_dedup_stays_linear_on_a_chain(self):
         radius, counts = 8.0, []
         for n in (250, 500, 1000):
             dets = self.chain(n, radius)
-            expected = greedy_dedup_quadratic(dets, radius)
-            calls, left = [], []
-            dist, rounds = math.dist, ingest._rounds
-            monkeypatch.setattr(math, "dist", lambda p, q: calls.append(1) or dist(p, q))
-            monkeypatch.setattr(ingest, "_rounds", lambda *a: left.append(rounds(*a)) or left[-1])
-            out = dedup_detections(dets, radius)
-            monkeypatch.undo()
-            assert list(out) == expected
-            # the rounds stopped at once and left the chain to the greedy loop
-            assert np.count_nonzero(left[0] == 0) == n - 2
-            counts.append(len(calls))
-        assert all(b <= 2.25 * a for a, b in zip(counts, counts[1:])), counts
+            out, calls = counted_dedup(dets, radius)
+            assert list(out) == greedy_dedup_quadratic(dets, radius)
+            counts.append(calls)
+        assert grows_linearly(counts), counts
+
+
+class TestTinyRadiusDedup:
+    @staticmethod
+    def scene(n: int):
+        """``n`` distinct lymphocytes at coordinates whose quotient by
+        ``1e-320`` overflows, and an exact copy of every tenth, ranked
+        below it."""
+        rng = np.random.default_rng(n)
+        xy = rng.uniform(1.0, 1e3, size=(n, 2)).tolist()
+        dets = [mk_detection(f"d{i}", x, y, confidence=0.9) for i, (x, y) in enumerate(xy)]
+        return dets + [mk_detection(f"c{i}", *xy[i], confidence=0.5) for i in range(0, n, 10)]
+
+    def test_dedup_stays_linear_at_a_subnormal_radius(self):
+        """Every such coordinate of one sign shared one infinite cell, so
+        each detection was compared with every kept one."""
+        radius, counts = 1e-320, []
+        for n in (1000, 2000, 4000):
+            dets = self.scene(n)
+            out, calls = counted_dedup(dets, radius)
+            if n == 1000:
+                assert list(out) == greedy_dedup_quadratic(dets, radius)
+            assert len(out) == n
+            counts.append(calls)
+        assert grows_linearly(counts), counts
+
+
+class TestDedupVisits:
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 8).map(float), st.integers(0, 8).map(float), st.integers(0, 4),
+                      st.sampled_from((LYMPHOCYTE, MONOCYTE))),
+            max_size=20,
+        ),
+        radius=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_pair_visit_and_grid_visit_agree(self, rows, radius):
+        """A scene decided alone, by the pair visit, and again beside a
+        distant crowd of another kind, which leaves the pairs unlisted and
+        every row to the grid visit, keeps the same rows both times."""
+        scene = [mk_detection(f"d{i}", x, y, kind=kind, confidence=c / 4) for i, (x, y, c, kind) in enumerate(rows)]
+        crowd = [Detection(f"c{i}", (1e6, 1e6), CellClass(OTHER, "crowd"), 1.0) for i in range(40)]
+        listed, close_pairs = [], ingest._close_pairs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_close_pairs", lambda *a: listed.append(close_pairs(*a)) or listed[-1])
+            alone = list(dedup_detections(scene, radius))
+            beside = [d for d in dedup_detections(scene + crowd, radius) if d.id.startswith("d")]
+        assume(listed[0] is not None)
+        assert listed[1] is None
+        assert alone == beside == greedy_dedup_quadratic(scene, radius)
 
 
 class TestSubPixelDedup:
