@@ -659,8 +659,8 @@ def _close_pairs(table: DetectionTable, key: np.ndarray, step: int,
     ``radius`` has, and ``math.dist`` decides the rest.
     """
     order, starts, size, cells = _cell_groups(key)
-    each = np.arange(cells.size)
-    links = [(each, each), *_forward(cells, step)]
+    multi = np.flatnonzero(size > 1)
+    links = [(multi, multi), *_forward(cells, step)]
     if sum(int(np.dot(size[a], size[b])) for a, b in links) > 8 * key.size:
         return None
     (i, j), *across = (_cross(order, starts, size, a, b) for a, b in links)

@@ -613,9 +613,9 @@ def counted_dedup(dets, radius: float):
 
 
 def grows_linearly(counts) -> bool:
-    """Each count at most 2.25 times the one before, plus a small constant,
-    for inputs that double in size."""
-    return all(b <= 2.25 * a + 16 for a, b in zip(counts, counts[1:]))
+    """Each count at most 2.25 times the one before, for inputs that double
+    in size."""
+    return all(b <= 2.25 * a for a, b in zip(counts, counts[1:]))
 
 
 class TestChainDedup:
